@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .checkpoint import load_any_model, save_joint_model, save_pipeline_model
@@ -83,7 +82,7 @@ def _run_config(args, extra: dict | None = None) -> RunConfig:
         k: getattr(args, k, None)
         for k in (
             "corpus", "claims", "split", "system", "threshold", "verdict_classes",
-            "evidence_source", "jobs",
+            "evidence_source",
         )
     }
     if getattr(args, "inject_arm_prefix", False):
@@ -217,19 +216,8 @@ def cmd_predict(args) -> int:
     system, model = load_any_model(ckpt)
     if args.threshold is not None:
         model.threshold = args.threshold
-    if system == "pipeline":
-        def predict_one(claim):
-            return predict_pipeline(claim, corpus, model)
-    else:
-        def predict_one(claim):
-            return predict_joint(claim, corpus, model)
-
-    if cfg.jobs > 1:
-        # results are reduced in claim order regardless of worker count
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            preds = list(pool.map(predict_one, claims))
-    else:
-        preds = [predict_one(c) for c in claims]
+    predict = predict_pipeline if system == "pipeline" else predict_joint
+    preds = [predict(claim, corpus, model) for claim in claims]
     save_predictions(preds, args.out)
     print(f"{len(preds)} predictions written to {args.out}")
     return 0
@@ -342,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="prediction JSON file to write")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--jobs", type=int, help="parallel prediction threads")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("ensemble", help="combine two prediction files")

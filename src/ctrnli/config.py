@@ -77,15 +77,12 @@ class RunConfig:
     evidence_source: str = "gold"
     inject_arm_prefix: bool = False
     lenient: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         if self.system not in SYSTEM_CHOICES:
             raise ValueError(f"system must be one of {SYSTEM_CHOICES}")
         if self.evidence_source not in EVIDENCE_SOURCE_CHOICES:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 def _merge(base: dict, override: dict) -> dict:

@@ -27,7 +27,7 @@ from .corpus import (
     gold_evidence_globals,
     resolve_premise,
 )
-from .encode import ToyEncoder, build_joint_sequence, pool_span, pool_span_backward
+from .encode import ToyEncoder, build_joint_sequence, pool_span, pool_span_backward, pool_spans
 from .errors import MissingGold, MissingGoldEvidence, MissingGoldLabel
 from .nn import (
     EntailmentHead,
@@ -43,7 +43,13 @@ from .nn import (
     softmax,
     zero_grads,
 )
-from .pipeline import EVIDENCE_CLASS, SystemPrediction, select_evidence, verdict_from_probs
+from .pipeline import (
+    EVIDENCE_CLASS,
+    SystemPrediction,
+    evidence_probs,
+    select_evidence,
+    verdict_from_probs,
+)
 
 _JOINT_SEED_SALT = 37
 
@@ -96,10 +102,8 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     """Single-pass inference over one claim-document sequence."""
     ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
     matrix = model.encoder.encode(ji.token_ids)
-    sentence_vecs = [pool_span(matrix, span, model.pooling) for span in ji.span_map]
-    probs = [
-        float(softmax(model.evidence_head.logits(v))[EVIDENCE_CLASS]) for v in sentence_vecs
-    ]
+    sentence_vecs = pool_spans(matrix, ji.span_map, model.pooling)
+    probs = evidence_probs(model.evidence_head, sentence_vecs)
     if probs:
         selection = select_evidence(probs, model.threshold)
         gated = tuple(sorted(selection.indices))
@@ -107,7 +111,7 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     else:
         gated, fallback = (), False
     if gated:
-        summary = np.mean([sentence_vecs[i] for i in gated], axis=0)
+        summary = sentence_vecs[list(gated)].mean(axis=0)
     else:
         summary = np.zeros(model.encoder.dim)
     class_probs = _verdict_probs(model.verdict_head.logits(summary))
@@ -188,7 +192,7 @@ def joint_grads(
         evidence_loss += loss / n_surv
         grads, d_vec = mlp_backward(model.evidence_head.params, cache, d_logits * (w_ev / n_surv))
         accumulate(ev_grads, grads)
-        d_matrix += pool_span_backward(d_vec, matrix, ji.span_map[i], pooling)
+        pool_span_backward(d_vec, matrix, ji.span_map[i], pooling, out=d_matrix)
 
     # Verdict term over the pooled evidence summary.
     if teacher_forcing:
@@ -205,7 +209,9 @@ def joint_grads(
     verdict_loss, d_logits = cross_entropy(logits, LABELS.index(gold_label))
     v_grads, d_summary = mlp_backward(model.verdict_head.params, cache, d_logits * w_ent)
     for i in pool_set:
-        d_matrix += pool_span_backward(d_summary / len(pool_set), matrix, ji.span_map[i], pooling)
+        pool_span_backward(
+            d_summary / len(pool_set), matrix, ji.span_map[i], pooling, out=d_matrix
+        )
 
     enc_grads = encoder.backward(enc_cache, d_matrix) if trainable else None
     total = w_ev * evidence_loss + w_ent * verdict_loss

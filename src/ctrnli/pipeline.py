@@ -1,7 +1,8 @@
 """The two-stage system: evidence selection, then entailment over selections.
 
 Stage one scores every premise sentence independently by encoding the
-[sentence, SEP, claim] pair and classifying the pooled vector. Sentences
+[sentence, SEP, claim] pair and classifying the pooled vector; the pairs of
+one premise share a single batched encoder call and head call. Sentences
 whose evidence probability strictly exceeds the threshold are selected (with
 a top-1 fallback when nothing clears it). Stage two concatenates the selected
 sentences in premise order behind the claim and classifies the pooled
@@ -10,6 +11,7 @@ encoding into Entailment vs Contradiction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,8 +29,10 @@ from .encode import (
     ToyEncoder,
     build_entailment_sequence,
     build_pair_sequence,
+    build_pair_sequences,
     pool_span,
     pool_span_backward,
+    pool_spans,
 )
 from .errors import (
     EmptyEvidence,
@@ -141,6 +145,17 @@ def _pooled_forward(encoder, head, token_ids, pooling: str):
     return logits, (matrix, cache, mlp_cache)
 
 
+def evidence_probs(head: EvidenceHead, vectors: np.ndarray) -> list[float]:
+    """Evidence probability of each row of ``vectors`` in one head call.
+
+    The rows go through the head as a ``[B, 1, D]`` stack, which rounds each
+    row exactly as a one-vector call does; a ``[B, D]`` matrix product would
+    not.
+    """
+    logits, _ = mlp_forward(head.params, vectors[:, None, :])
+    return softmax(logits[:, 0])[:, EVIDENCE_CLASS].tolist()
+
+
 def score_evidence(
     claim: ClaimInstance,
     premise: PremiseDoc,
@@ -149,15 +164,19 @@ def score_evidence(
     max_len: int = 512,
     pooling: str = "mean",
 ) -> list[float]:
-    """One evidence probability per premise sentence."""
+    """One evidence probability per premise sentence.
+
+    All [sentence, SEP, claim] pairs of the premise go through one
+    ``encode_many`` call and one stacked head call; each probability equals
+    that of scoring its pair alone, bit for bit.
+    """
     if premise.n == 0:
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
-    probs = []
-    for i, text in enumerate(premise.texts()):
-        pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len, sentence_index=i)
-        logits, _ = _pooled_forward(encoder, head, pair.token_ids, pooling)
-        probs.append(float(softmax(logits)[EVIDENCE_CLASS]))
-    return probs
+    pairs = build_pair_sequences(encoder.tokenizer, premise.texts(), claim.text, max_len)
+    matrix = encoder.encode_many([pair.token_ids for pair in pairs])
+    edges = list(itertools.accumulate((pair.length for pair in pairs), initial=0))
+    spans = list(zip(edges[:-1], edges[1:]))
+    return evidence_probs(head, pool_spans(matrix, spans, pooling))
 
 
 def classify_entailment(

@@ -159,13 +159,18 @@ class TestPredict:
         ])
         assert code == 2
 
-    def test_jobs_output_is_byte_identical(self, tmp_path, ckpts):
-        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-        base = ["predict", "--corpus", CORPUS, "--claims", CLAIMS,
-                "--checkpoint", str(ckpts["joint"])]
-        assert main([*base, "--out", str(serial)]) == 0
-        assert main([*base, "--out", str(parallel), "--jobs", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_config_with_jobs_key_is_a_usage_error(self, tmp_path, ckpts, capsys):
+        """An unknown config key such as ``jobs`` gives one usage line, no traceback."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "jobs": 2}))
+        code = main([
+            "predict", "--config", str(cfg), "--checkpoint", str(ckpts["joint"]),
+            "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "jobs" in err and "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
 
     def test_threshold_override(self, tmp_path, ckpts):
         out = tmp_path / "p.json"

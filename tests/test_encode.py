@@ -1,5 +1,7 @@
 """Tokenizer, sequence builders, span pooling, and the toy encoder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from ctrnli.encode import (
     build_entailment_sequence,
     build_joint_sequence,
     build_pair_sequence,
+    build_pair_sequences,
     create_encoder,
     pool_span,
     pool_span_backward,
+    pool_spans,
 )
 from ctrnli.errors import (
     BackendUnavailable,
@@ -56,6 +60,29 @@ class TestHashingTokenizer:
         with pytest.raises(EmptyText):
             HashingTokenizer().tokenize("   ")
 
+    @staticmethod
+    def _formula(word, vocab_size):
+        digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
+        return NUM_RESERVED + int.from_bytes(digest, "little") % (vocab_size - NUM_RESERVED)
+
+    def test_memoized_ids_follow_blake2b(self):
+        """First lookups (misses) and repeated ones (hits) give the hash formula."""
+        tok = HashingTokenizer(1024)
+        text = "median survival median extended survival"
+        expected = tuple(self._formula(w, 1024) for w in text.split())
+        assert tok.tokenize(text).token_ids == expected  # misses, then in-text repeats
+        assert tok.tokenize(text).token_ids == expected  # every word a hit
+
+    def test_tokenizers_share_no_memo(self):
+        """A memo shared across instances would hand the second vocabulary the
+        first one's ids."""
+        small, large = HashingTokenizer(97), HashingTokenizer(1024)
+        words = "nausea occurred in a third of participants"
+        for tok in (small, large):
+            expected = tuple(self._formula(w, tok.vocab_size) for w in words.split())
+            assert tok.tokenize(words).token_ids == expected
+        assert small.tokenize(words) != large.tokenize(words)
+
 
 class _WordTokenizer:
     """Maps any word to a fixed id so sequence lengths are fully controlled."""
@@ -93,6 +120,28 @@ class TestPairSequence:
         tok = _WordTokenizer()
         with pytest.raises(ClaimAloneExceedsMaxLen):
             build_pair_sequence(tok, "s", " ".join(["c"] * 511), 512)
+
+    def test_batched_builder_matches_one_pair_at_a_time(self):
+        tok = HashingTokenizer()
+        sentences = ["nausea occurred", "one two three four five six seven", "rash"]
+        claim = "nausea was frequent"
+        pairs = build_pair_sequences(tok, sentences, claim, 8)
+        assert pairs == [
+            build_pair_sequence(tok, text, claim, 8, sentence_index=i)
+            for i, text in enumerate(sentences)
+        ]
+        assert pairs[1].sep_position == 4  # truncated: 4 + 1 + 3 = 8
+
+    def test_batched_builder_tokenizes_claim_once(self):
+        calls = []
+
+        class _Counting(_WordTokenizer):
+            def tokenize(self, text):
+                calls.append(text)
+                return super().tokenize(text)
+
+        build_pair_sequences(_Counting(), ["a b", "c", "d e f"], "claim words", 64)
+        assert calls.count("claim words") == 1 and len(calls) == 4
 
 
 class TestJointSequence:
@@ -175,6 +224,30 @@ class TestSpanPooling:
             pool_span(self.matrix, (4, 4))
 
     @pytest.mark.parametrize("mode", ["mean", "first", "max"])
+    @pytest.mark.parametrize(
+        "spans",
+        [[(0, 12)], [(0, 3), (3, 4), (4, 12)], [(2, 3), (4, 9), (10, 11)], [(5, 6)]],
+    )
+    def test_pool_spans_match_pool_span_bitwise(self, mode, spans):
+        pooled = pool_spans(self.matrix, spans, mode)
+        expected = np.stack([pool_span(self.matrix, span, mode) for span in spans])
+        assert pooled.flags.c_contiguous
+        assert np.array_equal(pooled, expected)
+
+    def test_pool_spans_of_no_spans(self):
+        assert pool_spans(self.matrix, [], "max").shape == (0, 5)
+
+    @pytest.mark.parametrize("mode", ["mean", "first", "max"])
+    def test_backward_into_out_accumulates(self, mode):
+        rng = np.random.default_rng(4)
+        d_pooled = rng.normal(size=5)
+        acc = rng.normal(size=self.matrix.shape)
+        expected = acc + pool_span_backward(d_pooled, self.matrix, (2, 9), mode)
+        out = pool_span_backward(d_pooled, self.matrix, (2, 9), mode, out=acc)
+        assert out is acc
+        assert np.array_equal(acc, expected)
+
+    @pytest.mark.parametrize("mode", ["mean", "first", "max"])
     def test_backward_matches_finite_differences(self, mode):
         rng = np.random.default_rng(3)
         matrix = rng.normal(size=(6, 4))
@@ -214,6 +287,12 @@ class TestToyEncoder:
         enc.encode((2, 3))
         enc.encode((2, 3))
         assert enc.encode_calls == 2
+
+    def test_encode_many_counts_one_call_per_sequence(self):
+        enc = ToyEncoder(dim=8)
+        out = enc.encode_many([(2, 3), (4,), (5, 6, 7)])
+        assert out.shape == (6, 8)
+        assert enc.encode_calls == 3
 
     def test_smoothing_is_self_adjoint(self):
         """<smooth(x), y> == <x, smooth(y)>, required for the hand-written

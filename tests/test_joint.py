@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder
+from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
 from ctrnli.errors import MissingGold
 from ctrnli.joint import (
     JointModel,
     JointOutput,
+    _verdict_probs,
     forward_joint,
     joint_grads,
     joint_loss,
     predict_joint,
     train_joint,
 )
-from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams
-from ctrnli.pipeline import select_evidence
+from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
+from ctrnli.pipeline import EVIDENCE_CLASS, select_evidence
 
 
 def _tiny_model(max_len=1024, threshold=0.5, seed=0) -> JointModel:
@@ -73,6 +74,24 @@ class TestForwardJoint:
         assert len(out.dropped) == premise.n
         # the verdict still exists, computed from a zero summary
         assert sum(out.class_probs) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("pooling", ["mean", "first", "max"])
+    @pytest.mark.parametrize("max_len", [1024, 40])
+    def test_matches_per_sentence_loop_bitwise(self, corpus, claims, pooling, max_len):
+        """Stacked pooling and head calls against one call per sentence vector."""
+        model = _tiny_model(max_len=max_len)
+        model.pooling = pooling
+        for claim in claims:
+            premise = resolve_premise(claim, corpus)
+            ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, max_len)
+            matrix = model.encoder.encode(ji.token_ids)
+            vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
+            probs = [float(softmax(model.evidence_head.logits(v))[EVIDENCE_CLASS]) for v in vecs]
+            out = forward_joint(claim, premise, model)
+            assert out.evidence_probs == tuple(probs)
+            if out.gated:
+                summary = np.mean([vecs[i] for i in out.gated], axis=0)
+                assert out.class_probs == _verdict_probs(model.verdict_head.logits(summary))
 
     def test_class_probs_normalized(self, corpus, claims):
         model = _tiny_model()

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from ctrnli.corpus import LABELS, resolve_premise
+from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence, pool_span
 from ctrnli.errors import (
     EmptyEvidence,
     EmptyPremise,
     MissingGoldEvidence,
     MissingGoldLabel,
 )
-from ctrnli.nn import Hyperparams
+from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
 from ctrnli.pipeline import (
+    EVIDENCE_CLASS,
+    PipelineModel,
     SystemPrediction,
     classify_entailment,
     entailment_training_items,
@@ -151,6 +154,90 @@ class TestScoreAndClassify:
         a = classify_entailment(claim, premise, [2, 0, 1], **kwargs)
         b = classify_entailment(claim, premise, [0, 1, 2, 2], **kwargs)
         assert a == b
+
+
+def _per_pair_scores(claim, premise, encoder, head, max_len, pooling):
+    """Reference: score each [sentence, SEP, claim] pair on its own."""
+    probs = []
+    for i, text in enumerate(premise.texts()):
+        pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len, sentence_index=i)
+        matrix = encoder.encode(pair.token_ids)
+        pooled = pool_span(matrix, (0, matrix.shape[0]), pooling)
+        probs.append(float(softmax(head.logits(pooled))[EVIDENCE_CLASS]))
+    return probs
+
+
+class _HashingHfTokenizer:
+    """Stands in for a HuggingFace tokenizer inside the pretrained adapter."""
+
+    sep_token_id = 1
+
+    def __init__(self):
+        self._tok = ToyEncoder(dim=8).tokenizer
+
+    def encode(self, text, add_special_tokens=False):
+        return list(self._tok.tokenize(text).token_ids)
+
+
+class _StubPretrained(PretrainedEncoder):
+    """The frozen adapter with a toy encoder in place of the transformer: its
+    own tokenize and encode_many run, only the model forward is replaced."""
+
+    def __init__(self, toy):
+        self._hf_tokenizer = _HashingHfTokenizer()
+        self._toy = toy
+        self.dim = toy.dim
+        self.encode_calls = 0
+
+    def encode(self, token_ids):
+        self.encode_calls += 1
+        return self._toy.encode(token_ids)
+
+
+class TestBatchedScoring:
+    """score_evidence batches a premise; the per-pair loop is its oracle."""
+
+    @pytest.mark.parametrize("pooling", ["mean", "first", "max"])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_matches_per_pair_loop_bitwise(self, corpus, claims, pooling, truncate):
+        encoder = ToyEncoder(dim=16, seed=3)
+        head = EvidenceHead.create(16, seed=4)
+        truncated = 0
+        for claim in claims:
+            premise = resolve_premise(claim, corpus)
+            max_len = 512
+            if truncate:  # room for the claim, SEP and three sentence tokens
+                max_len = len(encoder.tokenize(claim.text).token_ids) + 4
+                truncated += sum(len(encoder.tokenize(t).token_ids) > 3 for t in premise.texts())
+            expected = _per_pair_scores(claim, premise, encoder, head, max_len, pooling)
+            assert score_evidence(claim, premise, encoder, head, max_len, pooling) == expected
+        assert truncated > 0 or not truncate
+
+    def test_predict_encodes_n_plus_one_times(self, corpus, claims):
+        """One encode per premise sentence plus one for the verdict."""
+        encoder = ToyEncoder(dim=16)
+        model = PipelineModel(
+            evidence_encoder=encoder,
+            evidence_head=EvidenceHead.create(16, seed=1),
+            entailment_encoder=encoder,
+            entailment_head=EntailmentHead.create(16, seed=2),
+        )
+        for claim in claims:
+            before = encoder.encode_calls
+            predict_pipeline(claim, corpus, model)
+            assert encoder.encode_calls - before == resolve_premise(claim, corpus).n + 1
+
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
+    def test_frozen_encoder_scores_through_encode_many(self, corpus, claims, pooling):
+        toy = ToyEncoder(dim=16, seed=3)
+        stub = _StubPretrained(toy)
+        head = EvidenceHead.create(16, seed=4)
+        assert not stub.trainable
+        for claim in claims[:5]:
+            premise = resolve_premise(claim, corpus)
+            expected = _per_pair_scores(claim, premise, toy, head, 512, pooling)
+            assert score_evidence(claim, premise, stub, head, 512, pooling) == expected
+        assert stub.encode_calls == sum(resolve_premise(c, corpus).n for c in claims[:5])
 
 
 class TestTrainingItems:

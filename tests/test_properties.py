@@ -4,7 +4,7 @@ capping, packing, tokenization, and counting."""
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrnli.corpus import LABELS, PremiseDoc, PremiseSentence, normalize_text
@@ -13,6 +13,7 @@ from ctrnli.encode import (
     SEP_ID,
     HashingTokenizer,
     TokenSeq,
+    ToyEncoder,
     build_joint_sequence,
 )
 from ctrnli.ensemble import EnsembleConfig, combine, postprocess_evidence
@@ -137,6 +138,26 @@ class TestTokenizer:
         assert all(NUM_RESERVED <= i < vocab_size for i in ids)
         assert tok.tokenize(text).token_ids == ids
         assert len(ids) == len(normalize_text(text).split())
+
+
+_ENCODER = ToyEncoder(vocab_size=64, dim=8, seed=5)
+
+token_seqs = st.lists(
+    st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestEncodeMany:
+    @given(token_seqs)
+    @example([[7]])  # one 1-token sequence
+    @example([[3, 9, 9, 4]])  # one sequence
+    @example([[5], [2, 8, 1], [6], [6], [1, 2, 3, 4, 5, 6, 7]])  # mixed, 1-token neighbors
+    def test_matches_per_sequence_encode_bitwise(self, seqs):
+        rows = _ENCODER.encode_many(seqs)
+        expected = np.concatenate([_ENCODER.encode(seq) for seq in seqs])
+        assert np.array_equal(rows, expected)
 
 
 class TestNormalize:
