@@ -4,7 +4,9 @@ A checkpoint is a directory holding ``config.json`` (how to rebuild the
 model), ``manifest.json`` (which system it is, and each tensor's name,
 shape, dtype, and byte offset into the blob), and ``params.bin`` (the
 tensors concatenated as little-endian 32-bit floats). Parameters are
-float64 in memory; saving quantizes them and loading casts back.
+float64 in memory; saving quantizes them and loading casts back. Every head
+is two-class, so the config records no class count, and a tensor of any
+other shape is refused.
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ def save_pipeline_model(model: PipelineModel, path: str | Path) -> None:
         "inject_arm_prefix": model.inject_arm_prefix,
         "evidence_encoder": _encoder_config(model.evidence_encoder),
         "entailment_encoder": _encoder_config(model.entailment_encoder),
-        "n_classes": model.entailment_head.n_classes,
     }
     _write_blob(Path(path), named, "pipeline", config)
 
@@ -184,7 +185,7 @@ def load_pipeline_model(path: str | Path) -> PipelineModel:
     ev_encoder = _rebuild_encoder(config["evidence_encoder"])
     ent_encoder = _rebuild_encoder(config["entailment_encoder"])
     ev_head = EvidenceHead.create(ev_encoder.dim, n_classes=2)
-    ent_head = EntailmentHead.create(ent_encoder.dim, n_classes=int(config.get("n_classes", 2)))
+    ent_head = EntailmentHead.create(ent_encoder.dim, n_classes=2)
     if ev_encoder.trainable:
         _load_params_into(
             ev_encoder.params, _split_namespace(tensors, "evidence.encoder."), "evidence.encoder"
@@ -225,7 +226,6 @@ def save_joint_model(model: JointModel, path: str | Path) -> None:
         "pooling": model.pooling,
         "inject_arm_prefix": model.inject_arm_prefix,
         "encoder": _encoder_config(model.encoder),
-        "n_classes": model.verdict_head.n_classes,
     }
     _write_blob(Path(path), named, "joint", config)
 
@@ -236,7 +236,7 @@ def load_joint_model(path: str | Path) -> JointModel:
         raise BadCheckpoint(f"expected a joint checkpoint, found {system!r}")
     encoder = _rebuild_encoder(config["encoder"])
     ev_head = EvidenceHead.create(encoder.dim, n_classes=2)
-    v_head = EntailmentHead.create(encoder.dim, n_classes=int(config.get("n_classes", 2)))
+    v_head = EntailmentHead.create(encoder.dim, n_classes=2)
     if encoder.trainable:
         _load_params_into(encoder.params, _split_namespace(tensors, "encoder."), "encoder")
     _load_params_into(

@@ -81,8 +81,7 @@ def _run_config(args, extra: dict | None = None) -> RunConfig:
     overrides: dict = {
         k: getattr(args, k, None)
         for k in (
-            "corpus", "claims", "split", "system", "threshold", "verdict_classes",
-            "evidence_source",
+            "corpus", "claims", "split", "system", "threshold", "evidence_source",
         )
     }
     if getattr(args, "inject_arm_prefix", False):
@@ -106,23 +105,20 @@ def _run_config(args, extra: dict | None = None) -> RunConfig:
     return load_run_config(getattr(args, "config", None), overrides)
 
 
-def _make_encoders(cfg: RunConfig):
-    """(shared ready encoder or None, seeded toy factory or None)."""
+def _encoder_factory(cfg: RunConfig):
+    """A seeded toy encoder per call, or one frozen pretrained model for all."""
     enc = cfg.encoder
     if enc.backend == "toy":
-        def factory(seed):
-            return ToyEncoder(
-                vocab_size=enc.vocab_size, dim=enc.dim, n_layers=enc.n_layers, seed=seed
-            )
-
-        return None, factory
+        return lambda seed: ToyEncoder(
+            vocab_size=enc.vocab_size, dim=enc.dim, n_layers=enc.n_layers, seed=seed
+        )
     ready = create_encoder(
         backend=enc.backend,
         model_name=enc.model_name,
         device=enc.device,
         mixed_precision=enc.resolved_mixed_precision(),
     )
-    return ready, None
+    return lambda seed: ready
 
 
 # --- commands -----------------------------------------------------------------
@@ -152,12 +148,12 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     hp = cfg.hyperparams
     max_len = cfg.encoder.resolved_max_len(cfg.system)
-    ready, factory = _make_encoders(cfg)
+    factory = _encoder_factory(cfg)
 
     if cfg.system == "pipeline":
         evidence = train_evidence_model(
             claims, corpus, hp,
-            encoder=ready, encoder_factory=factory,
+            encoder_factory=factory,
             max_len=max_len, pooling=cfg.encoder.pooling,
             inject_arm_prefix=cfg.inject_arm_prefix,
         )
@@ -165,7 +161,7 @@ def cmd_train(args) -> int:
             claims, corpus, hp,
             evidence_source=cfg.evidence_source,
             evidence_model=evidence if cfg.evidence_source == "predicted" else None,
-            encoder=ready, encoder_factory=factory,
+            encoder_factory=factory,
             max_len=max_len, threshold=cfg.threshold, pooling=cfg.encoder.pooling,
             inject_arm_prefix=cfg.inject_arm_prefix,
         )
@@ -184,10 +180,9 @@ def cmd_train(args) -> int:
     else:
         result = train_joint(
             claims, corpus, hp,
-            encoder=ready, encoder_factory=factory,
+            encoder_factory=factory,
             max_len=max_len, threshold=cfg.threshold, pooling=cfg.encoder.pooling,
             inject_arm_prefix=cfg.inject_arm_prefix,
-            verdict_classes=cfg.verdict_classes,
         )
         save_joint_model(result.model, out_dir)
         curves = result.loss_curve
@@ -322,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-entailment", type=float, help="joint loss weight for the verdict task")
     p.add_argument("--evidence-source", choices=EVIDENCE_SOURCE_CHOICES,
                    help="premise for entailment training: gold or predicted evidence")
-    p.add_argument("--verdict-classes", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="run a checkpoint over claims")

@@ -73,7 +73,6 @@ class RunConfig:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     threshold: float = 0.5
-    verdict_classes: int = 2
     evidence_source: str = "gold"
     inject_arm_prefix: bool = False
     lenient: bool = False

@@ -19,6 +19,7 @@ from .errors import (
     DanglingCtrReference,
     DuplicateCtrId,
     EmptySentence,
+    EvidenceIndexOutOfRange,
     MalformedJson,
     MissingSection,
     UnknownSectionName,
@@ -137,11 +138,11 @@ class PremiseDoc:
 
     Global indices are 0-based and contiguous; for comparison claims every
     primary-trial sentence precedes every secondary-trial sentence.
-    ``provenance`` maps each global index back to (ctr_id, local index).
+    ``offsets`` maps each trial to the global index of its first sentence.
     """
 
     sentences: tuple[PremiseSentence, ...]
-    provenance: Mapping[int, tuple[str, int]]
+    offsets: Mapping[str, int]
 
     @property
     def n(self) -> int:
@@ -151,13 +152,14 @@ class PremiseDoc:
         return [s.text for s in self.sentences]
 
     def to_global(self, ctr_id: str, local_index: int) -> int:
-        for g, (cid, loc) in self.provenance.items():
-            if cid == ctr_id and loc == local_index:
-                return g
-        raise KeyError((ctr_id, local_index))
-
-    def to_local(self, global_index: int) -> tuple[str, int]:
-        return self.provenance[global_index]
+        """Global index of a trial's local sentence index; an index past that
+        trial's sentences raises instead of landing on the next trial's."""
+        g = self.offsets[ctr_id] + local_index
+        if local_index < 0 or g >= self.n or self.sentences[g].ctr_id != ctr_id:
+            raise EvidenceIndexOutOfRange(
+                f"evidence index {local_index} is outside the section of trial '{ctr_id}'"
+            )
+        return g
 
 
 # --- loading -----------------------------------------------------------------
@@ -280,6 +282,8 @@ def parse_claim(obj) -> ClaimInstance:
 
     secondary = obj.get("secondary_ctr")
     secondary_ctr = str(secondary) if secondary is not None else None
+    if secondary_ctr == primary_ctr:
+        raise MalformedJson(f"{claim_id}: a comparison needs two different trials")
 
     label = obj.get("label")
     if label is not None and label not in LABELS:
@@ -380,7 +384,7 @@ def resolve_premise(
     the two trials apart.
     """
     sentences: list[PremiseSentence] = []
-    provenance: dict[int, tuple[str, int]] = {}
+    offsets: dict[str, int] = {}
     roles = [(claim.primary_ctr, PRIMARY_PREFIX)]
     if claim.secondary_ctr is not None:
         roles.append((claim.secondary_ctr, SECONDARY_PREFIX))
@@ -388,15 +392,14 @@ def resolve_premise(
     for ctr_id, prefix in roles:
         if ctr_id not in corpus:
             raise DanglingCtrReference(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
-        record = corpus[ctr_id]
-        for local, sent in enumerate(record.section(claim.section_id)):
+        offsets.setdefault(ctr_id, g)
+        for sent in corpus[ctr_id].section(claim.section_id):
             text = sent.text
             if inject_arm_prefix and claim.claim_type == "comparison":
                 text = f"{prefix} {text}"
             sentences.append(PremiseSentence(g, ctr_id, sent.arm, text))
-            provenance[g] = (ctr_id, local)
             g += 1
-    return PremiseDoc(sentences=tuple(sentences), provenance=provenance)
+    return PremiseDoc(sentences=tuple(sentences), offsets=offsets)
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:
@@ -404,9 +407,12 @@ def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozense
     if claim.gold_evidence is None:
         return frozenset()
     out = set()
-    for ctr_id, locals_ in claim.gold_evidence.items():
-        for loc in locals_:
-            out.add(premise.to_global(ctr_id, loc))
+    try:
+        for ctr_id, locals_ in claim.gold_evidence.items():
+            for loc in locals_:
+                out.add(premise.to_global(ctr_id, loc))
+    except EvidenceIndexOutOfRange as exc:
+        raise EvidenceIndexOutOfRange(f"claim {claim.claim_id}: {exc}") from None
     return frozenset(out)
 
 
@@ -486,11 +492,6 @@ def validate_dataset(
             )
 
     for claim in claims:
-        has_secondary = claim.secondary_ctr is not None
-        if (claim.claim_type == "comparison") != has_secondary:
-            report.violations.append(
-                Violation("InconsistentClaimType", "claim_type vs secondary_ctr", claim.claim_id)
-            )
         if claim.section_id not in SECTION_NAMES:
             report.violations.append(
                 Violation("UnknownSectionName", f"section '{claim.section_id}'", claim.claim_id)

@@ -38,6 +38,10 @@ class DanglingCtrReference(CtrnliError):
     """A claim references a trial identifier absent from the corpus."""
 
 
+class EvidenceIndexOutOfRange(CtrnliError):
+    """A gold evidence index lies past the end of its trial's section."""
+
+
 # --- encoding errors ------------------------------------------------------
 
 

@@ -33,11 +33,9 @@ from .nn import (
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    SgdwOptimizer,
-    WarmupLinearSchedule,
     accumulate,
     cross_entropy,
-    minibatches,
+    fit,
     mlp_backward,
     mlp_forward,
     softmax,
@@ -73,13 +71,12 @@ class JointOutput:
 
     ``evidence_probs[i]`` belongs to premise sentence ``i`` (survivors are
     the premise prefix); truncated sentences appear in ``dropped`` with an
-    implicit probability of zero and can never be gated. ``pooled_from``
-    records which sentence vectors formed the evidence summary.
+    implicit probability of zero and can never be gated. The evidence
+    summary the verdict head reads is the mean of the ``gated`` vectors.
     """
 
     evidence_probs: tuple[float, ...]
     gated: tuple[int, ...]
-    pooled_from: tuple[int, ...]
     class_probs: tuple[float, ...]
     verdict: str
     fallback_used: bool
@@ -87,11 +84,12 @@ class JointOutput:
 
 
 def _verdict_probs(logits: np.ndarray) -> tuple[float, float]:
-    """Two-label distribution from verdict logits.
+    """Two-label distribution from two-class verdict logits.
 
-    Heads configured with extra verdict slots are supported by renormalizing
-    over the two task labels; with the default two-class head this is the
-    plain softmax.
+    Mathematically the plain softmax, but renormalized as ``p / (p0 + p1)``
+    because that rounding is what every checkpoint and prediction file has
+    been produced with: a bare softmax changes the last bits of some joint
+    predictions (never a verdict), which would break byte-identical output.
     """
     probs = softmax(logits)[:2]
     total = probs.sum()
@@ -118,7 +116,6 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     return JointOutput(
         evidence_probs=tuple(probs),
         gated=gated,
-        pooled_from=gated,
         class_probs=class_probs,
         verdict=verdict_from_probs(class_probs),
         fallback_used=fallback,
@@ -228,23 +225,21 @@ def train_joint(
     train_claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
-    encoder=None,
     max_len: int = 1024,
     threshold: float = 0.5,
     pooling: str = "mean",
     inject_arm_prefix: bool = False,
-    verdict_classes: int = 2,
     encoder_factory=None,
 ) -> JointTrainResult:
-    """Jointly fit the shared encoder and both heads."""
+    """Jointly fit the shared encoder (``encoder_factory(seed)``, toy when
+    None) and both heads."""
     root = np.random.SeedSequence([_JOINT_SEED_SALT, hyperparams.seed])
     enc_seed, ev_seed, v_seed, shuffle_seed = root.spawn(4)
-    if encoder is None:
-        encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
+    encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
     model = JointModel(
         encoder=encoder,
         evidence_head=EvidenceHead.create(encoder.dim, n_classes=2, seed=ev_seed),
-        verdict_head=EntailmentHead.create(encoder.dim, n_classes=verdict_classes, seed=v_seed),
+        verdict_head=EntailmentHead.create(encoder.dim, n_classes=2, seed=v_seed),
         max_len=max_len,
         threshold=threshold,
         pooling=pooling,
@@ -260,35 +255,30 @@ def train_joint(
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         examples.append((claim, premise, gold_evidence_globals(claim, premise), claim.gold_label))
 
-    hp = hyperparams
-    weights = (hp.w_evidence, hp.w_entailment)
-    schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(examples)), hp.warmup_rate)
-    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    weights = (hyperparams.w_evidence, hyperparams.w_entailment)
     groups = [model.evidence_head.params, model.verdict_head.params]
     if encoder.trainable:
         groups.append(encoder.params)
 
-    curves: dict[str, list[float]] = {"total": [], "evidence": [], "entailment": []}
-    rng = np.random.default_rng(shuffle_seed)
-    for batch_idx in minibatches(len(examples), hp, rng):
+    def batch_grads(batch_idx):
         scale = 1.0 / len(batch_idx)
-        batch_grads = [zero_grads(g) for g in groups]
+        grads = [zero_grads(g) for g in groups]
         totals = np.zeros(3)
         for idx in batch_idx:
-            claim, premise, gold, label = examples[idx]
             total, l_ev, l_ent, enc_g, ev_g, v_g = joint_grads(
-                model, claim, premise, gold, label, weights, teacher_forcing=True
+                model, *examples[idx], weights, teacher_forcing=True
             )
             totals += (total, l_ev, l_ent)
-            accumulate(batch_grads[0], ev_g, scale)
-            accumulate(batch_grads[1], v_g, scale)
-            if enc_g is not None:
-                accumulate(batch_grads[2], enc_g, scale)
-        optimizer.step(groups, batch_grads)
+            # a frozen encoder has no group, so zip stops before its None grads
+            for into, g in zip(grads, (ev_g, v_g, enc_g)):
+                accumulate(into, g, scale)
         totals *= scale
-        curves["total"].append(float(totals[0]))
-        curves["evidence"].append(float(totals[1]))
-        curves["entailment"].append(float(totals[2]))
+        return totals.tolist(), grads
+
+    rng = np.random.default_rng(shuffle_seed)
+    steps = fit(groups, batch_grads, len(examples), hyperparams, rng)
+    names = ("total", "evidence", "entailment")
+    curves = {name: [step[k] for step in steps] for k, name in enumerate(names)}
     return JointTrainResult(model=model, loss_curve=curves)
 
 

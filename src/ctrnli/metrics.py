@@ -308,39 +308,46 @@ def load_report_obj(path: str | Path) -> dict:
         raw = Path(path).read_text()
     except OSError as exc:
         raise IoError(f"cannot read report from {path}: {exc}") from exc
-    return json.loads(raw)
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc
 
 
 def report_from_json_obj(obj: dict) -> MetricsReport:
-    """Rebuild a report from its JSON form (schema metrics/1)."""
-    if obj.get("schema") != "metrics/1":
-        raise MalformedJson(f"unsupported report schema {obj.get('schema')!r}")
+    """Rebuild a report from its JSON form (schema metrics/1); a missing or
+    mistyped field raises :class:`MalformedJson`."""
 
     def prf(sub: dict) -> PRF:
         return PRF(
-            precision=sub["precision"], recall=sub["recall"], f1=sub["f1"],
-            tp=sub["tp"], fp=sub["fp"], fn=sub["fn"], tn=sub["tn"],
+            precision=float(sub["precision"]), recall=float(sub["recall"]), f1=float(sub["f1"]),
+            tp=int(sub["tp"]), fp=int(sub["fp"]), fn=int(sub["fn"]), tn=int(sub["tn"]),
         )
 
-    per_claim = tuple(
-        ClaimDiagnostics(
-            claim_id=d["claim_id"],
-            n_selected=d["n_selected"],
-            fallback_used=d["fallback_used"],
-            verdict_correct=d["verdict_correct"],
-            tp=d["tp"], fp=d["fp"], fn=d["fn"], tn=d["tn"],
-            challenge=d.get("challenge"),
+    try:
+        if obj.get("schema") != "metrics/1":
+            raise MalformedJson(f"unsupported report schema {obj.get('schema')!r}")
+        per_claim = tuple(
+            ClaimDiagnostics(
+                claim_id=d["claim_id"],
+                n_selected=d["n_selected"],
+                fallback_used=d["fallback_used"],
+                verdict_correct=d["verdict_correct"],
+                tp=d["tp"], fp=d["fp"], fn=d["fn"], tn=d["tn"],
+                challenge=d.get("challenge"),
+            )
+            for d in obj["per_claim"]
         )
-        for d in obj["per_claim"]
-    )
-    return MetricsReport(
-        evidence_micro=prf(obj["evidence"]["micro"]),
-        evidence_macro=prf(obj["evidence"]["macro"]),
-        entailment=prf(obj["entailment"]),
-        entailment_macro_f1=obj["entailment"]["macro_f1"],
-        per_claim=per_claim,
-        metadata=obj.get("metadata", {}),
-    )
+        return MetricsReport(
+            evidence_micro=prf(obj["evidence"]["micro"]),
+            evidence_macro=prf(obj["evidence"]["macro"]),
+            entailment=prf(obj["entailment"]),
+            entailment_macro_f1=float(obj["entailment"]["macro_f1"]),
+            per_claim=per_claim,
+            metadata=obj.get("metadata", {}),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedJson(f"malformed metrics/1 report: {type(exc).__name__}: {exc}") from None
 
 
 def render_table(report: MetricsReport) -> str:

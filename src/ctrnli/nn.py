@@ -65,13 +65,12 @@ class ClassifierHead:
     """A 2-layer MLP head producing class logits from one pooled vector."""
 
     params: dict
-    n_classes: int
 
     @classmethod
     def create(cls, dim: int, n_classes: int = 2, hidden: int | None = None, seed: int = 0):
         rng = np.random.default_rng(seed)
         hidden = hidden or dim
-        return cls(params=init_mlp(rng, dim, hidden, n_classes), n_classes=n_classes)
+        return cls(params=init_mlp(rng, dim, hidden, n_classes))
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         out, _ = mlp_forward(self.params, x)
@@ -91,9 +90,7 @@ class EvidenceHead(ClassifierHead):
 class EntailmentHead(ClassifierHead):
     """Maps a pooled sequence vector to verdict logits.
 
-    Index 0 is Entailment, index 1 Contradiction. The head accepts a
-    configurable class count so a third verdict slot can be enabled, but the
-    task and all defaults use two.
+    Index 0 is Entailment, index 1 Contradiction.
     """
 
 
@@ -179,3 +176,19 @@ def minibatches(n_items: int, hp: Hyperparams, rng: np.random.Generator):
                 return
             yield order[start : start + hp.batch_size]
             emitted += 1
+
+
+def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.random.Generator):
+    """The training loop: SGDW with warmup then decay over seeded minibatches.
+
+    ``batch_grads(batch_idx)`` returns (loss, one grad dict per entry of
+    ``groups``), which are updated in place. Returns the per-step losses.
+    """
+    schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(n_items), hp.warmup_rate)
+    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    curve = []
+    for batch_idx in minibatches(n_items, hp, rng):
+        loss, grads = batch_grads(batch_idx)
+        optimizer.step(groups, grads)
+        curve.append(loss)
+    return curve

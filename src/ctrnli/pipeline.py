@@ -37,18 +37,18 @@ from .encode import (
 from .errors import (
     EmptyEvidence,
     EmptyPremise,
+    MalformedJson,
     MissingGoldEvidence,
     MissingGoldLabel,
 )
 from .nn import (
+    ClassifierHead,
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    SgdwOptimizer,
-    WarmupLinearSchedule,
     accumulate,
     cross_entropy,
-    minibatches,
+    fit,
     mlp_backward,
     mlp_forward,
     softmax,
@@ -82,6 +82,8 @@ class SystemPrediction:
         for p in (*self.evidence_probs, *self.class_probs):
             if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
                 raise ValueError(f"probability {p} outside [0, 1]")
+        if len(self.class_probs) != len(LABELS):
+            raise ValueError(f"expected {len(LABELS)} class probabilities")
         if abs(sum(self.class_probs) - 1.0) > PROB_TOL:
             raise ValueError(f"class probabilities sum to {sum(self.class_probs)}")
         if self.verdict != verdict_from_probs(self.class_probs):
@@ -104,14 +106,21 @@ class SystemPrediction:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SystemPrediction":
-        return cls(
-            claim_id=str(obj["claim_id"]),
-            evidence_probs=tuple(float(p) for p in obj["evidence_probs"]),
-            selected=tuple(int(i) for i in obj["selected"]),
-            class_probs=tuple(float(p) for p in obj["class_probs"]),  # type: ignore[arg-type]
-            verdict=str(obj["verdict"]),
-            fallback_used=bool(obj.get("fallback_used", False)),
-        )
+        """Parse one prediction object; any schema violation raises MalformedJson."""
+        if not isinstance(obj, dict):
+            raise MalformedJson(f"a prediction must be a JSON object, got {type(obj).__name__}")
+        try:
+            return cls(
+                claim_id=str(obj["claim_id"]),
+                evidence_probs=tuple(float(p) for p in obj["evidence_probs"]),
+                selected=tuple(int(i) for i in obj["selected"]),
+                class_probs=tuple(float(p) for p in obj["class_probs"]),  # type: ignore[arg-type]
+                verdict=str(obj["verdict"]),
+                fallback_used=bool(obj.get("fallback_used", False)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"{type(exc).__name__}: {exc}"
+            raise MalformedJson(f"malformed prediction {obj.get('claim_id')!r}: {what}") from None
 
 
 @dataclass(frozen=True)
@@ -230,38 +239,31 @@ def sequence_classification_grads(
     return total * scale, enc_grads, head_grads
 
 
-def _run_training(
-    encoder, head, items, hp: Hyperparams, shuffle_rng, pooling: str = "mean"
-) -> list[float]:
-    schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(items)), hp.warmup_rate)
-    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+@dataclass
+class TrainResult:
+    """One trained pipeline stage: its encoder, its head and the per-step loss."""
+
+    encoder: object
+    head: ClassifierHead
+    loss_curve: list[float] = field(default_factory=list)
+
+
+def _train_stage(salt: int, head_cls, hp: Hyperparams, pooling: str, encoder_factory, make_items):
+    """Train one stage: ``encoder_factory(seed)`` (a toy encoder when None),
+    a two-class ``head_cls``, and ``make_items(tokenizer)`` as the data."""
+    enc_seed, head_seed, shuffle_seed = np.random.SeedSequence([salt, hp.seed]).spawn(3)
+    encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
+    head = head_cls.create(encoder.dim, n_classes=2, seed=head_seed)
+    items = make_items(encoder.tokenizer)
     groups = [head.params] + ([encoder.params] if encoder.trainable else [])
-    curve = []
-    for batch_idx in minibatches(len(items), hp, shuffle_rng):
+
+    def batch_grads(batch_idx):
         batch = [items[i] for i in batch_idx]
         loss, enc_grads, head_grads = sequence_classification_grads(encoder, head, batch, pooling)
-        grad_groups = [head_grads] + ([enc_grads] if enc_grads is not None else [])
-        optimizer.step(groups, grad_groups)
-        curve.append(loss)
-    return curve
+        return loss, [head_grads] + ([enc_grads] if enc_grads is not None else [])
 
-
-def _seeds(hp: Hyperparams, salt: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence([salt, hp.seed]).spawn(3)
-
-
-@dataclass
-class EvidenceTrainResult:
-    encoder: object
-    head: EvidenceHead
-    loss_curve: list[float] = field(default_factory=list)
-
-
-@dataclass
-class EntailmentTrainResult:
-    encoder: object
-    head: EntailmentHead
-    loss_curve: list[float] = field(default_factory=list)
+    curve = fit(groups, batch_grads, len(items), hp, np.random.default_rng(shuffle_seed))
+    return TrainResult(encoder=encoder, head=head, loss_curve=curve)
 
 
 def evidence_training_items(
@@ -289,26 +291,16 @@ def train_evidence_model(
     train_claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
-    encoder=None,
     max_len: int = 512,
     pooling: str = "mean",
     inject_arm_prefix: bool = False,
     encoder_factory=None,
-) -> EvidenceTrainResult:
-    """Fit the per-sentence evidence classifier (binary cross-entropy).
-
-    A ready ``encoder`` is used as-is; otherwise ``encoder_factory`` (called
-    with the derived init seed) or a default toy encoder supplies one.
-    """
-    enc_seed, head_seed, shuffle_seed = _seeds(hyperparams, _EVIDENCE_SEED_SALT)
-    if encoder is None:
-        encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
-    head = EvidenceHead.create(encoder.dim, n_classes=2, seed=head_seed)
-    items = evidence_training_items(train_claims, corpus, encoder.tokenizer, max_len, inject_arm_prefix)
-    curve = _run_training(
-        encoder, head, items, hyperparams, np.random.default_rng(shuffle_seed), pooling
+) -> TrainResult:
+    """Fit the per-sentence evidence classifier (binary cross-entropy)."""
+    return _train_stage(
+        _EVIDENCE_SEED_SALT, EvidenceHead, hyperparams, pooling, encoder_factory,
+        lambda tok: evidence_training_items(train_claims, corpus, tok, max_len, inject_arm_prefix),
     )
-    return EvidenceTrainResult(encoder=encoder, head=head, loss_curve=curve)
 
 
 def entailment_training_items(
@@ -317,7 +309,7 @@ def entailment_training_items(
     tokenizer,
     max_len: int,
     evidence_source: str = "gold",
-    evidence_model: EvidenceTrainResult | None = None,
+    evidence_model: TrainResult | None = None,
     threshold: float = 0.5,
     pooling: str = "mean",
     inject_arm_prefix: bool = False,
@@ -357,34 +349,21 @@ def train_entailment_model(
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
     evidence_source: str = "gold",
-    evidence_model: EvidenceTrainResult | None = None,
-    encoder=None,
+    evidence_model: TrainResult | None = None,
     max_len: int = 512,
     threshold: float = 0.5,
     pooling: str = "mean",
     inject_arm_prefix: bool = False,
     encoder_factory=None,
-) -> EntailmentTrainResult:
+) -> TrainResult:
     """Fit the verdict classifier on gold (default) or predicted evidence."""
-    enc_seed, head_seed, shuffle_seed = _seeds(hyperparams, _ENTAILMENT_SEED_SALT)
-    if encoder is None:
-        encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
-    head = EntailmentHead.create(encoder.dim, n_classes=2, seed=head_seed)
-    items = entailment_training_items(
-        train_claims,
-        corpus,
-        encoder.tokenizer,
-        max_len,
-        evidence_source=evidence_source,
-        evidence_model=evidence_model,
-        threshold=threshold,
-        pooling=pooling,
-        inject_arm_prefix=inject_arm_prefix,
+    return _train_stage(
+        _ENTAILMENT_SEED_SALT, EntailmentHead, hyperparams, pooling, encoder_factory,
+        lambda tok: entailment_training_items(
+            train_claims, corpus, tok, max_len, evidence_source, evidence_model, threshold,
+            pooling, inject_arm_prefix,
+        ),
     )
-    curve = _run_training(
-        encoder, head, items, hyperparams, np.random.default_rng(shuffle_seed), pooling
-    )
-    return EntailmentTrainResult(encoder=encoder, head=head, loss_curve=curve)
 
 
 # --- end-to-end prediction -------------------------------------------------------

@@ -489,9 +489,7 @@ def test_a8_packing_vs_greedy_oracle(verdict):
             )
             for i, length in enumerate(lengths)
         )
-        premise = PremiseDoc(
-            sentences=sentences, provenance={i: ("trial", i) for i in range(len(lengths))}
-        )
+        premise = PremiseDoc(sentences=sentences, offsets={"trial": 0})
         for max_len in (30, 512, 1024):
             ji = build_joint_sequence(tokenizer, claim, premise, max_len)
             total, spans, dropped = _packing_oracle(claim_len, lengths, max_len)

@@ -1,17 +1,40 @@
 """End-to-end command exercises through main(), checking exit codes."""
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from ctrnli.checkpoint import save_joint_model, save_pipeline_model
+from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import main
 from ctrnli.ensemble import load_predictions
+from ctrnli.errors import BadCheckpoint
+from ctrnli.nn import EntailmentHead
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 CORPUS = str(FIXTURE / "corpus.json")
 CLAIMS = str(FIXTURE / "claims.json")
+
+
+def _one_line_error(capsys, *fragments):
+    """stderr holds exactly one line, with every fragment and no traceback."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+
+
+@pytest.fixture()
+def out_of_range_claims(tmp_path):
+    """The fixture claims with claim-01's gold evidence index past its section."""
+    claims = json.loads(Path(CLAIMS).read_text())
+    assert claims[0]["claim_id"] == "claim-01"
+    claims[0]["evidence"] = {"trial-01": [999]}
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(claims))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +162,25 @@ class TestTrain:
         ))
         assert code == 3
 
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_out_of_range_gold_evidence_is_data_error(
+        self, tmp_path, capsys, out_of_range_claims, system
+    ):
+        code = main([
+            "train", "--corpus", CORPUS, "--claims", out_of_range_claims, "--system", system,
+            "--out", str(tmp_path / "ckpt"), "--max-steps", "1", "--seed", "0",
+        ])
+        assert code == 1
+        _one_line_error(capsys, "claim-01", "trial-01", "999")
+
+    def test_config_with_verdict_classes_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "verdict_classes": 3}))
+        code = main(self._train_args(tmp_path / "ckpt", "--config", str(cfg)))
+        assert code == 2
+        _one_line_error(capsys, "verdict_classes")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_split_directory(self, tmp_path):
         code = main([
             "train", "--corpus", CORPUS, "--claims", str(tmp_path),
@@ -171,6 +213,38 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "jobs" in err and "Traceback" not in err
         assert not (tmp_path / "p.json").exists()
+
+    def test_three_class_verdict_head_is_refused(self, tmp_path, joint_model, capsys):
+        wide = dataclasses.replace(
+            joint_model, verdict_head=EntailmentHead.create(joint_model.encoder.dim, n_classes=3)
+        )
+        save_joint_model(wide, tmp_path / "ckpt")
+        with pytest.raises(BadCheckpoint, match="verdict_head"):
+            load_joint_model(tmp_path / "ckpt")
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "verdict_head")
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_config_with_old_n_classes_key_predicts_identically(
+        self, tmp_path, ckpts, prediction_files, system
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts[system], ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        assert "n_classes" not in config
+        config["n_classes"] = 2
+        (ckpt / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == prediction_files[system].read_bytes()
 
     def test_threshold_override(self, tmp_path, ckpts):
         out = tmp_path / "p.json"
@@ -289,3 +363,72 @@ class TestEvaluateAndReport:
 
     def test_missing_report_file(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == 2
+
+    def test_out_of_range_gold_evidence_is_data_error(
+        self, capsys, prediction_files, out_of_range_claims
+    ):
+        code = main([
+            "evaluate", "--corpus", CORPUS, "--claims", out_of_range_claims,
+            "--predictions", str(prediction_files["joint"]),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "claim-01", "trial-01", "999")
+
+    def _evaluate_payload(self, tmp_path, payload):
+        path = tmp_path / "preds.json"
+        path.write_text(json.dumps(payload))
+        return main([
+            "evaluate", "--corpus", CORPUS, "--claims", CLAIMS, "--predictions", str(path),
+        ])
+
+    def test_prediction_missing_verdict_is_data_error(self, tmp_path, capsys, prediction_files):
+        preds = json.loads(prediction_files["joint"].read_text())
+        del preds[3]["verdict"]
+        assert self._evaluate_payload(tmp_path, preds) == 1
+        _one_line_error(capsys, "verdict")
+
+    def test_prediction_list_of_numbers_is_data_error(self, tmp_path, capsys):
+        assert self._evaluate_payload(tmp_path, [1, 2]) == 1
+        _one_line_error(capsys, "JSON object")
+
+    def test_prediction_probability_out_of_range_is_data_error(
+        self, tmp_path, capsys, prediction_files
+    ):
+        preds = json.loads(prediction_files["joint"].read_text())
+        preds[0]["class_probs"] = [1.5, -0.5]
+        preds[0]["verdict"] = "Entailment"
+        assert self._evaluate_payload(tmp_path, preds) == 1
+        _one_line_error(capsys, preds[0]["claim_id"], "1.5")
+
+    def test_prediction_with_three_class_probs_is_data_error(
+        self, tmp_path, capsys, prediction_files
+    ):
+        preds = json.loads(prediction_files["joint"].read_text())
+        preds[0]["class_probs"] = [0.2, 0.3, 0.5]
+        assert self._evaluate_payload(tmp_path, preds) == 1
+        _one_line_error(capsys, preds[0]["claim_id"], "2 class probabilities")
+
+    def test_report_not_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("{oops")
+        assert main(["report", "--report", str(path)]) == 1
+        _one_line_error(capsys, str(path))
+
+    def test_report_missing_fields_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema": "metrics/1"}))
+        assert main(["report", "--report", str(path)]) == 1
+        _one_line_error(capsys, "per_claim")
+
+    def test_report_value_of_wrong_type_is_data_error(self, tmp_path, capsys, prediction_files):
+        path = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--predictions", str(prediction_files["joint"]), "--out", str(path),
+        ]) == 0
+        obj = json.loads(path.read_text())
+        obj["evidence"]["micro"]["precision"] = "high"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["report", "--report", str(path)]) == 1
+        _one_line_error(capsys, "high")

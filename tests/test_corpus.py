@@ -23,6 +23,7 @@ from ctrnli.errors import (
     DanglingCtrReference,
     DuplicateCtrId,
     EmptySentence,
+    EvidenceIndexOutOfRange,
     MalformedJson,
     MissingSection,
     UnknownSectionName,
@@ -198,12 +199,13 @@ class TestResolvePremise:
         claim = next(c for c in claims if c.claim_type == "comparison")
         premise = resolve_premise(claim, corpus)
         n_primary = len(corpus[claim.primary_ctr].section(claim.section_id))
+        assert premise.offsets == {claim.primary_ctr: 0, claim.secondary_ctr: n_primary}
         for g in range(premise.n):
-            ctr, local = premise.to_local(g)
+            ctr = premise.sentences[g].ctr_id
             if g < n_primary:
-                assert ctr == claim.primary_ctr and local == g
+                assert ctr == claim.primary_ctr and premise.to_global(ctr, g) == g
             else:
-                assert ctr == claim.secondary_ctr and local == g - n_primary
+                assert ctr == claim.secondary_ctr and premise.to_global(ctr, g - n_primary) == g
 
     def test_global_indices_contiguous(self, corpus, claims):
         for claim in claims:
@@ -227,6 +229,34 @@ class TestResolvePremise:
         premise = resolve_premise(claim, recs)
         assert premise.n == 9
         assert sorted(gold_evidence_globals(claim, premise)) == [2, 5]
+
+    def test_comparison_of_a_trial_with_itself_rejected(self):
+        """Both halves of such a premise carry one trial id, so its evidence
+        indices could not be range-checked per half."""
+        with pytest.raises(MalformedJson, match="two different trials"):
+            parse_claim(_claim_obj(secondary_ctr="ct-1"))
+
+    @pytest.mark.parametrize("n_primary", [5, 0])
+    def test_primary_index_past_its_section_raises(self, n_primary):
+        """Primary index == its section length is out of range; it must not
+        land on the secondary trial's first sentence."""
+        recs = {}
+        for cid, n in (("p", n_primary), ("s", 4)):
+            obj = _record_obj(cid)
+            obj["sections"]["results"] = [f"{cid} sentence {i}" for i in range(n)]
+            recs[cid] = parse_record(obj)
+        claim = parse_claim(
+            _claim_obj(primary_ctr="p", secondary_ctr="s", evidence={"p": [n_primary]})
+        )
+        premise = resolve_premise(claim, recs)
+        assert premise.sentences[n_primary].ctr_id == "s"
+        with pytest.raises(EvidenceIndexOutOfRange):
+            premise.to_global("p", n_primary)
+        with pytest.raises(EvidenceIndexOutOfRange, match=rf"c-1: .*{n_primary} .*'p'"):
+            gold_evidence_globals(claim, premise)
+        assert premise.to_global("s", 3) == n_primary + 3
+        with pytest.raises(EvidenceIndexOutOfRange):
+            premise.to_global("s", 4)
 
     def test_arm_prefix_only_for_comparison(self, corpus, claims):
         single = next(c for c in claims if c.claim_type == "single")

@@ -35,7 +35,7 @@ def _premise(*lengths: int) -> PremiseDoc:
         PremiseSentence(i, "ct", "shared", " ".join(f"w{i}x{j}" for j in range(n)))
         for i, n in enumerate(lengths)
     )
-    return PremiseDoc(sentences=sentences, provenance={i: ("ct", i) for i in range(len(lengths))})
+    return PremiseDoc(sentences=sentences, offsets={"ct": 0})
 
 
 class TestHashingTokenizer:

@@ -46,7 +46,6 @@ class TestForwardJoint:
             expected = select_evidence(out.evidence_probs, model.threshold)
             assert set(out.gated) == set(expected.indices)
             assert out.fallback_used == expected.fallback_used
-            assert out.pooled_from == out.gated
 
     def test_truncated_sentences_never_gated(self, corpus, claims):
         claim = claims[0]
@@ -98,16 +97,6 @@ class TestForwardJoint:
         out = forward_joint(claims[0], resolve_premise(claims[0], corpus), model)
         assert sum(out.class_probs) == pytest.approx(1.0)
 
-    def test_extra_verdict_class_renormalized(self, corpus, claims):
-        enc = ToyEncoder(dim=16, seed=0)
-        model = JointModel(
-            encoder=enc,
-            evidence_head=EvidenceHead.create(16, seed=1),
-            verdict_head=EntailmentHead.create(16, n_classes=3, seed=2),
-        )
-        out = forward_joint(claims[0], resolve_premise(claims[0], corpus), model)
-        assert sum(out.class_probs) == pytest.approx(1.0)
-
 
 class TestJointLoss:
     def _output(self, probs, class_probs):
@@ -116,7 +105,6 @@ class TestJointLoss:
         return JointOutput(
             evidence_probs=tuple(probs),
             gated=(),
-            pooled_from=(),
             class_probs=tuple(class_probs),
             verdict=verdict_from_probs(class_probs),
             fallback_used=False,

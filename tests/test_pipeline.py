@@ -128,7 +128,7 @@ class TestScoreAndClassify:
     def test_empty_premise(self, corpus, claims, pipeline_model):
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
-        empty = type(premise)(sentences=(), provenance={})
+        empty = type(premise)(sentences=(), offsets={})
         with pytest.raises(EmptyPremise):
             score_evidence(
                 claim, empty, pipeline_model.evidence_encoder, pipeline_model.evidence_head

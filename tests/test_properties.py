@@ -183,7 +183,7 @@ def _premise_of(lengths):
     sentences = tuple(
         PremiseSentence(i, "ct", "all", " ".join(["w"] * n)) for i, n in enumerate(lengths)
     )
-    return PremiseDoc(sentences=sentences, provenance={i: ("ct", i) for i in range(len(lengths))})
+    return PremiseDoc(sentences=sentences, offsets={"ct": 0})
 
 
 class TestPackingInvariants:

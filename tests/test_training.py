@@ -1,0 +1,184 @@
+"""The one training loop (``nn.fit``) against the two loops it replaced.
+
+The oracles below are the separate pipeline and joint loops as they stood
+before training became one code path, copied verbatim apart from their
+names. Every parameter and every loss value must match bit for bit, with a
+trainable toy encoder and with a frozen (``trainable=False``) encoder.
+"""
+
+import numpy as np
+import pytest
+
+from ctrnli.corpus import gold_evidence_globals, resolve_premise
+from ctrnli.encode import ToyEncoder
+from ctrnli.joint import JointModel, joint_grads, train_joint
+from ctrnli.nn import (
+    EntailmentHead,
+    EvidenceHead,
+    Hyperparams,
+    SgdwOptimizer,
+    WarmupLinearSchedule,
+    accumulate,
+    minibatches,
+    zero_grads,
+)
+from ctrnli.pipeline import (
+    entailment_training_items,
+    evidence_training_items,
+    sequence_classification_grads,
+    train_entailment_model,
+    train_evidence_model,
+)
+from test_pipeline import _StubPretrained
+
+HP = Hyperparams(
+    learning_rate=0.1, warmup_rate=0.2, weight_decay=0.01, batch_size=3, seed=3, max_steps=25
+)
+
+
+def _oracle_run_training(encoder, head, items, hp, shuffle_rng, pooling="mean"):
+    schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(items)), hp.warmup_rate)
+    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    groups = [head.params] + ([encoder.params] if encoder.trainable else [])
+    curve = []
+    for batch_idx in minibatches(len(items), hp, shuffle_rng):
+        batch = [items[i] for i in batch_idx]
+        loss, enc_grads, head_grads = sequence_classification_grads(encoder, head, batch, pooling)
+        grad_groups = [head_grads] + ([enc_grads] if enc_grads is not None else [])
+        optimizer.step(groups, grad_groups)
+        curve.append(loss)
+    return curve
+
+
+def _oracle_stage(salt, head_cls, make_items, hp, pooling, factory):
+    enc_seed, head_seed, shuffle_seed = np.random.SeedSequence([salt, hp.seed]).spawn(3)
+    encoder = factory(enc_seed)
+    head = head_cls.create(encoder.dim, n_classes=2, seed=head_seed)
+    items = make_items(encoder.tokenizer)
+    curve = _oracle_run_training(
+        encoder, head, items, hp, np.random.default_rng(shuffle_seed), pooling
+    )
+    return encoder, head, curve
+
+
+def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
+    root = np.random.SeedSequence([37, hyperparams.seed])
+    enc_seed, ev_seed, v_seed, shuffle_seed = root.spawn(4)
+    encoder = factory(enc_seed)
+    model = JointModel(
+        encoder=encoder,
+        evidence_head=EvidenceHead.create(encoder.dim, n_classes=2, seed=ev_seed),
+        verdict_head=EntailmentHead.create(encoder.dim, n_classes=2, seed=v_seed),
+        pooling=pooling,
+    )
+    examples = []
+    for claim in train_claims:
+        premise = resolve_premise(claim, corpus)
+        examples.append((claim, premise, gold_evidence_globals(claim, premise), claim.gold_label))
+
+    hp = hyperparams
+    weights = (hp.w_evidence, hp.w_entailment)
+    schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(examples)), hp.warmup_rate)
+    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    groups = [model.evidence_head.params, model.verdict_head.params]
+    if encoder.trainable:
+        groups.append(encoder.params)
+
+    curves = {"total": [], "evidence": [], "entailment": []}
+    rng = np.random.default_rng(shuffle_seed)
+    for batch_idx in minibatches(len(examples), hp, rng):
+        scale = 1.0 / len(batch_idx)
+        batch_grads = [zero_grads(g) for g in groups]
+        totals = np.zeros(3)
+        for idx in batch_idx:
+            claim, premise, gold, label = examples[idx]
+            total, l_ev, l_ent, enc_g, ev_g, v_g = joint_grads(
+                model, claim, premise, gold, label, weights, teacher_forcing=True
+            )
+            totals += (total, l_ev, l_ent)
+            accumulate(batch_grads[0], ev_g, scale)
+            accumulate(batch_grads[1], v_g, scale)
+            if enc_g is not None:
+                accumulate(batch_grads[2], enc_g, scale)
+        optimizer.step(groups, batch_grads)
+        totals *= scale
+        curves["total"].append(float(totals[0]))
+        curves["evidence"].append(float(totals[1]))
+        curves["entailment"].append(float(totals[2]))
+    return model, curves
+
+
+def _toy(seed):
+    return ToyEncoder(dim=16, seed=seed)
+
+
+def _frozen(seed):
+    return _StubPretrained(ToyEncoder(dim=16, seed=5))
+
+
+FACTORIES = pytest.mark.parametrize("factory", [_toy, _frozen], ids=["toy", "frozen"])
+
+
+def _assert_same_params(a: dict, b: dict):
+    assert set(a) == set(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
+def _assert_same_stage(result, encoder, head, curve):
+    assert len(result.loss_curve) == HP.max_steps
+    assert result.loss_curve == curve
+    _assert_same_params(result.head.params, head.params)
+    if encoder.trainable:
+        _assert_same_params(result.encoder.params, encoder.params)
+
+
+@FACTORIES
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_evidence_stage_matches_old_loop(corpus, claims, factory, pooling):
+    result = train_evidence_model(claims, corpus, HP, pooling=pooling, encoder_factory=factory)
+    oracle = _oracle_stage(
+        11, EvidenceHead,
+        lambda tok: evidence_training_items(claims, corpus, tok, 512),
+        HP, pooling, factory,
+    )
+    _assert_same_stage(result, *oracle)
+
+
+@FACTORIES
+@pytest.mark.parametrize("source", ["gold", "predicted"])
+def test_entailment_stage_matches_old_loop(corpus, claims, factory, source):
+    evidence = train_evidence_model(claims, corpus, HP, encoder_factory=factory)
+    model = evidence if source == "predicted" else None
+    result = train_entailment_model(
+        claims, corpus, HP, evidence_source=source, evidence_model=model, encoder_factory=factory
+    )
+    oracle = _oracle_stage(
+        23, EntailmentHead,
+        lambda tok: entailment_training_items(
+            claims, corpus, tok, 512, evidence_source=source, evidence_model=model
+        ),
+        HP, "mean", factory,
+    )
+    _assert_same_stage(result, *oracle)
+
+
+@FACTORIES
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_joint_matches_old_loop(corpus, claims, factory, pooling):
+    result = train_joint(claims, corpus, HP, pooling=pooling, encoder_factory=factory)
+    model, curves = _oracle_train_joint(claims, corpus, HP, pooling, factory)
+    assert result.loss_curve == curves
+    assert len(curves["total"]) == HP.max_steps
+    _assert_same_params(result.model.evidence_head.params, model.evidence_head.params)
+    _assert_same_params(result.model.verdict_head.params, model.verdict_head.params)
+    if model.encoder.trainable:
+        _assert_same_params(result.model.encoder.params, model.encoder.params)
+
+
+def test_frozen_encoder_is_shared_not_rebuilt(corpus, claims):
+    """A factory that hands out one ready encoder gives both stages that encoder."""
+    ready = _StubPretrained(ToyEncoder(dim=16, seed=5))
+    evidence = train_evidence_model(claims, corpus, HP, encoder_factory=lambda seed: ready)
+    entailment = train_entailment_model(claims, corpus, HP, encoder_factory=lambda seed: ready)
+    assert evidence.encoder is ready and entailment.encoder is ready
