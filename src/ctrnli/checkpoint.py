@@ -182,6 +182,10 @@ def load_pipeline_model(path: str | Path) -> PipelineModel:
     system, config, tensors = read_checkpoint(path)
     if system != "pipeline":
         raise BadCheckpoint(f"expected a pipeline checkpoint, found {system!r}")
+    return _pipeline_from(config, tensors)
+
+
+def _pipeline_from(config: dict, tensors: Mapping[str, np.ndarray]) -> PipelineModel:
     ev_encoder = _rebuild_encoder(config["evidence_encoder"])
     ent_encoder = _rebuild_encoder(config["entailment_encoder"])
     ev_head = EvidenceHead.create(ev_encoder.dim, n_classes=2)
@@ -234,6 +238,10 @@ def load_joint_model(path: str | Path) -> JointModel:
     system, config, tensors = read_checkpoint(path)
     if system != "joint":
         raise BadCheckpoint(f"expected a joint checkpoint, found {system!r}")
+    return _joint_from(config, tensors)
+
+
+def _joint_from(config: dict, tensors: Mapping[str, np.ndarray]) -> JointModel:
     encoder = _rebuild_encoder(config["encoder"])
     ev_head = EvidenceHead.create(encoder.dim, n_classes=2)
     v_head = EntailmentHead.create(encoder.dim, n_classes=2)
@@ -257,9 +265,9 @@ def load_joint_model(path: str | Path) -> JointModel:
 def load_any_model(path: str | Path):
     """Load whichever system the checkpoint holds.
 
-    Returns ("pipeline", PipelineModel) or ("joint", JointModel).
+    Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
+    checkpoint is read once.
     """
-    system, _, _ = read_checkpoint(path)
-    if system == "pipeline":
-        return system, load_pipeline_model(path)
-    return system, load_joint_model(path)
+    system, config, tensors = read_checkpoint(path)
+    build = _pipeline_from if system == "pipeline" else _joint_from
+    return system, build(config, tensors)

@@ -19,7 +19,8 @@ from .config import (
     POOLING_CHOICES,
     SYSTEM_CHOICES,
     RunConfig,
-    load_run_config,
+    build_run_config,
+    read_config_file,
 )
 from .corpus import load_claims, load_corpus, validate_dataset
 from .encode import ToyEncoder, create_encoder
@@ -77,7 +78,9 @@ def _encoder_overrides(args) -> dict:
     return out
 
 
-def _run_config(args, extra: dict | None = None) -> RunConfig:
+def _run_config(args) -> tuple[RunConfig, dict]:
+    """The run config (flags over the config file over defaults) and the
+    config file's own object, read once."""
     overrides: dict = {
         k: getattr(args, k, None)
         for k in (
@@ -101,8 +104,8 @@ def _run_config(args, extra: dict | None = None) -> RunConfig:
     if getattr(args, "threshold", None) is not None:
         ens["threshold"] = args.threshold
     overrides["ensemble"] = ens
-    overrides.update(extra or {})
-    return load_run_config(getattr(args, "config", None), overrides)
+    file_obj = read_config_file(getattr(args, "config", None))
+    return build_run_config(file_obj, overrides), file_obj
 
 
 def _encoder_factory(cfg: RunConfig):
@@ -125,7 +128,7 @@ def _encoder_factory(cfg: RunConfig):
 
 
 def cmd_validate(args) -> int:
-    cfg = _run_config(args)
+    cfg, _ = _run_config(args)
     corpus_path = Path(_require(cfg.corpus, "--corpus"))
     claims_path = Path(_require(cfg.claims, "--claims"))
     if not corpus_path.exists():
@@ -139,8 +142,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
-    if args.seed is None and "seed" not in _config_file_hyperparams(args.config):
+    cfg, file_obj = _run_config(args)
+    if args.seed is None and "seed" not in file_obj.get("hyperparams", {}):
         raise UsageError("--seed is required for training")
     corpus, claims = _load_data(cfg, need_labels=True)
     if not claims:
@@ -191,26 +194,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_file_hyperparams(config_path) -> dict:
-    if config_path is None:
-        return {}
-    try:
-        obj = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    hp = obj.get("hyperparams", {})
-    return hp if isinstance(hp, dict) else {}
-
-
 def cmd_predict(args) -> int:
-    cfg = _run_config(args)
+    cfg, file_obj = _run_config(args)
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise UsageError(f"checkpoint {ckpt} does not exist")
     corpus, claims = _load_data(cfg)
     system, model = load_any_model(ckpt)
-    if args.threshold is not None:
-        model.threshold = args.threshold
+    # the checkpoint's threshold stands unless a flag or the config file sets one
+    if args.threshold is not None or "threshold" in file_obj:
+        model.threshold = cfg.threshold
     predict = predict_pipeline if system == "pipeline" else predict_joint
     preds = [predict(claim, corpus, model) for claim in claims]
     save_predictions(preds, args.out)
@@ -219,7 +212,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _run_config(args)
+    cfg, _ = _run_config(args)
     for path in (args.predictions_a, args.predictions_b):
         if not Path(path).exists():
             raise UsageError(f"prediction file {path} does not exist")
@@ -232,7 +225,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _run_config(args)
+    cfg, _ = _run_config(args)
     if not Path(args.predictions).exists():
         raise UsageError(f"prediction file {args.predictions} does not exist")
     preds = load_predictions(args.predictions)

@@ -66,7 +66,6 @@ class RunConfig:
 
     corpus: str | None = None
     claims: str | None = None
-    output_dir: str = "runs"
     split: str | None = None
     system: str = "pipeline"
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -82,6 +81,8 @@ class RunConfig:
             raise ValueError(f"system must be one of {SYSTEM_CHOICES}")
         if self.evidence_source not in EVIDENCE_SOURCE_CHOICES:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float)):
+            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -102,23 +103,33 @@ def _build(cls, obj: dict):
     return cls(**obj)
 
 
+def read_config_file(path: str | Path | None) -> dict:
+    """The JSON object of a config file; empty when ``path`` is None."""
+    if path is None:
+        return {}
+    try:
+        obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedJson(f"config {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedJson(f"config {path}: expected a JSON object")
+    return obj
+
+
 def load_run_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus overrides.
+    """Build a RunConfig from an optional JSON file plus overrides."""
+    return build_run_config(read_config_file(path), overrides)
+
+
+def build_run_config(file_obj: dict, overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from a parsed config file object plus overrides.
 
     Override values of None mean "not given" and never clobber the file;
     everything else wins over the file, which wins over defaults.
     """
-    obj: dict = {}
-    if path is not None:
-        try:
-            obj = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"config {path}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise MalformedJson(f"config {path}: expected a JSON object")
-    obj = _merge(obj, overrides or {})
+    obj = _merge(file_obj, overrides or {})
     nested = {
         "encoder": EncoderConfig,
         "hyperparams": Hyperparams,

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     DanglingCtrReference,
+    DuplicateClaimId,
     DuplicateCtrId,
     EmptySentence,
     EvidenceIndexOutOfRange,
@@ -318,6 +319,15 @@ def parse_claim(obj) -> ClaimInstance:
     )
 
 
+def check_unique_claim_ids(claim_ids: Iterable[str], where: str) -> None:
+    """Raise :class:`DuplicateClaimId` on the first id that occurs twice."""
+    seen: set[str] = set()
+    for claim_id in claim_ids:
+        if claim_id in seen:
+            raise DuplicateClaimId(f"duplicate claim_id '{claim_id}' in {where}")
+        seen.add(claim_id)
+
+
 def load_claims(
     path: str | Path,
     split: str | None = None,
@@ -330,7 +340,8 @@ def load_claims(
     ``{split}.json``. When ``corpus`` is given, claims whose trial references
     are missing are reported and skipped; unless ``lenient`` is set, any such
     claim raises :class:`DanglingCtrReference` after the whole file is
-    scanned, carrying the full list of offenders.
+    scanned, carrying the full list of offenders. A repeated ``claim_id``
+    raises :class:`DuplicateClaimId`.
     """
     path = Path(path)
     if path.is_dir():
@@ -346,10 +357,11 @@ def load_claims(
     if not data:
         logger.warning("claim file %s is empty", path)
 
+    parsed = [parse_claim(obj) for obj in data]
+    check_unique_claim_ids((claim.claim_id for claim in parsed), str(path))
     claims: list[ClaimInstance] = []
     dangling: list[str] = []
-    for obj in data:
-        claim = parse_claim(obj)
+    for claim in parsed:
         if corpus is not None:
             missing = [c for c in claim.ctr_ids if c not in corpus]
             if missing:
@@ -491,7 +503,13 @@ def validate_dataset(
                 Violation("BadCohortCount", f"{len(record.arms)} arm labels", ctr_id=ctr_id)
             )
 
+    seen: set[str] = set()
     for claim in claims:
+        if claim.claim_id in seen:
+            report.violations.append(
+                Violation("DuplicateClaimId", "claim_id used by an earlier claim", claim.claim_id)
+            )
+        seen.add(claim.claim_id)
         if claim.section_id not in SECTION_NAMES:
             report.violations.append(
                 Violation("UnknownSectionName", f"section '{claim.section_id}'", claim.claim_id)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import check_unique_claim_ids
 from .errors import IoError, MalformedJson, MismatchedClaim, MismatchedPremiseLength
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
@@ -133,8 +134,10 @@ def ensemble_predictions(
     """Combine two prediction lists claim by claim, then cap the evidence.
 
     Predictions are paired by claim id and the output keeps the first list's
-    order. Both lists must cover exactly the same claims.
+    order. Both lists must cover exactly the same claims, each claim once.
     """
+    check_unique_claim_ids((p.claim_id for p in preds_a), "the first prediction list")
+    check_unique_claim_ids((p.claim_id for p in preds_b), "the second prediction list")
     by_id = {p.claim_id: p for p in preds_b}
     missing = [p.claim_id for p in preds_a if p.claim_id not in by_id]
     extra = sorted(by_id.keys() - {p.claim_id for p in preds_a})
@@ -157,7 +160,8 @@ def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[SystemPrediction]:
     """Read a prediction list written by :func:`save_predictions` or an
-    external system emitting the same shape."""
+    external system emitting the same shape; a claim predicted twice raises
+    :class:`DuplicateClaimId`."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -168,4 +172,6 @@ def load_predictions(path: str | Path) -> list[SystemPrediction]:
         raise MalformedJson(f"{path}: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedJson(f"{path}: expected a JSON list of predictions")
-    return [SystemPrediction.from_json_obj(obj) for obj in payload]
+    preds = [SystemPrediction.from_json_obj(obj) for obj in payload]
+    check_unique_claim_ids((p.claim_id for p in preds), str(path))
+    return preds

@@ -30,6 +30,10 @@ class DuplicateCtrId(CtrnliError):
     """Two trial records share the same identifier."""
 
 
+class DuplicateClaimId(CtrnliError):
+    """Two claims, or two predictions in one list, share the same identifier."""
+
+
 class EmptySentence(CtrnliError):
     """A section sentence is empty after whitespace normalization."""
 
@@ -97,6 +101,10 @@ class MismatchedPremiseLength(CtrnliError):
 
 class LengthMismatch(CtrnliError):
     """A prediction and its gold counterpart disagree on premise length."""
+
+
+class IncompleteCoverage(CtrnliError):
+    """A prediction list leaves labelled gold claims without a prediction."""
 
 
 # --- persistence errors -----------------------------------------------------

@@ -5,11 +5,12 @@ encoded once. Each surviving sentence's token block is pooled to a vector;
 the evidence head scores these vectors, gating keeps those above the
 threshold, and the gated vectors are pooled again into an evidence summary
 the verdict head classifies. Both heads train jointly against a weighted sum
-of the per-sentence binary cross-entropy and the verdict cross-entropy.
-During training the evidence summary pools the gold spans (teacher forcing);
-at inference it pools the gated spans. The claim's own block is never fed to
-the verdict head: its content already reaches the sentence vectors through
-the shared encoding.
+of the per-sentence binary cross-entropy and the verdict cross-entropy,
+backpropagated through the forward inference runs (:func:`_forward`) over
+sequences packed once before training. During training the evidence summary
+pools the gold spans (teacher forcing); at inference it pools the gated spans.
+The claim's own block is never fed to the verdict head: its content already
+reaches the sentence vectors through the shared encoding.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .corpus import (
     gold_evidence_globals,
     resolve_premise,
 )
-from .encode import ToyEncoder, build_joint_sequence, pool_span, pool_span_backward, pool_spans
+from .encode import JointInput, ToyEncoder, build_joint_sequence, pool_span_backward, pool_spans
+from .encode import pool_span  # noqa: F401  unused here; bench/tracing.py wraps it in this module
 from .errors import MissingGold, MissingGoldEvidence, MissingGoldLabel
 from .nn import (
     EntailmentHead,
@@ -41,13 +43,7 @@ from .nn import (
     softmax,
     zero_grads,
 )
-from .pipeline import (
-    EVIDENCE_CLASS,
-    SystemPrediction,
-    evidence_probs,
-    select_evidence,
-    verdict_from_probs,
-)
+from .pipeline import EVIDENCE_CLASS, SystemPrediction, select_evidence, verdict_from_probs
 
 _JOINT_SEED_SALT = 37
 
@@ -96,26 +92,41 @@ def _verdict_probs(logits: np.ndarray) -> tuple[float, float]:
     return (float(probs[0] / total), float(probs[1] / total))
 
 
+def _forward(model: JointModel, ji: JointInput, matrix: np.ndarray, gold=None):
+    """From the encoded ``matrix`` of ``ji`` to the outputs of both heads.
+
+    One evidence-head call scores the survivors' ``[n, 1, D]`` stack, which
+    rounds each row exactly as a one-vector call does. The summary averages
+    the gated vectors or, given ``gold`` (teacher forcing), the gold ones that
+    survived truncation (all survivors when none did). Returns the stacked
+    evidence logits and head cache, the evidence probabilities, the pooled
+    indices, the fallback flag, and the verdict logits and head cache.
+    """
+    vecs = pool_spans(matrix, ji.span_map, model.pooling)
+    logits, cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
+    logits = logits[:, 0]
+    probs = softmax(logits)[:, EVIDENCE_CLASS].tolist()
+    pooled, fallback = [], False
+    if gold is not None:
+        pooled = sorted(i for i in gold if i < len(probs)) or list(range(len(probs)))
+    elif probs:
+        selection = select_evidence(probs, model.threshold)
+        pooled, fallback = sorted(selection.indices), selection.fallback_used
+    summary = vecs[pooled].mean(axis=0) if pooled else np.zeros(model.encoder.dim)
+    v_logits, v_cache = mlp_forward(model.verdict_head.params, summary)
+    return logits, cache, probs, pooled, fallback, v_logits, v_cache
+
+
 def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
     """Single-pass inference over one claim-document sequence."""
     ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
-    matrix = model.encoder.encode(ji.token_ids)
-    sentence_vecs = pool_spans(matrix, ji.span_map, model.pooling)
-    probs = evidence_probs(model.evidence_head, sentence_vecs)
-    if probs:
-        selection = select_evidence(probs, model.threshold)
-        gated = tuple(sorted(selection.indices))
-        fallback = selection.fallback_used
-    else:
-        gated, fallback = (), False
-    if gated:
-        summary = sentence_vecs[list(gated)].mean(axis=0)
-    else:
-        summary = np.zeros(model.encoder.dim)
-    class_probs = _verdict_probs(model.verdict_head.logits(summary))
+    _, _, probs, gated, fallback, v_logits, _ = _forward(
+        model, ji, model.encoder.encode(ji.token_ids)
+    )
+    class_probs = _verdict_probs(v_logits)
     return JointOutput(
         evidence_probs=tuple(probs),
-        gated=gated,
+        gated=tuple(gated),
         class_probs=class_probs,
         verdict=verdict_from_probs(class_probs),
         fallback_used=fallback,
@@ -149,66 +160,49 @@ def joint_loss(
 
 def joint_grads(
     model: JointModel,
-    claim: ClaimInstance,
-    premise: PremiseDoc,
+    ji: JointInput,
     gold_evidence: frozenset[int],
     gold_label: str,
     weights: tuple[float, float] = (1.0, 1.0),
     teacher_forcing: bool = True,
 ):
-    """Loss terms and analytic gradients for one claim.
+    """Loss terms and analytic gradients for one packed claim-document sequence.
 
     Returns (total, evidence_loss, verdict_loss, encoder grads or None,
-    evidence-head grads, verdict-head grads). With ``teacher_forcing`` the
-    evidence summary pools the gold spans that survived truncation (falling
-    back to all survivors when none did); otherwise it pools the gated spans,
-    matching inference.
+    evidence-head grads, verdict-head grads). Teacher forcing pools the gold
+    spans (see :func:`_forward`); without it the loss is the inference loss.
     """
     w_ev, w_ent = weights
-    encoder, pooling = model.encoder, model.pooling
-    ji = build_joint_sequence(encoder.tokenizer, claim.text, premise, model.max_len)
+    encoder, pooling, spans = model.encoder, model.pooling, ji.span_map
     trainable = encoder.trainable
     if trainable:
         matrix, enc_cache = encoder.encode_with_cache(ji.token_ids)
     else:
         matrix, enc_cache = encoder.encode(ji.token_ids), None
+    ev_logits, (xs, hidden), _, pooled, _, v_logits, v_cache = _forward(
+        model, ji, matrix, gold_evidence if teacher_forcing else None
+    )
     d_matrix = np.zeros_like(matrix)
+    n_surv = len(spans)
 
-    sentence_vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
-    n_surv = len(sentence_vecs)
-
-    # Evidence term: mean BCE over survivors.
+    # Evidence term: mean BCE over survivors, backpropagated one sentence at a time.
     ev_grads = zero_grads(model.evidence_head.params)
     evidence_loss = 0.0
-    probs = []
-    for i, vec in enumerate(sentence_vecs):
-        logits, cache = mlp_forward(model.evidence_head.params, vec)
-        probs.append(float(softmax(logits)[EVIDENCE_CLASS]))
+    for i, span in enumerate(spans):
         target = EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS
-        loss, d_logits = cross_entropy(logits, target)
+        loss, d_logits = cross_entropy(ev_logits[i], target)
         evidence_loss += loss / n_surv
-        grads, d_vec = mlp_backward(model.evidence_head.params, cache, d_logits * (w_ev / n_surv))
+        grads, d_vec = mlp_backward(
+            model.evidence_head.params, (xs[i, 0], hidden[i, 0]), d_logits * (w_ev / n_surv)
+        )
         accumulate(ev_grads, grads)
-        pool_span_backward(d_vec, matrix, ji.span_map[i], pooling, out=d_matrix)
+        pool_span_backward(d_vec, matrix, span, pooling, out=d_matrix)
 
     # Verdict term over the pooled evidence summary.
-    if teacher_forcing:
-        pool_set = sorted(i for i in gold_evidence if i < n_surv)
-        if not pool_set:
-            pool_set = list(range(n_surv))
-    else:
-        pool_set = sorted(select_evidence(probs, model.threshold).indices) if probs else []
-    if pool_set:
-        summary = np.mean([sentence_vecs[i] for i in pool_set], axis=0)
-    else:
-        summary = np.zeros(encoder.dim)
-    logits, cache = mlp_forward(model.verdict_head.params, summary)
-    verdict_loss, d_logits = cross_entropy(logits, LABELS.index(gold_label))
-    v_grads, d_summary = mlp_backward(model.verdict_head.params, cache, d_logits * w_ent)
-    for i in pool_set:
-        pool_span_backward(
-            d_summary / len(pool_set), matrix, ji.span_map[i], pooling, out=d_matrix
-        )
+    verdict_loss, d_logits = cross_entropy(v_logits, LABELS.index(gold_label))
+    v_grads, d_summary = mlp_backward(model.verdict_head.params, v_cache, d_logits * w_ent)
+    for i in pooled:
+        pool_span_backward(d_summary / len(pooled), matrix, spans[i], pooling, out=d_matrix)
 
     enc_grads = encoder.backward(enc_cache, d_matrix) if trainable else None
     total = w_ev * evidence_loss + w_ent * verdict_loss
@@ -253,7 +247,8 @@ def train_joint(
         if claim.gold_label is None:
             raise MissingGoldLabel(f"claim {claim.claim_id} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
-        examples.append((claim, premise, gold_evidence_globals(claim, premise), claim.gold_label))
+        ji = build_joint_sequence(encoder.tokenizer, claim.text, premise, max_len)
+        examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))
 
     weights = (hyperparams.w_evidence, hyperparams.w_entailment)
     groups = [model.evidence_head.params, model.verdict_head.params]

@@ -19,10 +19,11 @@ from .corpus import (
     LABELS,
     ClaimInstance,
     ClinicalTrialRecord,
+    check_unique_claim_ids,
     gold_evidence_globals,
     resolve_premise,
 )
-from .errors import IoError, LengthMismatch, MalformedJson, MissingGold
+from .errors import IncompleteCoverage, IoError, LengthMismatch, MalformedJson, MissingGold
 from .pipeline import SystemPrediction
 
 
@@ -264,7 +265,18 @@ def build_report(
     golds: Mapping[str, GoldClaim],
     metadata: Mapping[str, object] | None = None,
 ) -> MetricsReport:
-    """Score a prediction list and assemble the full report."""
+    """Score a prediction list and assemble the full report.
+
+    The predictions must cover every labelled claim of ``golds``, each once,
+    so that no score comes from a subset.
+    """
+    check_unique_claim_ids((p.claim_id for p in predictions), "the predictions")
+    covered = {p.claim_id for p in predictions}
+    missing = [cid for cid, gold in golds.items() if gold.label is not None and cid not in covered]
+    if missing:
+        raise IncompleteCoverage(
+            f"{len(missing)} labelled claim(s) have no prediction, the first is '{missing[0]}'"
+        )
     diagnostics = []
     for pred in predictions:
         gold = _gold_for(pred, golds)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ctrnli import checkpoint
 from ctrnli.checkpoint import (
     load_any_model,
     load_joint_model,
@@ -170,3 +171,26 @@ class TestCorruption:
         _edit_manifest(joint_ckpt, strip_verdict)
         with pytest.raises(BadCheckpoint):
             load_joint_model(joint_ckpt)
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_load_any_model_reads_once(request, monkeypatch, system):
+    path = request.getfixturevalue(f"{system}_ckpt")
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return read_checkpoint(p)
+
+    monkeypatch.setattr(checkpoint, "read_checkpoint", counting)
+    found, model = load_any_model(path)
+    assert found == system and len(calls) == 1
+    monkeypatch.undo()
+    strict = (load_pipeline_model if system == "pipeline" else load_joint_model)(path)
+    for name, value in vars(strict).items():
+        loaded = getattr(model, name)
+        if hasattr(value, "params"):  # an encoder or a head
+            assert value.params.keys() == loaded.params.keys()
+            assert all(np.array_equal(value.params[k], loaded.params[k]) for k in value.params)
+        else:
+            assert loaded == value, name

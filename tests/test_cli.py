@@ -27,6 +27,15 @@ def _one_line_error(capsys, *fragments):
 
 
 @pytest.fixture()
+def duplicate_claims(tmp_path):
+    """The fixture claims with the first claim repeated at the end."""
+    claims = json.loads(Path(CLAIMS).read_text())
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(claims + claims[:1]))
+    return str(path)
+
+
+@pytest.fixture()
 def out_of_range_claims(tmp_path):
     """The fixture claims with claim-01's gold evidence index past its section."""
     claims = json.loads(Path(CLAIMS).read_text())
@@ -81,6 +90,10 @@ class TestValidate:
         bad = tmp_path / "claims.json"
         bad.write_text(json.dumps(claims))
         assert main(["validate", "--corpus", CORPUS, "--claims", str(bad)]) == 1
+
+    def test_duplicate_claim_id_fails(self, capsys, duplicate_claims):
+        assert main(["validate", "--corpus", CORPUS, "--claims", duplicate_claims]) == 1
+        _one_line_error(capsys, "duplicate claim_id", "claim-01")
 
     def test_missing_corpus_is_usage_error(self, tmp_path):
         missing = str(tmp_path / "nope.json")
@@ -173,6 +186,13 @@ class TestTrain:
         assert code == 1
         _one_line_error(capsys, "claim-01", "trial-01", "999")
 
+    def test_config_with_output_dir_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"output_dir": "runs"}))
+        assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
+        _one_line_error(capsys, "output_dir")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_config_with_verdict_classes_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "verdict_classes": 3}))
@@ -259,6 +279,55 @@ class TestPredict:
         assert any(p.fallback_used for p in preds)
         assert all(len(p.selected) >= 1 for p in preds)
 
+    def _predict(self, tmp_path, ckpt, name, *extra, config=None):
+        out = tmp_path / f"{name}.json"
+        args = ["predict", "--checkpoint", str(ckpt), "--out", str(out), *extra]
+        if config is not None:
+            cfg = tmp_path / f"{name}.cfg.json"
+            cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, **config}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--corpus", CORPUS, "--claims", CLAIMS]
+        assert main(args) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_threshold_from_config_file(self, tmp_path, ckpts, prediction_files, system):
+        """Flag over config file over the checkpoint's own threshold."""
+        ckpt = ckpts[system]
+        flag = self._predict(tmp_path, ckpt, "flag", "--threshold", "0.999999")
+        from_file = self._predict(tmp_path, ckpt, "file", config={"threshold": 0.999999})
+        assert from_file == flag
+        assert from_file != prediction_files[system].read_bytes()
+        both = self._predict(
+            tmp_path, ckpt, "both", "--threshold", "0.2", config={"threshold": 0.999999}
+        )
+        assert both == self._predict(tmp_path, ckpt, "low", "--threshold", "0.2")
+        assert both != flag
+        # a config without a threshold leaves the checkpoint's value in place
+        plain = self._predict(tmp_path, ckpt, "plain", config={})
+        assert plain == prediction_files[system].read_bytes()
+
+    def test_config_threshold_of_wrong_type_is_a_usage_error(self, tmp_path, ckpts, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "threshold": "high"}))
+        code = main([
+            "predict", "--config", str(cfg), "--checkpoint", str(ckpts["joint"]),
+            "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        _one_line_error(capsys, "threshold", "high")
+
+    def test_duplicate_claim_id_is_data_error(self, tmp_path, ckpts, capsys, duplicate_claims):
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", duplicate_claims,
+            "--checkpoint", str(ckpts["joint"]), "--out", str(out),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "duplicate claim_id", "claim-01")
+        assert not out.exists()
+
     def test_unlabeled_claims_predictable(self, tmp_path, ckpts):
         claims = json.loads(Path(CLAIMS).read_text())
         for obj in claims:
@@ -313,6 +382,18 @@ class TestEnsemble:
         ])
         assert code == 2
 
+    def test_repeated_prediction_is_data_error(self, tmp_path, prediction_files, capsys):
+        preds = json.loads(prediction_files["joint"].read_text())
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps(preds + preds[:1]))
+        out = tmp_path / "e.json"
+        code = main([
+            "ensemble", str(dup), str(prediction_files["pipeline"]), "--out", str(out),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "duplicate claim_id", preds[0]["claim_id"])
+        assert not out.exists()
+
     def test_mismatched_claims_are_data_error(self, tmp_path, prediction_files):
         truncated = json.loads(prediction_files["joint"].read_text())[:5]
         partial = tmp_path / "partial.json"
@@ -360,6 +441,17 @@ class TestEvaluateAndReport:
             "--predictions", str(bad),
         ])
         assert code == 1
+
+    def test_partial_predictions_are_refused(self, tmp_path, capsys, prediction_files):
+        preds = json.loads(prediction_files["joint"].read_text())
+        assert len(preds) == 20
+        assert self._evaluate_payload(tmp_path, preds[:3]) == 1
+        _one_line_error(capsys, "17 labelled claim(s)", preds[3]["claim_id"])
+
+    def test_repeated_prediction_is_data_error(self, tmp_path, capsys, prediction_files):
+        preds = json.loads(prediction_files["joint"].read_text())
+        assert self._evaluate_payload(tmp_path, preds + preds[:1]) == 1
+        _one_line_error(capsys, "duplicate claim_id", preds[0]["claim_id"])
 
     def test_missing_report_file(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "nope.json")]) == 2

@@ -21,6 +21,7 @@ from ctrnli.corpus import (
 )
 from ctrnli.errors import (
     DanglingCtrReference,
+    DuplicateClaimId,
     DuplicateCtrId,
     EmptySentence,
     EvidenceIndexOutOfRange,
@@ -187,6 +188,13 @@ class TestLoadClaims:
         claims = load_claims(tmp_path, split="train")
         assert len(claims) == 1
 
+    def test_duplicate_claim_id(self, tmp_path):
+        objs = [_claim_obj(claim_id="c-1"), _claim_obj(claim_id="c-2"), _claim_obj(claim_id="c-1")]
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(objs))
+        with pytest.raises(DuplicateClaimId, match="c-1"):
+            load_claims(path)
+
 
 class TestResolvePremise:
     def test_single_claim_scopes_to_section(self, corpus, claims):
@@ -294,6 +302,12 @@ class TestValidateDataset:
         assert "DanglingCtrReference" in codes
         assert not report.ok
         assert "dataset invalid" in report.render()
+
+    def test_duplicate_claim_id(self, corpus, claims):
+        report = validate_dataset(corpus, list(claims) + [claims[3]])
+        dups = [v for v in report.violations if v.code == "DuplicateClaimId"]
+        assert [v.claim_id for v in dups] == [claims[3].claim_id]
+        assert len(report.violations) == 1
 
     def test_out_of_range_evidence(self, corpus, claims):
         template = claims[0]

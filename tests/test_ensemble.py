@@ -13,6 +13,7 @@ from ctrnli.ensemble import (
     save_predictions,
 )
 from ctrnli.errors import (
+    DuplicateClaimId,
     IoError,
     MalformedJson,
     MismatchedClaim,
@@ -205,6 +206,14 @@ class TestEnsemblePredictions:
         with pytest.raises(MismatchedClaim):
             ensemble_predictions(a, b, DEFAULT)
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_repeated_claim_rejected(self, which):
+        full = [_pred(claim_id="c1"), _pred(claim_id="c2")]
+        dup = full + [_pred(claim_id="c1")]
+        a, b = (dup, full) if which == "first" else (full, dup)
+        with pytest.raises(DuplicateClaimId, match=f"c1.*{which}|{which}.*c1"):
+            ensemble_predictions(a, b, DEFAULT)
+
     def test_caps_after_combining(self):
         n = 25
         ev = tuple([0.9] * n)
@@ -237,6 +246,12 @@ class TestPredictionFiles:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(MalformedJson):
+            load_predictions(path)
+
+    def test_repeated_claim_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        save_predictions([_pred(claim_id="c1"), _pred(claim_id="c2"), _pred(claim_id="c1")], path)
+        with pytest.raises(DuplicateClaimId, match="c1"):
             load_predictions(path)
 
     def test_non_list_payload(self, tmp_path):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ctrnli.corpus import gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
+from ctrnli import joint
+from ctrnli.corpus import LABELS, ClaimInstance, PremiseDoc, gold_evidence_globals, resolve_premise
+from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span, pool_span_backward
 from ctrnli.errors import MissingGold
 from ctrnli.joint import (
     JointModel,
@@ -16,8 +17,19 @@ from ctrnli.joint import (
     predict_joint,
     train_joint,
 )
-from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
+from ctrnli.nn import (
+    EntailmentHead,
+    EvidenceHead,
+    Hyperparams,
+    accumulate,
+    cross_entropy,
+    mlp_backward,
+    mlp_forward,
+    softmax,
+    zero_grads,
+)
 from ctrnli.pipeline import EVIDENCE_CLASS, select_evidence
+from test_pipeline import _StubPretrained
 
 
 def _tiny_model(max_len=1024, threshold=0.5, seed=0) -> JointModel:
@@ -140,6 +152,10 @@ class TestJointLoss:
             joint_loss(out, {0}, None)
 
 
+def _packed(model, claim, premise):
+    return build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
+
+
 class TestJointGrads:
     def test_loss_terms_match_forward(self, corpus, claims):
         """With teacher forcing off, the gradient path and the plain forward
@@ -149,7 +165,7 @@ class TestJointGrads:
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         total, l_ev, l_ent, *_ = joint_grads(
-            model, claim, premise, gold, claim.gold_label, teacher_forcing=False
+            model, _packed(model, claim, premise), gold, claim.gold_label, teacher_forcing=False
         )
         out = forward_joint(claim, premise, model)
         assert total == pytest.approx(joint_loss(out, gold, claim.gold_label))
@@ -161,7 +177,7 @@ class TestJointGrads:
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         _, _, _, _, ev_grads, _ = joint_grads(
-            model, claim, premise, gold, claim.gold_label, weights=(0.0, 1.0)
+            model, _packed(model, claim, premise), gold, claim.gold_label, weights=(0.0, 1.0)
         )
         for g in ev_grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -177,8 +193,8 @@ class TestJointGrads:
         # corrupt b's evidence head only
         for p in b.evidence_head.params.values():
             p += 10.0
-        _, _, l_ent_a, *_ = joint_grads(a, claim, premise, gold, claim.gold_label)
-        _, _, l_ent_b, *_ = joint_grads(b, claim, premise, gold, claim.gold_label)
+        _, _, l_ent_a, *_ = joint_grads(a, _packed(a, claim, premise), gold, claim.gold_label)
+        _, _, l_ent_b, *_ = joint_grads(b, _packed(b, claim, premise), gold, claim.gold_label)
         assert l_ent_a == pytest.approx(l_ent_b)
 
 
@@ -266,7 +282,8 @@ class TestGradientCheck:
             return joint_loss(out, gold, claim.gold_label, weights)
 
         *_, ev_grads, v_grads = joint_grads(
-            model, claim, premise, gold, claim.gold_label, weights, teacher_forcing=False
+            model, _packed(model, claim, premise), gold, claim.gold_label, weights,
+            teacher_forcing=False,
         )
         # gating makes the loss piecewise; probe a few coordinates only and
         # rely on the acceptance gradient check for aggregate coverage
@@ -284,3 +301,131 @@ class TestGradientCheck:
                     params[name][idx] += eps
                     fd = (plus - minus) / (2 * eps)
                     np.testing.assert_allclose(grads[name][idx], fd, rtol=1e-4, atol=1e-8)
+
+
+# --- the joint gradient path before it shared the inference forward ----------
+# Copied verbatim apart from its name: a per-span pool_span list, one head
+# forward per sentence, and a re-pack of (claim, premise) on every call.
+
+
+def _oracle_joint_grads(
+    model: JointModel,
+    claim: ClaimInstance,
+    premise: PremiseDoc,
+    gold_evidence: frozenset[int],
+    gold_label: str,
+    weights: tuple[float, float] = (1.0, 1.0),
+    teacher_forcing: bool = True,
+):
+    """Loss terms and analytic gradients for one claim.
+
+    Returns (total, evidence_loss, verdict_loss, encoder grads or None,
+    evidence-head grads, verdict-head grads). With ``teacher_forcing`` the
+    evidence summary pools the gold spans that survived truncation (falling
+    back to all survivors when none did); otherwise it pools the gated spans,
+    matching inference.
+    """
+    w_ev, w_ent = weights
+    encoder, pooling = model.encoder, model.pooling
+    ji = build_joint_sequence(encoder.tokenizer, claim.text, premise, model.max_len)
+    trainable = encoder.trainable
+    if trainable:
+        matrix, enc_cache = encoder.encode_with_cache(ji.token_ids)
+    else:
+        matrix, enc_cache = encoder.encode(ji.token_ids), None
+    d_matrix = np.zeros_like(matrix)
+
+    sentence_vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
+    n_surv = len(sentence_vecs)
+
+    # Evidence term: mean BCE over survivors.
+    ev_grads = zero_grads(model.evidence_head.params)
+    evidence_loss = 0.0
+    probs = []
+    for i, vec in enumerate(sentence_vecs):
+        logits, cache = mlp_forward(model.evidence_head.params, vec)
+        probs.append(float(softmax(logits)[EVIDENCE_CLASS]))
+        target = EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS
+        loss, d_logits = cross_entropy(logits, target)
+        evidence_loss += loss / n_surv
+        grads, d_vec = mlp_backward(model.evidence_head.params, cache, d_logits * (w_ev / n_surv))
+        accumulate(ev_grads, grads)
+        pool_span_backward(d_vec, matrix, ji.span_map[i], pooling, out=d_matrix)
+
+    # Verdict term over the pooled evidence summary.
+    if teacher_forcing:
+        pool_set = sorted(i for i in gold_evidence if i < n_surv)
+        if not pool_set:
+            pool_set = list(range(n_surv))
+    else:
+        pool_set = sorted(select_evidence(probs, model.threshold).indices) if probs else []
+    if pool_set:
+        summary = np.mean([sentence_vecs[i] for i in pool_set], axis=0)
+    else:
+        summary = np.zeros(encoder.dim)
+    logits, cache = mlp_forward(model.verdict_head.params, summary)
+    verdict_loss, d_logits = cross_entropy(logits, LABELS.index(gold_label))
+    v_grads, d_summary = mlp_backward(model.verdict_head.params, cache, d_logits * w_ent)
+    for i in pool_set:
+        pool_span_backward(
+            d_summary / len(pool_set), matrix, ji.span_map[i], pooling, out=d_matrix
+        )
+
+    enc_grads = encoder.backward(enc_cache, d_matrix) if trainable else None
+    total = w_ev * evidence_loss + w_ent * verdict_loss
+    return total, evidence_loss, verdict_loss, enc_grads, ev_grads, v_grads
+
+
+def _survivor_budgets(tokenizer, claim, premise):
+    """max_len values keeping every sentence, the first two, and none."""
+    claim_len = len(tokenizer.tokenize(claim.text).token_ids) + 1
+    s0, s1 = (len(tokenizer.tokenize(s.text).token_ids) for s in premise.sentences[:2])
+    return {"all": 1024, "two": claim_len + s0 + 1 + s1, "none": claim_len}
+
+
+class TestJointGradsMatchOldPath:
+    """The shared forward must leave every loss and gradient bit-identical."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["toy", "frozen"])
+    @pytest.mark.parametrize("budget", ["all", "two", "none"])
+    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    @pytest.mark.parametrize("pooling", ["mean", "max", "first"])
+    def test_bitwise_equal(self, corpus, claims, pooling, teacher_forcing, budget, frozen):
+        model = _tiny_model(seed=4)
+        if frozen:
+            model.encoder = _StubPretrained(ToyEncoder(dim=16, seed=5))
+        model.pooling = pooling
+        weights = (0.7, 1.3)
+        seen_types = set()
+        for claim in claims:
+            premise = resolve_premise(claim, corpus)
+            gold = gold_evidence_globals(claim, premise)
+            model.max_len = _survivor_budgets(model.encoder.tokenizer, claim, premise)[budget]
+            ji = _packed(model, claim, premise)
+            seen_types.add(claim.claim_type)
+            new = joint_grads(model, ji, gold, claim.gold_label, weights, teacher_forcing)
+            old = _oracle_joint_grads(
+                model, claim, premise, gold, claim.gold_label, weights, teacher_forcing
+            )
+            assert new[:3] == old[:3], claim.claim_id
+            assert (new[3] is None) == frozen and (old[3] is None) == frozen
+            for new_g, old_g in zip(new[3:], old[3:]):
+                assert (new_g or {}).keys() == (old_g or {}).keys()
+                for name in old_g or {}:
+                    assert np.array_equal(new_g[name], old_g[name]), (claim.claim_id, name)
+            assert len(ji.span_map) == {"all": premise.n, "two": 2, "none": 0}[budget]
+        assert seen_types == {"single", "comparison"}
+
+
+def test_train_joint_packs_each_claim_once(corpus, claims, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return build_joint_sequence(*args)
+
+    monkeypatch.setattr(joint, "build_joint_sequence", counting)
+    for max_steps in (0, 1, 7):
+        calls.clear()
+        train_joint(claims, corpus, Hyperparams(max_steps=max_steps, batch_size=3, seed=1))
+        assert calls == [claim.text for claim in claims]

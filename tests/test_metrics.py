@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from ctrnli.errors import LengthMismatch, MalformedJson, MissingGold
+from ctrnli.errors import (
+    DuplicateClaimId,
+    IncompleteCoverage,
+    LengthMismatch,
+    MalformedJson,
+    MissingGold,
+)
 from ctrnli.metrics import (
     PRF,
     GoldClaim,
@@ -234,6 +240,25 @@ class TestReport:
             "c1": _gold("c1", {1}, 2, "Entailment"),
         }
         return build_report(preds, golds, metadata={"split": "dev"})
+
+    def test_missing_labelled_claim_refused(self):
+        golds = {
+            "c0": _gold("c0", {0}, 2, "Entailment"),
+            "c1": _gold("c1", {1}, 2, None),
+            "c2": _gold("c2", {1}, 2, "Contradiction"),
+            "c3": _gold("c3", {1}, 2, "Contradiction"),
+        }
+        preds = [_pred("c0", {0}, 2)]
+        with pytest.raises(IncompleteCoverage, match="2 labelled claim.*'c2'"):
+            build_report(preds, golds)
+        # an unlabelled gold claim needs no prediction
+        preds += [_pred("c2", {1}, 2, "Contradiction"), _pred("c3", {1}, 2, "Contradiction")]
+        assert len(build_report(preds, golds).per_claim) == 3
+
+    def test_repeated_prediction_refused(self):
+        golds = {"c0": _gold("c0", {0}, 2, "Entailment")}
+        with pytest.raises(DuplicateClaimId, match="c0"):
+            build_report([_pred("c0", {0}, 2), _pred("c0", {0}, 2)], golds)
 
     def test_micro_counts_equal_per_claim_sums(self):
         report = self._report()

@@ -2,8 +2,10 @@
 
 The oracles below are the separate pipeline and joint loops as they stood
 before training became one code path, copied verbatim apart from their
-names. Every parameter and every loss value must match bit for bit, with a
-trainable toy encoder and with a frozen (``trainable=False``) encoder.
+names; the joint loop calls the joint gradient path as it stood then
+(``test_joint._oracle_joint_grads``). Every parameter and every loss value
+must match bit for bit, with a trainable toy encoder and with a frozen
+(``trainable=False``) encoder.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
 from ctrnli.encode import ToyEncoder
-from ctrnli.joint import JointModel, joint_grads, train_joint
+from ctrnli.joint import JointModel, train_joint
 from ctrnli.nn import (
     EntailmentHead,
     EvidenceHead,
@@ -29,6 +31,7 @@ from ctrnli.pipeline import (
     train_entailment_model,
     train_evidence_model,
 )
+from test_joint import _oracle_joint_grads
 from test_pipeline import _StubPretrained
 
 HP = Hyperparams(
@@ -92,7 +95,7 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
         totals = np.zeros(3)
         for idx in batch_idx:
             claim, premise, gold, label = examples[idx]
-            total, l_ev, l_ent, enc_g, ev_g, v_g = joint_grads(
+            total, l_ev, l_ent, enc_g, ev_g, v_g = _oracle_joint_grads(
                 model, claim, premise, gold, label, weights, teacher_forcing=True
             )
             totals += (total, l_ev, l_ent)
