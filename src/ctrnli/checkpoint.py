@@ -6,7 +6,8 @@ shape, dtype, and byte offset into the blob), and ``params.bin`` (the
 tensors concatenated as little-endian 32-bit floats). Parameters are
 float64 in memory; saving quantizes them and loading casts back. Every head
 is two-class, so the config records no class count, and a tensor of any
-other shape is refused.
+other shape is refused. A model whose parameters are not all finite (a
+diverged training run) is neither saved nor loaded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .encode import ToyEncoder, create_encoder
-from .errors import BadCheckpoint, IoError
+from .errors import BadCheckpoint, IoError, NonFiniteParameters
 from .joint import JointModel
 from .nn import EntailmentHead, EvidenceHead
 from .pipeline import PipelineModel
@@ -31,12 +32,22 @@ PARAMS_FILE = "params.bin"
 
 
 def _write_blob(path: Path, named: Mapping[str, np.ndarray], system: str, config: dict) -> None:
+    """Write the checkpoint; nothing is written when a tensor is not finite
+    once quantized (a float64 beyond the float32 range becomes infinite)."""
+    with np.errstate(over="ignore"):
+        arrays = {name: np.ascontiguousarray(named[name], dtype=_DTYPE) for name in sorted(named)}
+    for name, arr in arrays.items():
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise NonFiniteParameters(
+                f"parameter {name} has {bad} non-finite value(s) of {arr.size}: "
+                "training diverged, no checkpoint written"
+            )
     path.mkdir(parents=True, exist_ok=True)
     tensors = []
     chunks = []
     offset = 0
-    for name in sorted(named):
-        arr = np.ascontiguousarray(named[name], dtype=_DTYPE)
+    for name, arr in arrays.items():
         tensors.append(
             {
                 "name": name,
@@ -130,6 +141,8 @@ def _load_params_into(target: dict[str, np.ndarray], loaded: Mapping[str, np.nda
             raise BadCheckpoint(
                 f"{ns}.{name}: shape {arr.shape} does not match expected {target[name].shape}"
             )
+        if not np.isfinite(arr).all():
+            raise BadCheckpoint(f"{ns}.{name}: holds non-finite values")
         target[name] = arr
 
 

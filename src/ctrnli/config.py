@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .ensemble import EnsembleConfig
 from .errors import MalformedJson
-from .nn import Hyperparams
+from .nn import Hyperparams, is_count
 
 SYSTEM_CHOICES = ("pipeline", "joint")
 POOLING_CHOICES = ("mean", "first", "max")
@@ -50,6 +50,9 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder backend {self.backend!r}")
         if self.pooling not in POOLING_CHOICES:
             raise ValueError(f"pooling must be one of {POOLING_CHOICES}")
+        for name, low in (("dim", 1), ("n_layers", 0)):
+            if not is_count(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
 
     def resolved_max_len(self, system: str) -> int:
         return self.max_len if self.max_len is not None else DEFAULT_MAX_LEN[system]

@@ -389,17 +389,26 @@ class ToyEncoder:
             x = _smooth(_affine(x, self.params[f"W{layer}"], self.params[f"b{layer}"]), starts)
         return x
 
-    def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Backpropagate d(loss)/d(output) to all encoder parameters."""
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+    def backward(self, cache, d_out: np.ndarray) -> dict:
+        """Backpropagate d(loss)/d(output) to all encoder parameters.
+
+        The embedding gradient is row-sparse: a ``(rows, values)`` pair over
+        the sequence's distinct ids (sorted), each row summed in token order,
+        which :func:`ctrnli.nn.accumulate` adds into a dense buffer. The
+        other gradients are dense arrays.
+        """
+        grads = {}
         dx = d_out
         for layer in reversed(range(self.n_layers)):
             dx = _smooth(dx)  # smoothing is symmetric, so its adjoint is itself
             x_in = cache["inputs"][layer]
-            grads[f"W{layer}"] += x_in.T @ dx
-            grads[f"b{layer}"] += dx.sum(axis=0)
+            grads[f"W{layer}"] = x_in.T @ dx
+            grads[f"b{layer}"] = dx.sum(axis=0)
             dx = dx @ self.params[f"W{layer}"].T
-        np.add.at(grads["emb"], cache["ids"], dx)
+        rows, inverse = np.unique(cache["ids"], return_inverse=True)
+        values = np.zeros((len(rows), dx.shape[1]))
+        np.add.at(values, inverse, dx)
+        grads["emb"] = (rows, values)
         return grads
 
 

@@ -88,6 +88,10 @@ class MissingGoldLabel(MissingGold):
     """A gold entailment label is required but absent."""
 
 
+class NonFiniteParameters(CtrnliError):
+    """A model to be saved holds NaN or infinite parameters (training diverged)."""
+
+
 # --- ensemble / metrics errors ---------------------------------------------
 
 

@@ -99,13 +99,13 @@ def _forward(model: JointModel, ji: JointInput, matrix: np.ndarray, gold=None):
     rounds each row exactly as a one-vector call does. The summary averages
     the gated vectors or, given ``gold`` (teacher forcing), the gold ones that
     survived truncation (all survivors when none did). Returns the stacked
-    evidence logits and head cache, the evidence probabilities, the pooled
+    evidence softmax and head cache, the evidence probabilities, the pooled
     indices, the fallback flag, and the verdict logits and head cache.
     """
     vecs = pool_spans(matrix, ji.span_map, model.pooling)
     logits, cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
-    logits = logits[:, 0]
-    probs = softmax(logits)[:, EVIDENCE_CLASS].tolist()
+    ev_probs = softmax(logits[:, 0])
+    probs = ev_probs[:, EVIDENCE_CLASS].tolist()
     pooled, fallback = [], False
     if gold is not None:
         pooled = sorted(i for i in gold if i < len(probs)) or list(range(len(probs)))
@@ -114,7 +114,7 @@ def _forward(model: JointModel, ji: JointInput, matrix: np.ndarray, gold=None):
         pooled, fallback = sorted(selection.indices), selection.fallback_used
     summary = vecs[pooled].mean(axis=0) if pooled else np.zeros(model.encoder.dim)
     v_logits, v_cache = mlp_forward(model.verdict_head.params, summary)
-    return logits, cache, probs, pooled, fallback, v_logits, v_cache
+    return ev_probs, cache, probs, pooled, fallback, v_logits, v_cache
 
 
 def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
@@ -179,23 +179,25 @@ def joint_grads(
         matrix, enc_cache = encoder.encode_with_cache(ji.token_ids)
     else:
         matrix, enc_cache = encoder.encode(ji.token_ids), None
-    ev_logits, (xs, hidden), _, pooled, _, v_logits, v_cache = _forward(
+    ev_probs, ev_cache, _, pooled, _, v_logits, v_cache = _forward(
         model, ji, matrix, gold_evidence if teacher_forcing else None
     )
     d_matrix = np.zeros_like(matrix)
     n_surv = len(spans)
 
-    # Evidence term: mean BCE over survivors, backpropagated one sentence at a time.
-    ev_grads = zero_grads(model.evidence_head.params)
-    evidence_loss = 0.0
-    for i, span in enumerate(spans):
-        target = EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS
-        loss, d_logits = cross_entropy(ev_logits[i], target)
-        evidence_loss += loss / n_surv
-        grads, d_vec = mlp_backward(
-            model.evidence_head.params, (xs[i, 0], hidden[i, 0]), d_logits * (w_ev / n_surv)
-        )
-        accumulate(ev_grads, grads)
+    # Evidence term: mean BCE over survivors, backpropagated through the
+    # head once for the whole [n, 1, *] stack, each row as a lone sentence.
+    rows = np.arange(n_surv)
+    targets = [
+        EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS for i in range(n_surv)
+    ]
+    row_losses = -np.log(np.maximum(ev_probs[rows, targets], 1e-300)) / n_surv
+    evidence_loss = sum(row_losses.tolist(), 0.0)  # in row order; np.sum adds pairwise
+    d_logits = ev_probs.copy()
+    d_logits[rows, targets] -= 1.0
+    d_logits *= w_ev / max(n_surv, 1)  # no survivors: an empty stack
+    ev_grads, d_vecs = mlp_backward(model.evidence_head.params, ev_cache, d_logits[:, None, :])
+    for d_vec, span in zip(d_vecs[:, 0], spans):
         pool_span_backward(d_vec, matrix, span, pooling, out=d_matrix)
 
     # Verdict term over the pooled evidence summary.

@@ -9,6 +9,8 @@ and a linear warmup followed by linear decay.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,17 +48,29 @@ def mlp_forward(params: dict, x: np.ndarray):
 
 
 def mlp_backward(params: dict, cache, d_logits: np.ndarray):
-    """Returns (parameter grads, gradient wrt the input vector)."""
+    """Returns (parameter grads, gradient wrt the input).
+
+    Takes the cache of one vector, or of a stack of them with leading axes
+    (such as the ``[B, 1, D]`` stack the heads score in one call), together
+    with ``d_logits`` of the same leading shape. Parameter grads are summed
+    over the stack in row order, each row's share equal to that of a
+    one-vector call; the input gradient has one row per vector, each rounded
+    as a one-vector call rounds it, because ``np.matmul`` runs a stack of
+    matrix-vector products as one gemv per row.
+    """
     x, a1 = cache
-    grads = {
-        "W2": np.outer(a1, d_logits),
-        "b2": d_logits.copy(),
-    }
-    d_a1 = params["W2"] @ d_logits
+    d_a1 = np.matmul(params["W2"], d_logits[..., None])[..., 0]
     d_z1 = d_a1 * (1.0 - a1 * a1)
-    grads["W1"] = np.outer(x, d_z1)
-    grads["b1"] = d_z1
-    d_x = params["W1"] @ d_z1
+    grads = {
+        "W2": a1[..., :, None] * d_logits[..., None, :],
+        "b2": d_logits.copy(),
+        "W1": x[..., :, None] * d_z1[..., None, :],
+        "b1": d_z1,
+    }
+    if d_logits.ndim > 1:  # a stack: sum each parameter's per-row grads in row order
+        lead = tuple(range(d_logits.ndim - 1))
+        grads = {name: g.sum(axis=lead) for name, g in grads.items()}
+    d_x = np.matmul(params["W1"], d_z1[..., None])[..., 0]
     return grads, d_x
 
 
@@ -99,8 +113,17 @@ def zero_grads(params: dict) -> dict:
 
 
 def accumulate(into: dict, grads: dict, scale: float = 1.0) -> None:
+    """Add ``scale`` times each gradient into the dense buffer of its name.
+
+    A gradient is a dense array or a row-sparse ``(rows, values)`` pair with
+    unique ``rows``, which adds only into those rows of the buffer.
+    """
     for name, g in grads.items():
-        into[name] += scale * g
+        if isinstance(g, tuple):
+            rows, values = g
+            into[name][rows] += scale * values
+        else:
+            into[name] += scale * g
 
 
 @dataclass
@@ -142,6 +165,15 @@ class SgdwOptimizer:
         return lr
 
 
+def is_count(value, low: int) -> bool:
+    """``value`` is an integer (not a bool) of at least ``low``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class Hyperparams:
     """Training configuration; defaults follow the published recipe."""
@@ -155,6 +187,24 @@ class Hyperparams:
     max_steps: int | None = None
     w_evidence: float = 1.0
     w_entailment: float = 1.0
+
+    def __post_init__(self):
+        """Refuse settings that would crash training or silently train nothing."""
+        lr, warmup = self.learning_rate, self.warmup_rate
+        rules = [
+            ("batch_size", is_count(self.batch_size, 1), "an integer >= 1"),
+            ("epochs", is_count(self.epochs, 0), "an integer >= 0"),
+            ("max_steps", self.max_steps is None or is_count(self.max_steps, 0),
+             "None or an integer >= 0"),
+            ("learning_rate", _is_finite(lr) and lr > 0, "a finite number > 0"),
+            ("warmup_rate", _is_finite(warmup) and 0 <= warmup <= 1, "a number in [0, 1]"),
+        ]
+        for name in ("weight_decay", "w_evidence", "w_entailment"):
+            value = getattr(self, name)
+            rules.append((name, _is_finite(value) and value >= 0, "a finite number >= 0"))
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def total_steps(self, n_items: int) -> int:
         if self.max_steps is not None:

@@ -14,7 +14,7 @@ from ctrnli.checkpoint import (
     save_joint_model,
     save_pipeline_model,
 )
-from ctrnli.errors import BadCheckpoint
+from ctrnli.errors import BadCheckpoint, NonFiniteParameters
 from ctrnli.joint import predict_joint
 from ctrnli.pipeline import predict_pipeline
 
@@ -171,6 +171,31 @@ class TestCorruption:
         _edit_manifest(joint_ckpt, strip_verdict)
         with pytest.raises(BadCheckpoint):
             load_joint_model(joint_ckpt)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "overflow"])
+    def test_save_refuses_and_writes_nothing(self, tmp_path, joint_model, bad):
+        """1e39 is finite in float64 but infinite once quantized to float32."""
+        head = joint_model.verdict_head.params["b2"]
+        original = head.copy()
+        head[1] = bad
+        try:
+            with pytest.raises(NonFiniteParameters, match="verdict_head.b2 has 1 non-finite"):
+                save_joint_model(joint_model, tmp_path / "ckpt")
+        finally:
+            head[:] = original
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_load_refuses(self, pipeline_ckpt):
+        manifest = json.loads((pipeline_ckpt / "manifest.json").read_text())
+        entry = next(t for t in manifest["tensors"] if t["name"] == "evidence.head.W1")
+        blob = bytearray((pipeline_ckpt / "params.bin").read_bytes())
+        offset = entry["byte_offset"]
+        blob[offset : offset + 4] = np.float32(-np.inf).tobytes()
+        (pipeline_ckpt / "params.bin").write_bytes(bytes(blob))
+        with pytest.raises(BadCheckpoint, match="evidence.head.W1: holds non-finite"):
+            load_pipeline_model(pipeline_ckpt)
 
 
 @pytest.mark.parametrize("system", ["pipeline", "joint"])

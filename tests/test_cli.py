@@ -5,6 +5,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_model
@@ -201,6 +202,42 @@ class TestTrain:
         _one_line_error(capsys, "verdict_classes")
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--batch-size", "0", "batch_size"),
+            ("--batch-size", "-3", "batch_size"),
+            ("--max-steps", "-1", "max_steps"),
+            ("--epochs", "-1", "epochs"),
+            ("--learning-rate", "nan", "learning_rate"),
+            ("--learning-rate", "0", "learning_rate"),
+            ("--warmup-rate", "1.5", "warmup_rate"),
+            ("--weight-decay", "-0.1", "weight_decay"),
+            ("--w-evidence", "inf", "w_evidence"),
+            ("--w-entailment", "-1", "w_entailment"),
+            ("--dim", "0", "dim"),
+            ("--n-layers", "-1", "n_layers"),
+        ],
+    )
+    def test_bad_hyperparameter_is_a_usage_error(self, tmp_path, capsys, flag, value, name):
+        assert main(self._train_args(tmp_path / "ckpt", flag, value)) == 2
+        _one_line_error(capsys, "usage error", name, value)
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_hyperparameter_of_wrong_type_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"hyperparams": {"batch_size": 2.5}}))
+        assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
+        _one_line_error(capsys, "batch_size", "2.5")
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_diverged_training_writes_no_checkpoint(self, tmp_path, capsys, system):
+        out = tmp_path / "ckpt"
+        args = self._train_args(out, "--system", system, "--learning-rate", "1e6")
+        assert main([*args, "--max-steps", "20"]) == 1
+        _one_line_error(capsys, "error: parameter", "encoder.W0", "non-finite")
+        assert not out.exists()
+
     def test_unknown_split_directory(self, tmp_path):
         code = main([
             "train", "--corpus", CORPUS, "--claims", str(tmp_path),
@@ -247,6 +284,21 @@ class TestPredict:
         ])
         assert code == 1
         _one_line_error(capsys, "verdict_head")
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_non_finite_checkpoint_is_refused(self, tmp_path, ckpts, capsys, system):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts[system], ckpt)
+        blob = bytearray((ckpt / "params.bin").read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()  # the last value of the last tensor
+        (ckpt / "params.bin").write_bytes(bytes(blob))
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "non-finite")
+        assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("system", ["pipeline", "joint"])
     def test_config_with_old_n_classes_key_predicts_identically(

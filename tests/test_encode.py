@@ -20,6 +20,7 @@ from ctrnli.encode import (
     pool_span,
     pool_span_backward,
     pool_spans,
+    _smooth,
 )
 from ctrnli.errors import (
     BackendUnavailable,
@@ -27,6 +28,47 @@ from ctrnli.errors import (
     EmptySpan,
     EmptyText,
 )
+
+
+def _oracle_toy_backward(encoder, cache, d_out):
+    """``ToyEncoder.backward`` as it stood with a dense embedding gradient,
+    copied verbatim apart from taking the encoder as an argument."""
+    grads = {name: np.zeros_like(p) for name, p in encoder.params.items()}
+    dx = d_out
+    for layer in reversed(range(encoder.n_layers)):
+        dx = _smooth(dx)  # smoothing is symmetric, so its adjoint is itself
+        x_in = cache["inputs"][layer]
+        grads[f"W{layer}"] += x_in.T @ dx
+        grads[f"b{layer}"] += dx.sum(axis=0)
+        dx = dx @ encoder.params[f"W{layer}"].T
+    np.add.at(grads["emb"], cache["ids"], dx)
+    return grads
+
+
+def _densify(grad, shape):
+    """A row-sparse ``(rows, values)`` gradient scattered into zeros."""
+    rows, values = grad
+    dense = np.zeros(shape)
+    dense[rows] = values
+    return dense
+
+
+def assert_grads_equal(new: dict, old: dict):
+    """``new`` equals the dense ``old`` bit for bit (``np.array_equal``); a
+    row-sparse entry of ``new`` must name sorted unique rows, hold exactly
+    ``old``'s values there, and ``old`` must be zero everywhere else."""
+    assert new.keys() == old.keys()
+    for name, dense in old.items():
+        grad = new[name]
+        if isinstance(grad, tuple):
+            rows, values = grad
+            assert np.array_equal(rows, np.unique(rows)), name
+            assert np.array_equal(values, dense[rows]), name
+            rest = dense.copy()
+            rest[rows] = 0.0
+            assert not rest.any(), name
+        else:
+            assert np.array_equal(grad, dense), name
 
 
 def _premise(*lengths: int) -> PremiseDoc:
@@ -311,6 +353,7 @@ class TestToyEncoder:
 
         out, cache = enc.encode_with_cache(ids)
         grads = enc.backward(cache, d_out)
+        grads["emb"] = _densify(grads["emb"], enc.params["emb"].shape)
 
         eps = 1e-6
         for name in ("emb", "W0", "b1"):

@@ -20,6 +20,27 @@ from ctrnli.nn import (
 )
 
 
+def _oracle_mlp_backward(params: dict, cache, d_logits: np.ndarray):
+    """``mlp_backward`` as it stood for one vector only, copied verbatim."""
+    x, a1 = cache
+    grads = {
+        "W2": np.outer(a1, d_logits),
+        "b2": d_logits.copy(),
+    }
+    d_a1 = params["W2"] @ d_logits
+    d_z1 = d_a1 * (1.0 - a1 * a1)
+    grads["W1"] = np.outer(x, d_z1)
+    grads["b1"] = d_z1
+    d_x = params["W1"] @ d_z1
+    return grads, d_x
+
+
+def _oracle_accumulate(into: dict, grads: dict, scale: float = 1.0) -> None:
+    """``accumulate`` as it stood for dense gradients only, copied verbatim."""
+    for name, g in grads.items():
+        into[name] += scale * g
+
+
 class TestSoftmax:
     def test_worked_value(self):
         probs = softmax(np.array([2.0, 0.0]))
@@ -103,6 +124,40 @@ class TestMlp:
             x[i] += eps
             np.testing.assert_allclose(d_x[i], (plus - minus) / (2 * eps), atol=1e-7)
 
+    def test_one_vector_matches_old_backward_bitwise(self):
+        rng = np.random.default_rng(3)
+        for seed in range(50):
+            head = ClassifierHead.create(dim=16, seed=seed)
+            x = rng.normal(size=16) * rng.choice([1e-3, 1.0, 30.0])
+            d_logits = rng.normal(size=2)
+            _, cache = mlp_forward(head.params, x)
+            grads, d_x = mlp_backward(head.params, cache, d_logits)
+            old_grads, old_d_x = _oracle_mlp_backward(head.params, cache, d_logits)
+            assert np.array_equal(d_x, old_d_x)
+            for name in old_grads:
+                assert np.array_equal(grads[name], old_grads[name]), name
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_stack_matches_per_row_loop_bitwise(self, n):
+        """A [n, 1, D] stack sums the per-row grads in row order, from zero,
+        and gives each row the input gradient of a one-vector call."""
+        rng = np.random.default_rng(n)
+        for seed in range(20):
+            head = ClassifierHead.create(dim=16, seed=seed)
+            xs = rng.normal(size=(n, 1, 16)) * rng.choice([1e-3, 1.0, 30.0])
+            d_logits = rng.normal(size=(n, 1, 2))
+            _, cache = mlp_forward(head.params, xs)
+            grads, d_x = mlp_backward(head.params, cache, d_logits)
+            expected = zero_grads(head.params)
+            assert d_x.shape == (n, 1, 16)
+            for i in range(n):
+                _, row_cache = mlp_forward(head.params, xs[i, 0])
+                row_grads, row_d_x = _oracle_mlp_backward(head.params, row_cache, d_logits[i, 0])
+                _oracle_accumulate(expected, row_grads)
+                assert np.array_equal(d_x[i, 0], row_d_x), i
+            for name in expected:
+                assert np.array_equal(grads[name], expected[name]), name
+
     def test_head_probabilities_normalized(self):
         head = EvidenceHead.create(dim=8, seed=1)
         probs = head.probabilities(np.random.default_rng(0).normal(size=8))
@@ -168,6 +223,24 @@ class TestOptimizer:
         np.testing.assert_allclose(acc["W"], np.ones((2, 2)))
         np.testing.assert_allclose(acc["b"], np.ones(2))
 
+    def test_accumulate_row_sparse_matches_dense(self):
+        """A (rows, values) pair adds like its dense scatter, also when two
+        calls touch the same rows and with a scale."""
+        rng = np.random.default_rng(4)
+        params = {"emb": np.ones((10, 3)), "b": np.ones(3)}
+        sparse, dense = zero_grads(params), zero_grads(params)
+        for rows, scale in (([1, 4, 7], 0.3), ([0, 4, 9], 1.0), ([4, 7], 1.0 / 3.0)):
+            rows = np.array(rows)
+            values = rng.normal(size=(len(rows), 3))
+            b = rng.normal(size=3)
+            accumulate(sparse, {"emb": (rows, values), "b": b}, scale)
+            scattered = np.zeros((10, 3))
+            scattered[rows] = values
+            _oracle_accumulate(dense, {"emb": scattered, "b": b}, scale)
+        assert np.array_equal(sparse["emb"], dense["emb"])
+        assert np.array_equal(sparse["b"], dense["b"])
+        assert not sparse["emb"][[2, 3, 5, 6, 8]].any()
+
 
 class TestHyperparams:
     def test_total_steps_from_epochs(self):
@@ -181,6 +254,31 @@ class TestHyperparams:
 
     def test_empty_dataset(self):
         assert Hyperparams().total_steps(0) == 0
+
+
+class TestHyperparamsValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0), ("batch_size", 2.0), ("batch_size", True), ("epochs", -1),
+            ("max_steps", -1), ("max_steps", 1.5), ("learning_rate", 0.0),
+            ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+            ("learning_rate", "0.1"), ("warmup_rate", -0.1), ("warmup_rate", 1.01),
+            ("warmup_rate", float("nan")), ("weight_decay", -1e-9),
+            ("weight_decay", float("inf")), ("w_evidence", float("nan")), ("w_entailment", -1.0),
+        ],
+    )
+    def test_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{field: value})
+
+    def test_boundaries_accepted(self):
+        hp = Hyperparams(
+            epochs=0, max_steps=0, batch_size=1, warmup_rate=1.0, weight_decay=0.0,
+            w_evidence=0.0, w_entailment=0, learning_rate=np.float64(0.5),
+        )
+        assert hp.total_steps(10) == 0
+        assert Hyperparams(warmup_rate=0, max_steps=np.int64(3)).total_steps(10) == 3
 
 
 class TestMinibatches:

@@ -20,6 +20,7 @@ from ctrnli.ensemble import EnsembleConfig, combine, postprocess_evidence
 from ctrnli.errors import EmptyText
 from ctrnli.metrics import GoldClaim, evidence_metrics
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
+from test_encode import _densify, _oracle_toy_backward, assert_grads_equal
 
 probs_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
@@ -158,6 +159,25 @@ class TestEncodeMany:
         rows = _ENCODER.encode_many(seqs)
         expected = np.concatenate([_ENCODER.encode(seq) for seq in seqs])
         assert np.array_equal(rows, expected)
+
+
+class TestRowSparseEmbeddingGrad:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=20),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example([7], 0)  # one token
+    @example([5, 5, 5, 5], 1)  # a single id throughout
+    @example([3, 9, 3, 4, 9, 3], 2)  # repeated ids
+    def test_scattered_equals_dense_oracle(self, ids, seed):
+        d_out = np.random.default_rng(seed).normal(size=(len(ids), 8))
+        _, cache = _ENCODER.encode_with_cache(ids)
+        grads = _ENCODER.backward(cache, d_out)
+        expected = _oracle_toy_backward(_ENCODER, cache, d_out)
+        rows, values = grads["emb"]
+        assert rows.tolist() == sorted(set(ids))
+        assert np.array_equal(_densify((rows, values), expected["emb"].shape), expected["emb"])
+        assert_grads_equal(grads, expected)  # the dense layer grads too
 
 
 class TestNormalize:

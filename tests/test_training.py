@@ -3,16 +3,18 @@
 The oracles below are the separate pipeline and joint loops as they stood
 before training became one code path, copied verbatim apart from their
 names; the joint loop calls the joint gradient path as it stood then
-(``test_joint._oracle_joint_grads``). Every parameter and every loss value
-must match bit for bit, with a trainable toy encoder and with a frozen
-(``trainable=False``) encoder.
+(``test_joint._oracle_joint_grads``), and the pipeline loop the per-item
+gradients of that time with their dense embedding gradient and one-vector
+head backward (``_oracle_sequence_classification_grads``). Every parameter
+and every loss value must match bit for bit, with a trainable toy encoder
+and with a frozen (``trainable=False``) encoder.
 """
 
 import numpy as np
 import pytest
 
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder
+from ctrnli.encode import ToyEncoder, pool_span_backward
 from ctrnli.joint import JointModel, train_joint
 from ctrnli.nn import (
     EntailmentHead,
@@ -20,23 +22,42 @@ from ctrnli.nn import (
     Hyperparams,
     SgdwOptimizer,
     WarmupLinearSchedule,
-    accumulate,
+    cross_entropy,
     minibatches,
     zero_grads,
 )
 from ctrnli.pipeline import (
+    _pooled_forward,
     entailment_training_items,
     evidence_training_items,
-    sequence_classification_grads,
     train_entailment_model,
     train_evidence_model,
 )
+from test_encode import _oracle_toy_backward
 from test_joint import _oracle_joint_grads
+from test_nn import _oracle_accumulate, _oracle_mlp_backward
 from test_pipeline import _StubPretrained
 
 HP = Hyperparams(
     learning_rate=0.1, warmup_rate=0.2, weight_decay=0.01, batch_size=3, seed=3, max_steps=25
 )
+
+
+def _oracle_sequence_classification_grads(encoder, head, items, pooling="mean"):
+    head_grads = zero_grads(head.params)
+    enc_grads = zero_grads(encoder.params) if encoder.trainable else None
+    total = 0.0
+    scale = 1.0 / len(items)
+    for token_ids, target in items:
+        logits, (matrix, enc_cache, mlp_cache) = _pooled_forward(encoder, head, token_ids, pooling)
+        loss, d_logits = cross_entropy(logits, target)
+        total += loss
+        grads, d_pooled = _oracle_mlp_backward(head.params, mlp_cache, d_logits)
+        _oracle_accumulate(head_grads, grads, scale)
+        if enc_grads is not None:
+            d_matrix = pool_span_backward(d_pooled, matrix, (0, matrix.shape[0]), pooling)
+            _oracle_accumulate(enc_grads, _oracle_toy_backward(encoder, enc_cache, d_matrix), scale)
+    return total * scale, enc_grads, head_grads
 
 
 def _oracle_run_training(encoder, head, items, hp, shuffle_rng, pooling="mean"):
@@ -46,7 +67,9 @@ def _oracle_run_training(encoder, head, items, hp, shuffle_rng, pooling="mean"):
     curve = []
     for batch_idx in minibatches(len(items), hp, shuffle_rng):
         batch = [items[i] for i in batch_idx]
-        loss, enc_grads, head_grads = sequence_classification_grads(encoder, head, batch, pooling)
+        loss, enc_grads, head_grads = _oracle_sequence_classification_grads(
+            encoder, head, batch, pooling
+        )
         grad_groups = [head_grads] + ([enc_grads] if enc_grads is not None else [])
         optimizer.step(groups, grad_groups)
         curve.append(loss)
@@ -99,10 +122,10 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
                 model, claim, premise, gold, label, weights, teacher_forcing=True
             )
             totals += (total, l_ev, l_ent)
-            accumulate(batch_grads[0], ev_g, scale)
-            accumulate(batch_grads[1], v_g, scale)
+            _oracle_accumulate(batch_grads[0], ev_g, scale)
+            _oracle_accumulate(batch_grads[1], v_g, scale)
             if enc_g is not None:
-                accumulate(batch_grads[2], enc_g, scale)
+                _oracle_accumulate(batch_grads[2], enc_g, scale)
         optimizer.step(groups, batch_grads)
         totals *= scale
         curves["total"].append(float(totals[0]))
