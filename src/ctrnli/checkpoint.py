@@ -21,7 +21,7 @@ import numpy as np
 from .encode import ToyEncoder, create_encoder
 from .errors import BadCheckpoint, IoError, NonFiniteParameters
 from .joint import JointModel
-from .nn import EntailmentHead, EvidenceHead
+from .nn import EntailmentHead, EvidenceHead, in_unit_interval
 from .pipeline import PipelineModel
 
 _DTYPE = np.dtype("<f4")
@@ -170,6 +170,13 @@ def _rebuild_encoder(cfg: dict):
     )
 
 
+def _threshold(config: dict) -> float:
+    value = config.get("threshold")
+    if not in_unit_interval(value):
+        raise BadCheckpoint(f"threshold must be a finite number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def save_pipeline_model(model: PipelineModel, path: str | Path) -> None:
     named: dict[str, np.ndarray] = {}
     for ns, encoder, head in (
@@ -223,7 +230,7 @@ def _pipeline_from(config: dict, tensors: Mapping[str, np.ndarray]) -> PipelineM
         entailment_encoder=ent_encoder,
         entailment_head=ent_head,
         max_len=int(config["max_len"]),
-        threshold=float(config["threshold"]),
+        threshold=_threshold(config),
         pooling=str(config["pooling"]),
         inject_arm_prefix=bool(config["inject_arm_prefix"]),
     )
@@ -269,7 +276,7 @@ def _joint_from(config: dict, tensors: Mapping[str, np.ndarray]) -> JointModel:
         evidence_head=ev_head,
         verdict_head=v_head,
         max_len=int(config["max_len"]),
-        threshold=float(config["threshold"]),
+        threshold=_threshold(config),
         pooling=str(config["pooling"]),
         inject_arm_prefix=bool(config["inject_arm_prefix"]),
     )

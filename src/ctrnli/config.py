@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .ensemble import EnsembleConfig
 from .errors import MalformedJson
-from .nn import Hyperparams, is_count
+from .nn import Hyperparams, in_unit_interval, is_count
 
 SYSTEM_CHOICES = ("pipeline", "joint")
 POOLING_CHOICES = ("mean", "first", "max")
@@ -31,8 +31,10 @@ class EncoderConfig:
     """Which encoder to build and how big its inputs may be.
 
     ``max_len`` of None means the per-system default (512 for the pipeline's
-    pair inputs, 1024 for the joint document input). ``mixed_precision`` of
-    None resolves to off for the toy backend and on for the pretrained one.
+    pair inputs, 1024 for the joint document input); otherwise it must leave
+    room for a claim token, a separator and a sentence token (at least 3).
+    ``mixed_precision`` of None resolves to off for the toy backend and on
+    for the pretrained one.
     """
 
     backend: str = "toy"
@@ -53,6 +55,8 @@ class EncoderConfig:
         for name, low in (("dim", 1), ("n_layers", 0)):
             if not is_count(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        if self.max_len is not None and not is_count(self.max_len, 3):
+            raise ValueError(f"max_len must be None or an integer >= 3, got {self.max_len!r}")
 
     def resolved_max_len(self, system: str) -> int:
         return self.max_len if self.max_len is not None else DEFAULT_MAX_LEN[system]
@@ -84,8 +88,8 @@ class RunConfig:
             raise ValueError(f"system must be one of {SYSTEM_CHOICES}")
         if self.evidence_source not in EVIDENCE_SOURCE_CHOICES:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
-        if isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float)):
-            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
+        if not in_unit_interval(self.threshold):
+            raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
 
 
 def _merge(base: dict, override: dict) -> dict:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import PremiseDoc, normalize_text
 from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, EmptySpan, EmptyText
+from .nn import padded, scaled_sum
 
 PAD_ID = 0
 SEP_ID = 1
@@ -260,22 +261,48 @@ def pool_span_backward(
     mode: str = "mean",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of :func:`pool_span` wrt the matrix (zero outside the span).
+    """Gradient of :func:`pool_span` wrt the matrix (zero outside the span);
+    ``out`` as in :func:`pool_spans_backward`."""
+    return pool_spans_backward(d_pooled[None], matrix, [span], mode, out)
 
-    With ``out`` the gradient is added into that array in place and ``out``
-    is returned; otherwise it lands in a fresh zero matrix.
+
+def pool_spans_backward(
+    d_pooled: np.ndarray,
+    matrix: np.ndarray,
+    spans: Sequence[tuple[int, int]],
+    mode: str = "mean",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient of :func:`pool_spans` wrt the matrix (zero outside the spans).
+
+    Row ``i`` of ``d_pooled`` flows back into ``spans[i]``: spread evenly
+    (mean), into the first row (first), or into the first row holding each
+    column's maximum, as ``argmax`` picks it (max). Spans are as in
+    :func:`pool_spans` and never share a row, so every entry receives at
+    most one addition. With ``out`` the gradient is added into that array in
+    place and ``out`` is returned; otherwise it lands in a fresh zero matrix.
     """
-    start, end = span
     grad = np.zeros_like(matrix) if out is None else out
-    if mode == "mean":
-        grad[start:end] += d_pooled / (end - start)
-    elif mode == "first":
-        grad[start] += d_pooled
-    elif mode == "max":
-        winners = matrix[start:end].argmax(axis=0)
-        grad[start + winners, np.arange(matrix.shape[1])] += d_pooled
-    else:
+    if mode not in ("mean", "first", "max"):
         raise ValueError(f"unknown pooling mode '{mode}'")
+    if not len(spans):
+        return grad
+    starts, ends = np.asarray(spans).T
+    if mode == "first":
+        grad[starts] += d_pooled
+        return grad
+    lengths = ends - starts
+    span_of_row = np.repeat(np.arange(len(spans)), lengths)
+    offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows = starts[span_of_row] + offset
+    if mode == "mean":
+        grad[rows] += np.repeat(d_pooled / lengths[:, None], lengths, axis=0)
+    else:
+        # -inf padding never beats a span row, so argmax sees each span alone
+        blocks = np.full((len(spans), lengths.max(), matrix.shape[1]), -np.inf)
+        blocks[span_of_row, offset] = matrix[rows]
+        winners = starts[:, None] + blocks.argmax(axis=1)
+        grad[winners, np.arange(matrix.shape[1])] += d_pooled
     return grad
 
 
@@ -361,12 +388,17 @@ class ToyEncoder:
         out, _ = self.encode_with_cache(token_ids)
         return out
 
-    def encode_with_cache(self, token_ids: Sequence[int]):
-        self.encode_calls += 1
+    def encode_with_cache(self, token_ids: Sequence[int], lengths: Sequence[int] | None = None):
+        """Encode one sequence, or with ``lengths`` several back to back, and
+        keep what :meth:`backward` needs; the rows are those of
+        :meth:`encode_many`."""
         ids = np.asarray(token_ids, dtype=np.int64)
+        lengths = [len(ids)] if lengths is None else lengths
+        self.encode_calls += len(lengths)
+        starts = np.cumsum(lengths[:-1]) if len(lengths) > 1 else None
         inputs: list[np.ndarray] = []
-        x = self._forward(ids, inputs=inputs)
-        return x, {"ids": ids, "inputs": inputs}
+        x = self._forward(ids, starts=starts, inputs=inputs)
+        return x, {"ids": ids, "inputs": inputs, "lengths": lengths}
 
     def encode_many(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
         """Encode ``seqs`` in one pass; returns their ``[sum T, D]`` rows back to back.
@@ -389,27 +421,53 @@ class ToyEncoder:
             x = _smooth(_affine(x, self.params[f"W{layer}"], self.params[f"b{layer}"]), starts)
         return x
 
-    def backward(self, cache, d_out: np.ndarray) -> dict:
-        """Backpropagate d(loss)/d(output) to all encoder parameters.
+    def backward(self, cache, d_out: np.ndarray, scale: float = 1.0) -> dict:
+        """Backpropagate d(loss)/d(output) of the cached sequences to all
+        encoder parameters.
 
-        The embedding gradient is row-sparse: a ``(rows, values)`` pair over
-        the sequence's distinct ids (sorted), each row summed in token order,
-        which :func:`ctrnli.nn.accumulate` adds into a dense buffer. The
-        other gradients are dense arrays.
+        Returns the sum over the sequences, in order, of ``scale`` times each
+        one's gradient, bit for bit what a loop of one-sequence backwards
+        adding ``scale * grad`` into zeroed buffers gives. Weight gradients
+        come from one zero-padded ``[B, D, T] @ [B, T, D]`` product. The
+        embedding gradient is row-sparse: a ``(rows, values)`` pair over the
+        batch's distinct ids (sorted), each sequence's share summed in token
+        order; the other gradients are dense arrays.
         """
+        lengths = np.asarray(cache["lengths"])
+        starts = np.cumsum(lengths[:-1])
         grads = {}
         dx = d_out
         for layer in reversed(range(self.n_layers)):
-            dx = _smooth(dx)  # smoothing is symmetric, so its adjoint is itself
-            x_in = cache["inputs"][layer]
-            grads[f"W{layer}"] = x_in.T @ dx
-            grads[f"b{layer}"] = dx.sum(axis=0)
-            dx = dx @ self.params[f"W{layer}"].T
-        rows, inverse = np.unique(cache["ids"], return_inverse=True)
-        values = np.zeros((len(rows), dx.shape[1]))
-        np.add.at(values, inverse, dx)
+            dx = _smooth(dx, starts)  # smoothing is symmetric, so its adjoint is itself
+            d_pad = padded(dx, lengths)
+            x_pad = padded(cache["inputs"][layer], lengths).transpose(0, 2, 1)
+            grads[f"W{layer}"] = scaled_sum(np.matmul(x_pad, d_pad), scale)
+            grads[f"b{layer}"] = scaled_sum(d_pad.sum(axis=1), scale)
+            # one product per sequence: BLAS rounds a product with the
+            # transposed weight differently in a matrix of another height
+            w_t = self.params[f"W{layer}"].T
+            dx = np.concatenate([d @ w_t for d in np.split(dx, starts)])
+        # sum per (sequence, id) in token order, then per id in sequence order
+        item = np.repeat(np.arange(len(lengths)), lengths)
+        keys, key_of_token = np.unique(item * self.vocab_size + cache["ids"], return_inverse=True)
+        per_sequence = np.zeros((len(keys), self.dim))
+        np.add.at(per_sequence, key_of_token, dx)
+        per_sequence *= scale
+        rows, row_of_key = np.unique(keys % self.vocab_size, return_inverse=True)
+        values = np.zeros((len(rows), self.dim))
+        np.add.at(values, row_of_key, per_sequence)
         grads["emb"] = (rows, values)
         return grads
+
+
+def encode_batch(encoder, seqs: Sequence[Sequence[int]]):
+    """The ``[sum T, D]`` rows of ``seqs`` back to back in one forward, plus
+    the cache for the encoder's ``backward`` (None for a frozen encoder)."""
+    if not encoder.trainable:
+        return encoder.encode_many(seqs), None
+    lengths = [len(seq) for seq in seqs]
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
+    return encoder.encode_with_cache(ids, lengths)
 
 
 class PretrainedEncoder:

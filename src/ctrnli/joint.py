@@ -15,6 +15,7 @@ reaches the sentence vectors through the shared encoding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -28,20 +29,26 @@ from .corpus import (
     gold_evidence_globals,
     resolve_premise,
 )
-from .encode import JointInput, ToyEncoder, build_joint_sequence, pool_span_backward, pool_spans
-from .encode import pool_span  # noqa: F401  unused here; bench/tracing.py wraps it in this module
+from .encode import (
+    JointInput,
+    ToyEncoder,
+    build_joint_sequence,
+    encode_batch,
+    pool_spans,
+    pool_spans_backward,
+)
+from .encode import pool_span, pool_span_backward  # noqa: F401  bench/tracing.py wraps them here
 from .errors import MissingGold, MissingGoldEvidence, MissingGoldLabel
 from .nn import (
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    accumulate,
     cross_entropy,
     fit,
     mlp_backward,
     mlp_forward,
+    padded,
     softmax,
-    zero_grads,
 )
 from .pipeline import EVIDENCE_CLASS, SystemPrediction, select_evidence, verdict_from_probs
 
@@ -92,44 +99,58 @@ def _verdict_probs(logits: np.ndarray) -> tuple[float, float]:
     return (float(probs[0] / total), float(probs[1] / total))
 
 
-def _forward(model: JointModel, ji: JointInput, matrix: np.ndarray, gold=None):
-    """From the encoded ``matrix`` of ``ji`` to the outputs of both heads.
+def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int], golds=None):
+    """From encoded token rows to the outputs of both heads, for a batch of
+    sequences laid back to back in ``matrix``.
 
-    One evidence-head call scores the survivors' ``[n, 1, D]`` stack, which
-    rounds each row exactly as a one-vector call does. The summary averages
-    the gated vectors or, given ``gold`` (teacher forcing), the gold ones that
-    survived truncation (all survivors when none did). Returns the stacked
-    evidence softmax and head cache, the evidence probabilities, the pooled
-    indices, the fallback flag, and the verdict logits and head cache.
+    ``spans`` are the rows of every surviving sentence, ``counts[k]`` of them
+    for sequence ``k``, in order. One evidence-head call scores the
+    survivors' ``[n, 1, D]`` stack and one verdict-head call the ``[B, 1, D]``
+    stack of summaries; a stack rounds each row exactly as a one-vector call
+    does. A summary averages its sequence's gated vectors or, given ``golds``
+    (teacher forcing), the gold ones that survived truncation (all survivors
+    when none did). Returns the stacked evidence softmax and head cache, the
+    evidence probabilities, and per sequence the pooled rows of ``spans``
+    and the fallback flag, then the verdict logits and head cache.
     """
-    vecs = pool_spans(matrix, ji.span_map, model.pooling)
-    logits, cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
+    vecs = pool_spans(matrix, spans, model.pooling)
+    logits, ev_cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
     ev_probs = softmax(logits[:, 0])
     probs = ev_probs[:, EVIDENCE_CLASS].tolist()
-    pooled, fallback = [], False
-    if gold is not None:
-        pooled = sorted(i for i in gold if i < len(probs)) or list(range(len(probs)))
-    elif probs:
-        selection = select_evidence(probs, model.threshold)
-        pooled, fallback = sorted(selection.indices), selection.fallback_used
-    summary = vecs[pooled].mean(axis=0) if pooled else np.zeros(model.encoder.dim)
-    v_logits, v_cache = mlp_forward(model.verdict_head.params, summary)
-    return ev_probs, cache, probs, pooled, fallback, v_logits, v_cache
+    pooled, fallbacks = [], []
+    summaries = np.zeros((len(counts), 1, model.encoder.dim))  # zero when nothing is pooled
+    first = 0
+    for k, n in enumerate(counts):
+        chosen, fallback = [], False
+        if golds is not None:
+            chosen = sorted(i for i in golds[k] if i < n) or list(range(n))
+        elif n:
+            selection = select_evidence(probs[first : first + n], model.threshold)
+            chosen, fallback = sorted(selection.indices), selection.fallback_used
+        rows = [first + i for i in chosen]
+        if rows:  # the bits of .mean(axis=0), without its Python-level wrapper
+            np.divide(vecs[rows].sum(axis=0), len(rows), out=summaries[k, 0])
+        pooled.append(rows)
+        fallbacks.append(fallback)
+        first += n
+    v_logits, v_cache = mlp_forward(model.verdict_head.params, summaries)
+    return ev_probs, ev_cache, probs, pooled, fallbacks, v_logits, v_cache
 
 
 def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
     """Single-pass inference over one claim-document sequence."""
     ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
-    _, _, probs, gated, fallback, v_logits, _ = _forward(
-        model, ji, model.encoder.encode(ji.token_ids)
+    matrix = model.encoder.encode(ji.token_ids)
+    _, _, probs, pooled, fallbacks, v_logits, _ = _forward(
+        model, matrix, ji.span_map, [len(ji.span_map)]
     )
-    class_probs = _verdict_probs(v_logits)
+    class_probs = _verdict_probs(v_logits[0, 0])
     return JointOutput(
         evidence_probs=tuple(probs),
-        gated=tuple(gated),
+        gated=tuple(pooled[0]),
         class_probs=class_probs,
         verdict=verdict_from_probs(class_probs),
-        fallback_used=fallback,
+        fallback_used=fallbacks[0],
         dropped=ji.dropped_sentences,
     )
 
@@ -160,55 +181,82 @@ def joint_loss(
 
 def joint_grads(
     model: JointModel,
-    ji: JointInput,
-    gold_evidence: frozenset[int],
-    gold_label: str,
+    examples: Sequence[tuple[JointInput, frozenset[int], str]],
     weights: tuple[float, float] = (1.0, 1.0),
     teacher_forcing: bool = True,
 ):
-    """Loss terms and analytic gradients for one packed claim-document sequence.
+    """Mean loss terms and analytic gradients over a minibatch of packed
+    (sequence, gold evidence, gold label) examples.
 
-    Returns (total, evidence_loss, verdict_loss, encoder grads or None,
-    evidence-head grads, verdict-head grads). Teacher forcing pools the gold
-    spans (see :func:`_forward`); without it the loss is the inference loss.
+    The batch runs as one encoder forward, one stacked call and backward per
+    head, one pool backward per loss term and one encoder backward. Returns
+    (total, evidence_loss, verdict_loss, encoder grads or None, evidence-head
+    grads, verdict-head grads): each ``1 / len(examples)`` times the
+    per-example values summed in example order, bit for bit. Teacher forcing
+    pools the gold spans (see :func:`_forward`); without it the loss is the
+    inference loss.
     """
     w_ev, w_ent = weights
-    encoder, pooling, spans = model.encoder, model.pooling, ji.span_map
-    trainable = encoder.trainable
-    if trainable:
-        matrix, enc_cache = encoder.encode_with_cache(ji.token_ids)
-    else:
-        matrix, enc_cache = encoder.encode(ji.token_ids), None
+    encoder = model.encoder
+    golds = [gold for _, gold, _ in examples]
+    scale = 1.0 / len(examples)
+    matrix, enc_cache = encode_batch(encoder, [ji.token_ids for ji, _, _ in examples])
+    offsets = itertools.accumulate((ji.length for ji, _, _ in examples), initial=0)
+    spans = [(o + s, o + e) for o, (ji, _, _) in zip(offsets, examples) for s, e in ji.span_map]
+    counts = [len(ji.span_map) for ji, _, _ in examples]
     ev_probs, ev_cache, _, pooled, _, v_logits, v_cache = _forward(
-        model, ji, matrix, gold_evidence if teacher_forcing else None
+        model, matrix, spans, counts, golds if teacher_forcing else None
     )
-    d_matrix = np.zeros_like(matrix)
-    n_surv = len(spans)
 
-    # Evidence term: mean BCE over survivors, backpropagated through the
-    # head once for the whole [n, 1, *] stack, each row as a lone sentence.
-    rows = np.arange(n_surv)
+    # Evidence term: each example's mean BCE over its survivors. All
+    # survivors go back through the head as one stack, padded to
+    # [examples, survivors, 1, *] so each example's grads sum on their own.
+    per_row = np.repeat(counts, counts)  # the survivor count of each row's example
+    rows = np.arange(len(per_row))
     targets = [
-        EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS for i in range(n_surv)
+        EVIDENCE_CLASS if i in gold else 1 - EVIDENCE_CLASS
+        for gold, n in zip(golds, counts)
+        for i in range(n)
     ]
-    row_losses = -np.log(np.maximum(ev_probs[rows, targets], 1e-300)) / n_surv
-    evidence_loss = sum(row_losses.tolist(), 0.0)  # in row order; np.sum adds pairwise
+    row_losses = (-np.log(np.maximum(ev_probs[rows, targets], 1e-300)) / per_row).tolist()
     d_logits = ev_probs.copy()
     d_logits[rows, targets] -= 1.0
-    d_logits *= w_ev / max(n_surv, 1)  # no survivors: an empty stack
-    ev_grads, d_vecs = mlp_backward(model.evidence_head.params, ev_cache, d_logits[:, None, :])
-    for d_vec, span in zip(d_vecs[:, 0], spans):
-        pool_span_backward(d_vec, matrix, span, pooling, out=d_matrix)
+    d_logits *= (w_ev / per_row)[:, None]
+    x, a1 = ev_cache
+    ev_grads, d_vecs = mlp_backward(
+        model.evidence_head.params,
+        (padded(x, counts), padded(a1, counts)),
+        padded(d_logits[:, None, :], counts),
+        scale,
+    )
 
-    # Verdict term over the pooled evidence summary.
-    verdict_loss, d_logits = cross_entropy(v_logits, LABELS.index(gold_label))
-    v_grads, d_summary = mlp_backward(model.verdict_head.params, v_cache, d_logits * w_ent)
-    for i in pooled:
-        pool_span_backward(d_summary / len(pooled), matrix, spans[i], pooling, out=d_matrix)
+    # Verdict term over each example's pooled evidence summary.
+    labels = [LABELS.index(label) for _, _, label in examples]
+    verdict_losses, d_logits = cross_entropy(v_logits[:, 0], labels)
+    v_grads, d_summary = mlp_backward(
+        model.verdict_head.params, v_cache, (d_logits * w_ent)[:, None, :], scale
+    )
 
-    enc_grads = encoder.backward(enc_cache, d_matrix) if trainable else None
-    total = w_ev * evidence_loss + w_ent * verdict_loss
-    return total, evidence_loss, verdict_loss, enc_grads, ev_grads, v_grads
+    enc_grads = None
+    if enc_cache is not None:
+        # each survivor's evidence gradient, then each pooled one's share of its summary's
+        survived = np.arange(d_vecs.shape[1]) < np.array(counts)[:, None]
+        d_matrix = pool_spans_backward(d_vecs[survived, 0], matrix, spans, model.pooling)
+        sizes = [len(chosen) for chosen in pooled]
+        d_pooled = np.repeat(d_summary[:, 0] / np.maximum(sizes, 1)[:, None], sizes, axis=0)
+        pooled_spans = [spans[r] for chosen in pooled for r in chosen]
+        pool_spans_backward(d_pooled, matrix, pooled_spans, model.pooling, out=d_matrix)
+        enc_grads = encoder.backward(enc_cache, d_matrix, scale)
+
+    totals = np.zeros(3)
+    first = 0
+    for n, verdict_loss in zip(counts, verdict_losses):
+        # in row order, as Python floats; np.sum adds pairwise
+        evidence_loss = sum(row_losses[first : first + n], 0.0)
+        totals += (w_ev * evidence_loss + w_ent * verdict_loss, evidence_loss, verdict_loss)
+        first += n
+    totals *= scale
+    return (*totals.tolist(), enc_grads, ev_grads, v_grads)
 
 
 @dataclass
@@ -258,19 +306,9 @@ def train_joint(
         groups.append(encoder.params)
 
     def batch_grads(batch_idx):
-        scale = 1.0 / len(batch_idx)
-        grads = [zero_grads(g) for g in groups]
-        totals = np.zeros(3)
-        for idx in batch_idx:
-            total, l_ev, l_ent, enc_g, ev_g, v_g = joint_grads(
-                model, *examples[idx], weights, teacher_forcing=True
-            )
-            totals += (total, l_ev, l_ent)
-            # a frozen encoder has no group, so zip stops before its None grads
-            for into, g in zip(grads, (ev_g, v_g, enc_g)):
-                accumulate(into, g, scale)
-        totals *= scale
-        return totals.tolist(), grads
+        *totals, enc_g, ev_g, v_g = joint_grads(model, [examples[i] for i in batch_idx], weights)
+        # a frozen encoder has no group, so its None grads are left out
+        return totals, [ev_g, v_g] + ([enc_g] if enc_g is not None else [])
 
     rng = np.random.default_rng(shuffle_seed)
     steps = fit(groups, batch_grads, len(examples), hyperparams, rng)

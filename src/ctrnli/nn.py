@@ -22,13 +22,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(logits) for one example."""
+def cross_entropy(logits: np.ndarray, target) -> tuple:
+    """Loss and d(loss)/d(logits) for one example, or for each row of a
+    ``[B, C]`` stack given one target per row (then a list of B losses)."""
     probs = softmax(logits)
-    loss = -float(np.log(max(probs[target], 1e-300)))
-    d_logits = probs.copy()
-    d_logits[target] -= 1.0
-    return loss, d_logits
+    picked = np.take_along_axis(probs, np.asarray(target)[..., None], axis=-1)[..., 0]
+    loss = -np.log(np.maximum(picked, 1e-300))
+    return loss.tolist(), probs - np.eye(probs.shape[-1])[target]
 
 
 def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> dict:
@@ -41,22 +41,33 @@ def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> 
 
 
 def mlp_forward(params: dict, x: np.ndarray):
-    z1 = x @ params["W1"] + params["b1"]
-    a1 = np.tanh(z1)
-    logits = a1 @ params["W2"] + params["b2"]
+    a1 = x @ params["W1"]
+    a1 += params["b1"]
+    np.tanh(a1, out=a1)
+    logits = a1 @ params["W2"]
+    logits += params["b2"]
     return logits, (x, a1)
 
 
-def mlp_backward(params: dict, cache, d_logits: np.ndarray):
+def scaled_sum(items: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times each entry of ``items`` along its first axis, summed in
+    entry order: the bits of a loop adding ``scale * item`` into zeros.
+    ``items`` is scaled in place."""
+    items *= scale
+    return items.sum(axis=0)
+
+
+def mlp_backward(params: dict, cache, d_logits: np.ndarray, scale: float = 1.0):
     """Returns (parameter grads, gradient wrt the input).
 
     Takes the cache of one vector, or of a stack of them with leading axes
     (such as the ``[B, 1, D]`` stack the heads score in one call), together
-    with ``d_logits`` of the same leading shape. Parameter grads are summed
-    over the stack in row order, each row's share equal to that of a
-    one-vector call; the input gradient has one row per vector, each rounded
-    as a one-vector call rounds it, because ``np.matmul`` runs a stack of
-    matrix-vector products as one gemv per row.
+    with ``d_logits`` of the same leading shape. A stack's first axis indexes
+    items: each item's parameter grads are summed over its rows in row order,
+    each row's share equal to that of a one-vector call, and ``scale`` times
+    the item sums are added up in item order. The input gradient has one row
+    per vector, each rounded as a one-vector call rounds it, because
+    ``np.matmul`` runs a stack of matrix-vector products as one gemv per row.
     """
     x, a1 = cache
     d_a1 = np.matmul(params["W2"], d_logits[..., None])[..., 0]
@@ -67,11 +78,21 @@ def mlp_backward(params: dict, cache, d_logits: np.ndarray):
         "W1": x[..., :, None] * d_z1[..., None, :],
         "b1": d_z1,
     }
-    if d_logits.ndim > 1:  # a stack: sum each parameter's per-row grads in row order
-        lead = tuple(range(d_logits.ndim - 1))
-        grads = {name: g.sum(axis=lead) for name, g in grads.items()}
+    if d_logits.ndim > 1:  # a stack: reduce as a loop over items and their rows would
+        rows = tuple(range(1, d_logits.ndim - 1))
+        grads = {name: scaled_sum(g.sum(axis=rows), scale) for name, g in grads.items()}
     d_x = np.matmul(params["W1"], d_z1[..., None])[..., 0]
     return grads, d_x
+
+
+def padded(rows: np.ndarray, lengths) -> np.ndarray:
+    """The ``rows`` of items of ``lengths``, laid back to back, as a
+    ``[items, max length, ...]`` stack with zeros past each item's end."""
+    lengths = np.asarray(lengths)
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = np.zeros(keep.shape + rows.shape[1:])
+    out[keep] = rows
+    return out
 
 
 @dataclass
@@ -108,24 +129,6 @@ class EntailmentHead(ClassifierHead):
     """
 
 
-def zero_grads(params: dict) -> dict:
-    return {name: np.zeros_like(p) for name, p in params.items()}
-
-
-def accumulate(into: dict, grads: dict, scale: float = 1.0) -> None:
-    """Add ``scale`` times each gradient into the dense buffer of its name.
-
-    A gradient is a dense array or a row-sparse ``(rows, values)`` pair with
-    unique ``rows``, which adds only into those rows of the buffer.
-    """
-    for name, g in grads.items():
-        if isinstance(g, tuple):
-            rows, values = g
-            into[name][rows] += scale * values
-        else:
-            into[name] += scale * g
-
-
 @dataclass
 class WarmupLinearSchedule:
     """Linear warmup over a fraction of the run, then linear decay to zero."""
@@ -147,20 +150,32 @@ class SgdwOptimizer:
     """Gradient descent with decoupled weight decay.
 
     Decay applies to weight matrices and embeddings, never to biases
-    (parameter names beginning with "b").
+    (parameter names beginning with "b"). A gradient is a dense array or a
+    row-sparse ``(rows, values)`` pair with unique ``rows``, whose other rows
+    take a zero step. The ``lr * grad`` and decay products land in one
+    buffer per parameter, reused across steps.
     """
 
     schedule: WarmupLinearSchedule
     weight_decay: float = 0.0
     step_count: int = field(default=0)
+    _buffers: dict = field(default_factory=dict, repr=False)
 
     def step(self, param_groups: list[dict], grad_groups: list[dict]) -> float:
         lr = self.schedule.lr(self.step_count)
-        for params, grads in zip(param_groups, grad_groups):
+        for group, (params, grads) in enumerate(zip(param_groups, grad_groups)):
             for name, p in params.items():
-                p -= lr * grads[name]
+                buf = self._buffers.get((group, name))
+                if buf is None:
+                    buf = self._buffers[group, name] = np.empty_like(p)
+                g = grads[name]
+                if isinstance(g, tuple):
+                    rows, values = g
+                    p[rows] -= np.multiply(lr, values, out=buf[: len(rows)])
+                else:
+                    p -= np.multiply(lr, g, out=buf)
                 if self.weight_decay and not name.startswith("b"):
-                    p -= lr * self.weight_decay * p
+                    p -= np.multiply(lr * self.weight_decay, p, out=buf)
         self.step_count += 1
         return lr
 
@@ -172,6 +187,11 @@ def is_count(value, low: int) -> bool:
 
 def _is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def in_unit_interval(value) -> bool:
+    """``value`` is a finite number (not a bool) in [0, 1]."""
+    return _is_finite(value) and 0 <= value <= 1
 
 
 @dataclass
@@ -190,14 +210,14 @@ class Hyperparams:
 
     def __post_init__(self):
         """Refuse settings that would crash training or silently train nothing."""
-        lr, warmup = self.learning_rate, self.warmup_rate
+        lr = self.learning_rate
         rules = [
             ("batch_size", is_count(self.batch_size, 1), "an integer >= 1"),
             ("epochs", is_count(self.epochs, 0), "an integer >= 0"),
             ("max_steps", self.max_steps is None or is_count(self.max_steps, 0),
              "None or an integer >= 0"),
             ("learning_rate", _is_finite(lr) and lr > 0, "a finite number > 0"),
-            ("warmup_rate", _is_finite(warmup) and 0 <= warmup <= 1, "a number in [0, 1]"),
+            ("warmup_rate", in_unit_interval(self.warmup_rate), "a number in [0, 1]"),
         ]
         for name in ("weight_decay", "w_evidence", "w_entailment"):
             value = getattr(self, name)

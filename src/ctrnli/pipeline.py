@@ -30,10 +30,12 @@ from .encode import (
     build_entailment_sequence,
     build_pair_sequence,
     build_pair_sequences,
+    encode_batch,
     pool_span,
-    pool_span_backward,
     pool_spans,
+    pool_spans_backward,
 )
+from .encode import pool_span_backward  # noqa: F401  bench/tracing.py wraps it here
 from .errors import (
     EmptyEvidence,
     EmptyPremise,
@@ -46,13 +48,11 @@ from .nn import (
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    accumulate,
     cross_entropy,
     fit,
     mlp_backward,
     mlp_forward,
     softmax,
-    zero_grads,
 )
 
 EVIDENCE_CLASS = 0  # logit index of the positive "is evidence" class
@@ -143,15 +143,10 @@ def select_evidence(probs: Sequence[float], threshold: float = 0.5) -> EvidenceS
     return EvidenceSelection(frozenset({best}), fallback_used=True)
 
 
-def _pooled_forward(encoder, head, token_ids, pooling: str):
-    matrix, cache = (
-        encoder.encode_with_cache(token_ids)
-        if encoder.trainable
-        else (encoder.encode(token_ids), None)
-    )
-    pooled = pool_span(matrix, (0, matrix.shape[0]), mode=pooling)
-    logits, mlp_cache = mlp_forward(head.params, pooled)
-    return logits, (matrix, cache, mlp_cache)
+def _spans(lengths) -> list[tuple[int, int]]:
+    """Half-open row ranges of sequences of ``lengths`` laid back to back."""
+    edges = list(itertools.accumulate(lengths, initial=0))
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def evidence_probs(head: EvidenceHead, vectors: np.ndarray) -> list[float]:
@@ -183,9 +178,7 @@ def score_evidence(
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
     pairs = build_pair_sequences(encoder.tokenizer, premise.texts(), claim.text, max_len)
     matrix = encoder.encode_many([pair.token_ids for pair in pairs])
-    edges = list(itertools.accumulate((pair.length for pair in pairs), initial=0))
-    spans = list(zip(edges[:-1], edges[1:]))
-    return evidence_probs(head, pool_spans(matrix, spans, pooling))
+    return evidence_probs(head, pool_spans(matrix, _spans(pair.length for pair in pairs), pooling))
 
 
 def classify_entailment(
@@ -207,8 +200,8 @@ def classify_entailment(
         raise EmptyEvidence(f"claim {claim.claim_id}: no evidence sentences selected")
     texts = [premise.sentences[i].text for i in indices]
     seq = build_entailment_sequence(encoder.tokenizer, claim.text, texts, max_len)
-    logits, _ = _pooled_forward(encoder, head, seq.token_ids, pooling)
-    probs = softmax(logits)
+    matrix = encoder.encode(seq.token_ids)
+    probs = softmax(head.logits(pool_span(matrix, (0, matrix.shape[0]), pooling)))
     class_probs = (float(probs[0]), float(probs[1]))
     return class_probs, verdict_from_probs(class_probs)
 
@@ -221,22 +214,26 @@ def sequence_classification_grads(
 ):
     """Mean cross-entropy over (token_ids, target) items, with gradients.
 
+    The items run as one batch: one encoder forward, one ``[B, 1, D]`` head
+    call and its backward, one pool backward and one encoder backward. Each
+    gradient is the sum of ``1 / len(items)`` times each item's gradient, in
+    item order, bit for bit.
+
     Returns (loss, encoder grads or None for frozen encoders, head grads).
     """
-    head_grads = zero_grads(head.params)
-    enc_grads = zero_grads(encoder.params) if encoder.trainable else None
-    total = 0.0
+    seqs = [token_ids for token_ids, _ in items]
     scale = 1.0 / len(items)
-    for token_ids, target in items:
-        logits, (matrix, enc_cache, mlp_cache) = _pooled_forward(encoder, head, token_ids, pooling)
-        loss, d_logits = cross_entropy(logits, target)
-        total += loss
-        grads, d_pooled = mlp_backward(head.params, mlp_cache, d_logits)
-        accumulate(head_grads, grads, scale)
-        if enc_grads is not None:
-            d_matrix = pool_span_backward(d_pooled, matrix, (0, matrix.shape[0]), pooling)
-            accumulate(enc_grads, encoder.backward(enc_cache, d_matrix), scale)
-    return total * scale, enc_grads, head_grads
+    spans = _spans(len(seq) for seq in seqs)
+    matrix, enc_cache = encode_batch(encoder, seqs)
+    pooled = pool_spans(matrix, spans, pooling)
+    logits, mlp_cache = mlp_forward(head.params, pooled[:, None, :])
+    losses, d_logits = cross_entropy(logits[:, 0], [target for _, target in items])
+    head_grads, d_pooled = mlp_backward(head.params, mlp_cache, d_logits[:, None, :], scale)
+    enc_grads = None
+    if enc_cache is not None:
+        d_matrix = pool_spans_backward(d_pooled[:, 0], matrix, spans, pooling)
+        enc_grads = encoder.backward(enc_cache, d_matrix, scale)
+    return sum(losses, 0.0) * scale, enc_grads, head_grads
 
 
 @dataclass

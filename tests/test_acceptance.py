@@ -364,12 +364,12 @@ def test_a5_gradients_vs_finite_differences(bundled, verdict):
 
         ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
 
-        def joint_total():
-            return joint_grads(model, ji, gold, claim.gold_label, weights, teacher_forcing=True)[0]
+        batch = [(ji, gold, claim.gold_label)]
 
-        _, _, _, _, ev_grads, v_grads = joint_grads(
-            model, ji, gold, claim.gold_label, weights, teacher_forcing=True
-        )
+        def joint_total():
+            return joint_grads(model, batch, weights, teacher_forcing=True)[0]
+
+        _, _, _, _, ev_grads, v_grads = joint_grads(model, batch, weights, teacher_forcing=True)
         worst = max(worst, _fd_check(model.evidence_head.params, joint_total, ev_grads))
         worst = max(worst, _fd_check(model.verdict_head.params, joint_total, v_grads))
 

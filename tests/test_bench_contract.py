@@ -32,8 +32,8 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_joint_training_counts(monkeypatch, corpus, claims):
-    """One ``joint.grads`` span per item trained, one ``encode.build_joint``
-    span per training claim."""
+    """One ``joint.grads`` and one ``encode.backward`` span per minibatch,
+    one ``encode.build_joint`` span per training claim."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
@@ -45,5 +45,6 @@ def test_traced_joint_training_counts(monkeypatch, corpus, claims):
     finally:
         tracer.uninstall()
     spans = list(tracer.span_name)
-    assert spans.count(tracer.names.index("joint.grads")) == hp.max_steps * hp.batch_size
+    assert spans.count(tracer.names.index("joint.grads")) == hp.max_steps
+    assert spans.count(tracer.names.index("encode.backward")) == hp.max_steps
     assert spans.count(tracer.names.index("encode.build_joint")) == len(claims) == 20

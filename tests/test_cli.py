@@ -217,6 +217,10 @@ class TestTrain:
             ("--w-entailment", "-1", "w_entailment"),
             ("--dim", "0", "dim"),
             ("--n-layers", "-1", "n_layers"),
+            ("--max-len", "-5", "max_len"),
+            ("--max-len", "2", "max_len"),
+            ("--threshold", "nan", "threshold"),
+            ("--threshold", "1.5", "threshold"),
         ],
     )
     def test_bad_hyperparameter_is_a_usage_error(self, tmp_path, capsys, flag, value, name):
@@ -369,6 +373,46 @@ class TestPredict:
         ])
         assert code == 2
         _one_line_error(capsys, "threshold", "high")
+
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1", "inf"])
+    def test_out_of_range_threshold_flag_is_a_usage_error(self, tmp_path, ckpts, capsys, value):
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpts["joint"]), "--out", str(out), "--threshold", value,
+        ])
+        assert code == 2
+        _one_line_error(capsys, "usage error", "threshold", value)
+        assert not out.exists()
+
+    def test_out_of_range_config_threshold_is_a_usage_error(self, tmp_path, ckpts, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "threshold": 1.5}))
+        code = main([
+            "predict", "--config", str(cfg), "--checkpoint", str(ckpts["pipeline"]),
+            "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        _one_line_error(capsys, "threshold", "1.5")
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, -0.5, "0.5", None])
+    def test_checkpoint_with_bad_threshold_is_a_data_error(
+        self, tmp_path, ckpts, capsys, system, value
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts[system], ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        config["threshold"] = value
+        (ckpt / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "error: threshold", repr(value))
+        assert not out.exists()
 
     def test_duplicate_claim_id_is_data_error(self, tmp_path, ckpts, capsys, duplicate_claims):
         out = tmp_path / "p.json"

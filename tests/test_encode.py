@@ -45,6 +45,39 @@ def _oracle_toy_backward(encoder, cache, d_out):
     return grads
 
 
+def _oracle_encode_with_cache(encoder, token_ids):
+    """``ToyEncoder.encode_with_cache`` as it stood for one sequence only,
+    copied verbatim apart from taking the encoder as an argument."""
+    encoder.encode_calls += 1
+    ids = np.asarray(token_ids, dtype=np.int64)
+    inputs: list[np.ndarray] = []
+    x = encoder._forward(ids, inputs=inputs)
+    return x, {"ids": ids, "inputs": inputs}
+
+
+def _oracle_pool_span_backward(
+    d_pooled: np.ndarray,
+    matrix: np.ndarray,
+    span: tuple[int, int],
+    mode: str = "mean",
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``pool_span_backward`` as it stood before pool backward was batched,
+    copied verbatim."""
+    start, end = span
+    grad = np.zeros_like(matrix) if out is None else out
+    if mode == "mean":
+        grad[start:end] += d_pooled / (end - start)
+    elif mode == "first":
+        grad[start] += d_pooled
+    elif mode == "max":
+        winners = matrix[start:end].argmax(axis=0)
+        grad[start + winners, np.arange(matrix.shape[1])] += d_pooled
+    else:
+        raise ValueError(f"unknown pooling mode '{mode}'")
+    return grad
+
+
 def _densify(grad, shape):
     """A row-sparse ``(rows, values)`` gradient scattered into zeros."""
     rows, values = grad

@@ -5,7 +5,7 @@ import pytest
 
 from ctrnli import joint
 from ctrnli.corpus import LABELS, ClaimInstance, PremiseDoc, gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span, pool_span_backward
+from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
 from ctrnli.errors import MissingGold
 from ctrnli.joint import (
     JointModel,
@@ -21,14 +21,22 @@ from ctrnli.nn import (
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    cross_entropy,
     mlp_forward,
     softmax,
-    zero_grads,
 )
 from ctrnli.pipeline import EVIDENCE_CLASS, select_evidence
-from test_encode import _oracle_toy_backward, assert_grads_equal
-from test_nn import _oracle_accumulate, _oracle_mlp_backward
+from test_encode import (
+    _oracle_encode_with_cache,
+    _oracle_pool_span_backward,
+    _oracle_toy_backward,
+    assert_grads_equal,
+)
+from test_nn import (
+    _oracle_accumulate,
+    _oracle_cross_entropy,
+    _oracle_mlp_backward,
+    _oracle_zero_grads,
+)
 from test_pipeline import _StubPretrained
 
 
@@ -165,7 +173,7 @@ class TestJointGrads:
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         total, l_ev, l_ent, *_ = joint_grads(
-            model, _packed(model, claim, premise), gold, claim.gold_label, teacher_forcing=False
+            model, [(_packed(model, claim, premise), gold, claim.gold_label)], teacher_forcing=False
         )
         out = forward_joint(claim, premise, model)
         assert total == pytest.approx(joint_loss(out, gold, claim.gold_label))
@@ -177,7 +185,7 @@ class TestJointGrads:
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         _, _, _, _, ev_grads, _ = joint_grads(
-            model, _packed(model, claim, premise), gold, claim.gold_label, weights=(0.0, 1.0)
+            model, [(_packed(model, claim, premise), gold, claim.gold_label)], weights=(0.0, 1.0)
         )
         for g in ev_grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -193,8 +201,8 @@ class TestJointGrads:
         # corrupt b's evidence head only
         for p in b.evidence_head.params.values():
             p += 10.0
-        _, _, l_ent_a, *_ = joint_grads(a, _packed(a, claim, premise), gold, claim.gold_label)
-        _, _, l_ent_b, *_ = joint_grads(b, _packed(b, claim, premise), gold, claim.gold_label)
+        _, _, l_ent_a, *_ = joint_grads(a, [(_packed(a, claim, premise), gold, claim.gold_label)])
+        _, _, l_ent_b, *_ = joint_grads(b, [(_packed(b, claim, premise), gold, claim.gold_label)])
         assert l_ent_a == pytest.approx(l_ent_b)
 
 
@@ -282,7 +290,7 @@ class TestGradientCheck:
             return joint_loss(out, gold, claim.gold_label, weights)
 
         *_, ev_grads, v_grads = joint_grads(
-            model, _packed(model, claim, premise), gold, claim.gold_label, weights,
+            model, [(_packed(model, claim, premise), gold, claim.gold_label)], weights,
             teacher_forcing=False,
         )
         # gating makes the loss piecewise; probe a few coordinates only and
@@ -306,8 +314,9 @@ class TestGradientCheck:
 # --- the joint gradient path before it shared the inference forward ----------
 # Copied verbatim apart from its name: a per-span pool_span list, one head
 # forward and backward per sentence, and a re-pack of (claim, premise) on
-# every call. It calls the one-vector head backward, dense accumulation and
-# dense toy-encoder backward of that time (the ``_oracle_*`` copies).
+# every call. It calls the one-sequence encoder cache and backward, one-span
+# pool backward, one-example cross-entropy, one-vector head backward and
+# dense accumulation of that time (the ``_oracle_*`` copies).
 
 
 def _oracle_joint_grads(
@@ -332,7 +341,7 @@ def _oracle_joint_grads(
     ji = build_joint_sequence(encoder.tokenizer, claim.text, premise, model.max_len)
     trainable = encoder.trainable
     if trainable:
-        matrix, enc_cache = encoder.encode_with_cache(ji.token_ids)
+        matrix, enc_cache = _oracle_encode_with_cache(encoder, ji.token_ids)
     else:
         matrix, enc_cache = encoder.encode(ji.token_ids), None
     d_matrix = np.zeros_like(matrix)
@@ -341,20 +350,20 @@ def _oracle_joint_grads(
     n_surv = len(sentence_vecs)
 
     # Evidence term: mean BCE over survivors.
-    ev_grads = zero_grads(model.evidence_head.params)
+    ev_grads = _oracle_zero_grads(model.evidence_head.params)
     evidence_loss = 0.0
     probs = []
     for i, vec in enumerate(sentence_vecs):
         logits, cache = mlp_forward(model.evidence_head.params, vec)
         probs.append(float(softmax(logits)[EVIDENCE_CLASS]))
         target = EVIDENCE_CLASS if i in gold_evidence else 1 - EVIDENCE_CLASS
-        loss, d_logits = cross_entropy(logits, target)
+        loss, d_logits = _oracle_cross_entropy(logits, target)
         evidence_loss += loss / n_surv
         grads, d_vec = _oracle_mlp_backward(
             model.evidence_head.params, cache, d_logits * (w_ev / n_surv)
         )
         _oracle_accumulate(ev_grads, grads)
-        pool_span_backward(d_vec, matrix, ji.span_map[i], pooling, out=d_matrix)
+        _oracle_pool_span_backward(d_vec, matrix, ji.span_map[i], pooling, out=d_matrix)
 
     # Verdict term over the pooled evidence summary.
     if teacher_forcing:
@@ -368,10 +377,10 @@ def _oracle_joint_grads(
     else:
         summary = np.zeros(encoder.dim)
     logits, cache = mlp_forward(model.verdict_head.params, summary)
-    verdict_loss, d_logits = cross_entropy(logits, LABELS.index(gold_label))
+    verdict_loss, d_logits = _oracle_cross_entropy(logits, LABELS.index(gold_label))
     v_grads, d_summary = _oracle_mlp_backward(model.verdict_head.params, cache, d_logits * w_ent)
     for i in pool_set:
-        pool_span_backward(
+        _oracle_pool_span_backward(
             d_summary / len(pool_set), matrix, ji.span_map[i], pooling, out=d_matrix
         )
 
@@ -407,7 +416,7 @@ class TestJointGradsMatchOldPath:
             model.max_len = _survivor_budgets(model.encoder.tokenizer, claim, premise)[budget]
             ji = _packed(model, claim, premise)
             seen_types.add(claim.claim_type)
-            new = joint_grads(model, ji, gold, claim.gold_label, weights, teacher_forcing)
+            new = joint_grads(model, [(ji, gold, claim.gold_label)], weights, teacher_forcing)
             old = _oracle_joint_grads(
                 model, claim, premise, gold, claim.gold_label, weights, teacher_forcing
             )

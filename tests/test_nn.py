@@ -10,13 +10,11 @@ from ctrnli.nn import (
     Hyperparams,
     SgdwOptimizer,
     WarmupLinearSchedule,
-    accumulate,
     cross_entropy,
     minibatches,
     mlp_backward,
     mlp_forward,
     softmax,
-    zero_grads,
 )
 
 
@@ -33,6 +31,35 @@ def _oracle_mlp_backward(params: dict, cache, d_logits: np.ndarray):
     grads["b1"] = d_z1
     d_x = params["W1"] @ d_z1
     return grads, d_x
+
+
+def _oracle_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    """``cross_entropy`` as it stood for one example only, copied verbatim."""
+    probs = softmax(logits)
+    loss = -float(np.log(max(probs[target], 1e-300)))
+    d_logits = probs.copy()
+    d_logits[target] -= 1.0
+    return loss, d_logits
+
+
+class _OracleSgdwOptimizer(SgdwOptimizer):
+    """``SgdwOptimizer`` with its step as it stood for dense gradients and
+    fresh temporaries, copied verbatim."""
+
+    def step(self, param_groups: list[dict], grad_groups: list[dict]) -> float:
+        lr = self.schedule.lr(self.step_count)
+        for params, grads in zip(param_groups, grad_groups):
+            for name, p in params.items():
+                p -= lr * grads[name]
+                if self.weight_decay and not name.startswith("b"):
+                    p -= lr * self.weight_decay * p
+        self.step_count += 1
+        return lr
+
+
+def _oracle_zero_grads(params: dict) -> dict:
+    """``zero_grads`` as it stood beside the per-item training loops, copied verbatim."""
+    return {name: np.zeros_like(p) for name, p in params.items()}
 
 
 def _oracle_accumulate(into: dict, grads: dict, scale: float = 1.0) -> None:
@@ -86,6 +113,20 @@ class TestCrossEntropy:
     def test_uniform_probs_loss(self):
         loss, _ = cross_entropy(np.zeros(2), 0)
         assert loss == pytest.approx(np.log(2.0))
+
+    def test_stack_matches_one_example_bitwise(self):
+        """Each row of a [B, C] stack gets the loss and gradient of the
+        one-example call as it stood, including a probability that underflows."""
+        rng = np.random.default_rng(6)
+        logits = rng.normal(size=(40, 2)) * rng.choice([1e-3, 1.0, 30.0], size=(40, 1))
+        logits[0] = [800.0, -800.0]
+        targets = rng.integers(0, 2, size=40)
+        targets[0] = 1
+        losses, d_logits = cross_entropy(logits, targets)
+        for row, target, loss, d in zip(logits, targets, losses, d_logits):
+            old_loss, old_d = _oracle_cross_entropy(row, int(target))
+            assert loss == old_loss
+            assert np.array_equal(d, old_d)
 
 
 class TestMlp:
@@ -148,7 +189,7 @@ class TestMlp:
             d_logits = rng.normal(size=(n, 1, 2))
             _, cache = mlp_forward(head.params, xs)
             grads, d_x = mlp_backward(head.params, cache, d_logits)
-            expected = zero_grads(head.params)
+            expected = _oracle_zero_grads(head.params)
             assert d_x.shape == (n, 1, 16)
             for i in range(n):
                 _, row_cache = mlp_forward(head.params, xs[i, 0])
@@ -215,31 +256,41 @@ class TestOptimizer:
         np.testing.assert_allclose(params["W1"], [-2.0, 4.0, -1.0])
         assert opt.step_count == 1
 
-    def test_zero_grads_and_accumulate(self):
-        params = {"W": np.ones((2, 2)), "b": np.ones(2)}
-        acc = zero_grads(params)
-        accumulate(acc, {"W": np.ones((2, 2)), "b": np.ones(2)}, scale=0.5)
-        accumulate(acc, {"W": np.ones((2, 2)), "b": np.ones(2)}, scale=0.5)
-        np.testing.assert_allclose(acc["W"], np.ones((2, 2)))
-        np.testing.assert_allclose(acc["b"], np.ones(2))
-
-    def test_accumulate_row_sparse_matches_dense(self):
-        """A (rows, values) pair adds like its dense scatter, also when two
-        calls touch the same rows and with a scale."""
+    def test_row_sparse_step_matches_dense(self):
+        """A (rows, values) gradient steps like its dense scatter, bit for bit,
+        with weight decay and over several steps that touch the same rows."""
         rng = np.random.default_rng(4)
-        params = {"emb": np.ones((10, 3)), "b": np.ones(3)}
-        sparse, dense = zero_grads(params), zero_grads(params)
-        for rows, scale in (([1, 4, 7], 0.3), ([0, 4, 9], 1.0), ([4, 7], 1.0 / 3.0)):
+        sparse_params = {"emb": rng.normal(size=(10, 3)), "b": rng.normal(size=3)}
+        dense_params = {name: p.copy() for name, p in sparse_params.items()}
+        sched = WarmupLinearSchedule(base_lr=0.7, total_steps=3, warmup_rate=0.5)
+        sparse_opt = SgdwOptimizer(schedule=sched, weight_decay=0.01)
+        dense_opt = SgdwOptimizer(schedule=sched, weight_decay=0.01)
+        for rows in ([1, 4, 7], [0, 4, 9], [4, 7]):
             rows = np.array(rows)
             values = rng.normal(size=(len(rows), 3))
             b = rng.normal(size=3)
-            accumulate(sparse, {"emb": (rows, values), "b": b}, scale)
             scattered = np.zeros((10, 3))
             scattered[rows] = values
-            _oracle_accumulate(dense, {"emb": scattered, "b": b}, scale)
-        assert np.array_equal(sparse["emb"], dense["emb"])
-        assert np.array_equal(sparse["b"], dense["b"])
-        assert not sparse["emb"][[2, 3, 5, 6, 8]].any()
+            sparse_opt.step([sparse_params], [{"emb": (rows, values), "b": b}])
+            dense_opt.step([dense_params], [{"emb": scattered, "b": b}])
+            assert np.array_equal(sparse_params["emb"], dense_params["emb"])
+            assert np.array_equal(sparse_params["b"], dense_params["b"])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_matches_old_step_bitwise(self, weight_decay):
+        """The reused-buffer products give the bits of the step that computed
+        ``lr * g`` and ``lr * wd * p`` into fresh temporaries, step after step."""
+        rng = np.random.default_rng(8)
+        params = {"W1": rng.normal(size=(5, 4)), "b1": rng.normal(size=4)}
+        expected = {name: p.copy() for name, p in params.items()}
+        sched = WarmupLinearSchedule(base_lr=0.3, total_steps=6, warmup_rate=0.3)
+        opt = SgdwOptimizer(schedule=sched, weight_decay=weight_decay)
+        oracle = _OracleSgdwOptimizer(schedule=sched, weight_decay=weight_decay)
+        for step in range(6):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            assert opt.step([params], [grads]) == oracle.step([expected], [grads])
+            for name in params:
+                assert np.array_equal(params[name], expected[name]), (step, name)
 
 
 class TestHyperparams:

@@ -15,12 +15,21 @@ from ctrnli.encode import (
     TokenSeq,
     ToyEncoder,
     build_joint_sequence,
+    encode_batch,
+    pool_spans_backward,
 )
 from ctrnli.ensemble import EnsembleConfig, combine, postprocess_evidence
 from ctrnli.errors import EmptyText
 from ctrnli.metrics import GoldClaim, evidence_metrics
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
-from test_encode import _densify, _oracle_toy_backward, assert_grads_equal
+from test_encode import (
+    _densify,
+    _oracle_encode_with_cache,
+    _oracle_pool_span_backward,
+    _oracle_toy_backward,
+    assert_grads_equal,
+)
+from test_nn import _oracle_accumulate, _oracle_zero_grads
 
 probs_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
@@ -178,6 +187,75 @@ class TestRowSparseEmbeddingGrad:
         assert rows.tolist() == sorted(set(ids))
         assert np.array_equal(_densify((rows, values), expected["emb"].shape), expected["emb"])
         assert_grads_equal(grads, expected)  # the dense layer grads too
+
+
+# The fixture's width: at 32 columns BLAS picks another kernel for a product
+# with the transposed weight below 38 rows, so a product over several
+# sequences' rows at once would round differently from one per sequence.
+_WIDE_ENCODER = ToyEncoder(vocab_size=64, dim=32, seed=6)
+
+
+class TestBatchedBackward:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=70),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example([[7]], 0)  # a batch of one token
+    @example([[3, 9, 3], [9, 9, 4], [3]], 1)  # ids repeated within and across sequences
+    @example([[5] * 37, [6] * 38, [5, 6] * 20], 2)  # lengths straddling 38 rows
+    @example([[1, 2, 3], [2] * 12, [4, 2] * 9, [2, 8]], 3)  # short sequences, 39 rows in all
+    def test_equals_scaled_sum_of_per_sequence_backwards(self, seqs, seed):
+        """One batched backward == the per-sequence oracle backwards, each
+        scaled by 1/B and added into zeros in sequence order, bit for bit."""
+        enc = _WIDE_ENCODER
+        rng = np.random.default_rng(seed)
+        scale = 1.0 / len(seqs)
+        d_outs = [rng.normal(size=(len(seq), enc.dim)) for seq in seqs]
+        matrix, cache = encode_batch(enc, seqs)
+        grads = enc.backward(cache, np.concatenate(d_outs), scale)
+        expected = _oracle_zero_grads(enc.params)
+        for seq, d_out in zip(seqs, d_outs):
+            rows, seq_cache = _oracle_encode_with_cache(enc, seq)
+            assert np.array_equal(matrix[: len(seq)], rows)
+            matrix = matrix[len(seq) :]
+            _oracle_accumulate(expected, _oracle_toy_backward(enc, seq_cache, d_out), scale)
+        assert grads["emb"][0].tolist() == sorted({i for seq in seqs for i in seq})
+        assert_grads_equal(grads, expected)
+
+
+class TestPoolSpansBackward:
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=0, max_size=8),
+        st.sampled_from(["mean", "first", "max"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example([(0, 3), (0, 1), (2, 4)], "max", 0)
+    def test_equals_per_span_loop(self, gaps_and_lengths, mode, seed):
+        """Spans separated by ``gap`` rows; values from a few levels, so max
+        pooling meets ties, which go to the first row as argmax sends them."""
+        spans, end = [], 0
+        for gap, length in gaps_and_lengths:
+            spans.append((end + gap, end + gap + length))
+            end += gap + length
+        rng = np.random.default_rng(seed)
+        matrix = rng.integers(-2, 3, size=(end + 2, 5)).astype(float)
+        d_pooled = rng.normal(size=(len(spans), 5))
+        expected = np.zeros_like(matrix)
+        for d, span in zip(d_pooled, spans):
+            _oracle_pool_span_backward(d, matrix, span, mode, out=expected)
+        assert np.array_equal(pool_spans_backward(d_pooled, matrix, spans, mode), expected)
+        # and added in place into a gradient that is already there
+        acc = rng.normal(size=matrix.shape)
+        expected = acc.copy()
+        for d, span in zip(d_pooled, spans):
+            _oracle_pool_span_backward(d, matrix, span, mode, out=expected)
+        assert pool_spans_backward(d_pooled, matrix, spans, mode, out=acc) is acc
+        assert np.array_equal(acc, expected)
 
 
 class TestNormalize:

@@ -5,37 +5,44 @@ before training became one code path, copied verbatim apart from their
 names; the joint loop calls the joint gradient path as it stood then
 (``test_joint._oracle_joint_grads``), and the pipeline loop the per-item
 gradients of that time with their dense embedding gradient and one-vector
-head backward (``_oracle_sequence_classification_grads``). Every parameter
-and every loss value must match bit for bit, with a trainable toy encoder
-and with a frozen (``trainable=False``) encoder.
+head backward (``_oracle_sequence_classification_grads``). The helpers they
+call are parent copies too (the ``_oracle_*`` functions: one-sequence
+encoder cache and backward, one-span pool backward, one-example
+cross-entropy, dense accumulation and the optimizer step), so the training
+code under test never checks itself. Every parameter and every loss value
+must match bit for bit, with a trainable toy encoder and with a frozen
+(``trainable=False``) encoder.
 """
 
 import numpy as np
 import pytest
 
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder, pool_span_backward
+from ctrnli.encode import ToyEncoder, pool_span
 from ctrnli.joint import JointModel, train_joint
 from ctrnli.nn import (
     EntailmentHead,
     EvidenceHead,
     Hyperparams,
-    SgdwOptimizer,
     WarmupLinearSchedule,
-    cross_entropy,
     minibatches,
-    zero_grads,
+    mlp_forward,
 )
 from ctrnli.pipeline import (
-    _pooled_forward,
     entailment_training_items,
     evidence_training_items,
     train_entailment_model,
     train_evidence_model,
 )
-from test_encode import _oracle_toy_backward
+from test_encode import _oracle_encode_with_cache, _oracle_pool_span_backward, _oracle_toy_backward
 from test_joint import _oracle_joint_grads
-from test_nn import _oracle_accumulate, _oracle_mlp_backward
+from test_nn import (
+    _oracle_accumulate,
+    _oracle_cross_entropy,
+    _oracle_mlp_backward,
+    _OracleSgdwOptimizer,
+    _oracle_zero_grads,
+)
 from test_pipeline import _StubPretrained
 
 HP = Hyperparams(
@@ -43,26 +50,39 @@ HP = Hyperparams(
 )
 
 
+def _oracle_pooled_forward(encoder, head, token_ids, pooling: str):
+    matrix, cache = (
+        _oracle_encode_with_cache(encoder, token_ids)
+        if encoder.trainable
+        else (encoder.encode(token_ids), None)
+    )
+    pooled = pool_span(matrix, (0, matrix.shape[0]), mode=pooling)
+    logits, mlp_cache = mlp_forward(head.params, pooled)
+    return logits, (matrix, cache, mlp_cache)
+
+
 def _oracle_sequence_classification_grads(encoder, head, items, pooling="mean"):
-    head_grads = zero_grads(head.params)
-    enc_grads = zero_grads(encoder.params) if encoder.trainable else None
+    head_grads = _oracle_zero_grads(head.params)
+    enc_grads = _oracle_zero_grads(encoder.params) if encoder.trainable else None
     total = 0.0
     scale = 1.0 / len(items)
     for token_ids, target in items:
-        logits, (matrix, enc_cache, mlp_cache) = _pooled_forward(encoder, head, token_ids, pooling)
-        loss, d_logits = cross_entropy(logits, target)
+        logits, (matrix, enc_cache, mlp_cache) = _oracle_pooled_forward(
+            encoder, head, token_ids, pooling
+        )
+        loss, d_logits = _oracle_cross_entropy(logits, target)
         total += loss
         grads, d_pooled = _oracle_mlp_backward(head.params, mlp_cache, d_logits)
         _oracle_accumulate(head_grads, grads, scale)
         if enc_grads is not None:
-            d_matrix = pool_span_backward(d_pooled, matrix, (0, matrix.shape[0]), pooling)
+            d_matrix = _oracle_pool_span_backward(d_pooled, matrix, (0, matrix.shape[0]), pooling)
             _oracle_accumulate(enc_grads, _oracle_toy_backward(encoder, enc_cache, d_matrix), scale)
     return total * scale, enc_grads, head_grads
 
 
 def _oracle_run_training(encoder, head, items, hp, shuffle_rng, pooling="mean"):
     schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(items)), hp.warmup_rate)
-    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    optimizer = _OracleSgdwOptimizer(schedule, weight_decay=hp.weight_decay)
     groups = [head.params] + ([encoder.params] if encoder.trainable else [])
     curve = []
     for batch_idx in minibatches(len(items), hp, shuffle_rng):
@@ -105,7 +125,7 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
     hp = hyperparams
     weights = (hp.w_evidence, hp.w_entailment)
     schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(len(examples)), hp.warmup_rate)
-    optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
+    optimizer = _OracleSgdwOptimizer(schedule, weight_decay=hp.weight_decay)
     groups = [model.evidence_head.params, model.verdict_head.params]
     if encoder.trainable:
         groups.append(encoder.params)
@@ -114,7 +134,7 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
     rng = np.random.default_rng(shuffle_seed)
     for batch_idx in minibatches(len(examples), hp, rng):
         scale = 1.0 / len(batch_idx)
-        batch_grads = [zero_grads(g) for g in groups]
+        batch_grads = [_oracle_zero_grads(g) for g in groups]
         totals = np.zeros(3)
         for idx in batch_idx:
             claim, premise, gold, label = examples[idx]
