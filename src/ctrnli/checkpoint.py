@@ -208,8 +208,8 @@ def load_pipeline_model(path: str | Path) -> PipelineModel:
 def _pipeline_from(config: dict, tensors: Mapping[str, np.ndarray]) -> PipelineModel:
     ev_encoder = _rebuild_encoder(config["evidence_encoder"])
     ent_encoder = _rebuild_encoder(config["entailment_encoder"])
-    ev_head = EvidenceHead.create(ev_encoder.dim, n_classes=2)
-    ent_head = EntailmentHead.create(ent_encoder.dim, n_classes=2)
+    ev_head = EvidenceHead.create(ev_encoder.dim)
+    ent_head = EntailmentHead.create(ent_encoder.dim)
     if ev_encoder.trainable:
         _load_params_into(
             ev_encoder.params, _split_namespace(tensors, "evidence.encoder."), "evidence.encoder"
@@ -263,8 +263,8 @@ def load_joint_model(path: str | Path) -> JointModel:
 
 def _joint_from(config: dict, tensors: Mapping[str, np.ndarray]) -> JointModel:
     encoder = _rebuild_encoder(config["encoder"])
-    ev_head = EvidenceHead.create(encoder.dim, n_classes=2)
-    v_head = EntailmentHead.create(encoder.dim, n_classes=2)
+    ev_head = EvidenceHead.create(encoder.dim)
+    v_head = EntailmentHead.create(encoder.dim)
     if encoder.trainable:
         _load_params_into(encoder.params, _split_namespace(tensors, "encoder."), "encoder")
     _load_params_into(

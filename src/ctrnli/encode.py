@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import unicodedata
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -96,14 +97,18 @@ class HashingTokenizer:
     [2, vocab_size). Hashing uses blake2b so ids are stable across processes
     and platforms.
 
-    Each instance memoizes word -> id, so a word is hashed once per
-    tokenizer. The memo is per word, not per text, because sentence texts
-    rarely repeat while words always do. Predicting 500 claims over a
-    synthetic corpus of 32k distinct sentences sends about 43k distinct texts
-    through the three tokenizers of a pipeline and a joint model: a text
-    cache would hold some 15 MB of id tuples (more once it also pins texts of
-    corpora loaded earlier), while each word memo holds 20k words in under
-    2 MB.
+    Each instance memoizes word -> id, so a word is hashed once, and raw
+    text -> id tuple, so a text is normalized, split and looked up once per
+    tokenizer. Claims are judged against shared trial sections, so texts
+    recur: on the bench's shared-trials-predict workload the text memo makes
+    prediction some 15 % faster. It costs memory for the life of the
+    tokenizer: scaled-predict sends about 43k distinct texts through the
+    three tokenizers of a pipeline and a joint model, and its peak RSS rose
+    by 1.6 MB (75.7 -> 77.3 MB). Two variants of the memo cost more there.
+    A dict subclass holding a bound method of its tokenizer forms a
+    reference cycle, so every model reloaded in a process keeps its memo
+    until the cyclic garbage collector runs (86-88 MB). Storing ``TokenSeq``
+    objects instead of bare tuples read 81 MB and was no faster.
     """
 
     def __init__(self, vocab_size: int = 1024):
@@ -112,12 +117,18 @@ class HashingTokenizer:
         self.vocab_size = vocab_size
         self.sep_id = SEP_ID
         self._ids = _WordIds(vocab_size)
+        self._texts: dict[str, tuple[int, ...]] = {}
 
     def tokenize(self, text: str) -> TokenSeq:
-        words = normalize_text(text).lower().split()
-        if not words:
-            raise EmptyText(f"nothing to tokenize in {text!r}")
-        return TokenSeq(tuple(map(self._ids.__getitem__, words)))
+        ids = self._texts.get(text)
+        if ids is None:
+            # the same words as normalize_text(text).lower().split(): lower()
+            # turns no code point into whitespace or out of it
+            words = unicodedata.normalize("NFC", text).lower().split()
+            if not words:
+                raise EmptyText(f"nothing to tokenize in {text!r}")
+            ids = self._texts[text] = tuple(map(self._ids.__getitem__, words))
+        return TokenSeq(ids)
 
 
 # --- sequence builders --------------------------------------------------------

@@ -282,8 +282,8 @@ def train_joint(
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
     model = JointModel(
         encoder=encoder,
-        evidence_head=EvidenceHead.create(encoder.dim, n_classes=2, seed=ev_seed),
-        verdict_head=EntailmentHead.create(encoder.dim, n_classes=2, seed=v_seed),
+        evidence_head=EvidenceHead.create(encoder.dim, seed=ev_seed),
+        verdict_head=EntailmentHead.create(encoder.dim, seed=v_seed),
         max_len=max_len,
         threshold=threshold,
         pooling=pooling,

@@ -97,15 +97,15 @@ def padded(rows: np.ndarray, lengths) -> np.ndarray:
 
 @dataclass
 class ClassifierHead:
-    """A 2-layer MLP head producing class logits from one pooled vector."""
+    """A 2-layer MLP head producing two class logits from one pooled vector."""
 
     params: dict
 
     @classmethod
-    def create(cls, dim: int, n_classes: int = 2, hidden: int | None = None, seed: int = 0):
+    def create(cls, dim: int, hidden: int | None = None, seed: int = 0):
         rng = np.random.default_rng(seed)
         hidden = hidden or dim
-        return cls(params=init_mlp(rng, dim, hidden, n_classes))
+        return cls(params=init_mlp(rng, dim, hidden, 2))
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         out, _ = mlp_forward(self.params, x)

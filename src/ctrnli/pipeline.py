@@ -250,7 +250,7 @@ def _train_stage(salt: int, head_cls, hp: Hyperparams, pooling: str, encoder_fac
     a two-class ``head_cls``, and ``make_items(tokenizer)`` as the data."""
     enc_seed, head_seed, shuffle_seed = np.random.SeedSequence([salt, hp.seed]).spawn(3)
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
-    head = head_cls.create(encoder.dim, n_classes=2, seed=head_seed)
+    head = head_cls.create(encoder.dim, seed=head_seed)
     items = make_items(encoder.tokenizer)
     groups = [head.params] + ([encoder.params] if encoder.trainable else [])
 

@@ -4,13 +4,17 @@
 imports a wrapped function, so removing or renaming one of those names in
 ``src/`` makes ``bench/run.py --trace 1`` fail at start-up. Installing and
 uninstalling a tracer here catches that in the fast suite, and a short
-traced joint training run checks that the spans still follow the calls a
-signature change could hide from them; nothing under ``bench/`` is modified.
+traced joint training run and a traced prediction pass check that the spans
+still follow the calls a signature change or a cache could hide from them;
+nothing under ``bench/`` is modified.
 """
 
 from pathlib import Path
 
-from ctrnli import Hyperparams, joint, nn, pipeline
+from ctrnli import Hyperparams, JointModel, PipelineModel, joint, nn, pipeline
+from ctrnli.corpus import resolve_premise
+from ctrnli.encode import HashingTokenizer, ToyEncoder, build_joint_sequence
+from ctrnli.nn import EntailmentHead, EvidenceHead
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,3 +52,47 @@ def test_traced_joint_training_counts(monkeypatch, corpus, claims):
     assert spans.count(tracer.names.index("joint.grads")) == hp.max_steps
     assert spans.count(tracer.names.index("encode.backward")) == hp.max_steps
     assert spans.count(tracer.names.index("encode.build_joint")) == len(claims) == 20
+
+
+def test_traced_prediction_spans_every_tokenize_call(monkeypatch, corpus, claims):
+    """One ``encode.tokenize`` span for every text the sequence builders
+    tokenize, memo hits included, so ``encode.tokenize_calls`` and
+    ``encode.repeat_text_share`` keep counting calls, not distinct texts.
+
+    Every claim is predicted twice, so the second pass is all memo hits. The
+    joint packer tokenizes the claim, each surviving sentence and the first
+    sentence that overflows; the pipeline tokenizes the claim and every
+    sentence to score them, then the claim and the selected evidence again.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    joint_model = JointModel(
+        ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8), max_len=48
+    )
+    pipeline_model = PipelineModel(
+        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8)
+    )
+    twice = claims + claims
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for claim in twice:
+            joint.predict_joint(claim, corpus, joint_model)
+        joint_spans = list(tracer.span_name).count(tracer.names.index("encode.tokenize"))
+        pipeline_preds = [pipeline.predict_pipeline(c, corpus, pipeline_model) for c in twice]
+    finally:
+        tracer.uninstall()
+    pipeline_spans = list(tracer.span_name).count(tracer.names.index("encode.tokenize"))
+    pipeline_spans -= joint_spans
+
+    expected_joint = expected_pipeline = truncated = 0
+    for claim, pipeline_pred in zip(twice, pipeline_preds):
+        premise = resolve_premise(claim, corpus)
+        packed = build_joint_sequence(HashingTokenizer(64), claim.text, premise, 48)
+        expected_joint += 1 + len(packed.span_map) + bool(packed.dropped_sentences)
+        truncated += bool(packed.dropped_sentences)
+        expected_pipeline += (1 + premise.n) + (1 + len(pipeline_pred.selected))
+    assert 0 < truncated < len(twice)
+    assert joint_spans == expected_joint
+    assert pipeline_spans == expected_pipeline

@@ -12,7 +12,7 @@ from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_
 from ctrnli.cli import main
 from ctrnli.ensemble import load_predictions
 from ctrnli.errors import BadCheckpoint
-from ctrnli.nn import EntailmentHead
+from ctrnli.nn import EntailmentHead, init_mlp
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 CORPUS = str(FIXTURE / "corpus.json")
@@ -276,8 +276,9 @@ class TestPredict:
         assert not (tmp_path / "p.json").exists()
 
     def test_three_class_verdict_head_is_refused(self, tmp_path, joint_model, capsys):
+        dim = joint_model.encoder.dim
         wide = dataclasses.replace(
-            joint_model, verdict_head=EntailmentHead.create(joint_model.encoder.dim, n_classes=3)
+            joint_model, verdict_head=EntailmentHead(params=init_mlp(np.random.default_rng(0), dim, dim, 3))
         )
         save_joint_model(wide, tmp_path / "ckpt")
         with pytest.raises(BadCheckpoint, match="verdict_head"):

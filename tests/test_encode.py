@@ -1,9 +1,14 @@
 """Tokenizer, sequence builders, span pooling, and the toy encoder."""
 
+import gc
 import hashlib
+import unicodedata
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrnli.corpus import PremiseDoc, PremiseSentence
 from ctrnli.encode import (
@@ -104,6 +109,25 @@ def assert_grads_equal(new: dict, old: dict):
             assert np.array_equal(grad, dense), name
 
 
+def _oracle_words(text: str) -> list[str]:
+    """The words ``HashingTokenizer`` hashed before its text memo, copied
+    verbatim: ``normalize_text(text).lower().split()``, with the body of
+    ``corpus.normalize_text`` inlined."""
+    return " ".join(unicodedata.normalize("NFC", text).split()).lower().split()
+
+
+# whitespace that str.split() knows (tab, NBSP, U+2028, ideographic space),
+# combining marks, precomposed letters, mixed case and letters whose lower
+# case depends on context (final sigma) or grows (dotted capital I)
+_TEXTS = st.text(
+    alphabet=st.sampled_from(
+        list("aBcDeΣσς\t\n ") + ["\xa0", "\u2028", "\u3000", "\u0301", "\u0327", "é", "É",
+                                "İ", "ß", "ǅ", "'"]
+    ),
+    max_size=24,
+)
+
+
 def _premise(*lengths: int) -> PremiseDoc:
     """A premise whose i-th sentence has ``lengths[i]`` words."""
     sentences = tuple(
@@ -157,6 +181,96 @@ class TestHashingTokenizer:
             expected = tuple(self._formula(w, tok.vocab_size) for w in words.split())
             assert tok.tokenize(words).token_ids == expected
         assert small.tokenize(words) != large.tokenize(words)
+
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_text_memo_matches_the_unmemoized_formula(self, texts):
+        """A fresh tokenizer, a memo hit and the parent's normalize-then-lower
+        words hashed with blake2b give the same ids; text without words
+        raises on every call, so a failure is never memoized."""
+        shared = HashingTokenizer(97)
+        for text in texts:
+            words = _oracle_words(text)
+            if not words:
+                for tok in (HashingTokenizer(97), shared, shared):
+                    with pytest.raises(EmptyText):
+                        tok.tokenize(text)
+                continue
+            expected = tuple(self._formula(w, 97) for w in words)
+            assert HashingTokenizer(97).tokenize(text).token_ids == expected
+            assert shared.tokenize(text).token_ids == expected  # a miss, or a hit on a repeat
+            assert shared.tokenize(text).token_ids == expected  # a hit
+
+
+class TestTextMemoLifetime:
+    """A tokenizer's text memo dies with its last reference, without the
+    cyclic garbage collector: a memo that points back at its owner (say, a
+    dict holding a bound method of the tokenizer) would keep every model
+    reloaded in a process alive until the next collection."""
+
+    @staticmethod
+    def _freed_without_collection(make):
+        """Whether every object ``make()`` returns is gone once the returned
+        list, their last reference, is dropped."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = [weakref.ref(obj) for obj in make()]
+            return all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_tokenizer(self):
+        def make():
+            tok = HashingTokenizer(97)
+            tok.tokenize("Median survival was 14 months")
+            return [tok]
+
+        assert self._freed_without_collection(make)
+
+    def test_toy_encoder(self):
+        def make():
+            encoder = ToyEncoder(vocab_size=64, dim=8)
+            encoder.encode(encoder.tokenize("median survival").token_ids)
+            return [encoder, encoder.tokenizer]
+
+        assert self._freed_without_collection(make)
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_loaded_model(self, system, tmp_path, corpus, claims):
+        from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
+        from ctrnli.joint import JointModel, predict_joint
+        from ctrnli.nn import EntailmentHead, EvidenceHead
+        from ctrnli.pipeline import PipelineModel, predict_pipeline
+
+        if system == "pipeline":
+            save_pipeline_model(
+                PipelineModel(
+                    ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8),
+                    EntailmentHead.create(8),
+                ),
+                tmp_path / "ckpt",
+            )
+        else:
+            save_joint_model(
+                JointModel(ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8)),
+                tmp_path / "ckpt",
+            )
+        predict = predict_pipeline if system == "pipeline" else predict_joint
+
+        def make():
+            loaded, model = load_any_model(tmp_path / "ckpt")
+            assert loaded == system
+            for claim in claims[:4]:
+                predict(claim, corpus, model)
+            if system == "pipeline":
+                encoders = [model.evidence_encoder, model.entailment_encoder]
+            else:
+                encoders = [model.encoder]
+            return [model, *encoders, *(encoder.tokenizer for encoder in encoders)]
+
+        assert self._freed_without_collection(make)
 
 
 class _WordTokenizer:

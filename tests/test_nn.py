@@ -11,6 +11,7 @@ from ctrnli.nn import (
     SgdwOptimizer,
     WarmupLinearSchedule,
     cross_entropy,
+    init_mlp,
     minibatches,
     mlp_backward,
     mlp_forward,
@@ -132,7 +133,7 @@ class TestCrossEntropy:
 class TestMlp:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        head = ClassifierHead.create(dim=5, n_classes=3, seed=9)
+        head = ClassifierHead(params=init_mlp(np.random.default_rng(9), 5, 5, 3))
         x = rng.normal(size=5)
         d_logits = rng.normal(size=3)
 
@@ -212,7 +213,7 @@ class TestMlp:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
     def test_configurable_class_count(self):
-        head = EntailmentHead.create(dim=6, n_classes=3, seed=0)
+        head = EntailmentHead(params=init_mlp(np.random.default_rng(0), 6, 6, 3))
         assert head.logits(np.zeros(6)).shape == (3,)
 
 

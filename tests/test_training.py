@@ -99,7 +99,7 @@ def _oracle_run_training(encoder, head, items, hp, shuffle_rng, pooling="mean"):
 def _oracle_stage(salt, head_cls, make_items, hp, pooling, factory):
     enc_seed, head_seed, shuffle_seed = np.random.SeedSequence([salt, hp.seed]).spawn(3)
     encoder = factory(enc_seed)
-    head = head_cls.create(encoder.dim, n_classes=2, seed=head_seed)
+    head = head_cls.create(encoder.dim, seed=head_seed)
     items = make_items(encoder.tokenizer)
     curve = _oracle_run_training(
         encoder, head, items, hp, np.random.default_rng(shuffle_seed), pooling
@@ -113,8 +113,8 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
     encoder = factory(enc_seed)
     model = JointModel(
         encoder=encoder,
-        evidence_head=EvidenceHead.create(encoder.dim, n_classes=2, seed=ev_seed),
-        verdict_head=EntailmentHead.create(encoder.dim, n_classes=2, seed=v_seed),
+        evidence_head=EvidenceHead.create(encoder.dim, seed=ev_seed),
+        verdict_head=EntailmentHead.create(encoder.dim, seed=v_seed),
         pooling=pooling,
     )
     examples = []
