@@ -16,6 +16,10 @@ The matrix, for both systems unless noted:
 - ``readme-{mean,max,first}``: the README recipe (learning rate 0.2, no
   weight decay, batch 16, 300 pipeline / 400 joint steps) at each pooling;
 - ``small-{mean,max,first}``: batch 3, weight decay 0.01, 120 steps;
+- ``truncated``: the small setting (mean pooling) at a ``--max-len`` that
+  cuts inputs: 16 for the pipeline, which cuts 26 of the fixture's 96
+  evidence pairs, and 40 for the joint, which drops sentences from 7 of its
+  20 premises and never all of one;
 - ``predicted`` (pipeline only): the small setting with the entailment stage
   trained on predicted evidence.
 """
@@ -38,6 +42,7 @@ README = ["--seed", "0", "--learning-rate", "0.2", "--weight-decay", "0", "--epo
           "--batch-size", "16"]
 SMALL = ["--seed", "0", "--learning-rate", "0.2", "--weight-decay", "0.01", "--epochs", "999",
          "--batch-size", "3", "--max-steps", "120"]
+TRUNCATED_MAX_LEN = {"pipeline": "16", "joint": "40"}
 
 
 def runs():
@@ -48,6 +53,7 @@ def runs():
         for pooling in ("mean", "max", "first"):
             yield f"readme-{pooling}", system, [*README, "--max-steps", steps, "--pooling", pooling]
             yield f"small-{pooling}", system, [*SMALL, "--pooling", pooling]
+        yield "truncated", system, [*SMALL, "--max-len", TRUNCATED_MAX_LEN[system]]
     yield "predicted", "pipeline", [*SMALL, "--evidence-source", "predicted"]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import PremiseDoc, normalize_text
 from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, EmptySpan, EmptyText
-from .nn import padded, scaled_sum
+from .nn import scaled_sum
 
 PAD_ID = 0
 SEP_ID = 1
@@ -342,6 +342,17 @@ def _smooth(x: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
+def _segment_sums(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """``np.add.at(np.zeros((n, D)), index, rows)`` as one ``np.bincount``
+    over ``index * D + column``, which adds each value into its zeroed bin in
+    input order: every cell gets the scatter's bits, ``-0.0`` included, but
+    where two different NaNs meet the scatter keeps the later one's bits and
+    this the earlier one's. (``np.add.reduceat`` does not add in order.)"""
+    dim = rows.shape[1]
+    flat = (index[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * dim).reshape(n, dim)
+
+
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """``x @ weight + bias`` with each row rounded the same at any row count.
 
@@ -438,36 +449,41 @@ class ToyEncoder:
 
         Returns the sum over the sequences, in order, of ``scale`` times each
         one's gradient, bit for bit what a loop of one-sequence backwards
-        adding ``scale * grad`` into zeroed buffers gives. Weight gradients
-        come from one zero-padded ``[B, D, T] @ [B, T, D]`` product. The
-        embedding gradient is row-sparse: a ``(rows, values)`` pair over the
-        batch's distinct ids (sorted), each sequence's share summed in token
-        order; the other gradients are dense arrays.
+        adding ``scale * grad`` into zeroed buffers gives. Each layer loops
+        once over the sequences, so every product has the shape it has for
+        one sequence alone (BLAS rounds a row differently inside a taller
+        product). The embedding gradient is row-sparse: a ``(rows, values)``
+        pair over the batch's distinct ids (sorted), each sequence's share
+        summed in token order by :func:`_segment_sums`; the other gradients
+        are dense arrays.
         """
-        lengths = np.asarray(cache["lengths"])
-        starts = np.cumsum(lengths[:-1])
+        lengths = cache["lengths"]
+        ends = list(itertools.accumulate(lengths))
+        bounds = list(zip([0, *ends[:-1]], ends))
+        starts = np.asarray(ends[:-1], dtype=np.int64)
         grads = {}
         dx = d_out
         for layer in reversed(range(self.n_layers)):
             dx = _smooth(dx, starts)  # smoothing is symmetric, so its adjoint is itself
-            d_pad = padded(dx, lengths)
-            x_pad = padded(cache["inputs"][layer], lengths).transpose(0, 2, 1)
-            grads[f"W{layer}"] = scaled_sum(np.matmul(x_pad, d_pad), scale)
-            grads[f"b{layer}"] = scaled_sum(d_pad.sum(axis=1), scale)
-            # one product per sequence: BLAS rounds a product with the
-            # transposed weight differently in a matrix of another height
+            x = cache["inputs"][layer]
             w_t = self.params[f"W{layer}"].T
-            dx = np.concatenate([d @ w_t for d in np.split(dx, starts)])
+            g_w = np.empty((len(bounds), self.dim, self.dim))
+            g_b = np.empty((len(bounds), self.dim))
+            d_in = np.empty_like(dx)
+            for k, (a, b) in enumerate(bounds):
+                np.matmul(x[a:b].T, dx[a:b], out=g_w[k])
+                dx[a:b].sum(axis=0, out=g_b[k])
+                np.matmul(dx[a:b], w_t, out=d_in[a:b])
+            grads[f"W{layer}"] = scaled_sum(g_w, scale)
+            grads[f"b{layer}"] = scaled_sum(g_b, scale)
+            dx = d_in
         # sum per (sequence, id) in token order, then per id in sequence order
         item = np.repeat(np.arange(len(lengths)), lengths)
         keys, key_of_token = np.unique(item * self.vocab_size + cache["ids"], return_inverse=True)
-        per_sequence = np.zeros((len(keys), self.dim))
-        np.add.at(per_sequence, key_of_token, dx)
+        per_sequence = _segment_sums(key_of_token, dx, len(keys))
         per_sequence *= scale
         rows, row_of_key = np.unique(keys % self.vocab_size, return_inverse=True)
-        values = np.zeros((len(rows), self.dim))
-        np.add.at(values, row_of_key, per_sequence)
-        grads["emb"] = (rows, values)
+        grads["emb"] = (rows, _segment_sums(row_of_key, per_sequence, len(rows)))
         return grads
 
 

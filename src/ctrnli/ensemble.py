@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .corpus import check_unique_claim_ids
 from .errors import IoError, MalformedJson, MismatchedClaim, MismatchedPremiseLength
+from .nn import in_unit_interval, is_count, is_finite_number
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
 TASK_CHOICES = ("both", "evidence", "entailment")
@@ -27,7 +28,8 @@ TASK_CHOICES = ("both", "evidence", "entailment")
 class EnsembleConfig:
     """Member weights and shared inference settings.
 
-    Weights must be non-negative and sum to one. ``tasks`` restricts the
+    Weights must be finite, non-negative numbers that sum to one, and
+    ``max_evidence`` an integer of at least one. ``tasks`` restricts the
     averaging to one task; the first prediction passes through unchanged for
     the other.
     """
@@ -39,12 +41,16 @@ class EnsembleConfig:
     tasks: str = "both"
 
     def __post_init__(self):
-        if self.w_pipeline < 0 or self.w_joint < 0:
-            raise ValueError("ensemble weights must be non-negative")
+        for name in ("w_pipeline", "w_joint"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if abs(self.w_pipeline + self.w_joint - 1.0) > 1e-9:
             raise ValueError("ensemble weights must sum to 1")
-        if self.max_evidence < 1:
-            raise ValueError("max_evidence must be at least 1")
+        if not is_count(self.max_evidence, 1):
+            raise ValueError(f"max_evidence must be an integer >= 1, got {self.max_evidence!r}")
+        if not in_unit_interval(self.threshold):
+            raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
         if self.tasks not in TASK_CHOICES:
             raise ValueError(f"tasks must be one of {TASK_CHOICES}")
 

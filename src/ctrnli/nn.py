@@ -185,13 +185,14 @@ def is_count(value, low: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
-def _is_finite(value) -> bool:
+def is_finite_number(value) -> bool:
+    """``value`` is a finite real number (not a bool)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def in_unit_interval(value) -> bool:
     """``value`` is a finite number (not a bool) in [0, 1]."""
-    return _is_finite(value) and 0 <= value <= 1
+    return is_finite_number(value) and 0 <= value <= 1
 
 
 @dataclass
@@ -216,12 +217,12 @@ class Hyperparams:
             ("epochs", is_count(self.epochs, 0), "an integer >= 0"),
             ("max_steps", self.max_steps is None or is_count(self.max_steps, 0),
              "None or an integer >= 0"),
-            ("learning_rate", _is_finite(lr) and lr > 0, "a finite number > 0"),
+            ("learning_rate", is_finite_number(lr) and lr > 0, "a finite number > 0"),
             ("warmup_rate", in_unit_interval(self.warmup_rate), "a number in [0, 1]"),
         ]
         for name in ("weight_decay", "w_evidence", "w_entailment"):
             value = getattr(self, name)
-            rules.append((name, _is_finite(value) and value >= 0, "a finite number >= 0"))
+            rules.append((name, is_finite_number(value) and value >= 0, "a finite number >= 0"))
         for name, ok, rule in rules:
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")

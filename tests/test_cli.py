@@ -472,6 +472,33 @@ class TestEnsemble:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, flags, field",
+        [
+            ({"ensemble": {"max_evidence": 2.5}}, [], "max_evidence"),
+            ({"ensemble": {"w_pipeline": True, "w_joint": False}}, [], "w_pipeline"),
+            ({}, ["--w-pipeline", "nan", "--w-joint", "nan"], "w_pipeline"),
+            ({"ensemble": {"threshold": 2}}, [], "threshold"),
+        ],
+    )
+    @pytest.mark.parametrize("inputs", ["fixture", "empty"])
+    def test_bad_ensemble_config_is_usage_error(
+        self, tmp_path, prediction_files, capsys, config, flags, field, inputs
+    ):
+        if inputs == "empty":
+            files = [tmp_path / "a.json", tmp_path / "b.json"]
+            for path in files:
+                path.write_text("[]")
+        else:
+            files = [prediction_files["pipeline"], prediction_files["joint"]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "e.json"
+        code = main(["ensemble", *map(str, files), "--config", str(cfg), "--out", str(out), *flags])
+        assert code == 2
+        _one_line_error(capsys, f"{field} must be")
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, prediction_files):
         code = main([
             "ensemble", str(tmp_path / "nope.json"), str(prediction_files["joint"]),

@@ -58,6 +58,32 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(max_evidence=0)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("max_evidence", {"max_evidence": 2.5}),
+            ("max_evidence", {"max_evidence": True}),
+            ("max_evidence", {"max_evidence": "3"}),
+            ("w_pipeline", {"w_pipeline": True, "w_joint": False}),
+            ("w_pipeline", {"w_pipeline": float("nan"), "w_joint": float("nan")}),
+            ("w_pipeline", {"w_pipeline": "0.4"}),
+            ("w_joint", {"w_pipeline": 0.5, "w_joint": float("inf")}),
+            ("w_joint", {"w_pipeline": 1.0, "w_joint": None}),
+            ("threshold", {"threshold": 1.5}),
+            ("threshold", {"threshold": float("nan")}),
+            ("threshold", {"threshold": False}),
+        ],
+    )
+    def test_bad_value_is_refused_by_name(self, field, kwargs):
+        """Types and non-finite numbers that used to slip through or end
+        in a TypeError are refused with a ValueError naming the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EnsembleConfig(**kwargs)
+
+    def test_integral_numpy_values_pass(self):
+        cfg = EnsembleConfig(w_pipeline=np.float64(0.25), w_joint=0.75, max_evidence=np.int64(3))
+        assert cfg.max_evidence == 3
+
     def test_unknown_task_restriction(self):
         with pytest.raises(ValueError):
             EnsembleConfig(tasks="verdicts")

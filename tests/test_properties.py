@@ -14,6 +14,7 @@ from ctrnli.encode import (
     HashingTokenizer,
     TokenSeq,
     ToyEncoder,
+    _segment_sums,
     build_joint_sequence,
     encode_batch,
     pool_spans_backward,
@@ -189,6 +190,41 @@ class TestRowSparseEmbeddingGrad:
         assert_grads_equal(grads, expected)  # the dense layer grads too
 
 
+_edge_floats = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308])
+indexed_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),
+        st.lists(st.floats() | _edge_floats, min_size=3, max_size=3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestSegmentSums:
+    @given(indexed_rows)
+    @example([(0, [1.5, -0.0, 2.0])])  # one row
+    @example([(3, [1.0, 2.0, 3.0]), (3, [0.1, 0.2, 0.3]), (3, [-1.0, np.inf, 1e-17])])  # one index
+    @example([(0, [-0.0] * 3), (2, [-0.0] * 3), (0, [-0.0] * 3)])  # only -0.0 rows
+    @example([(1, [np.nan, np.inf, 0.0]), (1, [-np.nan, -np.inf, 0.0])])  # NaNs of two signs
+    def test_equals_add_at_into_zeros(self, pairs):
+        """The bincount segment sum is the ``np.add.at`` scatter, bit for
+        bit in every cell that is not NaN (signed zeros and infinities
+        included), and NaN exactly where the scatter gives NaN. The bits of
+        a NaN cell may differ: where two different NaNs meet, the scatter
+        keeps the later one and bincount the earlier one."""
+        index = np.array([i for i, _ in pairs])
+        rows = np.array([row for _, row in pairs])
+        n = int(index.max()) + 2  # the last bin gets nothing
+        expected = np.zeros((n, rows.shape[1]))
+        with np.errstate(all="ignore"):  # inf - inf and overflow are part of the draw
+            np.add.at(expected, index, rows)
+        got = _segment_sums(index, rows, n)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
 # The fixture's width: at 32 columns BLAS picks another kernel for a product
 # with the transposed weight below 38 rows, so a product over several
 # sequences' rows at once would round differently from one per sequence.
@@ -209,6 +245,9 @@ class TestBatchedBackward:
     @example([[3, 9, 3], [9, 9, 4], [3]], 1)  # ids repeated within and across sequences
     @example([[5] * 37, [6] * 38, [5, 6] * 20], 2)  # lengths straddling 38 rows
     @example([[1, 2, 3], [2] * 12, [4, 2] * 9, [2, 8]], 3)  # short sequences, 39 rows in all
+    @example(  # a training batch: 16 sequences of 36-74 ids from 13, repeated within and across
+        [[(7 * k + 3 * j) % 13 for j in range(36 + k * 38 // 15)] for k in range(16)], 4
+    )
     def test_equals_scaled_sum_of_per_sequence_backwards(self, seqs, seed):
         """One batched backward == the per-sequence oracle backwards, each
         scaled by 1/B and added into zeros in sequence order, bit for bit."""
