@@ -7,7 +7,7 @@ once and serves both tasks from shared representations. Their output
 probabilities can be combined by weighted averaging.
 """
 
-from .config import EncoderConfig, RunConfig, load_run_config
+from .config import EncoderConfig, RunConfig
 from .corpus import (
     LABELS,
     SECTION_NAMES,
@@ -121,7 +121,6 @@ __all__ = [
     "load_joint_model",
     "load_pipeline_model",
     "load_predictions",
-    "load_run_config",
     "parse_claim",
     "parse_record",
     "postprocess_evidence",

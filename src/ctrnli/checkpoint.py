@@ -7,7 +7,8 @@ tensors concatenated as little-endian 32-bit floats). Parameters are
 float64 in memory; saving quantizes them and loading casts back. Every head
 is two-class, so the config records no class count, and a tensor of any
 other shape is refused. A model whose parameters are not all finite (a
-diverged training run) is neither saved nor loaded.
+diverged training run) is neither saved nor loaded. Both systems share one
+save and one load path, driven by the per-system layout table ``_LAYOUTS``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import EncoderConfig
 from .encode import ToyEncoder, create_encoder
 from .errors import BadCheckpoint, IoError, NonFiniteParameters
 from .joint import JointModel
@@ -120,18 +122,10 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     return system, config, tensors
 
 
-def _split_namespace(
-    tensors: Mapping[str, np.ndarray], prefix: str
-) -> dict[str, np.ndarray]:
-    sub = {
-        name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)
-    }
-    if not sub:
-        raise BadCheckpoint(f"checkpoint holds no tensors under {prefix!r}")
-    return sub
-
-
-def _load_params_into(target: dict[str, np.ndarray], loaded: Mapping[str, np.ndarray], ns: str):
+def _load_params_into(target: dict[str, np.ndarray], tensors: Mapping[str, np.ndarray], ns: str):
+    """Fill ``target`` from the tensors named ``{ns}.*``, which must match it."""
+    prefix = f"{ns}."
+    loaded = {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
     if set(target) != set(loaded):
         raise BadCheckpoint(
             f"{ns} tensors {sorted(loaded)} do not match the model's {sorted(target)}"
@@ -158,128 +152,98 @@ def _encoder_config(encoder) -> dict:
 
 
 def _rebuild_encoder(cfg: dict):
-    if cfg.get("backend") != "toy":
-        return create_encoder(
-            backend=cfg.get("backend", "pretrained"), model_name=cfg.get("model_name")
-        )
-    return ToyEncoder(
-        vocab_size=int(cfg["vocab_size"]),
-        dim=int(cfg["dim"]),
-        n_layers=int(cfg["n_layers"]),
-        seed=0,
-    )
+    """Sizes are not checked here: the tensors loaded later must fit them."""
+    if cfg["backend"] != "toy":
+        return create_encoder(backend=cfg["backend"], model_name=cfg["model_name"])
+    return ToyEncoder(vocab_size=cfg["vocab_size"], dim=cfg["dim"], n_layers=cfg["n_layers"])
 
 
-def _threshold(config: dict) -> float:
-    value = config.get("threshold")
-    if not in_unit_interval(value):
-        raise BadCheckpoint(f"threshold must be a finite number in [0, 1], got {value!r}")
-    return float(value)
+# Each part of a model: (model field, tensor namespace, None for an encoder,
+# whose config is stored under its field name, or for a head its class and
+# the field of the encoder whose dim sizes it).
+_LAYOUTS = {
+    "pipeline": (PipelineModel, (
+        ("evidence_encoder", "evidence.encoder", None),
+        ("evidence_head", "evidence.head", (EvidenceHead, "evidence_encoder")),
+        ("entailment_encoder", "entailment.encoder", None),
+        ("entailment_head", "entailment.head", (EntailmentHead, "entailment_encoder")),
+    )),
+    "joint": (JointModel, (
+        ("encoder", "encoder", None),
+        ("evidence_head", "evidence_head", (EvidenceHead, "encoder")),
+        ("verdict_head", "verdict_head", (EntailmentHead, "encoder")),
+    )),
+}
+_SETTINGS = ("max_len", "threshold", "pooling", "inject_arm_prefix")
+
+
+def _settings(config: dict, system: str) -> dict:
+    """The shared settings, checked with the rules a run config obeys."""
+    encoder = EncoderConfig(max_len=config["max_len"], pooling=config["pooling"])
+    threshold, inject = config["threshold"], config["inject_arm_prefix"]
+    if not in_unit_interval(threshold):
+        raise BadCheckpoint(f"threshold must be a finite number in [0, 1], got {threshold!r}")
+    if not isinstance(inject, bool):
+        raise BadCheckpoint(f"inject_arm_prefix must be true or false, got {inject!r}")
+    return {
+        "max_len": encoder.resolved_max_len(system),
+        "threshold": float(threshold),
+        "pooling": encoder.pooling,
+        "inject_arm_prefix": inject,
+    }
+
+
+def _save(model, path: str | Path, system: str) -> None:
+    named: dict[str, np.ndarray] = {}
+    config = {key: getattr(model, key) for key in _SETTINGS}
+    for field, ns, head in _LAYOUTS[system][1]:
+        part = getattr(model, field)
+        if head is None:
+            config[field] = _encoder_config(part)
+        params = part.params if head else part.parameters()
+        for name, arr in params.items():
+            named[f"{ns}.{name}"] = arr
+    _write_blob(Path(path), named, system, config)
+
+
+def _load(path: str | Path, expected: str | None = None):
+    system, config, tensors = read_checkpoint(path)
+    if expected is not None and system != expected:
+        raise BadCheckpoint(f"expected a {expected} checkpoint, found {system!r}")
+    model_cls, layout = _LAYOUTS[system]
+    try:
+        parts: dict = {}
+        for field, ns, head in layout:
+            if head is None:
+                part = _rebuild_encoder(config[field])
+            else:
+                head_cls, encoder_field = head
+                part = head_cls.create(parts[encoder_field].dim)
+            if head or part.trainable:  # a frozen encoder stores no tensors
+                _load_params_into(part.params, tensors, ns)
+            parts[field] = part
+        return system, model_cls(**parts, **_settings(config, system))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BadCheckpoint(
+            f"{Path(path) / CONFIG_FILE} does not describe a {system} model: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
 
 
 def save_pipeline_model(model: PipelineModel, path: str | Path) -> None:
-    named: dict[str, np.ndarray] = {}
-    for ns, encoder, head in (
-        ("evidence", model.evidence_encoder, model.evidence_head),
-        ("entailment", model.entailment_encoder, model.entailment_head),
-    ):
-        for name, arr in encoder.parameters().items():
-            named[f"{ns}.encoder.{name}"] = arr
-        for name, arr in head.params.items():
-            named[f"{ns}.head.{name}"] = arr
-    config = {
-        "max_len": model.max_len,
-        "threshold": model.threshold,
-        "pooling": model.pooling,
-        "inject_arm_prefix": model.inject_arm_prefix,
-        "evidence_encoder": _encoder_config(model.evidence_encoder),
-        "entailment_encoder": _encoder_config(model.entailment_encoder),
-    }
-    _write_blob(Path(path), named, "pipeline", config)
-
-
-def load_pipeline_model(path: str | Path) -> PipelineModel:
-    system, config, tensors = read_checkpoint(path)
-    if system != "pipeline":
-        raise BadCheckpoint(f"expected a pipeline checkpoint, found {system!r}")
-    return _pipeline_from(config, tensors)
-
-
-def _pipeline_from(config: dict, tensors: Mapping[str, np.ndarray]) -> PipelineModel:
-    ev_encoder = _rebuild_encoder(config["evidence_encoder"])
-    ent_encoder = _rebuild_encoder(config["entailment_encoder"])
-    ev_head = EvidenceHead.create(ev_encoder.dim)
-    ent_head = EntailmentHead.create(ent_encoder.dim)
-    if ev_encoder.trainable:
-        _load_params_into(
-            ev_encoder.params, _split_namespace(tensors, "evidence.encoder."), "evidence.encoder"
-        )
-    if ent_encoder.trainable:
-        _load_params_into(
-            ent_encoder.params,
-            _split_namespace(tensors, "entailment.encoder."),
-            "entailment.encoder",
-        )
-    _load_params_into(ev_head.params, _split_namespace(tensors, "evidence.head."), "evidence.head")
-    _load_params_into(
-        ent_head.params, _split_namespace(tensors, "entailment.head."), "entailment.head"
-    )
-    return PipelineModel(
-        evidence_encoder=ev_encoder,
-        evidence_head=ev_head,
-        entailment_encoder=ent_encoder,
-        entailment_head=ent_head,
-        max_len=int(config["max_len"]),
-        threshold=_threshold(config),
-        pooling=str(config["pooling"]),
-        inject_arm_prefix=bool(config["inject_arm_prefix"]),
-    )
+    _save(model, path, "pipeline")
 
 
 def save_joint_model(model: JointModel, path: str | Path) -> None:
-    named: dict[str, np.ndarray] = {}
-    for name, arr in model.encoder.parameters().items():
-        named[f"encoder.{name}"] = arr
-    for name, arr in model.evidence_head.params.items():
-        named[f"evidence_head.{name}"] = arr
-    for name, arr in model.verdict_head.params.items():
-        named[f"verdict_head.{name}"] = arr
-    config = {
-        "max_len": model.max_len,
-        "threshold": model.threshold,
-        "pooling": model.pooling,
-        "inject_arm_prefix": model.inject_arm_prefix,
-        "encoder": _encoder_config(model.encoder),
-    }
-    _write_blob(Path(path), named, "joint", config)
+    _save(model, path, "joint")
+
+
+def load_pipeline_model(path: str | Path) -> PipelineModel:
+    return _load(path, "pipeline")[1]
 
 
 def load_joint_model(path: str | Path) -> JointModel:
-    system, config, tensors = read_checkpoint(path)
-    if system != "joint":
-        raise BadCheckpoint(f"expected a joint checkpoint, found {system!r}")
-    return _joint_from(config, tensors)
-
-
-def _joint_from(config: dict, tensors: Mapping[str, np.ndarray]) -> JointModel:
-    encoder = _rebuild_encoder(config["encoder"])
-    ev_head = EvidenceHead.create(encoder.dim)
-    v_head = EntailmentHead.create(encoder.dim)
-    if encoder.trainable:
-        _load_params_into(encoder.params, _split_namespace(tensors, "encoder."), "encoder")
-    _load_params_into(
-        ev_head.params, _split_namespace(tensors, "evidence_head."), "evidence_head"
-    )
-    _load_params_into(v_head.params, _split_namespace(tensors, "verdict_head."), "verdict_head")
-    return JointModel(
-        encoder=encoder,
-        evidence_head=ev_head,
-        verdict_head=v_head,
-        max_len=int(config["max_len"]),
-        threshold=_threshold(config),
-        pooling=str(config["pooling"]),
-        inject_arm_prefix=bool(config["inject_arm_prefix"]),
-    )
+    return _load(path, "joint")[1]
 
 
 def load_any_model(path: str | Path):
@@ -288,6 +252,4 @@ def load_any_model(path: str | Path):
     Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
     checkpoint is read once.
     """
-    system, config, tensors = read_checkpoint(path)
-    build = _pipeline_from if system == "pipeline" else _joint_from
-    return system, build(config, tensors)
+    return _load(path)

@@ -125,11 +125,6 @@ def read_config_file(path: str | Path | None) -> dict:
     return obj
 
 
-def load_run_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus overrides."""
-    return build_run_config(read_config_file(path), overrides)
-
-
 def build_run_config(file_obj: dict, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from a parsed config file object plus overrides.
 

@@ -50,6 +50,7 @@ from .nn import (
     Hyperparams,
     cross_entropy,
     fit,
+    is_count,
     mlp_backward,
     mlp_forward,
     softmax,
@@ -110,13 +111,19 @@ class SystemPrediction:
         if not isinstance(obj, dict):
             raise MalformedJson(f"a prediction must be a JSON object, got {type(obj).__name__}")
         try:
+            selected = tuple(obj["selected"])
+            fallback_used = obj.get("fallback_used", False)
+            if not all(is_count(i, 0) for i in selected):
+                raise TypeError(f"selected must hold integers >= 0, got {list(selected)}")
+            if not isinstance(fallback_used, bool):
+                raise TypeError(f"fallback_used must be true or false, got {fallback_used!r}")
             return cls(
                 claim_id=str(obj["claim_id"]),
                 evidence_probs=tuple(float(p) for p in obj["evidence_probs"]),
-                selected=tuple(int(i) for i in obj["selected"]),
+                selected=selected,
                 class_probs=tuple(float(p) for p in obj["class_probs"]),  # type: ignore[arg-type]
                 verdict=str(obj["verdict"]),
-                fallback_used=bool(obj.get("fallback_used", False)),
+                fallback_used=fallback_used,
             )
         except (KeyError, TypeError, ValueError) as exc:
             what = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,6 @@
 """Checkpoint directories: save/load round-trips and corruption handling."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -70,6 +71,34 @@ class TestRoundTrip:
         save_joint_model(joint_model, b)
         for fname in ("params.bin", "manifest.json", "config.json"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_resave_after_load_is_byte_identical(self, request, tmp_path, system):
+        """Every part and setting the layout table writes is read back, under
+        the tensor namespaces and config keys of the on-disk format. The
+        settings differ from the defaults so that a dropped one shows."""
+        settings = {"max_len": 77, "threshold": 0.375, "pooling": "max", "inject_arm_prefix": True}
+        model = dataclasses.replace(request.getfixturevalue(f"{system}_model"), **settings)
+        save = save_pipeline_model if system == "pipeline" else save_joint_model
+        save(model, tmp_path / "first")
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        namespaces = {t["name"].rsplit(".", 1)[0] for t in manifest["tensors"]}
+        config = json.loads((tmp_path / "first" / "config.json").read_text())
+        if system == "pipeline":
+            assert namespaces == {
+                "evidence.encoder", "evidence.head", "entailment.encoder", "entailment.head"
+            }
+            assert set(config) == set(settings) | {"evidence_encoder", "entailment_encoder"}
+        else:
+            assert namespaces == {"encoder", "evidence_head", "verdict_head"}
+            assert set(config) == set(settings) | {"encoder"}
+        found, loaded = load_any_model(tmp_path / "first")
+        assert found == system
+        assert {key: getattr(loaded, key) for key in settings} == settings
+        save(loaded, tmp_path / "again")
+        for fname in ("config.json", "manifest.json", "params.bin"):
+            first = (tmp_path / "first" / fname).read_bytes()
+            assert first == (tmp_path / "again" / fname).read_bytes(), fname
 
     def test_load_any_model(self, pipeline_ckpt, joint_ckpt):
         system, model = load_any_model(pipeline_ckpt)

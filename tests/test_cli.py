@@ -415,6 +415,45 @@ class TestPredict:
         _one_line_error(capsys, "error: threshold", repr(value))
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "system,encoder",
+        [("pipeline", "evidence_encoder"), ("pipeline", "entailment_encoder"), ("joint", "encoder")],
+    )
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg, enc: cfg.pop("max_len"),
+            lambda cfg, enc: cfg.pop(enc),
+            lambda cfg, enc: cfg[enc].pop("dim"),
+            lambda cfg, enc: cfg.update({enc: "toy"}),
+            lambda cfg, enc: cfg.update(pooling="bogus"),
+            lambda cfg, enc: cfg.update(max_len="abc"),
+            lambda cfg, enc: cfg[enc].update(vocab_size=1),
+            lambda cfg, enc: cfg[enc].update(dim=-1),
+            lambda cfg, enc: cfg.update(inject_arm_prefix="no"),
+        ],
+        ids=[
+            "no-max_len", "no-encoder", "no-dim", "encoder-is-string", "bad-pooling",
+            "max_len-is-string", "vocab_size-1", "negative-dim", "inject-is-string",
+        ],
+    )
+    def test_malformed_checkpoint_config_is_a_data_error(
+        self, tmp_path, ckpts, capsys, system, encoder, edit
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts[system], ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        edit(config, encoder)
+        (ckpt / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "error: ")
+        assert not out.exists()
+
     def test_duplicate_claim_id_is_data_error(self, tmp_path, ckpts, capsys, duplicate_claims):
         out = tmp_path / "p.json"
         code = main([
@@ -623,6 +662,27 @@ class TestEvaluateAndReport:
         preds[0]["class_probs"] = [0.2, 0.3, 0.5]
         assert self._evaluate_payload(tmp_path, preds) == 1
         _one_line_error(capsys, preds[0]["claim_id"], "2 class probabilities")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fallback_used", "no"), ("selected", [0.7]), ("selected", [True]), ("selected", "0")],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    def test_prediction_with_coerced_field_is_data_error(
+        self, tmp_path, capsys, prediction_files, command, field, value
+    ):
+        preds = json.loads(prediction_files["joint"].read_text())
+        preds[0][field] = value
+        path = tmp_path / "preds.json"
+        path.write_text(json.dumps(preds))
+        out = tmp_path / "out.json"
+        if command == "evaluate":
+            args = ["evaluate", "--corpus", CORPUS, "--claims", CLAIMS, "--predictions", str(path)]
+        else:
+            args = ["ensemble", str(prediction_files["pipeline"]), str(path)]
+        assert main([*args, "--out", str(out)]) == 1
+        _one_line_error(capsys, preds[0]["claim_id"], field)
+        assert not out.exists()
 
     def test_report_not_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
