@@ -153,8 +153,10 @@ def _encoder_config(encoder) -> dict:
 
 def _rebuild_encoder(cfg: dict):
     """Sizes are not checked here: the tensors loaded later must fit them."""
+    if cfg["backend"] == "pretrained":
+        return create_encoder(backend="pretrained", model_name=cfg["model_name"])
     if cfg["backend"] != "toy":
-        return create_encoder(backend=cfg["backend"], model_name=cfg["model_name"])
+        raise ValueError(f"unknown encoder backend {cfg['backend']!r}")
     return ToyEncoder(vocab_size=cfg["vocab_size"], dim=cfg["dim"], n_layers=cfg["n_layers"])
 
 

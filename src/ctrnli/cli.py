@@ -8,6 +8,7 @@ winning. Exit codes: 0 success, 1 data or validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,6 +18,7 @@ from .checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from .config import (
     EVIDENCE_SOURCE_CHOICES,
     POOLING_CHOICES,
+    SECTIONS,
     SYSTEM_CHOICES,
     RunConfig,
     build_run_config,
@@ -57,54 +59,22 @@ def _load_data(cfg: RunConfig, need_labels: bool = False):
     return corpus, claims
 
 
-def _hyperparam_overrides(args) -> dict:
-    keys = (
-        "learning_rate", "warmup_rate", "weight_decay", "epochs",
-        "batch_size", "seed", "max_steps", "w_evidence", "w_entailment",
-    )
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
-def _encoder_overrides(args) -> dict:
-    mapping = {
-        "backend": "encoder_backend", "vocab_size": "vocab_size", "dim": "dim",
-        "n_layers": "n_layers", "max_len": "max_len", "pooling": "pooling",
-        "model_name": "model_name", "device": "device",
-    }
-    out = {k: getattr(args, flag) for k, flag in mapping.items()
-           if getattr(args, flag, None) is not None}
-    if getattr(args, "mixed_precision", None) is not None:
-        out["mixed_precision"] = args.mixed_precision
-    return out
-
-
 def _run_config(args) -> tuple[RunConfig, dict]:
     """The run config (flags over the config file over defaults) and the
-    config file's own object, read once."""
-    overrides: dict = {
-        k: getattr(args, k, None)
-        for k in (
-            "corpus", "claims", "split", "system", "threshold", "evidence_source",
-        )
-    }
-    if getattr(args, "inject_arm_prefix", False):
-        overrides["inject_arm_prefix"] = True
-    if getattr(args, "lenient", False):
-        overrides["lenient"] = True
-    overrides["hyperparams"] = _hyperparam_overrides(args)
-    overrides["encoder"] = _encoder_overrides(args)
-    ens = {
-        k: getattr(args, flag)
-        for k, flag in (
-            ("w_pipeline", "w_pipeline"), ("w_joint", "w_joint"),
-            ("max_evidence", "max_evidence"), ("tasks", "tasks"),
-        )
-        if getattr(args, flag, None) is not None
-    }
-    if getattr(args, "threshold", None) is not None:
-        ens["threshold"] = args.threshold
-    overrides["ensemble"] = ens
-    file_obj = read_config_file(getattr(args, "config", None))
+    config file's own object, read once.
+
+    A flag sets the config field its argparse dest names; None means the
+    flag was not given.
+    """
+    flags = vars(args)
+
+    def given(cls) -> dict:
+        return {
+            f.name: flags[f.name] for f in dataclasses.fields(cls) if flags.get(f.name) is not None
+        }
+
+    overrides = {**given(RunConfig), **{key: given(cls) for key, cls in SECTIONS.items()}}
+    file_obj = read_config_file(flags.get("config"))
     return build_run_config(file_obj, overrides), file_obj
 
 
@@ -119,7 +89,7 @@ def _encoder_factory(cfg: RunConfig):
         backend=enc.backend,
         model_name=enc.model_name,
         device=enc.device,
-        mixed_precision=enc.resolved_mixed_precision(),
+        mixed_precision=enc.mixed_precision,
     )
     return lambda seed: ready
 
@@ -218,7 +188,7 @@ def cmd_ensemble(args) -> int:
             raise UsageError(f"prediction file {path} does not exist")
     preds_a = load_predictions(args.predictions_a)
     preds_b = load_predictions(args.predictions_b)
-    combined = ensemble_predictions(preds_a, preds_b, cfg.ensemble)
+    combined = ensemble_predictions(preds_a, preds_b, cfg.ensemble, cfg.threshold)
     save_predictions(combined, args.out)
     print(f"{len(combined)} combined predictions written to {args.out}")
     return 0
@@ -268,7 +238,7 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--system", choices=SYSTEM_CHOICES)
-    p.add_argument("--encoder-backend", choices=("toy", "pretrained"))
+    p.add_argument("--encoder-backend", dest="backend", choices=("toy", "pretrained"))
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--n-layers", type=int)

@@ -33,8 +33,7 @@ class EncoderConfig:
     ``max_len`` of None means the per-system default (512 for the pipeline's
     pair inputs, 1024 for the joint document input); otherwise it must leave
     room for a claim token, a separator and a sentence token (at least 3).
-    ``mixed_precision`` of None resolves to off for the toy backend and on
-    for the pretrained one.
+    ``mixed_precision`` acts on the pretrained backend on CUDA only.
     """
 
     backend: str = "toy"
@@ -45,7 +44,7 @@ class EncoderConfig:
     pooling: str = "mean"
     model_name: str = ""
     device: str = "cpu"
-    mixed_precision: bool | None = None
+    mixed_precision: bool = True
 
     def __post_init__(self):
         if self.backend not in ("toy", "pretrained"):
@@ -57,14 +56,11 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if self.max_len is not None and not is_count(self.max_len, 3):
             raise ValueError(f"max_len must be None or an integer >= 3, got {self.max_len!r}")
+        if not isinstance(self.mixed_precision, bool):
+            raise ValueError(f"mixed_precision must be true or false, got {self.mixed_precision!r}")
 
     def resolved_max_len(self, system: str) -> int:
         return self.max_len if self.max_len is not None else DEFAULT_MAX_LEN[system]
-
-    def resolved_mixed_precision(self) -> bool:
-        if self.mixed_precision is None:
-            return self.backend == "pretrained"
-        return self.mixed_precision
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,10 @@ class RunConfig:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
         if not in_unit_interval(self.threshold):
             raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
+
+
+# the nested config objects: RunConfig field -> class
+SECTIONS = {"encoder": EncoderConfig, "hyperparams": Hyperparams, "ensemble": EnsembleConfig}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -131,18 +131,9 @@ def build_run_config(file_obj: dict, overrides: dict | None = None) -> RunConfig
     Override values of None mean "not given" and never clobber the file;
     everything else wins over the file, which wins over defaults.
     """
+    for key in SECTIONS:
+        if not isinstance(file_obj.get(key, {}), dict):
+            raise ValueError(f"config key {key!r} must be an object")
     obj = _merge(file_obj, overrides or {})
-    nested = {
-        "encoder": EncoderConfig,
-        "hyperparams": Hyperparams,
-        "ensemble": EnsembleConfig,
-    }
-    kwargs: dict = {}
-    for key, value in obj.items():
-        if key in nested:
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {key!r} must be an object")
-            kwargs[key] = _build(nested[key], value)
-        else:
-            kwargs[key] = value
+    kwargs = {key: _build(SECTIONS[key], v) if key in SECTIONS else v for key, v in obj.items()}
     return _build(RunConfig, kwargs)

@@ -412,8 +412,9 @@ class ToyEncoder:
 
     def encode_with_cache(self, token_ids: Sequence[int], lengths: Sequence[int] | None = None):
         """Encode one sequence, or with ``lengths`` several back to back, and
-        keep what :meth:`backward` needs; the rows are those of
-        :meth:`encode_many`."""
+        keep what :meth:`backward` needs. The rows of each sequence equal
+        ``encode(seq)`` bit for bit, and ``encode_calls`` rises by one per
+        sequence."""
         ids = np.asarray(token_ids, dtype=np.int64)
         lengths = [len(ids)] if lengths is None else lengths
         self.encode_calls += len(lengths)
@@ -421,17 +422,6 @@ class ToyEncoder:
         inputs: list[np.ndarray] = []
         x = self._forward(ids, starts=starts, inputs=inputs)
         return x, {"ids": ids, "inputs": inputs, "lengths": lengths}
-
-    def encode_many(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-        """Encode ``seqs`` in one pass; returns their ``[sum T, D]`` rows back to back.
-
-        The rows of each sequence equal ``encode(seq)`` bit for bit, and
-        ``encode_calls`` rises by one per sequence.
-        """
-        self.encode_calls += len(seqs)
-        lengths = [len(seq) for seq in seqs]
-        ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
-        return self._forward(ids, starts=np.cumsum(lengths[:-1]))
 
     def _forward(self, ids: np.ndarray, starts=None, inputs: list | None = None) -> np.ndarray:
         """Token rows for ``ids``; ``starts`` as in :func:`_smooth`. Each
@@ -488,10 +478,15 @@ class ToyEncoder:
 
 
 def encode_batch(encoder, seqs: Sequence[Sequence[int]]):
-    """The ``[sum T, D]`` rows of ``seqs`` back to back in one forward, plus
-    the cache for the encoder's ``backward`` (None for a frozen encoder)."""
+    """The ``[sum T, D]`` rows of ``seqs`` back to back, plus the cache for
+    the encoder's ``backward`` (None for a frozen encoder).
+
+    A trainable encoder runs all of ``seqs`` in one forward. A frozen one
+    runs them one at a time, unpadded, so each keeps exactly the features
+    ``encode`` gives it.
+    """
     if not encoder.trainable:
-        return encoder.encode_many(seqs), None
+        return np.concatenate([encoder.encode(seq) for seq in seqs]), None
     lengths = [len(seq) for seq in seqs]
     ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
     return encoder.encode_with_cache(ids, lengths)
@@ -574,14 +569,6 @@ class PretrainedEncoder:
                 out = self._model(input_ids=ids).last_hidden_state
         return out[0].float().cpu().numpy().astype(np.float64)
 
-    def encode_many(self, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-        """The ``[sum T, D]`` rows of ``seqs`` back to back, one forward each.
-
-        Sequences run one at a time, unpadded, so each keeps exactly the
-        features ``encode`` gives it.
-        """
-        return np.concatenate([self.encode(seq) for seq in seqs])
-
 
 def create_encoder(
     backend: str,
@@ -591,7 +578,7 @@ def create_encoder(
     seed: int = 0,
     model_name: str = "",
     device: str = "cpu",
-    mixed_precision: bool | None = None,
+    mixed_precision: bool = True,
 ):
     """Construct the configured encoder backend."""
     if backend == "toy":
@@ -599,6 +586,5 @@ def create_encoder(
     if backend == "pretrained":
         if not model_name:
             raise BackendUnavailable("pretrained backend needs a model name")
-        mp = True if mixed_precision is None else mixed_precision
-        return PretrainedEncoder(model_name, device=device, mixed_precision=mp)
+        return PretrainedEncoder(model_name, device=device, mixed_precision=mixed_precision)
     raise BackendUnavailable(f"unknown encoder backend '{backend}'")

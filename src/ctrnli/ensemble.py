@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import check_unique_claim_ids
 from .errors import IoError, MalformedJson, MismatchedClaim, MismatchedPremiseLength
-from .nn import in_unit_interval, is_count, is_finite_number
+from .nn import is_count, is_finite_number
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
 TASK_CHOICES = ("both", "evidence", "entailment")
@@ -26,18 +26,17 @@ TASK_CHOICES = ("both", "evidence", "entailment")
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Member weights and shared inference settings.
+    """Member weights, the evidence cap and the tasks to average.
 
     Weights must be finite, non-negative numbers that sum to one, and
     ``max_evidence`` an integer of at least one. ``tasks`` restricts the
     averaging to one task; the first prediction passes through unchanged for
-    the other.
+    the other. The evidence threshold is the run's, passed beside this config.
     """
 
     w_pipeline: float = 0.4
     w_joint: float = 0.6
     max_evidence: int = 20
-    threshold: float = 0.5
     tasks: str = "both"
 
     def __post_init__(self):
@@ -49,16 +48,14 @@ class EnsembleConfig:
             raise ValueError("ensemble weights must sum to 1")
         if not is_count(self.max_evidence, 1):
             raise ValueError(f"max_evidence must be an integer >= 1, got {self.max_evidence!r}")
-        if not in_unit_interval(self.threshold):
-            raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
         if self.tasks not in TASK_CHOICES:
             raise ValueError(f"tasks must be one of {TASK_CHOICES}")
 
 
 def combine(
-    pred_a: SystemPrediction, pred_b: SystemPrediction, cfg: EnsembleConfig
+    pred_a: SystemPrediction, pred_b: SystemPrediction, cfg: EnsembleConfig, threshold: float = 0.5
 ) -> SystemPrediction:
-    """Average two predictions for the same claim.
+    """Average two predictions for the same claim; evidence is selected at ``threshold``.
 
     Averaging alone; the evidence cap is a separate post-processing step so
     that equal inputs combine to themselves exactly.
@@ -79,7 +76,7 @@ def combine(
             w_a * a + w_b * b for a, b in zip(pred_a.evidence_probs, pred_b.evidence_probs)
         )
         if ev_probs:
-            selection = select_evidence(ev_probs, cfg.threshold)
+            selection = select_evidence(ev_probs, threshold)
             selected = tuple(sorted(selection.indices))
             fallback = selection.fallback_used
         else:
@@ -136,6 +133,7 @@ def ensemble_predictions(
     preds_a: Sequence[SystemPrediction],
     preds_b: Sequence[SystemPrediction],
     cfg: EnsembleConfig,
+    threshold: float = 0.5,
 ) -> list[SystemPrediction]:
     """Combine two prediction lists claim by claim, then cap the evidence.
 
@@ -152,7 +150,7 @@ def ensemble_predictions(
             f"prediction lists cover different claims (missing from second: {missing}, "
             f"only in second: {extra})"
         )
-    return [cap_prediction(combine(p, by_id[p.claim_id], cfg), cfg) for p in preds_a]
+    return [cap_prediction(combine(p, by_id[p.claim_id], cfg, threshold), cfg) for p in preds_a]
 
 
 def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> None:

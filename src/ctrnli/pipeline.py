@@ -117,11 +117,16 @@ class SystemPrediction:
                 raise TypeError(f"selected must hold integers >= 0, got {list(selected)}")
             if not isinstance(fallback_used, bool):
                 raise TypeError(f"fallback_used must be true or false, got {fallback_used!r}")
+            probs = {key: tuple(obj[key]) for key in ("evidence_probs", "class_probs")}
+            for key, values in probs.items():
+                # JSON numbers parse to int or float; __post_init__ refuses non-finite ones
+                if not {*map(type, values)} <= {int, float}:
+                    raise TypeError(f"{key} must hold numbers, got {list(values)}")
             return cls(
                 claim_id=str(obj["claim_id"]),
-                evidence_probs=tuple(float(p) for p in obj["evidence_probs"]),
+                evidence_probs=tuple(map(float, probs["evidence_probs"])),
                 selected=selected,
-                class_probs=tuple(float(p) for p in obj["class_probs"]),  # type: ignore[arg-type]
+                class_probs=tuple(map(float, probs["class_probs"])),  # type: ignore[arg-type]
                 verdict=str(obj["verdict"]),
                 fallback_used=fallback_used,
             )
@@ -178,13 +183,13 @@ def score_evidence(
     """One evidence probability per premise sentence.
 
     All [sentence, SEP, claim] pairs of the premise go through one
-    ``encode_many`` call and one stacked head call; each probability equals
+    ``encode_batch`` call and one stacked head call; each probability equals
     that of scoring its pair alone, bit for bit.
     """
     if premise.n == 0:
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
     pairs = build_pair_sequences(encoder.tokenizer, premise.texts(), claim.text, max_len)
-    matrix = encoder.encode_many([pair.token_ids for pair in pairs])
+    matrix = encode_batch(encoder, [pair.token_ids for pair in pairs])[0]
     return evidence_probs(head, pool_spans(matrix, _spans(pair.length for pair in pairs), pooling))
 
 

@@ -1,5 +1,6 @@
 """End-to-end command exercises through main(), checking exit codes."""
 
+import argparse
 import dataclasses
 import json
 import shutil
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_model
-from ctrnli.cli import main
+from ctrnli.cli import build_parser, main
+from ctrnli.config import SECTIONS, RunConfig
 from ctrnli.ensemble import load_predictions
 from ctrnli.errors import BadCheckpoint
 from ctrnli.nn import EntailmentHead, init_mlp
@@ -194,6 +196,24 @@ class TestTrain:
         _one_line_error(capsys, "output_dir")
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "section, flags",
+        [
+            ("hyperparams", ["--learning-rate", "0.1"]),
+            ("encoder", ["--dim", "8"]),
+            ("ensemble", []),
+        ],
+    )
+    def test_config_section_that_is_not_an_object_is_a_usage_error(
+        self, tmp_path, capsys, section, flags
+    ):
+        """Flags for the same section do not hide the file's bad value."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: 3}))
+        assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg), *flags)) == 2
+        _one_line_error(capsys, f"config key '{section}' must be an object")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_config_with_verdict_classes_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"corpus": CORPUS, "claims": CLAIMS, "verdict_classes": 3}))
@@ -233,6 +253,15 @@ class TestTrain:
         cfg.write_text(json.dumps({"hyperparams": {"batch_size": 2.5}}))
         assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
         _one_line_error(capsys, "batch_size", "2.5")
+
+    @pytest.mark.parametrize("value", [None, "yes", 1])
+    def test_mixed_precision_must_be_a_bool(self, tmp_path, capsys, value):
+        """Only JSON true or false: a null would otherwise read as off."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"encoder": {"mixed_precision": value}}))
+        assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
+        _one_line_error(capsys, "mixed_precision must be true or false")
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("system", ["pipeline", "joint"])
     def test_diverged_training_writes_no_checkpoint(self, tmp_path, capsys, system):
@@ -431,10 +460,12 @@ class TestPredict:
             lambda cfg, enc: cfg[enc].update(vocab_size=1),
             lambda cfg, enc: cfg[enc].update(dim=-1),
             lambda cfg, enc: cfg.update(inject_arm_prefix="no"),
+            lambda cfg, enc: cfg[enc].update(backend="bogus", model_name="x"),
         ],
         ids=[
             "no-max_len", "no-encoder", "no-dim", "encoder-is-string", "bad-pooling",
             "max_len-is-string", "vocab_size-1", "negative-dim", "inject-is-string",
+            "unknown-backend",
         ],
     )
     def test_malformed_checkpoint_config_is_a_data_error(
@@ -517,7 +548,7 @@ class TestEnsemble:
             ({"ensemble": {"max_evidence": 2.5}}, [], "max_evidence"),
             ({"ensemble": {"w_pipeline": True, "w_joint": False}}, [], "w_pipeline"),
             ({}, ["--w-pipeline", "nan", "--w-joint", "nan"], "w_pipeline"),
-            ({"ensemble": {"threshold": 2}}, [], "threshold"),
+            ({"threshold": 2}, [], "threshold"),
         ],
     )
     @pytest.mark.parametrize("inputs", ["fixture", "empty"])
@@ -537,6 +568,42 @@ class TestEnsemble:
         assert code == 2
         _one_line_error(capsys, f"{field} must be")
         assert not out.exists()
+
+    def test_ensemble_threshold_key_is_refused(self, tmp_path, prediction_files, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"threshold": 0.3}}))
+        files = [str(prediction_files[s]) for s in ("pipeline", "joint")]
+        out = tmp_path / "e.json"
+        assert main(["ensemble", *files, "--config", str(cfg), "--out", str(out)]) == 2
+        _one_line_error(capsys, "unknown EnsembleConfig keys", "threshold")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, selected",
+        [
+            ({}, [], [0]),
+            ({"threshold": 0.3}, [], [0, 1]),
+            ({}, ["--threshold", "0.3"], [0, 1]),
+            ({"threshold": 0.9}, ["--threshold", "0.3"], [0, 1]),
+        ],
+    )
+    def test_threshold_from_flag_then_file_then_default(self, tmp_path, config, flags, selected):
+        """Averaged probabilities (0.4, 0.35, 0.1): fallback to [0] at the
+        default 0.5, both of the first two sentences at 0.3."""
+        pred = {
+            "claim_id": "c-1", "evidence_probs": [0.4, 0.35, 0.1], "selected": [0],
+            "class_probs": [0.8, 0.2], "verdict": "Entailment", "fallback_used": True,
+        }
+        inputs = tmp_path / "preds.json"
+        inputs.write_text(json.dumps([pred]))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "e.json"
+        code = main([
+            "ensemble", str(inputs), str(inputs), "--config", str(cfg), "--out", str(out), *flags,
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())[0]["selected"] == selected
 
     def test_missing_input_file(self, tmp_path, prediction_files):
         code = main([
@@ -665,7 +732,10 @@ class TestEvaluateAndReport:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("fallback_used", "no"), ("selected", [0.7]), ("selected", [True]), ("selected", "0")],
+        [
+            ("fallback_used", "no"), ("selected", [0.7]), ("selected", [True]), ("selected", "0"),
+            ("class_probs", [True, False]), ("evidence_probs", ["0.9"]),
+        ],
     )
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
     def test_prediction_with_coerced_field_is_data_error(
@@ -708,3 +778,20 @@ class TestEvaluateAndReport:
         capsys.readouterr()
         assert main(["report", "--report", str(path)]) == 1
         _one_line_error(capsys, "high")
+
+
+def test_every_flag_names_a_config_field_or_a_command_argument():
+    """Flags reach the config by dest name, so a mistyped dest would be
+    dropped silently; no field name is shared, so no flag feeds two fields."""
+    fields = [f.name for cls in (RunConfig, *SECTIONS.values()) for f in dataclasses.fields(cls)]
+    assert len(fields) == len(set(fields))
+    command_args = {
+        "out", "checkpoint", "predictions", "predictions_a", "predictions_b", "report", "config",
+    }
+    allowed = (set(fields) - SECTIONS.keys()) | command_args
+    top = build_parser()
+    (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in allowed, (name, action.dest)

@@ -22,6 +22,7 @@ from ctrnli.encode import (
     build_pair_sequence,
     build_pair_sequences,
     create_encoder,
+    encode_batch,
     pool_span,
     pool_span_backward,
     pool_spans,
@@ -477,9 +478,9 @@ class TestToyEncoder:
         enc.encode((2, 3))
         assert enc.encode_calls == 2
 
-    def test_encode_many_counts_one_call_per_sequence(self):
+    def test_encode_batch_counts_one_call_per_sequence(self):
         enc = ToyEncoder(dim=8)
-        out = enc.encode_many([(2, 3), (4,), (5, 6, 7)])
+        out, _ = encode_batch(enc, [(2, 3), (4,), (5, 6, 7)])
         assert out.shape == (6, 8)
         assert enc.encode_calls == 3
 

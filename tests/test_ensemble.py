@@ -1,8 +1,11 @@
 """Probability averaging, the selection cap, and prediction file I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ctrnli.config import RunConfig
 from ctrnli.ensemble import (
     EnsembleConfig,
     cap_prediction,
@@ -69,9 +72,6 @@ class TestConfig:
             ("w_pipeline", {"w_pipeline": "0.4"}),
             ("w_joint", {"w_pipeline": 0.5, "w_joint": float("inf")}),
             ("w_joint", {"w_pipeline": 1.0, "w_joint": None}),
-            ("threshold", {"threshold": 1.5}),
-            ("threshold", {"threshold": float("nan")}),
-            ("threshold", {"threshold": False}),
         ],
     )
     def test_bad_value_is_refused_by_name(self, field, kwargs):
@@ -79,6 +79,13 @@ class TestConfig:
         in a TypeError are refused with a ValueError naming the field."""
         with pytest.raises(ValueError, match=f"^{field} must be"):
             EnsembleConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [1.5, float("nan"), False])
+    def test_threshold_is_the_run_configs(self, value):
+        """The ensemble gates at the run's one threshold, checked by RunConfig."""
+        assert "threshold" not in {f.name for f in dataclasses.fields(EnsembleConfig)}
+        with pytest.raises(ValueError, match="^threshold must be"):
+            RunConfig(threshold=value)
 
     def test_integral_numpy_values_pass(self):
         cfg = EnsembleConfig(w_pipeline=np.float64(0.25), w_joint=0.75, max_evidence=np.int64(3))
@@ -130,9 +137,16 @@ class TestCombine:
         a = _pred(ev=(0.6, 0.45))
         b = _pred(ev=(0.3, 0.9))
         out = combine(a, b, DEFAULT)
-        expected = select_evidence(out.evidence_probs, DEFAULT.threshold)
+        expected = select_evidence(out.evidence_probs, 0.5)
         assert set(out.selected) == set(expected.indices)
         assert out.selected == (1,)
+
+    def test_threshold_argument_gates_the_averaged_probs(self):
+        """Averages (0.4, 0.35, 0.1): fallback to [0] at 0.5, both above 0.3."""
+        a = b = _pred(ev=(0.4, 0.35, 0.1))
+        assert combine(a, b, DEFAULT).selected == (0,)
+        assert combine(a, b, DEFAULT, 0.3).selected == (0, 1)
+        assert ensemble_predictions([a], [b], DEFAULT, 0.3)[0].selected == (0, 1)
 
     def test_fallback_recomputed(self):
         a = _pred(ev=(0.55, 0.1))

@@ -181,7 +181,8 @@ class _HashingHfTokenizer:
 
 class _StubPretrained(PretrainedEncoder):
     """The frozen adapter with a toy encoder in place of the transformer: its
-    own tokenize and encode_many run, only the model forward is replaced."""
+    own tokenize runs, and ``encode_batch`` reaches the stubbed ``encode``
+    once per sequence."""
 
     def __init__(self, toy):
         self._hf_tokenizer = _HashingHfTokenizer()
@@ -228,7 +229,7 @@ class TestBatchedScoring:
             assert encoder.encode_calls - before == resolve_premise(claim, corpus).n + 1
 
     @pytest.mark.parametrize("pooling", ["mean", "max"])
-    def test_frozen_encoder_scores_through_encode_many(self, corpus, claims, pooling):
+    def test_frozen_encoder_scores_through_encode_batch(self, corpus, claims, pooling):
         toy = ToyEncoder(dim=16, seed=3)
         stub = _StubPretrained(toy)
         head = EvidenceHead.create(16, seed=4)

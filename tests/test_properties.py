@@ -160,13 +160,13 @@ token_seqs = st.lists(
 )
 
 
-class TestEncodeMany:
+class TestEncodeBatch:
     @given(token_seqs)
     @example([[7]])  # one 1-token sequence
     @example([[3, 9, 9, 4]])  # one sequence
     @example([[5], [2, 8, 1], [6], [6], [1, 2, 3, 4, 5, 6, 7]])  # mixed, 1-token neighbors
     def test_matches_per_sequence_encode_bitwise(self, seqs):
-        rows = _ENCODER.encode_many(seqs)
+        rows, _ = encode_batch(_ENCODER, seqs)
         expected = np.concatenate([_ENCODER.encode(seq) for seq in seqs])
         assert np.array_equal(rows, expected)
 
