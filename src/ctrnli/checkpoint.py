@@ -14,16 +14,18 @@ save and one load path, driven by the per-system layout table ``_LAYOUTS``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .config import EncoderConfig
+from .corpus import read_json, write_text
 from .encode import ToyEncoder, create_encoder
 from .errors import BadCheckpoint, IoError, NonFiniteParameters
 from .joint import JointModel
-from .nn import EntailmentHead, EvidenceHead, in_unit_interval
+from .nn import EntailmentHead, EvidenceHead, in_unit_interval, is_count
 from .pipeline import PipelineModel
 
 _DTYPE = np.dtype("<f4")
@@ -45,7 +47,6 @@ def _write_blob(path: Path, named: Mapping[str, np.ndarray], system: str, config
                 f"parameter {name} has {bad} non-finite value(s) of {arr.size}: "
                 "training diverged, no checkpoint written"
             )
-    path.mkdir(parents=True, exist_ok=True)
     tensors = []
     chunks = []
     offset = 0
@@ -62,45 +63,39 @@ def _write_blob(path: Path, named: Mapping[str, np.ndarray], system: str, config
         offset += len(chunks[-1])
     manifest = {"system": system, "tensors": tensors}
     try:
+        path.mkdir(parents=True, exist_ok=True)
         (path / PARAMS_FILE).write_bytes(b"".join(chunks))
-        (path / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        (path / CONFIG_FILE).write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
-
-
-def _read_json(path: Path) -> dict:
-    if not path.is_file():
-        raise BadCheckpoint(f"missing checkpoint file {path}")
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadCheckpoint(f"unreadable checkpoint file {path}: {exc}") from exc
+    write_text(path / MANIFEST_FILE, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text(path / CONFIG_FILE, json.dumps(config, sort_keys=True, indent=2) + "\n")
 
 
 def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Load (system, config, tensors) from a checkpoint directory.
 
-    Every manifest inconsistency (missing files, bad offsets, blob size
-    mismatch) raises :class:`BadCheckpoint`. Tensors come back as float64.
+    Every manifest inconsistency (missing files, bytes that are not UTF-8
+    JSON, tensors that do not tile the blob in manifest order) raises
+    :class:`BadCheckpoint`; a file that exists but cannot be read raises
+    :class:`IoError`. Tensors come back as float64.
     """
     path = Path(path)
-    if not path.is_dir():
-        raise BadCheckpoint(f"{path} is not a checkpoint directory")
-    manifest = _read_json(path / MANIFEST_FILE)
-    config = _read_json(path / CONFIG_FILE)
-    system = manifest.get("system")
+    try:
+        manifest = read_json(path / MANIFEST_FILE, BadCheckpoint)
+        config = read_json(path / CONFIG_FILE, BadCheckpoint)
+        blob = (path / PARAMS_FILE).read_bytes()
+    except FileNotFoundError as exc:
+        raise BadCheckpoint(f"missing checkpoint file {exc.filename}") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path / PARAMS_FILE}: {exc}") from exc
+    system = manifest.get("system") if isinstance(manifest, dict) else None
     if system not in ("pipeline", "joint"):
         raise BadCheckpoint(f"manifest names unknown system {system!r}")
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise BadCheckpoint("manifest has no tensor list")
-    try:
-        blob = (path / PARAMS_FILE).read_bytes()
-    except OSError as exc:
-        raise BadCheckpoint(f"cannot read {PARAMS_FILE}: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
-    expected_end = 0
+    end = 0  # each tensor starts where the one before it ends
     for entry in entries:
         try:
             name, shape, offset = entry["name"], tuple(entry["shape"]), entry["byte_offset"]
@@ -109,15 +104,20 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             raise BadCheckpoint(f"malformed tensor entry {entry!r}") from exc
         if dtype != "float32":
             raise BadCheckpoint(f"tensor {name}: unsupported dtype {dtype!r}")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * _DTYPE.itemsize
-        if offset < 0 or offset + n_bytes > len(blob):
+        if not all(is_count(d, 0) for d in shape):
+            raise BadCheckpoint(f"tensor {name}: shape {list(shape)} is not a list of sizes")
+        n_bytes = math.prod(shape) * _DTYPE.itemsize
+        if offset != end:
+            raise BadCheckpoint(f"tensor {name}: byte_offset {offset}, expected {end}")
+        if end + n_bytes > len(blob):
             raise BadCheckpoint(f"tensor {name}: offset {offset} outside the parameter blob")
         flat = np.frombuffer(blob, dtype=_DTYPE, count=n_bytes // _DTYPE.itemsize, offset=offset)
-        tensors[name] = flat.reshape(shape).astype(np.float64)
-        expected_end = max(expected_end, offset + n_bytes)
-    if expected_end != len(blob):
+        with np.errstate(invalid="ignore"):  # a NaN is refused once the tensor is placed
+            tensors[name] = flat.reshape(shape).astype(np.float64)
+        end += n_bytes
+    if end != len(blob):
         raise BadCheckpoint(
-            f"parameter blob has {len(blob)} bytes but the manifest accounts for {expected_end}"
+            f"parameter blob has {len(blob)} bytes but the manifest accounts for {end}"
         )
     return system, config, tensors
 

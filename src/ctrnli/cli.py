@@ -24,7 +24,7 @@ from .config import (
     build_run_config,
     read_config_file,
 )
-from .corpus import load_claims, load_corpus, validate_dataset
+from .corpus import load_claims, load_corpus, validate_dataset, write_text
 from .encode import ToyEncoder, create_encoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, CtrnliError
@@ -46,12 +46,8 @@ def _require(value, what: str):
 
 
 def _load_data(cfg: RunConfig, need_labels: bool = False):
-    corpus_path = Path(_require(cfg.corpus, "--corpus"))
-    claims_path = Path(_require(cfg.claims, "--claims"))
-    if not corpus_path.exists():
-        raise UsageError(f"corpus path {corpus_path} does not exist")
-    if not claims_path.exists() and not claims_path.parent.is_dir():
-        raise UsageError(f"claims path {claims_path} does not exist")
+    corpus_path = _require(cfg.corpus, "--corpus")
+    claims_path = _require(cfg.claims, "--claims")
     corpus = load_corpus(corpus_path)
     claims = load_claims(claims_path, split=cfg.split, corpus=corpus, lenient=cfg.lenient)
     if need_labels:
@@ -99,10 +95,8 @@ def _encoder_factory(cfg: RunConfig):
 
 def cmd_validate(args) -> int:
     cfg, _ = _run_config(args)
-    corpus_path = Path(_require(cfg.corpus, "--corpus"))
-    claims_path = Path(_require(cfg.claims, "--claims"))
-    if not corpus_path.exists():
-        raise UsageError(f"corpus path {corpus_path} does not exist")
+    corpus_path = _require(cfg.corpus, "--corpus")
+    claims_path = _require(cfg.claims, "--claims")
     corpus = load_corpus(corpus_path)
     # claims load unlinked so reference problems are reported, not raised
     claims = load_claims(claims_path, split=cfg.split)
@@ -159,7 +153,7 @@ def cmd_train(args) -> int:
         )
         save_joint_model(result.model, out_dir)
         curves = result.loss_curve
-    (out_dir / "loss_curve.json").write_text(json.dumps(curves, sort_keys=True) + "\n")
+    write_text(out_dir / "loss_curve.json", json.dumps(curves, sort_keys=True) + "\n")
     print(f"checkpoint written to {out_dir}")
     return 0
 
@@ -183,9 +177,6 @@ def cmd_predict(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg, _ = _run_config(args)
-    for path in (args.predictions_a, args.predictions_b):
-        if not Path(path).exists():
-            raise UsageError(f"prediction file {path} does not exist")
     preds_a = load_predictions(args.predictions_a)
     preds_b = load_predictions(args.predictions_b)
     combined = ensemble_predictions(preds_a, preds_b, cfg.ensemble, cfg.threshold)
@@ -196,11 +187,9 @@ def cmd_ensemble(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, _ = _run_config(args)
-    if not Path(args.predictions).exists():
-        raise UsageError(f"prediction file {args.predictions} does not exist")
     preds = load_predictions(args.predictions)
     corpus, claims = _load_data(cfg, need_labels=True)
-    golds = build_gold_view(claims, corpus, cfg.inject_arm_prefix)
+    golds = build_gold_view(claims, corpus)
     metadata = {
         "predictions": str(args.predictions),
         "claims": str(cfg.claims),
@@ -217,8 +206,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not Path(args.report).exists():
-        raise UsageError(f"report file {args.report} does not exist")
     report = report_from_json_obj(load_report_obj(args.report))
     print(render_table(report))
     return 0
@@ -305,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", help="report JSON file to write")
-    p.add_argument("--inject-arm-prefix", action="store_true", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="render a report file as a table")

@@ -10,10 +10,10 @@ overridden by any explicitly passed flags.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import read_json
 from .ensemble import EnsembleConfig
 from .errors import MalformedJson
 from .nn import Hyperparams, in_unit_interval, is_count
@@ -114,12 +114,7 @@ def read_config_file(path: str | Path | None) -> dict:
     """The JSON object of a config file; empty when ``path`` is None."""
     if path is None:
         return {}
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"config {path}: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise MalformedJson(f"config {path}: expected a JSON object")
     return obj

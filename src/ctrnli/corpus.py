@@ -16,11 +16,13 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import (
+    CtrnliError,
     DanglingCtrReference,
     DuplicateClaimId,
     DuplicateCtrId,
     EmptySentence,
     EvidenceIndexOutOfRange,
+    IoError,
     MalformedJson,
     MissingSection,
     UnknownSectionName,
@@ -166,12 +168,29 @@ class PremiseDoc:
 # --- loading -----------------------------------------------------------------
 
 
-def _read_json(path: Path):
+def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
+    """The JSON value of a file, streamed as UTF-8.
+
+    A missing file raises :class:`FileNotFoundError`, any other failure to
+    read it :class:`IoError`, and bytes that are not UTF-8 JSON ``error``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to a file as UTF-8; any failure raises :class:`IoError`."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_arms(obj, ctr_id: str, sections: dict[str, list[str]]):
@@ -250,12 +269,10 @@ def load_corpus(path: str | Path) -> dict[str, ClinicalTrialRecord]:
     record identifiers are an error.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     corpus: dict[str, ClinicalTrialRecord] = {}
     for fp in files:
-        data = _read_json(fp)
+        data = read_json(fp)
         objs = data if isinstance(data, list) else [data]
         for obj in objs:
             record = parse_record(obj)
@@ -338,20 +355,18 @@ def load_claims(
 
     ``path`` is either the claim file itself or a directory holding
     ``{split}.json``. When ``corpus`` is given, claims whose trial references
-    are missing are reported and skipped; unless ``lenient`` is set, any such
-    claim raises :class:`DanglingCtrReference` after the whole file is
-    scanned, carrying the full list of offenders. A repeated ``claim_id``
-    raises :class:`DuplicateClaimId`.
+    are missing raise :class:`DanglingCtrReference` after the whole file is
+    scanned, carrying the full list of offenders; with ``lenient`` set they
+    are skipped instead, with one warning naming them all. A repeated
+    ``claim_id`` raises :class:`DuplicateClaimId`.
     """
     path = Path(path)
     if path.is_dir():
         if split is None:
             raise ValueError("split is required when path is a directory")
         path = path / f"{split}.json"
-    if not path.exists():
-        raise FileNotFoundError(path)
 
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, list):
         raise MalformedJson(f"{path}: claim file must be a JSON list")
     if not data:
@@ -362,19 +377,15 @@ def load_claims(
     claims: list[ClaimInstance] = []
     dangling: list[str] = []
     for claim in parsed:
-        if corpus is not None:
-            missing = [c for c in claim.ctr_ids if c not in corpus]
-            if missing:
-                logger.warning(
-                    "claim %s references missing trial(s) %s; skipped", claim.claim_id, missing
-                )
-                dangling.append(claim.claim_id)
-                continue
-        claims.append(claim)
-    if dangling and not lenient:
-        raise DanglingCtrReference(
-            f"{len(dangling)} claim(s) reference missing trials: {', '.join(dangling)}"
-        )
+        if corpus is not None and any(c not in corpus for c in claim.ctr_ids):
+            dangling.append(claim.claim_id)
+        else:
+            claims.append(claim)
+    if dangling:
+        message = f"{len(dangling)} claim(s) reference missing trials: {', '.join(dangling)}"
+        if not lenient:
+            raise DanglingCtrReference(message)
+        logger.warning("%s; skipped", message)
     return claims
 
 
@@ -462,8 +473,8 @@ def validate_dataset(
 
     ``parse_record`` and ``parse_claim`` already refuse malformed records and
     claims; what is left to check are the cross-references and the claim ids,
-    surfaced in one pass: duplicate claim ids, trials missing from the corpus
-    and gold evidence indices outside their section.
+    surfaced in one pass: duplicate claim ids, trials missing from the corpus,
+    premises without a sentence and gold evidence indices outside their section.
     """
     report = ValidationReport()
     seen: set[str] = set()
@@ -477,6 +488,10 @@ def validate_dataset(
         for ctr in missing:
             report.violations.append(
                 Violation("DanglingCtrReference", f"missing trial '{ctr}'", claim.claim_id)
+            )
+        if not missing and not any(corpus[c].section(claim.section_id) for c in claim.ctr_ids):
+            report.violations.append(
+                Violation("EmptyPremise", f"no sentence in {claim.section_id}", claim.claim_id)
             )
         for ctr, idxs in (claim.gold_evidence or {}).items():
             if ctr not in corpus:
@@ -500,10 +515,10 @@ def validate_dataset(
 def dump_corpus(corpus: Mapping[str, ClinicalTrialRecord], path: str | Path) -> None:
     """Write a corpus back to one JSON file (sorted by ctr_id)."""
     records = [corpus[cid].to_json_obj() for cid in sorted(corpus)]
-    Path(path).write_text(json.dumps(records, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(path, json.dumps(records, indent=2, sort_keys=True))
 
 
 def dump_claims(claims: Iterable[ClaimInstance], path: str | Path) -> None:
     """Write claims to one JSON file, preserving order."""
     objs = [c.to_json_obj() for c in claims]
-    Path(path).write_text(json.dumps(objs, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(path, json.dumps(objs, indent=2, sort_keys=True))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import check_unique_claim_ids
-from .errors import IoError, MalformedJson, MismatchedClaim, MismatchedPremiseLength
+from .corpus import check_unique_claim_ids, read_json, write_text
+from .errors import MalformedJson, MismatchedClaim, MismatchedPremiseLength
 from .nn import is_count, is_finite_number
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
@@ -156,24 +156,14 @@ def ensemble_predictions(
 def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> None:
     """Write predictions as a JSON list, deterministically ordered."""
     payload = [p.to_json_obj() for p in preds]
-    try:
-        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write predictions to {path}: {exc}") from exc
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_predictions(path: str | Path) -> list[SystemPrediction]:
     """Read a prediction list written by :func:`save_predictions` or an
     external system emitting the same shape; a claim predicted twice raises
     :class:`DuplicateClaimId`."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read predictions from {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise MalformedJson(f"{path}: expected a JSON list of predictions")
     preds = [SystemPrediction.from_json_obj(obj) for obj in payload]

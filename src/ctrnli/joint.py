@@ -38,7 +38,7 @@ from .encode import (
     pool_spans_backward,
 )
 from .encode import pool_span, pool_span_backward  # noqa: F401  bench/tracing.py wraps them here
-from .errors import MissingGold, MissingGoldEvidence, MissingGoldLabel
+from .errors import EmptyPremise, MissingGold, MissingGoldEvidence, MissingGoldLabel
 from .nn import (
     EntailmentHead,
     EvidenceHead,
@@ -139,6 +139,8 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
 
 def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
     """Single-pass inference over one claim-document sequence."""
+    if premise.n == 0:
+        raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
     ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
     matrix = model.encoder.encode(ji.token_ids)
     _, _, probs, pooled, fallbacks, v_logits, _ = _forward(

@@ -21,9 +21,11 @@ from .corpus import (
     ClinicalTrialRecord,
     check_unique_claim_ids,
     gold_evidence_globals,
+    read_json,
     resolve_premise,
+    write_text,
 )
-from .errors import IncompleteCoverage, IoError, LengthMismatch, MalformedJson, MissingGold
+from .errors import IncompleteCoverage, LengthMismatch, MalformedJson, MissingGold
 from .pipeline import SystemPrediction
 
 
@@ -86,12 +88,11 @@ class GoldClaim:
 def build_gold_view(
     claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
-    inject_arm_prefix: bool = False,
 ) -> dict[str, GoldClaim]:
     """Resolve each claim's gold annotations against its premise document."""
     view = {}
     for claim in claims:
-        premise = resolve_premise(claim, corpus, inject_arm_prefix)
+        premise = resolve_premise(claim, corpus)
         evidence = (
             gold_evidence_globals(claim, premise) if claim.gold_evidence is not None else None
         )
@@ -308,22 +309,12 @@ def build_report(
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
     """Write the report as JSON; identical inputs give identical bytes."""
-    try:
-        Path(path).write_text(json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    write_text(path, json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
 
 
 def load_report_obj(path: str | Path) -> dict:
     """Read a report file back as a plain JSON object."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read report from {path}: {exc}") from exc
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    return read_json(path)
 
 
 def report_from_json_obj(obj: dict) -> MetricsReport:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,11 @@ class TestCorruption:
         with pytest.raises(BadCheckpoint):
             read_checkpoint(joint_ckpt)
 
+    def test_manifest_not_an_object(self, joint_ckpt):
+        (joint_ckpt / "manifest.json").write_text("[]")
+        with pytest.raises(BadCheckpoint, match="unknown system None"):
+            read_checkpoint(joint_ckpt)
+
     def test_unknown_system(self, joint_ckpt):
         _edit_manifest(joint_ckpt, lambda m: m.update(system="hybrid"))
         with pytest.raises(BadCheckpoint):
@@ -164,6 +170,30 @@ class TestCorruption:
     def test_negative_offset(self, joint_ckpt):
         _edit_manifest(joint_ckpt, lambda m: m["tensors"][0].update(byte_offset=-4))
         with pytest.raises(BadCheckpoint):
+            read_checkpoint(joint_ckpt)
+
+    @pytest.mark.parametrize(
+        "name, shift", [("encoder.W0", 4), ("encoder.W1", -4), ("encoder.W1", 4)]
+    )
+    def test_tensors_must_tile_the_blob(self, joint_ckpt, name, shift):
+        """An offset off the previous tensor's end is refused even when every
+        tensor still lies inside the blob: an overlap would load shifted weights."""
+        def move(m):
+            next(t for t in m["tensors"] if t["name"] == name)["byte_offset"] += shift
+
+        _edit_manifest(joint_ckpt, move)
+        with pytest.raises(BadCheckpoint, match=f"tensor {name}: byte_offset"):
+            read_checkpoint(joint_ckpt)
+
+    @pytest.mark.parametrize(
+        "shape", [[-1, 32], [32, 2.0], "ab"], ids=["negative", "float", "string"]
+    )
+    def test_shape_must_be_a_list_of_sizes(self, joint_ckpt, shape):
+        def reshape(m):
+            next(t for t in m["tensors"] if t["name"] == "verdict_head.W2")["shape"] = shape
+
+        _edit_manifest(joint_ckpt, reshape)
+        with pytest.raises(BadCheckpoint, match="verdict_head.W2: shape"):
             read_checkpoint(joint_ckpt)
 
     def test_malformed_tensor_entry(self, joint_ckpt):
@@ -225,6 +255,20 @@ class TestNonFinite:
         (pipeline_ckpt / "params.bin").write_bytes(bytes(blob))
         with pytest.raises(BadCheckpoint, match="evidence.head.W1: holds non-finite"):
             load_pipeline_model(pipeline_ckpt)
+
+    def test_signalling_nan_is_refused_without_a_warning(self, pipeline_ckpt):
+        """Casting a float32 signalling NaN to float64 would warn on stderr
+        before the one refusal line."""
+        manifest = json.loads((pipeline_ckpt / "manifest.json").read_text())
+        entry = next(t for t in manifest["tensors"] if t["name"] == "evidence.head.W1")
+        blob = bytearray((pipeline_ckpt / "params.bin").read_bytes())
+        offset = entry["byte_offset"]
+        blob[offset : offset + 4] = np.array([0x7F800001], dtype="<u4").tobytes()
+        (pipeline_ckpt / "params.bin").write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadCheckpoint, match="evidence.head.W1: holds non-finite"):
+                load_pipeline_model(pipeline_ckpt)
 
 
 @pytest.mark.parametrize("system", ["pipeline", "joint"])

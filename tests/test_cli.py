@@ -12,6 +12,7 @@ import pytest
 from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import build_parser, main
 from ctrnli.config import SECTIONS, RunConfig
+from ctrnli.corpus import SECTION_NAMES
 from ctrnli.ensemble import load_predictions
 from ctrnli.errors import BadCheckpoint
 from ctrnli.nn import EntailmentHead, init_mlp
@@ -47,6 +48,22 @@ def out_of_range_claims(tmp_path):
     path = tmp_path / "claims.json"
     path.write_text(json.dumps(claims))
     return str(path)
+
+
+@pytest.fixture()
+def empty_premise(tmp_path):
+    """(corpus, claims) paths: the fixture corpus plus a trial whose four
+    sections are empty, and one claim on that trial."""
+    records = json.loads(Path(CORPUS).read_text())
+    records.append({"ctr_id": "trial-empty", "sections": {name: [] for name in SECTION_NAMES}})
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(records))
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps([{
+        "claim_id": "claim-empty", "text": "The trial reports no adverse events.",
+        "section_id": "adverse_events", "primary_ctr": "trial-empty",
+    }]))
+    return str(corpus), str(claims)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +118,11 @@ class TestValidate:
     def test_missing_corpus_is_usage_error(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["validate", "--corpus", missing, "--claims", CLAIMS]) == 2
+
+    def test_empty_premise_is_a_violation(self, capsys, empty_premise):
+        corpus, claims = empty_premise
+        assert main(["validate", "--corpus", corpus, "--claims", claims]) == 1
+        assert "EmptyPremise [claim-empty]" in capsys.readouterr().out
 
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "corpus.json"
@@ -283,6 +305,18 @@ class TestPredict:
     def test_writes_valid_predictions(self, prediction_files, corpus, claims):
         preds = load_predictions(prediction_files["pipeline"])
         assert [p.claim_id for p in preds] == [c.claim_id for c in claims]
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_empty_premise_is_data_error(self, tmp_path, ckpts, capsys, empty_premise, system):
+        corpus, claims = empty_premise
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", corpus, "--claims", claims,
+            "--checkpoint", str(ckpts[system]), "--out", str(out),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "claim-empty", "empty premise")
+        assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path):
         code = main([

@@ -1,0 +1,225 @@
+"""Every file a command reads, damaged on purpose: each run ends in an exit
+code of 0-3 with at most one stderr line and never a traceback.
+
+The table ``TARGETS`` names each file and a command that reads it. A
+workspace holds one copy of every file; a test damages one of them, runs the
+command through ``main()`` and puts the file back. Log records at WARNING
+and above count as stderr lines, since the command-line entry point sends
+them there.
+"""
+
+import contextlib
+import io
+import json
+import logging
+import shutil
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctrnli.checkpoint import save_joint_model
+from ctrnli.cli import main
+from ctrnli.ensemble import save_predictions
+from ctrnli.joint import predict_joint
+from ctrnli.metrics import build_gold_view, build_report, write_report
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
+
+
+def _predict(ws, *extra):
+    return [
+        "predict", "--corpus", ws / "corpus.json", "--claims", ws / "claims", "--split", "dev",
+        "--checkpoint", ws / "ckpt", "--out", ws / "out.json", *extra,
+    ]
+
+
+def _evaluate(ws):
+    return [
+        "evaluate", "--corpus", ws / "corpus.json", "--claims", ws / "claims", "--split", "dev",
+        "--predictions", ws / "joint.json",
+    ]
+
+
+# file in the workspace -> command that reads it. The claims are given as a
+# directory and a split, so a directory in place of the claim file is read as
+# a file; a directory in place of the corpus file is scanned as an empty
+# corpus.
+TARGETS = {
+    "corpus": ("corpus.json", _predict),
+    "claims": ("claims/dev.json", _predict),
+    "config": ("run.json", lambda ws: _predict(ws, "--config", ws / "run.json")),
+    "predictions-ensemble": (
+        "joint.json",
+        lambda ws: ["ensemble", ws / "pipeline.json", ws / "joint.json", "--out", ws / "e.json"],
+    ),
+    "predictions-evaluate": ("joint.json", _evaluate),
+    "report": ("report.json", lambda ws: ["report", "--report", ws / "report.json"]),
+    "checkpoint-manifest": ("ckpt/manifest.json", _predict),
+    "checkpoint-config": ("ckpt/config.json", _predict),
+}
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory, corpus, claims, joint_model):
+    """One copy of every file in ``TARGETS``, all valid."""
+    ws = tmp_path_factory.mktemp("files")
+    shutil.copy(FIXTURE / "corpus.json", ws / "corpus.json")
+    (ws / "claims").mkdir()
+    shutil.copy(FIXTURE / "claims.json", ws / "claims" / "dev.json")
+    (ws / "run.json").write_text(json.dumps({
+        "threshold": 0.4,
+        "encoder": {"pooling": "max", "dim": 32},
+        "hyperparams": {"batch_size": 4, "seed": 1},
+        "ensemble": {"w_pipeline": 0.5, "w_joint": 0.5},
+    }))
+    save_joint_model(joint_model, ws / "ckpt")
+    preds = [predict_joint(claim, corpus, joint_model) for claim in claims]
+    save_predictions(preds, ws / "joint.json")
+    save_predictions(preds, ws / "pipeline.json")
+    write_report(build_report(preds, build_gold_view(claims, corpus)), ws / "report.json")
+    return ws
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def _run(argv):
+    """(exit code, stderr lines) of one command; a warning fails the run."""
+    err = io.StringIO()
+    records = _Records()
+    log = logging.getLogger("ctrnli")
+    log.addHandler(records)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(a) for a in argv])
+    finally:
+        log.removeHandler(records)
+    return code, err.getvalue().splitlines() + records.lines
+
+
+@contextlib.contextmanager
+def _damaged(ws, rel, damage):
+    """Apply ``damage`` to the file, then put the original back."""
+    path = ws / rel
+    original = path.read_bytes()
+    try:
+        damage(path, original)
+        yield
+    finally:
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
+        path.write_bytes(original)
+
+
+def _as_directory(path, original):
+    path.unlink()
+    path.mkdir()
+
+
+def _not_utf8(path, original):
+    path.write_bytes(b'{"x": "\xff\xfe"}')
+
+
+def _missing(path, original):
+    path.unlink()
+
+
+def _check(code, lines, expected=None):
+    assert code in (0, 1, 2, 3), (code, lines)
+    assert len(lines) <= 1, lines
+    assert not any("Traceback" in line for line in lines), lines
+    if expected is not None:
+        assert code == expected, (code, lines)
+        assert len(lines) == 1, lines
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize(
+    "damage, expected",
+    [(_not_utf8, 1), (_as_directory, 1), (_missing, 2)],
+    ids=["not-utf8", "directory", "missing"],
+)
+def test_damaged_file_ends_in_its_exit_code(workspace, target, damage, expected):
+    """Bytes that are not UTF-8 JSON and a directory in place of the file are
+    data errors (1); a missing file is a usage error (2). Inside a checkpoint
+    a missing file is a bad checkpoint (1); only a missing checkpoint
+    directory is a usage error."""
+    rel, command = TARGETS[target]
+    if damage is _missing and rel.startswith("ckpt/"):
+        expected = 1
+    with _damaged(workspace, rel, damage):
+        code, lines = _run(command(workspace))
+    _check(code, lines, expected)
+
+
+def test_missing_checkpoint_directory_is_a_usage_error(workspace, tmp_path):
+    argv = _predict(workspace)
+    argv[argv.index("--checkpoint") + 1] = tmp_path / "nope"
+    code, lines = _run(argv)
+    _check(code, lines, 2)
+
+
+def test_train_out_under_a_regular_file_is_a_data_error(workspace, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, lines = _run([
+        "train", "--corpus", workspace / "corpus.json", "--claims", workspace / "claims",
+        "--split", "dev", "--max-steps", "1", "--seed", "0", "--out", blocker / "ckpt",
+    ])
+    _check(code, lines, 1)
+
+
+def test_corpus_directory_holding_a_json_directory_is_a_data_error(workspace, tmp_path):
+    shutil.copy(workspace / "corpus.json", tmp_path / "a.json")
+    (tmp_path / "b.json").mkdir()
+    code, lines = _run(["validate", "--corpus", tmp_path,
+                        "--claims", workspace / "claims", "--split", "dev"])
+    _check(code, lines, 1)
+
+
+def _mutation():
+    """A truncation, a one-byte overwrite, or a directory in place of the file."""
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+        st.tuples(st.just("overwrite"), st.floats(0, 1, exclude_max=True),
+                  st.integers(0, 255)),
+        st.tuples(st.just("directory"), st.just(0.0), st.just(0)),
+    )
+
+
+def _apply(mutation):
+    kind, where, value = mutation
+
+    def damage(path, original):
+        at = int(where * len(original))
+        if kind == "truncate":
+            path.write_bytes(original[:at])
+        elif kind == "overwrite":
+            path.write_bytes(original[:at] + bytes([value]) + original[at + 1 :])
+        else:
+            _as_directory(path, original)
+
+    return damage
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(mutation=_mutation())
+def test_fuzzed_file_ends_in_one_line(workspace, target, mutation):
+    rel, command = TARGETS[target]
+    with _damaged(workspace, rel, _apply(mutation)):
+        code, lines = _run(command(workspace))
+    _check(code, lines)

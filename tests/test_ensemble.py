@@ -17,7 +17,6 @@ from ctrnli.ensemble import (
 )
 from ctrnli.errors import (
     DuplicateClaimId,
-    IoError,
     MalformedJson,
     MismatchedClaim,
     MismatchedPremiseLength,
@@ -279,7 +278,7 @@ class TestPredictionFiles:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoError):
+        with pytest.raises(FileNotFoundError):
             load_predictions(tmp_path / "nope.json")
 
     def test_malformed_json(self, tmp_path):
