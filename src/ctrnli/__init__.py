@@ -15,7 +15,6 @@ from .corpus import (
     ClinicalTrialRecord,
     PremiseDoc,
     PremiseSentence,
-    Sentence,
     ValidationReport,
     gold_evidence_globals,
     load_claims,
@@ -97,7 +96,6 @@ __all__ = [
     "PretrainedEncoder",
     "RunConfig",
     "SECTION_NAMES",
-    "Sentence",
     "SystemPrediction",
     "ToyEncoder",
     "ValidationReport",

@@ -24,12 +24,12 @@ from .config import (
     build_run_config,
     read_config_file,
 )
-from .corpus import load_claims, load_corpus, validate_dataset, write_text
+from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
 from .encode import ToyEncoder, create_encoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, CtrnliError
 from .joint import predict_joint, train_joint
-from .metrics import build_gold_view, build_report, load_report_obj, render_table, report_from_json_obj, write_report
+from .metrics import build_gold_view, build_report, render_table, report_from_json_obj, write_report
 from .pipeline import PipelineModel, predict_pipeline, train_entailment_model, train_evidence_model
 
 logger = logging.getLogger(__name__)
@@ -206,7 +206,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = report_from_json_obj(load_report_obj(args.report))
+    report = report_from_json_obj(read_json(args.report))
     print(render_table(report))
     return 0
 

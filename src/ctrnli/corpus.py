@@ -27,13 +27,12 @@ from .errors import (
     MissingSection,
     UnknownSectionName,
 )
+from .nn import is_count
 
 logger = logging.getLogger(__name__)
 
 SECTION_NAMES = ("eligibility", "intervention", "results", "adverse_events")
 LABELS = ("Entailment", "Contradiction")
-SHARED_ARM = "shared"
-DEFAULT_ARM = "cohort_1"
 
 PRIMARY_PREFIX = "primary trial:"
 SECONDARY_PREFIX = "secondary trial:"
@@ -45,39 +44,20 @@ def normalize_text(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """One pre-segmented section sentence, tagged with its cohort arm."""
-
-    text: str
-    arm: str = SHARED_ARM
-
-
-@dataclass(frozen=True)
 class ClinicalTrialRecord:
-    """One trial report: four fixed sections plus 1-2 cohort arm labels."""
+    """One trial report: four fixed sections of pre-segmented sentences."""
 
     ctr_id: str
-    sections: Mapping[str, tuple[Sentence, ...]]
-    arms: tuple[str, ...] = (DEFAULT_ARM,)
+    sections: Mapping[str, tuple[str, ...]]
 
-    def section(self, name: str) -> tuple[Sentence, ...]:
+    def section(self, name: str) -> tuple[str, ...]:
         return self.sections[name]
 
     def to_json_obj(self) -> dict:
-        obj: dict = {
+        return {
             "ctr_id": self.ctr_id,
-            "sections": {name: [s.text for s in self.sections[name]] for name in SECTION_NAMES},
+            "sections": {name: list(self.sections[name]) for name in SECTION_NAMES},
         }
-        tags = {
-            name: [s.arm for s in self.sections[name]]
-            for name in SECTION_NAMES
-            if any(s.arm != SHARED_ARM for s in self.sections[name])
-        }
-        if self.arms != (DEFAULT_ARM,) or tags:
-            obj["arms"] = {"labels": list(self.arms)}
-            if tags:
-                obj["arms"]["tags"] = tags
-        return obj
 
 
 @dataclass(frozen=True)
@@ -131,7 +111,6 @@ class PremiseSentence:
 
     global_index: int
     ctr_id: str
-    arm: str
     text: str
 
 
@@ -193,35 +172,13 @@ def write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_arms(obj, ctr_id: str, sections: dict[str, list[str]]):
-    """Parse the optional "arms" entry into (labels, per-section tag lists)."""
-    if obj is None:
-        labels = (DEFAULT_ARM,)
-        tags = {name: [SHARED_ARM] * len(sents) for name, sents in sections.items()}
-        return labels, tags
-    if isinstance(obj, list):
-        obj = {"labels": obj}
-    if not isinstance(obj, dict) or "labels" not in obj:
-        raise MalformedJson(f"{ctr_id}: 'arms' must be a list of labels or an object with 'labels'")
-    labels = tuple(str(x) for x in obj["labels"])
-    if not 1 <= len(labels) <= 2:
-        raise MalformedJson(f"{ctr_id}: cohort count must be 1 or 2, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise MalformedJson(f"{ctr_id}: duplicate arm labels")
-    raw_tags = obj.get("tags", {})
-    tags = {}
-    for name, sents in sections.items():
-        section_tags = [str(t) for t in raw_tags.get(name, [SHARED_ARM] * len(sents))]
-        if len(section_tags) != len(sents):
-            raise MalformedJson(
-                f"{ctr_id}: arm tags for section '{name}' have length "
-                f"{len(section_tags)}, expected {len(sents)}"
-            )
-        for t in section_tags:
-            if t != SHARED_ARM and t not in labels:
-                raise MalformedJson(f"{ctr_id}: unknown arm tag '{t}' in section '{name}'")
-        tags[name] = section_tags
-    return labels, tags
+def _string(obj: dict, key: str, owner: str, optional: bool = False) -> str | None:
+    """``obj[key]``, which must be a JSON string; with ``optional`` a missing
+    key or ``null`` gives None. A missing required key raises ``KeyError``."""
+    value = obj.get(key) if optional else obj[key]
+    if not isinstance(value, str) and not (optional and value is None):
+        raise MalformedJson(f"{owner}: '{key}' must be a string")
+    return value
 
 
 def parse_record(obj) -> ClinicalTrialRecord:
@@ -229,7 +186,7 @@ def parse_record(obj) -> ClinicalTrialRecord:
     if not isinstance(obj, dict):
         raise MalformedJson("trial record must be a JSON object")
     try:
-        ctr_id = str(obj["ctr_id"])
+        ctr_id = _string(obj, "ctr_id", "trial record")
         raw_sections = obj["sections"]
     except KeyError as exc:
         raise MalformedJson(f"trial record missing key {exc}") from exc
@@ -243,22 +200,16 @@ def parse_record(obj) -> ClinicalTrialRecord:
         if name not in raw_sections:
             raise MissingSection(f"{ctr_id}: missing section '{name}'")
 
-    normalized: dict[str, list[str]] = {}
+    sections: dict[str, tuple[str, ...]] = {}
     for name in SECTION_NAMES:
         sents = raw_sections[name]
         if not isinstance(sents, list) or not all(isinstance(s, str) for s in sents):
             raise MalformedJson(f"{ctr_id}: section '{name}' must be a list of strings")
-        normalized[name] = [normalize_text(s) for s in sents]
-        for i, s in enumerate(normalized[name]):
+        sections[name] = tuple(normalize_text(s) for s in sents)
+        for i, s in enumerate(sections[name]):
             if not s:
                 raise EmptySentence(f"{ctr_id}: empty sentence at {name}[{i}]")
-
-    labels, tags = _parse_arms(obj.get("arms"), ctr_id, normalized)
-    sections = {
-        name: tuple(Sentence(text, arm) for text, arm in zip(normalized[name], tags[name]))
-        for name in SECTION_NAMES
-    }
-    return ClinicalTrialRecord(ctr_id=ctr_id, sections=sections, arms=labels)
+    return ClinicalTrialRecord(ctr_id=ctr_id, sections=sections)
 
 
 def load_corpus(path: str | Path) -> dict[str, ClinicalTrialRecord]:
@@ -287,10 +238,10 @@ def parse_claim(obj) -> ClaimInstance:
     if not isinstance(obj, dict):
         raise MalformedJson("claim must be a JSON object")
     try:
-        claim_id = str(obj["claim_id"])
-        text = normalize_text(str(obj["text"]))
-        section_id = str(obj["section_id"])
-        primary_ctr = str(obj["primary_ctr"])
+        claim_id = _string(obj, "claim_id", "claim")
+        text = normalize_text(_string(obj, "text", claim_id))
+        section_id = _string(obj, "section_id", claim_id)
+        primary_ctr = _string(obj, "primary_ctr", claim_id)
     except KeyError as exc:
         raise MalformedJson(f"claim missing key {exc}") from exc
     if section_id not in SECTION_NAMES:
@@ -298,8 +249,7 @@ def parse_claim(obj) -> ClaimInstance:
     if not text:
         raise MalformedJson(f"{claim_id}: empty claim text")
 
-    secondary = obj.get("secondary_ctr")
-    secondary_ctr = str(secondary) if secondary is not None else None
+    secondary_ctr = _string(obj, "secondary_ctr", claim_id, optional=True)
     if secondary_ctr == primary_ctr:
         raise MalformedJson(f"{claim_id}: a comparison needs two different trials")
 
@@ -319,11 +269,10 @@ def parse_claim(obj) -> ClaimInstance:
                 raise MalformedJson(
                     f"{claim_id}: evidence references '{ctr}', not one of the claim's trials"
                 )
-            if not isinstance(idxs, list) or not all(isinstance(i, int) and i >= 0 for i in idxs):
+            if not isinstance(idxs, list) or not all(is_count(i, 0) for i in idxs):
                 raise MalformedJson(f"{claim_id}: evidence indices must be non-negative ints")
             gold_evidence[ctr] = frozenset(idxs)
 
-    challenge = obj.get("challenge")
     return ClaimInstance(
         claim_id=claim_id,
         text=text,
@@ -332,7 +281,7 @@ def parse_claim(obj) -> ClaimInstance:
         secondary_ctr=secondary_ctr,
         gold_label=label,
         gold_evidence=gold_evidence,
-        challenge=str(challenge) if challenge is not None else None,
+        challenge=_string(obj, "challenge", claim_id, optional=True),
     )
 
 
@@ -416,11 +365,10 @@ def resolve_premise(
         if ctr_id not in corpus:
             raise DanglingCtrReference(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
         offsets.setdefault(ctr_id, g)
-        for sent in corpus[ctr_id].section(claim.section_id):
-            text = sent.text
+        for text in corpus[ctr_id].section(claim.section_id):
             if inject_arm_prefix and claim.claim_type == "comparison":
                 text = f"{prefix} {text}"
-            sentences.append(PremiseSentence(g, ctr_id, sent.arm, text))
+            sentences.append(PremiseSentence(g, ctr_id, text))
             g += 1
     return PremiseDoc(sentences=tuple(sentences), offsets=offsets)
 

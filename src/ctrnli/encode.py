@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import os
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,19 +32,6 @@ class TokenSeq:
     """An immutable id sequence; plain text never carries separator ids."""
 
     token_ids: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.token_ids)
-
-
-@dataclass(frozen=True)
-class PairInput:
-    """Candidate-sentence/claim pair laid out as [sentence, SEP, claim]."""
-
-    token_ids: tuple[int, ...]
-    sentence_index: int
-    sep_position: int
 
     @property
     def length(self) -> int:
@@ -136,14 +123,13 @@ class HashingTokenizer:
 
 def build_pair_sequences(
     tokenizer, sentences: Sequence[str], claim: str, max_len: int
-) -> list[PairInput]:
+) -> list[TokenSeq]:
     """Lay out [sentence tokens, SEP, claim tokens] for every sentence.
 
-    The claim is tokenized once for all pairs; ``sentence_index`` is the
-    position in ``sentences``. Each pair is truncated to ``max_len`` from the
-    sentence tail first; the claim is never touched before the sentence is
-    gone, and a claim that cannot fit alongside the separator and at least
-    one sentence token is an error.
+    The claim is tokenized once for all pairs. Each pair is truncated to
+    ``max_len`` from the sentence tail first; the claim is never touched
+    before the sentence is gone, and a claim that cannot fit alongside the
+    separator and at least one sentence token is an error.
     """
     claim_ids = tokenizer.tokenize(claim).token_ids
     sentence_ids = [tokenizer.tokenize(text).token_ids for text in sentences]
@@ -153,21 +139,13 @@ def build_pair_sequences(
         )
     sentence_budget = max_len - 1 - len(claim_ids)
     tail = (tokenizer.sep_id,) + claim_ids
-    pairs = []
-    for i, sent_ids in enumerate(sentence_ids):
-        sent_ids = sent_ids[:sentence_budget]
-        pairs.append(
-            PairInput(token_ids=sent_ids + tail, sentence_index=i, sep_position=len(sent_ids))
-        )
-    return pairs
+    return [TokenSeq(sent_ids[:sentence_budget] + tail) for sent_ids in sentence_ids]
 
 
-def build_pair_sequence(
-    tokenizer, sentence: str, claim: str, max_len: int, sentence_index: int = 0
-) -> PairInput:
-    """One pair of :func:`build_pair_sequences`, tagged with ``sentence_index``."""
+def build_pair_sequence(tokenizer, sentence: str, claim: str, max_len: int) -> TokenSeq:
+    """The one pair of :func:`build_pair_sequences` for ``sentence``."""
     (pair,) = build_pair_sequences(tokenizer, [sentence], claim, max_len)
-    return replace(pair, sentence_index=sentence_index)
+    return pair
 
 
 def build_joint_sequence(tokenizer, claim: str, premise: PremiseDoc, max_len: int) -> JointInput:

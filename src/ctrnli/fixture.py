@@ -228,12 +228,9 @@ def build_fixture() -> tuple[dict[str, ClinicalTrialRecord], list[ClaimInstance]
             }
         )
 
-    corpus: dict[str, ClinicalTrialRecord] = {}
-    for i, tid in enumerate(TRIAL_IDS):
-        obj: dict = {"ctr_id": tid, "sections": raw_sections[tid]}
-        if i >= 6:  # two trials carry explicit cohort labels
-            obj["arms"] = ["treatment", "placebo"]
-        corpus[tid] = parse_record(obj)
+    corpus = {
+        tid: parse_record({"ctr_id": tid, "sections": raw_sections[tid]}) for tid in TRIAL_IDS
+    }
 
     claims: list[ClaimInstance] = []
     for i, row in enumerate(claim_rows, start=1):

@@ -137,11 +137,24 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
     return ev_probs, ev_cache, probs, pooled, fallbacks, v_logits, v_cache
 
 
+def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) -> JointInput:
+    """The claim's joint sequence; a ``max_len`` that packs none of a
+    non-empty premise's sentences is a usage error (``ValueError``)."""
+    ji = build_joint_sequence(tokenizer, claim.text, premise, max_len)
+    if premise.n and not ji.span_map:
+        first = tokenizer.tokenize(premise.sentences[0].text).length
+        raise ValueError(
+            f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
+            f"(the first has {first} tokens)"
+        )
+    return ji
+
+
 def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
     """Single-pass inference over one claim-document sequence."""
     if premise.n == 0:
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
-    ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, model.max_len)
+    ji = _pack(model.encoder.tokenizer, claim, premise, model.max_len)
     matrix = model.encoder.encode(ji.token_ids)
     _, _, probs, pooled, fallbacks, v_logits, _ = _forward(
         model, matrix, ji.span_map, [len(ji.span_map)]
@@ -299,7 +312,7 @@ def train_joint(
         if claim.gold_label is None:
             raise MissingGoldLabel(f"claim {claim.claim_id} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
-        ji = build_joint_sequence(encoder.tokenizer, claim.text, premise, max_len)
+        ji = _pack(encoder.tokenizer, claim, premise, max_len)
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))
 
     weights = (hyperparams.w_evidence, hyperparams.w_entailment)

@@ -21,7 +21,6 @@ from .corpus import (
     ClinicalTrialRecord,
     check_unique_claim_ids,
     gold_evidence_globals,
-    read_json,
     resolve_premise,
     write_text,
 )
@@ -310,11 +309,6 @@ def build_report(
 def write_report(report: MetricsReport, path: str | Path) -> None:
     """Write the report as JSON; identical inputs give identical bytes."""
     write_text(path, json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
-
-
-def load_report_obj(path: str | Path) -> dict:
-    """Read a report file back as a plain JSON object."""
-    return read_json(path)
 
 
 def report_from_json_obj(obj: dict) -> MetricsReport:

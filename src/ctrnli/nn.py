@@ -111,9 +111,6 @@ class ClassifierHead:
         out, _ = mlp_forward(self.params, x)
         return out
 
-    def probabilities(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(x))
-
 
 class EvidenceHead(ClassifierHead):
     """Maps a pooled sentence-pair vector to (evidence, non-evidence) logits.

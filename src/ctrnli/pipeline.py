@@ -290,7 +290,7 @@ def evidence_training_items(
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         gold = gold_evidence_globals(claim, premise)
         for i, text in enumerate(premise.texts()):
-            pair = build_pair_sequence(tokenizer, text, claim.text, max_len, sentence_index=i)
+            pair = build_pair_sequence(tokenizer, text, claim.text, max_len)
             target = EVIDENCE_CLASS if i in gold else 1 - EVIDENCE_CLASS
             items.append((pair.token_ids, target))
     return items

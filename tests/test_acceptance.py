@@ -484,7 +484,6 @@ def test_a8_packing_vs_greedy_oracle(verdict):
             PremiseSentence(
                 global_index=i,
                 ctr_id="trial",
-                arm="",
                 text=" ".join(f"s{i}w{j}" for j in range(length)),
             )
             for i, length in enumerate(lengths)

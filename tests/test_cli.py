@@ -124,6 +124,35 @@ class TestValidate:
         assert main(["validate", "--corpus", corpus, "--claims", claims]) == 1
         assert "EmptyPremise [claim-empty]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("corpus", "ctr_id", [1]),
+            ("claims", "claim_id", ["x"]),
+            ("claims", "text", 12345),
+            ("claims", "evidence", {"trial-01": [True]}),
+        ],
+    )
+    def test_non_string_id_or_bool_index_is_data_error(self, tmp_path, capsys, name, key, value):
+        """Ids must be JSON strings and indices non-bool integers; none is coerced."""
+        paths = {"corpus": CORPUS, "claims": CLAIMS}
+        objs = json.loads(Path(paths[name]).read_text())
+        objs[0][key] = value
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(objs))
+        code = main(["validate", "--corpus", str(paths["corpus"]), "--claims", str(paths["claims"])])
+        assert code == 1
+        _one_line_error(capsys, key)
+
+    def test_arms_entry_is_ignored(self, tmp_path, capsys):
+        """A trial's "arms" entry, even a malformed one, is an ignored extra key."""
+        records = json.loads(Path(CORPUS).read_text())
+        records[0]["arms"] = {"labels": ["a"], "tags": [1]}
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(records))
+        assert main(["validate", "--corpus", str(corpus), "--claims", CLAIMS]) == 0
+        assert "0 violation" in capsys.readouterr().out
+
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text("{oops")
@@ -143,6 +172,12 @@ class TestTrain:
             "--out", str(tmp_path / "ckpt"), "--max-steps", "1",
         ])
         assert code == 2
+
+    def test_joint_max_len_that_packs_no_sentence_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ckpt"
+        assert main(self._train_args(out, "--system", "joint", "--max-len", "12")) == 2
+        _one_line_error(capsys, "claim-", "max_len 12 packs no premise sentence")
+        assert not out.exists()
 
     def test_seed_via_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -316,6 +351,20 @@ class TestPredict:
         ])
         assert code == 1
         _one_line_error(capsys, "claim-empty", "empty premise")
+        assert not out.exists()
+
+    def test_joint_max_len_that_packs_no_sentence_is_usage_error(
+        self, tmp_path, joint_model, capsys
+    ):
+        ckpt = tmp_path / "joint"
+        save_joint_model(dataclasses.replace(joint_model, max_len=12), ckpt)
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 2
+        _one_line_error(capsys, "claim-01", "max_len 12 packs no premise sentence")
         assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path):

@@ -1,6 +1,7 @@
 """Corpus loading, claim parsing, premise resolution, and dataset validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,9 @@ from ctrnli.errors import (
     MissingSection,
     UnknownSectionName,
 )
+from ctrnli.fixture import write_fixture
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 
 
 def _record_obj(ctr_id="ct-1", **overrides):
@@ -63,10 +67,7 @@ class TestParseRecord:
         rec = parse_record(_record_obj())
         assert rec.ctr_id == "ct-1"
         assert tuple(rec.sections) == SECTION_NAMES
-        assert [s.text for s in rec.section("results")] == [
-            "response improved",
-            "survival unchanged",
-        ]
+        assert rec.section("results") == ("response improved", "survival unchanged")
 
     def test_unknown_section_name(self):
         obj = _record_obj()
@@ -86,19 +87,16 @@ class TestParseRecord:
         with pytest.raises(EmptySentence):
             parse_record(obj)
 
-    def test_arm_labels(self):
-        rec = parse_record(_record_obj(arms=["treatment", "placebo"]))
-        assert rec.arms == ("treatment", "placebo")
-
-    def test_three_arms_rejected(self):
-        with pytest.raises(MalformedJson):
-            parse_record(_record_obj(arms=["a", "b", "c"]))
+    def test_arms_key_is_ignored(self):
+        """Like any other extra key, even when it is not a valid arm model."""
+        rec = parse_record(_record_obj(arms={"labels": ["a"], "tags": [1]}))
+        assert rec == parse_record(_record_obj())
 
     def test_whitespace_normalized(self):
         obj = _record_obj()
         obj["sections"]["results"] = ["response \t improved\n markedly"]
         rec = parse_record(obj)
-        assert rec.section("results")[0].text == "response improved markedly"
+        assert rec.section("results")[0] == "response improved markedly"
 
 
 class TestLoadCorpus:
@@ -159,6 +157,32 @@ class TestParseClaim:
             parse_claim(_claim_obj(section_id="outcomes"))
 
 
+@pytest.mark.parametrize(
+    "parse, obj",
+    [
+        (parse_record, _record_obj(ctr_id=[1])),
+        (parse_record, _record_obj(ctr_id=7)),
+        (parse_claim, _claim_obj(claim_id=["x"])),
+        (parse_claim, _claim_obj(text=12345)),
+        (parse_claim, _claim_obj(section_id=None)),
+        (parse_claim, _claim_obj(primary_ctr=True)),
+        (parse_claim, _claim_obj(secondary_ctr=["ct-2"])),
+        (parse_claim, _claim_obj(challenge=3)),
+        (parse_claim, _claim_obj(evidence={"ct-1": [True]})),
+        (parse_claim, _claim_obj(evidence={"ct-1": [0, False]})),
+    ],
+    ids=[
+        "ctr_id-list", "ctr_id-int", "claim_id-list", "text-int", "section_id-null",
+        "primary_ctr-bool", "secondary_ctr-list", "challenge-int", "evidence-true",
+        "evidence-false",
+    ],
+)
+def test_non_string_field_or_bool_index_is_malformed(parse, obj):
+    """Ids and texts are never coerced with str(), and a bool is not an index."""
+    with pytest.raises(MalformedJson):
+        parse(obj)
+
+
 class TestLoadClaims:
     def test_dangling_reference_raises_after_full_scan(self, tmp_path, corpus):
         objs = [
@@ -201,7 +225,7 @@ class TestResolvePremise:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         section = corpus[claim.primary_ctr].section(claim.section_id)
-        assert premise.texts() == [s.text for s in section]
+        assert premise.texts() == list(section)
 
     def test_comparison_orders_primary_first(self, corpus, claims):
         claim = next(c for c in claims if c.claim_type == "comparison")
@@ -338,6 +362,11 @@ class TestSerialization:
         dump_claims(claims, path)
         again = load_claims(path)
         assert again == list(claims)
+
+    def test_write_fixture_reproduces_bundled_data(self, tmp_path):
+        """data/fixture holds exactly what write_fixture writes, byte for byte."""
+        for path in write_fixture(tmp_path):
+            assert path.read_bytes() == (FIXTURE / path.name).read_bytes(), path.name
 
     def test_dump_is_deterministic(self, tmp_path, corpus, claims):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

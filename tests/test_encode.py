@@ -132,7 +132,7 @@ _TEXTS = st.text(
 def _premise(*lengths: int) -> PremiseDoc:
     """A premise whose i-th sentence has ``lengths[i]`` words."""
     sentences = tuple(
-        PremiseSentence(i, "ct", "shared", " ".join(f"w{i}x{j}" for j in range(n)))
+        PremiseSentence(i, "ct", " ".join(f"w{i}x{j}" for j in range(n)))
         for i, n in enumerate(lengths)
     )
     return PremiseDoc(sentences=sentences, offsets={"ct": 0})
@@ -292,8 +292,7 @@ class TestPairSequence:
     def test_layout(self):
         tok = HashingTokenizer()
         pair = build_pair_sequence(tok, "nausea occurred", "nausea was frequent", 512)
-        sep = pair.token_ids.index(SEP_ID)
-        assert sep == pair.sep_position == 2
+        assert pair.token_ids.index(SEP_ID) == 2
         assert len(pair.token_ids) == 2 + 1 + 3
 
     def test_sentence_truncated_before_claim(self):
@@ -304,7 +303,7 @@ class TestPairSequence:
         claim = " ".join(["c"] * 8)
         pair = build_pair_sequence(tok, sentence, claim, 512)
         assert len(pair.token_ids) == 512
-        assert pair.sep_position == 503
+        assert pair.token_ids.index(SEP_ID) == 503
 
     def test_claim_too_long(self):
         tok = _WordTokenizer()
@@ -317,10 +316,9 @@ class TestPairSequence:
         claim = "nausea was frequent"
         pairs = build_pair_sequences(tok, sentences, claim, 8)
         assert pairs == [
-            build_pair_sequence(tok, text, claim, 8, sentence_index=i)
-            for i, text in enumerate(sentences)
+            build_pair_sequence(tok, text, claim, 8) for text in sentences
         ]
-        assert pairs[1].sep_position == 4  # truncated: 4 + 1 + 3 = 8
+        assert pairs[1].token_ids.index(SEP_ID) == 4  # truncated: 4 + 1 + 3 = 8
 
     def test_batched_builder_tokenizes_claim_once(self):
         calls = []

@@ -82,17 +82,20 @@ class TestForwardJoint:
         assert all(i not in out.dropped for i in out.gated)
 
     def test_all_sentences_dropped(self, corpus, claims):
+        """A max_len that packs no sentence of a non-empty premise is refused:
+        the verdict would read the zero summary vector, not the premise."""
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         n_claim_tokens = len(ToyEncoder().tokenize(claim.text).token_ids)
-        model = _tiny_model(max_len=n_claim_tokens + 1)
-        out = forward_joint(claim, premise, model)
-        assert out.evidence_probs == ()
-        assert out.gated == ()
-        assert not out.fallback_used
-        assert len(out.dropped) == premise.n
-        # the verdict still exists, computed from a zero summary
-        assert sum(out.class_probs) == pytest.approx(1.0)
+        n_first = len(ToyEncoder().tokenize(premise.texts()[0]).token_ids)
+        max_len = n_claim_tokens + 1
+        model = _tiny_model(max_len=max_len)
+        message = (
+            f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
+            f"\\(the first has {n_first} tokens\\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            forward_joint(claim, premise, model)
 
     @pytest.mark.parametrize("pooling", ["mean", "first", "max"])
     @pytest.mark.parametrize("max_len", [1024, 40])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ctrnli.corpus import read_json
 from ctrnli.errors import (
     DuplicateClaimId,
     IncompleteCoverage,
@@ -19,7 +20,6 @@ from ctrnli.metrics import (
     entailment_macro_f1,
     entailment_metrics,
     evidence_metrics,
-    load_report_obj,
     render_table,
     report_from_json_obj,
     write_report,
@@ -278,7 +278,7 @@ class TestReport:
         report = self._report()
         path = tmp_path / "metrics.json"
         write_report(report, path)
-        obj = load_report_obj(path)
+        obj = read_json(path)
         assert obj["schema"] == "metrics/1"
         assert obj["metadata"] == {"split": "dev"}
         again = report_from_json_obj(obj)

@@ -202,7 +202,7 @@ class TestMlp:
 
     def test_head_probabilities_normalized(self):
         head = EvidenceHead.create(dim=8, seed=1)
-        probs = head.probabilities(np.random.default_rng(0).normal(size=8))
+        probs = softmax(head.logits(np.random.default_rng(0).normal(size=8)))
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
 

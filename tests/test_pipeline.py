@@ -159,8 +159,8 @@ class TestScoreAndClassify:
 def _per_pair_scores(claim, premise, encoder, head, max_len, pooling):
     """Reference: score each [sentence, SEP, claim] pair on its own."""
     probs = []
-    for i, text in enumerate(premise.texts()):
-        pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len, sentence_index=i)
+    for text in premise.texts():
+        pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len)
         matrix = encoder.encode(pair.token_ids)
         pooled = pool_span(matrix, (0, matrix.shape[0]), pooling)
         probs.append(float(softmax(head.logits(pooled))[EVIDENCE_CLASS]))

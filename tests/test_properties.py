@@ -318,7 +318,7 @@ class _CountingTokenizer:
 
 def _premise_of(lengths):
     sentences = tuple(
-        PremiseSentence(i, "ct", "all", " ".join(["w"] * n)) for i, n in enumerate(lengths)
+        PremiseSentence(i, "ct", " ".join(["w"] * n)) for i, n in enumerate(lengths)
     )
     return PremiseDoc(sentences=sentences, offsets={"ct": 0})
 
