@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Print one sha256 per output file of a fixed matrix of CLI train+predict runs.
+"""Print one sha256 per output file of a fixed matrix of CLI runs on the fixture.
 
-Each run trains a checkpoint on the bundled fixture and predicts with it, so
-the digests cover ``config.json``, ``manifest.json``, ``params.bin``,
-``loss_curve.json`` and the prediction file. Run it on two checkouts and
-diff the output: equal lines mean byte-identical checkpoints and
-predictions. The package is imported from the ``src/`` next to this script,
-so each checkout measures its own code:
+Each train run trains a checkpoint on the bundled fixture and predicts with
+it, so the digests cover ``config.json``, ``manifest.json``, ``params.bin``,
+``loss_curve.json`` and the prediction file. Ensemble runs then combine
+pipeline and joint prediction files, and ``evaluate --out`` writes a report
+for every prediction file. Run it on two checkouts and diff the output:
+equal lines mean byte-identical checkpoints, predictions and reports. The
+package is imported from the ``src/`` next to this script, so each checkout
+measures its own code; every path the CLI sees is relative to one scratch
+directory, so the reports' path fields are the same in any checkout:
 
     python scripts/output_digests.py > digests.txt
 
-The matrix, for both systems unless noted:
+The train matrix, for both systems unless noted:
 
 - ``a6``: the determinism acceptance commands (seed 7, 25 steps);
 - ``readme-{mean,max,first}``: the README recipe (learning rate 0.2, no
@@ -22,10 +25,18 @@ The matrix, for both systems unless noted:
   20 premises and never all of one;
 - ``predicted`` (pipeline only): the small setting with the entailment stage
   trained on predicted evidence.
+
+The ensemble matrix combines the pipeline and joint predictions of each
+setting both systems share at the default options, then the ``a6`` pair once
+each with ``--max-evidence 1``, ``--tasks evidence``, ``--tasks entailment``
+and ``--threshold 0.3``. The lines come in that order: train runs, ensemble
+runs, reports.
 """
 
 import argparse
 import hashlib
+import os
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -38,11 +49,18 @@ sys.path.insert(0, str(ROOT / "src"))
 from ctrnli.cli import main as cli  # noqa: E402
 
 FIXTURE = ROOT / "data" / "fixture"
+DATA = ["--corpus", "corpus.json", "--claims", "claims.json"]
 README = ["--seed", "0", "--learning-rate", "0.2", "--weight-decay", "0", "--epochs", "999",
           "--batch-size", "16"]
 SMALL = ["--seed", "0", "--learning-rate", "0.2", "--weight-decay", "0.01", "--epochs", "999",
          "--batch-size", "3", "--max-steps", "120"]
 TRUNCATED_MAX_LEN = {"pipeline": "16", "joint": "40"}
+ENSEMBLE_OPTIONS = {
+    "max-evidence-1": ["--max-evidence", "1"],
+    "tasks-evidence": ["--tasks", "evidence"],
+    "tasks-entailment": ["--tasks", "entailment"],
+    "threshold-0.3": ["--threshold", "0.3"],
+}
 
 
 def runs():
@@ -57,28 +75,64 @@ def runs():
     yield "predicted", "pipeline", [*SMALL, "--evidence-source", "predicted"]
 
 
-def digest_lines(work: Path) -> list[str]:
-    data = ["--corpus", str(FIXTURE / "corpus.json"), "--claims", str(FIXTURE / "claims.json")]
-    lines = []
+def ensembles():
+    """(name, setting, ensemble flags) for every ensemble run of the matrix."""
+    for name, system, _ in runs():
+        if system == "joint":
+            yield name, name, []
+    for option, flags in ENSEMBLE_OPTIONS.items():
+        yield f"a6-{option}", "a6", flags
+
+
+def _cli(*args: str) -> None:
+    with redirect_stdout(StringIO()):
+        code = cli(list(args))
+    if code != 0:
+        raise SystemExit(f"{' '.join(args)}: the CLI exited {code}")
+
+
+def _digests(run: Path) -> list[str]:
+    paths = sorted(p for p in run.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}" for path in paths]
+
+
+def digest_lines() -> list[str]:
+    """Run the matrix in the current directory and digest what it writes."""
+    for name in ("corpus.json", "claims.json"):
+        shutil.copyfile(FIXTURE / name, name)
+    lines, predictions = [], []
     for name, system, flags in runs():
-        run = work / f"{system}-{name}"
-        ckpt, preds = run / "checkpoint", run / "predictions.json"
-        with redirect_stdout(StringIO()):
-            code = cli(["train", "--system", system, *data, "--out", str(ckpt), *flags])
-            if code == 0:
-                code = cli(["predict", "--checkpoint", str(ckpt), *data, "--out", str(preds)])
-        if code != 0:
-            raise SystemExit(f"{run.name}: the CLI exited {code}")
-        for path in sorted(p for p in run.rglob("*") if p.is_file()):
-            sha = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{sha}  {path.relative_to(work)}")
-    return lines
+        run = Path(f"{system}-{name}")
+        _cli("train", "--system", system, *DATA, "--out", str(run / "checkpoint"), *flags)
+        _cli("predict", "--checkpoint", str(run / "checkpoint"), *DATA,
+             "--out", str(run / "predictions.json"))
+        lines += _digests(run)
+        predictions.append(run / "predictions.json")
+    for name, setting, flags in ensembles():
+        run = Path(f"ensemble-{name}")
+        run.mkdir()
+        _cli("ensemble", f"pipeline-{setting}/predictions.json",
+             f"joint-{setting}/predictions.json", "--out", str(run / "predictions.json"), *flags)
+        lines += _digests(run)
+        predictions.append(run / "predictions.json")
+    reports = Path("reports")
+    reports.mkdir()
+    for path in predictions:
+        _cli("evaluate", *DATA, "--predictions", str(path),
+             "--out", str(reports / f"{path.parent}.json"))
+    return lines + _digests(reports)
 
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     with tempfile.TemporaryDirectory(prefix="ctrnli-digests-") as tmp:
-        print("\n".join(digest_lines(Path(tmp))))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            lines = digest_lines()
+        finally:
+            os.chdir(cwd)
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .corpus import (
     ClaimInstance,
     ClinicalTrialRecord,
     PremiseDoc,
-    PremiseSentence,
     ValidationReport,
     gold_evidence_globals,
     load_claims,
@@ -92,7 +91,6 @@ __all__ = [
     "PRF",
     "PipelineModel",
     "PremiseDoc",
-    "PremiseSentence",
     "PretrainedEncoder",
     "RunConfig",
     "SECTION_NAMES",

@@ -27,7 +27,7 @@ from .config import (
 from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
 from .encode import ToyEncoder, create_encoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
-from .errors import BackendUnavailable, CtrnliError
+from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, CtrnliError
 from .joint import predict_joint, train_joint
 from .metrics import build_gold_view, build_report, render_table, report_from_json_obj, write_report
 from .pipeline import PipelineModel, predict_pipeline, train_entailment_model, train_evidence_model
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ClaimAloneExceedsMaxLen) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -106,42 +106,31 @@ class ClaimInstance:
 
 
 @dataclass(frozen=True)
-class PremiseSentence:
-    """One candidate sentence of a resolved premise."""
-
-    global_index: int
-    ctr_id: str
-    text: str
-
-
-@dataclass(frozen=True)
 class PremiseDoc:
     """The ordered candidate sentences a claim is judged against.
 
-    Global indices are 0-based and contiguous; for comparison claims every
-    primary-trial sentence precedes every secondary-trial sentence.
-    ``offsets`` maps each trial to the global index of its first sentence.
+    A sentence's global index is its position in ``texts``; for comparison
+    claims every primary-trial sentence precedes every secondary-trial
+    sentence. ``spans`` maps each trial to the half-open range of its
+    sentences.
     """
 
-    sentences: tuple[PremiseSentence, ...]
-    offsets: Mapping[str, int]
+    texts: tuple[str, ...]
+    spans: Mapping[str, tuple[int, int]]
 
     @property
     def n(self) -> int:
-        return len(self.sentences)
-
-    def texts(self) -> list[str]:
-        return [s.text for s in self.sentences]
+        return len(self.texts)
 
     def to_global(self, ctr_id: str, local_index: int) -> int:
         """Global index of a trial's local sentence index; an index past that
         trial's sentences raises instead of landing on the next trial's."""
-        g = self.offsets[ctr_id] + local_index
-        if local_index < 0 or g >= self.n or self.sentences[g].ctr_id != ctr_id:
+        start, end = self.spans[ctr_id]
+        if not 0 <= local_index < end - start:
             raise EvidenceIndexOutOfRange(
                 f"evidence index {local_index} is outside the section of trial '{ctr_id}'"
             )
-        return g
+        return start + local_index
 
 
 # --- loading -----------------------------------------------------------------
@@ -355,36 +344,32 @@ def resolve_premise(
     "primary trial:" / "secondary trial:" role marker so an encoder can tell
     the two trials apart.
     """
-    sentences: list[PremiseSentence] = []
-    offsets: dict[str, int] = {}
+    texts: tuple[str, ...] = ()
+    spans: dict[str, tuple[int, int]] = {}
     roles = [(claim.primary_ctr, PRIMARY_PREFIX)]
     if claim.secondary_ctr is not None:
         roles.append((claim.secondary_ctr, SECONDARY_PREFIX))
-    g = 0
     for ctr_id, prefix in roles:
         if ctr_id not in corpus:
             raise DanglingCtrReference(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
-        offsets.setdefault(ctr_id, g)
-        for text in corpus[ctr_id].section(claim.section_id):
-            if inject_arm_prefix and claim.claim_type == "comparison":
-                text = f"{prefix} {text}"
-            sentences.append(PremiseSentence(g, ctr_id, text))
-            g += 1
-    return PremiseDoc(sentences=tuple(sentences), offsets=offsets)
+        section = corpus[ctr_id].section(claim.section_id)
+        if inject_arm_prefix and claim.claim_type == "comparison":
+            section = tuple(f"{prefix} {text}" for text in section)
+        spans[ctr_id] = (len(texts), len(texts) + len(section))
+        texts += section
+    return PremiseDoc(texts=texts, spans=spans)
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:
     """Map a claim's per-trial gold evidence indices onto the premise's global indices."""
-    if claim.gold_evidence is None:
-        return frozenset()
-    out = set()
     try:
-        for ctr_id, locals_ in claim.gold_evidence.items():
-            for loc in locals_:
-                out.add(premise.to_global(ctr_id, loc))
+        return frozenset(
+            premise.to_global(ctr_id, loc)
+            for ctr_id, locals_ in (claim.gold_evidence or {}).items()
+            for loc in locals_
+        )
     except EvidenceIndexOutOfRange as exc:
         raise EvidenceIndexOutOfRange(f"claim {claim.claim_id}: {exc}") from None
-    return frozenset(out)
 
 
 # --- whole-dataset validation -------------------------------------------------

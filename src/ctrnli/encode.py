@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,6 +122,27 @@ class HashingTokenizer:
 # --- sequence builders --------------------------------------------------------
 
 
+def _claim_ids(tokenizer, claim: str, max_len: int, room: int) -> tuple[int, ...]:
+    """The claim's token ids; a claim that leaves fewer than ``room`` of
+    ``max_len`` positions free raises :class:`ClaimAloneExceedsMaxLen`."""
+    claim_ids = tokenizer.tokenize(claim).token_ids
+    if len(claim_ids) + room > max_len:
+        raise ClaimAloneExceedsMaxLen(
+            f"{len(claim_ids)} claim tokens leave no room for premise tokens in max_len {max_len}"
+        )
+    return claim_ids
+
+
+@contextmanager
+def naming_claim(claim_id: str):
+    """Prefix a :class:`ClaimAloneExceedsMaxLen` raised inside the block with
+    the claim it concerns."""
+    try:
+        yield
+    except ClaimAloneExceedsMaxLen as exc:
+        raise ClaimAloneExceedsMaxLen(f"claim {claim_id}: {exc}") from None
+
+
 def build_pair_sequences(
     tokenizer, sentences: Sequence[str], claim: str, max_len: int
 ) -> list[TokenSeq]:
@@ -131,12 +153,8 @@ def build_pair_sequences(
     before the sentence is gone, and a claim that cannot fit alongside the
     separator and at least one sentence token is an error.
     """
-    claim_ids = tokenizer.tokenize(claim).token_ids
+    claim_ids = _claim_ids(tokenizer, claim, max_len, room=2)
     sentence_ids = [tokenizer.tokenize(text).token_ids for text in sentences]
-    if len(claim_ids) > max_len - 2:
-        raise ClaimAloneExceedsMaxLen(
-            f"claim has {len(claim_ids)} tokens, budget is {max_len - 2}"
-        )
     sentence_budget = max_len - 1 - len(claim_ids)
     tail = (tokenizer.sep_id,) + claim_ids
     return [TokenSeq(sent_ids[:sentence_budget] + tail) for sent_ids in sentence_ids]
@@ -156,16 +174,12 @@ def build_joint_sequence(tokenizer, claim: str, premise: PremiseDoc, max_len: in
     ones are dropped. An empty premise yields just the claim and its
     separator.
     """
-    claim_ids = tokenizer.tokenize(claim).token_ids
-    if len(claim_ids) + 1 > max_len:
-        raise ClaimAloneExceedsMaxLen(
-            f"claim needs {len(claim_ids) + 1} tokens with its separator, max_len is {max_len}"
-        )
+    claim_ids = _claim_ids(tokenizer, claim, max_len, room=1)
     tokens = list(claim_ids) + [tokenizer.sep_id]
     claim_span = (0, len(claim_ids))
     span_map: list[tuple[int, int]] = []
     dropped: list[int] = []
-    for i, text in enumerate(premise.texts()):
+    for i, text in enumerate(premise.texts):
         sent_ids = tokenizer.tokenize(text).token_ids
         sep_cost = 1 if i > 0 else 0  # the claim's separator already stands before sentence 0
         if len(tokens) + sep_cost + len(sent_ids) > max_len:
@@ -190,11 +204,7 @@ def build_entailment_sequence(tokenizer, claim: str, evidence_texts: Sequence[st
     The evidence sentences are concatenated in the order given and truncated
     from the tail; the claim is protected, mirroring the pair builder.
     """
-    claim_ids = tokenizer.tokenize(claim).token_ids
-    if len(claim_ids) > max_len - 2:
-        raise ClaimAloneExceedsMaxLen(
-            f"claim has {len(claim_ids)} tokens, budget is {max_len - 2}"
-        )
+    claim_ids = _claim_ids(tokenizer, claim, max_len, room=2)
     evidence_ids: list[int] = []
     for text in evidence_texts:
         evidence_ids.extend(tokenizer.tokenize(text).token_ids)

@@ -75,12 +75,7 @@ def combine(
         ev_probs = tuple(
             w_a * a + w_b * b for a, b in zip(pred_a.evidence_probs, pred_b.evidence_probs)
         )
-        if ev_probs:
-            selection = select_evidence(ev_probs, threshold)
-            selected = tuple(sorted(selection.indices))
-            fallback = selection.fallback_used
-        else:
-            selected, fallback = (), False
+        selected, fallback = select_evidence(ev_probs, threshold) if ev_probs else ((), False)
     else:
         ev_probs = pred_a.evidence_probs
         selected = pred_a.selected
@@ -108,17 +103,17 @@ def combine(
 
 def postprocess_evidence(
     evidence_probs: Sequence[float], selected: Sequence[int], cfg: EnsembleConfig
-) -> frozenset[int]:
-    """Cap a selection at ``max_evidence`` sentences.
+) -> tuple[int, ...]:
+    """Cap a selection at ``max_evidence`` sentences, as sorted indices.
 
     When over budget, the highest-probability indices are kept; ties break
     toward the lower index. Under budget the selection is returned unchanged.
     """
     indices = sorted(set(selected))
-    if len(indices) <= cfg.max_evidence:
-        return frozenset(indices)
-    ranked = sorted(indices, key=lambda i: (-evidence_probs[i], i))
-    return frozenset(ranked[: cfg.max_evidence])
+    if len(indices) > cfg.max_evidence:
+        ranked = sorted(indices, key=lambda i: (-evidence_probs[i], i))
+        indices = sorted(ranked[: cfg.max_evidence])
+    return tuple(indices)
 
 
 def cap_prediction(pred: SystemPrediction, cfg: EnsembleConfig) -> SystemPrediction:
@@ -126,7 +121,7 @@ def cap_prediction(pred: SystemPrediction, cfg: EnsembleConfig) -> SystemPredict
     kept = postprocess_evidence(pred.evidence_probs, pred.selected, cfg)
     if len(kept) == len(pred.selected):
         return pred
-    return dataclasses.replace(pred, selected=tuple(sorted(kept)))
+    return dataclasses.replace(pred, selected=kept)
 
 
 def ensemble_predictions(

@@ -34,6 +34,7 @@ from .encode import (
     ToyEncoder,
     build_joint_sequence,
     encode_batch,
+    naming_claim,
     pool_spans,
     pool_spans_backward,
 )
@@ -125,8 +126,7 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
         if golds is not None:
             chosen = sorted(i for i in golds[k] if i < n) or list(range(n))
         elif n:
-            selection = select_evidence(probs[first : first + n], model.threshold)
-            chosen, fallback = sorted(selection.indices), selection.fallback_used
+            chosen, fallback = select_evidence(probs[first : first + n], model.threshold)
         rows = [first + i for i in chosen]
         if rows:  # the bits of .mean(axis=0), without its Python-level wrapper
             np.divide(vecs[rows].sum(axis=0), len(rows), out=summaries[k, 0])
@@ -140,9 +140,10 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
 def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) -> JointInput:
     """The claim's joint sequence; a ``max_len`` that packs none of a
     non-empty premise's sentences is a usage error (``ValueError``)."""
-    ji = build_joint_sequence(tokenizer, claim.text, premise, max_len)
+    with naming_claim(claim.claim_id):
+        ji = build_joint_sequence(tokenizer, claim.text, premise, max_len)
     if premise.n and not ji.span_map:
-        first = tokenizer.tokenize(premise.sentences[0].text).length
+        first = tokenizer.tokenize(premise.texts[0]).length
         raise ValueError(
             f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
             f"(the first has {first} tokens)"
@@ -316,14 +317,11 @@ def train_joint(
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))
 
     weights = (hyperparams.w_evidence, hyperparams.w_entailment)
-    groups = [model.evidence_head.params, model.verdict_head.params]
-    if encoder.trainable:
-        groups.append(encoder.params)
+    groups = [model.evidence_head.params, model.verdict_head.params, encoder.parameters()]
 
     def batch_grads(batch_idx):
         *totals, enc_g, ev_g, v_g = joint_grads(model, [examples[i] for i in batch_idx], weights)
-        # a frozen encoder has no group, so its None grads are left out
-        return totals, [ev_g, v_g] + ([enc_g] if enc_g is not None else [])
+        return totals, [ev_g, v_g, enc_g]
 
     rng = np.random.default_rng(shuffle_seed)
     steps = fit(groups, batch_grads, len(examples), hyperparams, rng)

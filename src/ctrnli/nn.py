@@ -250,7 +250,9 @@ def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.
     """The training loop: SGDW with warmup then decay over seeded minibatches.
 
     ``batch_grads(batch_idx)`` returns (loss, one grad dict per entry of
-    ``groups``), which are updated in place. Returns the per-step losses.
+    ``groups``), which are updated in place. An empty group, such as a frozen
+    encoder's ``{}``, is never read, so its grads may be None. Returns the
+    per-step losses.
     """
     schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(n_items), hp.warmup_rate)
     optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)

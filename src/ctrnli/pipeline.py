@@ -31,6 +31,7 @@ from .encode import (
     build_pair_sequence,
     build_pair_sequences,
     encode_batch,
+    naming_claim,
     pool_span,
     pool_spans,
     pool_spans_backward,
@@ -111,8 +112,11 @@ class SystemPrediction:
         if not isinstance(obj, dict):
             raise MalformedJson(f"a prediction must be a JSON object, got {type(obj).__name__}")
         try:
+            claim_id = obj["claim_id"]
             selected = tuple(obj["selected"])
             fallback_used = obj.get("fallback_used", False)
+            if not isinstance(claim_id, str):
+                raise TypeError(f"claim_id must be a string, got {claim_id!r}")
             if not all(is_count(i, 0) for i in selected):
                 raise TypeError(f"selected must hold integers >= 0, got {list(selected)}")
             if not isinstance(fallback_used, bool):
@@ -123,7 +127,7 @@ class SystemPrediction:
                 if not {*map(type, values)} <= {int, float}:
                     raise TypeError(f"{key} must hold numbers, got {list(values)}")
             return cls(
-                claim_id=str(obj["claim_id"]),
+                claim_id=claim_id,
                 evidence_probs=tuple(map(float, probs["evidence_probs"])),
                 selected=selected,
                 class_probs=tuple(map(float, probs["class_probs"])),  # type: ignore[arg-type]
@@ -135,24 +139,20 @@ class SystemPrediction:
             raise MalformedJson(f"malformed prediction {obj.get('claim_id')!r}: {what}") from None
 
 
-@dataclass(frozen=True)
-class EvidenceSelection:
-    indices: frozenset[int]
-    fallback_used: bool = False
+def select_evidence(
+    probs: Sequence[float], threshold: float = 0.5
+) -> tuple[tuple[int, ...], bool]:
+    """The sorted indices {i : p_i > threshold} and whether the fallback was used.
 
-
-def select_evidence(probs: Sequence[float], threshold: float = 0.5) -> EvidenceSelection:
-    """Select {i : p_i > threshold}; strictly greater, so p_i == threshold is out.
-
-    When nothing clears the threshold the single highest-probability sentence
-    is returned instead (lowest index on ties) and the selection is flagged,
-    because the entailment stage needs a non-empty premise.
+    Strictly greater, so p_i == threshold is out. When nothing clears the
+    threshold the single highest-probability sentence is selected instead
+    (lowest index on ties) and the fallback flag is set, because the
+    entailment stage needs a non-empty premise.
     """
-    chosen = frozenset(i for i, p in enumerate(probs) if p > threshold)
-    if chosen:
-        return EvidenceSelection(chosen)
-    best = int(np.argmax(np.asarray(probs)))
-    return EvidenceSelection(frozenset({best}), fallback_used=True)
+    selected = tuple(i for i, p in enumerate(probs) if p > threshold)
+    if selected:
+        return selected, False
+    return (int(np.argmax(np.asarray(probs))),), True
 
 
 def _spans(lengths) -> list[tuple[int, int]]:
@@ -188,7 +188,8 @@ def score_evidence(
     """
     if premise.n == 0:
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
-    pairs = build_pair_sequences(encoder.tokenizer, premise.texts(), claim.text, max_len)
+    with naming_claim(claim.claim_id):
+        pairs = build_pair_sequences(encoder.tokenizer, premise.texts, claim.text, max_len)
     matrix = encode_batch(encoder, [pair.token_ids for pair in pairs])[0]
     return evidence_probs(head, pool_spans(matrix, _spans(pair.length for pair in pairs), pooling))
 
@@ -210,8 +211,9 @@ def classify_entailment(
     indices = sorted(set(selected))
     if not indices:
         raise EmptyEvidence(f"claim {claim.claim_id}: no evidence sentences selected")
-    texts = [premise.sentences[i].text for i in indices]
-    seq = build_entailment_sequence(encoder.tokenizer, claim.text, texts, max_len)
+    texts = [premise.texts[i] for i in indices]
+    with naming_claim(claim.claim_id):
+        seq = build_entailment_sequence(encoder.tokenizer, claim.text, texts, max_len)
     matrix = encoder.encode(seq.token_ids)
     probs = softmax(head.logits(pool_span(matrix, (0, matrix.shape[0]), pooling)))
     class_probs = (float(probs[0]), float(probs[1]))
@@ -264,12 +266,12 @@ def _train_stage(salt: int, head_cls, hp: Hyperparams, pooling: str, encoder_fac
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
     head = head_cls.create(encoder.dim, seed=head_seed)
     items = make_items(encoder.tokenizer)
-    groups = [head.params] + ([encoder.params] if encoder.trainable else [])
+    groups = [head.params, encoder.parameters()]
 
     def batch_grads(batch_idx):
         batch = [items[i] for i in batch_idx]
         loss, enc_grads, head_grads = sequence_classification_grads(encoder, head, batch, pooling)
-        return loss, [head_grads] + ([enc_grads] if enc_grads is not None else [])
+        return loss, [head_grads, enc_grads]
 
     curve = fit(groups, batch_grads, len(items), hp, np.random.default_rng(shuffle_seed))
     return TrainResult(encoder=encoder, head=head, loss_curve=curve)
@@ -289,10 +291,11 @@ def evidence_training_items(
             raise MissingGoldEvidence(f"claim {claim.claim_id} has no gold evidence")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         gold = gold_evidence_globals(claim, premise)
-        for i, text in enumerate(premise.texts()):
-            pair = build_pair_sequence(tokenizer, text, claim.text, max_len)
-            target = EVIDENCE_CLASS if i in gold else 1 - EVIDENCE_CLASS
-            items.append((pair.token_ids, target))
+        with naming_claim(claim.claim_id):
+            for i, text in enumerate(premise.texts):
+                pair = build_pair_sequence(tokenizer, text, claim.text, max_len)
+                target = EVIDENCE_CLASS if i in gold else 1 - EVIDENCE_CLASS
+                items.append((pair.token_ids, target))
     return items
 
 
@@ -346,9 +349,10 @@ def entailment_training_items(
             probs = score_evidence(
                 claim, premise, evidence_model.encoder, evidence_model.head, max_len, pooling
             )
-            indices = sorted(select_evidence(probs, threshold).indices)
-        texts = [premise.sentences[i].text for i in indices]
-        seq = build_entailment_sequence(tokenizer, claim.text, texts, max_len)
+            indices, _ = select_evidence(probs, threshold)
+        texts = [premise.texts[i] for i in indices]
+        with naming_claim(claim.claim_id):
+            seq = build_entailment_sequence(tokenizer, claim.text, texts, max_len)
         items.append((seq.token_ids, LABELS.index(claim.gold_label)))
     return items
 
@@ -403,17 +407,17 @@ def predict_pipeline(
         claim, premise, models.evidence_encoder, models.evidence_head,
         models.max_len, models.pooling,
     )
-    selection = select_evidence(probs, models.threshold)
+    selected, fallback_used = select_evidence(probs, models.threshold)
     class_probs, verdict = classify_entailment(
-        claim, premise, sorted(selection.indices),
+        claim, premise, selected,
         models.entailment_encoder, models.entailment_head,
         models.max_len, models.pooling,
     )
     return SystemPrediction(
         claim_id=claim.claim_id,
         evidence_probs=tuple(probs),
-        selected=tuple(sorted(selection.indices)),
+        selected=selected,
         class_probs=class_probs,
         verdict=verdict,
-        fallback_used=selection.fallback_used,
+        fallback_used=fallback_used,
     )

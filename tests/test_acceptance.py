@@ -34,7 +34,6 @@ from ctrnli import (
     JointModel,
     PipelineModel,
     PremiseDoc,
-    PremiseSentence,
     SystemPrediction,
     ToyEncoder,
     build_gold_view,
@@ -88,15 +87,15 @@ def bundled():
 def _consistent_prediction(
     claim_id: str, probs, p_entail: float, threshold: float = 0.5
 ) -> SystemPrediction:
-    selection = select_evidence(probs, threshold)
+    selected, fallback_used = select_evidence(probs, threshold)
     class_probs = (p_entail, 1.0 - p_entail)
     return SystemPrediction(
         claim_id=claim_id,
         evidence_probs=tuple(probs),
-        selected=tuple(sorted(selection.indices)),
+        selected=selected,
         class_probs=class_probs,
         verdict=verdict_from_probs(class_probs),
-        fallback_used=selection.fallback_used,
+        fallback_used=fallback_used,
     )
 
 
@@ -281,16 +280,16 @@ def test_a4_selection_rule_grid(verdict):
     checked = 0
     for threshold in grid:
         for probs in itertools.product(grid, repeat=5):
-            selection = select_evidence(probs, threshold)
+            selected, fallback_used = select_evidence(probs, threshold)
             expected = {i for i, p in enumerate(probs) if p > threshold}
             if expected:
-                assert selection.indices == expected
-                assert not selection.fallback_used
+                assert selected == tuple(sorted(expected))
+                assert not fallback_used
             else:
                 top = max(probs)
                 best = min(i for i, p in enumerate(probs) if p == top)
-                assert selection.indices == {best}
-                assert selection.fallback_used
+                assert selected == (best,)
+                assert fallback_used
             checked += 1
     verdict(
         "A4 selection rule exhaustive grid",
@@ -480,15 +479,10 @@ def test_a8_packing_vs_greedy_oracle(verdict):
         claim_len = int(rng.integers(1, 21))
         claim = " ".join(f"c{k}" for k in range(claim_len))
         lengths = [int(rng.integers(1, 41)) for _ in range(int(rng.integers(0, 16)))]
-        sentences = tuple(
-            PremiseSentence(
-                global_index=i,
-                ctr_id="trial",
-                text=" ".join(f"s{i}w{j}" for j in range(length)),
-            )
-            for i, length in enumerate(lengths)
+        texts = tuple(
+            " ".join(f"s{i}w{j}" for j in range(length)) for i, length in enumerate(lengths)
         )
-        premise = PremiseDoc(sentences=sentences, offsets={"trial": 0})
+        premise = PremiseDoc(texts=texts, spans={"trial": (0, len(texts))})
         for max_len in (30, 512, 1024):
             ji = build_joint_sequence(tokenizer, claim, premise, max_len)
             total, spans, dropped = _packing_oracle(claim_len, lengths, max_len)

@@ -179,6 +179,13 @@ class TestTrain:
         _one_line_error(capsys, "claim-", "max_len 12 packs no premise sentence")
         assert not out.exists()
 
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_max_len_below_the_claim_is_usage_error(self, tmp_path, capsys, system):
+        out = tmp_path / "ckpt"
+        assert main(self._train_args(out, "--system", system, "--max-len", "5")) == 2
+        _one_line_error(capsys, "usage error: claim claim-01: 7 claim tokens", "max_len 5")
+        assert not out.exists()
+
     def test_seed_via_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -365,6 +372,24 @@ class TestPredict:
         ])
         assert code == 2
         _one_line_error(capsys, "claim-01", "max_len 12 packs no premise sentence")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_max_len_below_the_claim_is_usage_error(
+        self, tmp_path, pipeline_model, joint_model, capsys, system
+    ):
+        ckpt = tmp_path / system
+        if system == "pipeline":
+            save_pipeline_model(dataclasses.replace(pipeline_model, max_len=5), ckpt)
+        else:
+            save_joint_model(dataclasses.replace(joint_model, max_len=5), ckpt)
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 2
+        _one_line_error(capsys, "usage error: claim claim-01: 7 claim tokens", "max_len 5")
         assert not out.exists()
 
     def test_missing_checkpoint(self, tmp_path):
@@ -707,6 +732,20 @@ class TestEnsemble:
         _one_line_error(capsys, "duplicate claim_id", preds[0]["claim_id"])
         assert not out.exists()
 
+    def test_numeric_claim_id_does_not_pair_with_a_string_one(
+        self, tmp_path, capsys, prediction_files
+    ):
+        preds = json.loads(prediction_files["joint"].read_text())
+        paths = []
+        for claim_id in ("7", 7):
+            preds[0]["claim_id"] = claim_id
+            paths.append(tmp_path / f"{type(claim_id).__name__}.json")
+            paths[-1].write_text(json.dumps(preds))
+        out = tmp_path / "e.json"
+        assert main(["ensemble", *map(str, paths), "--out", str(out)]) == 1
+        _one_line_error(capsys, "claim_id must be a string, got 7")
+        assert not out.exists()
+
     def test_mismatched_claims_are_data_error(self, tmp_path, prediction_files):
         truncated = json.loads(prediction_files["joint"].read_text())[:5]
         partial = tmp_path / "partial.json"
@@ -817,7 +856,7 @@ class TestEvaluateAndReport:
         "field, value",
         [
             ("fallback_used", "no"), ("selected", [0.7]), ("selected", [True]), ("selected", "0"),
-            ("class_probs", [True, False]), ("evidence_probs", ["0.9"]),
+            ("class_probs", [True, False]), ("evidence_probs", ["0.9"]), ("claim_id", 7),
         ],
     )
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
@@ -834,7 +873,7 @@ class TestEvaluateAndReport:
         else:
             args = ["ensemble", str(prediction_files["pipeline"]), str(path)]
         assert main([*args, "--out", str(out)]) == 1
-        _one_line_error(capsys, preds[0]["claim_id"], field)
+        _one_line_error(capsys, str(preds[0]["claim_id"]), field)
         assert not out.exists()
 
     def test_report_not_json_is_data_error(self, tmp_path, capsys):

@@ -225,24 +225,27 @@ class TestResolvePremise:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         section = corpus[claim.primary_ctr].section(claim.section_id)
-        assert premise.texts() == list(section)
+        assert premise.texts == section
 
     def test_comparison_orders_primary_first(self, corpus, claims):
         claim = next(c for c in claims if c.claim_type == "comparison")
         premise = resolve_premise(claim, corpus)
         n_primary = len(corpus[claim.primary_ctr].section(claim.section_id))
-        assert premise.offsets == {claim.primary_ctr: 0, claim.secondary_ctr: n_primary}
+        assert premise.spans == {
+            claim.primary_ctr: (0, n_primary), claim.secondary_ctr: (n_primary, premise.n)
+        }
         for g in range(premise.n):
-            ctr = premise.sentences[g].ctr_id
             if g < n_primary:
-                assert ctr == claim.primary_ctr and premise.to_global(ctr, g) == g
+                assert premise.to_global(claim.primary_ctr, g) == g
             else:
-                assert ctr == claim.secondary_ctr and premise.to_global(ctr, g - n_primary) == g
+                assert premise.to_global(claim.secondary_ctr, g - n_primary) == g
 
     def test_global_indices_contiguous(self, corpus, claims):
         for claim in claims:
             premise = resolve_premise(claim, corpus)
-            assert [s.global_index for s in premise.sentences] == list(range(premise.n))
+            spans = list(premise.spans.values())
+            assert spans[0][0] == 0 and spans[-1][1] == premise.n
+            assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
 
     def test_gold_globals_worked_example(self):
         """Primary has 5 sentences and gold {2}; secondary gold {0} lands at 5."""
@@ -281,7 +284,7 @@ class TestResolvePremise:
             _claim_obj(primary_ctr="p", secondary_ctr="s", evidence={"p": [n_primary]})
         )
         premise = resolve_premise(claim, recs)
-        assert premise.sentences[n_primary].ctr_id == "s"
+        assert premise.spans["s"][0] == n_primary
         with pytest.raises(EvidenceIndexOutOfRange):
             premise.to_global("p", n_primary)
         with pytest.raises(EvidenceIndexOutOfRange, match=rf"c-1: .*{n_primary} .*'p'"):
@@ -293,10 +296,10 @@ class TestResolvePremise:
     def test_arm_prefix_only_for_comparison(self, corpus, claims):
         single = next(c for c in claims if c.claim_type == "single")
         comparison = next(c for c in claims if c.claim_type == "comparison")
-        assert resolve_premise(single, corpus, True).texts() == resolve_premise(
+        assert resolve_premise(single, corpus, True).texts == resolve_premise(
             single, corpus, False
-        ).texts()
-        marked = resolve_premise(comparison, corpus, True).texts()
+        ).texts
+        marked = resolve_premise(comparison, corpus, True).texts
         assert all(
             t.startswith("primary trial:") or t.startswith("secondary trial:") for t in marked
         )

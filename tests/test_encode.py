@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrnli.corpus import PremiseDoc, PremiseSentence
+from ctrnli.corpus import PremiseDoc
 from ctrnli.encode import (
     NUM_RESERVED,
     PAD_ID,
@@ -131,11 +131,8 @@ _TEXTS = st.text(
 
 def _premise(*lengths: int) -> PremiseDoc:
     """A premise whose i-th sentence has ``lengths[i]`` words."""
-    sentences = tuple(
-        PremiseSentence(i, "ct", " ".join(f"w{i}x{j}" for j in range(n)))
-        for i, n in enumerate(lengths)
-    )
-    return PremiseDoc(sentences=sentences, offsets={"ct": 0})
+    texts = tuple(" ".join(f"w{i}x{j}" for j in range(n)) for i, n in enumerate(lengths))
+    return PremiseDoc(texts=texts, spans={"ct": (0, len(texts))})
 
 
 class TestHashingTokenizer:
@@ -371,7 +368,7 @@ class TestJointSequence:
         premise = _premise(3, 7, 2, 5)
         ji = build_joint_sequence(tok, "claim words here", premise, 1024)
         for i, (start, end) in enumerate(ji.span_map):
-            expected = tok.tokenize(premise.sentences[i].text).token_ids
+            expected = tok.tokenize(premise.texts[i]).token_ids
             assert ji.token_ids[start:end] == expected
 
 

@@ -25,14 +25,14 @@ from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_prob
 
 
 def _pred(claim_id="c-1", ev=(0.9, 0.1), cp=(0.8, 0.2), threshold=0.5):
-    sel = select_evidence(ev, threshold)
+    selected, fallback_used = select_evidence(ev, threshold)
     return SystemPrediction(
         claim_id=claim_id,
         evidence_probs=tuple(ev),
-        selected=tuple(sorted(sel.indices)),
+        selected=selected,
         class_probs=tuple(cp),
         verdict=verdict_from_probs(cp),
-        fallback_used=sel.fallback_used,
+        fallback_used=fallback_used,
     )
 
 
@@ -136,8 +136,8 @@ class TestCombine:
         a = _pred(ev=(0.6, 0.45))
         b = _pred(ev=(0.3, 0.9))
         out = combine(a, b, DEFAULT)
-        expected = select_evidence(out.evidence_probs, 0.5)
-        assert set(out.selected) == set(expected.indices)
+        expected, _ = select_evidence(out.evidence_probs, 0.5)
+        assert set(out.selected) == set(expected)
         assert out.selected == (1,)
 
     def test_threshold_argument_gates_the_averaged_probs(self):
@@ -191,28 +191,28 @@ class TestCombine:
 class TestCap:
     def test_under_budget_unchanged(self):
         kept = postprocess_evidence((0.9, 0.8, 0.7), (0, 1, 2), DEFAULT)
-        assert kept == {0, 1, 2}
+        assert kept == (0, 1, 2)
 
     def test_over_budget_keeps_top_probabilities(self):
         probs = tuple(np.linspace(0.99, 0.55, 25))
         kept = postprocess_evidence(probs, range(25), DEFAULT)
-        assert kept == set(range(20))
+        assert kept == tuple(range(20))
 
     def test_tie_breaks_toward_lower_index(self):
         probs = tuple([0.9] * 22)
         kept = postprocess_evidence(probs, range(22), EnsembleConfig(max_evidence=20))
-        assert kept == set(range(20))
+        assert kept == tuple(range(20))
 
     def test_boundary_tie_among_distinct_probs(self):
         # 22 selected, and the budget boundary lands inside a tied trio at
         # indices 19, 20, 21: the two lowest-indexed of the trio survive
         probs = [0.99 - 0.01 * i for i in range(19)] + [0.6, 0.6, 0.6]
         kept = postprocess_evidence(tuple(probs), range(22), EnsembleConfig(max_evidence=21))
-        assert kept == set(range(21))
+        assert kept == tuple(range(21))
 
     def test_cap_one(self):
         kept = postprocess_evidence((0.6, 0.9, 0.7), (0, 1, 2), EnsembleConfig(max_evidence=1))
-        assert kept == {1}
+        assert kept == (1,)
 
     def test_cap_prediction_replaces_selected(self):
         n = 25

@@ -63,9 +63,9 @@ class TestForwardJoint:
         model = _tiny_model()
         for claim in claims[:6]:
             out = forward_joint(claim, resolve_premise(claim, corpus), model)
-            expected = select_evidence(out.evidence_probs, model.threshold)
-            assert set(out.gated) == set(expected.indices)
-            assert out.fallback_used == expected.fallback_used
+            selected, fallback_used = select_evidence(out.evidence_probs, model.threshold)
+            assert set(out.gated) == set(selected)
+            assert out.fallback_used == fallback_used
 
     def test_truncated_sentences_never_gated(self, corpus, claims):
         claim = claims[0]
@@ -73,7 +73,7 @@ class TestForwardJoint:
         tok = ToyEncoder().tokenizer
         # budget for the claim, its separator, and the first sentence only
         budget = len(tok.tokenize(claim.text).token_ids) + 1 + len(
-            tok.tokenize(premise.sentences[0].text).token_ids
+            tok.tokenize(premise.texts[0]).token_ids
         )
         model = _tiny_model(max_len=budget)
         out = forward_joint(claim, premise, model)
@@ -87,7 +87,7 @@ class TestForwardJoint:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         n_claim_tokens = len(ToyEncoder().tokenize(claim.text).token_ids)
-        n_first = len(ToyEncoder().tokenize(premise.texts()[0]).token_ids)
+        n_first = len(ToyEncoder().tokenize(premise.texts[0]).token_ids)
         max_len = n_claim_tokens + 1
         model = _tiny_model(max_len=max_len)
         message = (
@@ -256,7 +256,7 @@ class TestPredictJoint:
         premise = resolve_premise(claim, corpus)
         tok = ToyEncoder().tokenizer
         budget = len(tok.tokenize(claim.text).token_ids) + 1 + len(
-            tok.tokenize(premise.sentences[0].text).token_ids
+            tok.tokenize(premise.texts[0]).token_ids
         )
         model = _tiny_model(max_len=budget)
         pred = predict_joint(claim, corpus, model)
@@ -374,7 +374,7 @@ def _oracle_joint_grads(
         if not pool_set:
             pool_set = list(range(n_surv))
     else:
-        pool_set = sorted(select_evidence(probs, model.threshold).indices) if probs else []
+        pool_set = sorted(select_evidence(probs, model.threshold)[0]) if probs else []
     if pool_set:
         summary = np.mean([sentence_vecs[i] for i in pool_set], axis=0)
     else:
@@ -395,7 +395,7 @@ def _oracle_joint_grads(
 def _survivor_budgets(tokenizer, claim, premise):
     """max_len values keeping every sentence, the first two, and none."""
     claim_len = len(tokenizer.tokenize(claim.text).token_ids) + 1
-    s0, s1 = (len(tokenizer.tokenize(s.text).token_ids) for s in premise.sentences[:2])
+    s0, s1 = (len(tokenizer.tokenize(s).token_ids) for s in premise.texts[:2])
     return {"all": 1024, "two": claim_len + s0 + 1 + s1, "none": claim_len}
 
 

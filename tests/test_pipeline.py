@@ -32,28 +32,28 @@ from conftest import OVERFIT_POOLING
 
 class TestSelectEvidence:
     def test_strictly_above_threshold(self):
-        sel = select_evidence([0.2, 0.8, 0.5, 0.51], threshold=0.5)
-        assert sel.indices == {1, 3}
-        assert not sel.fallback_used
+        selected, fallback_used = select_evidence([0.2, 0.8, 0.5, 0.51], threshold=0.5)
+        assert selected == (1, 3)
+        assert not fallback_used
 
     def test_exact_threshold_excluded(self):
-        sel = select_evidence([0.5, 0.5], threshold=0.5)
+        _, fallback_used = select_evidence([0.5, 0.5], threshold=0.5)
         # nothing is strictly above, so the fallback fires
-        assert sel.fallback_used
+        assert fallback_used
 
     def test_fallback_picks_single_best(self):
-        sel = select_evidence([0.1, 0.4, 0.3], threshold=0.5)
-        assert sel.indices == {1}
-        assert sel.fallback_used
+        selected, fallback_used = select_evidence([0.1, 0.4, 0.3], threshold=0.5)
+        assert selected == (1,)
+        assert fallback_used
 
     def test_fallback_tie_takes_lowest_index(self):
-        sel = select_evidence([0.3, 0.4, 0.4], threshold=0.5)
-        assert sel.indices == {1}
+        selected, _ = select_evidence([0.3, 0.4, 0.4], threshold=0.5)
+        assert selected == (1,)
 
     def test_all_selected(self):
-        sel = select_evidence([0.9, 0.6], threshold=0.5)
-        assert sel.indices == {0, 1}
-        assert not sel.fallback_used
+        selected, fallback_used = select_evidence([0.9, 0.6], threshold=0.5)
+        assert selected == (0, 1)
+        assert not fallback_used
 
 
 class TestVerdictRule:
@@ -128,7 +128,7 @@ class TestScoreAndClassify:
     def test_empty_premise(self, corpus, claims, pipeline_model):
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
-        empty = type(premise)(sentences=(), offsets={})
+        empty = type(premise)(texts=(), spans={})
         with pytest.raises(EmptyPremise):
             score_evidence(
                 claim, empty, pipeline_model.evidence_encoder, pipeline_model.evidence_head
@@ -159,7 +159,7 @@ class TestScoreAndClassify:
 def _per_pair_scores(claim, premise, encoder, head, max_len, pooling):
     """Reference: score each [sentence, SEP, claim] pair on its own."""
     probs = []
-    for text in premise.texts():
+    for text in premise.texts:
         pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len)
         matrix = encoder.encode(pair.token_ids)
         pooled = pool_span(matrix, (0, matrix.shape[0]), pooling)
@@ -209,7 +209,7 @@ class TestBatchedScoring:
             max_len = 512
             if truncate:  # room for the claim, SEP and three sentence tokens
                 max_len = len(encoder.tokenize(claim.text).token_ids) + 4
-                truncated += sum(len(encoder.tokenize(t).token_ids) > 3 for t in premise.texts())
+                truncated += sum(len(encoder.tokenize(t).token_ids) > 3 for t in premise.texts)
             expected = _per_pair_scores(claim, premise, encoder, head, max_len, pooling)
             assert score_evidence(claim, premise, encoder, head, max_len, pooling) == expected
         assert truncated > 0 or not truncate
@@ -271,12 +271,12 @@ class TestTrainingItems:
         probs = score_evidence(
             claim, premise, model.encoder, model.head, pooling=OVERFIT_POOLING
         )
-        expected = sorted(select_evidence(probs).indices)
+        expected, _ = select_evidence(probs)
         items = entailment_training_items(
             [claim], corpus, model.encoder.tokenizer, 512,
             evidence_source="predicted", evidence_model=model, pooling=OVERFIT_POOLING,
         )
-        texts = [premise.sentences[i].text for i in expected]
+        texts = [premise.texts[i] for i in expected]
         from ctrnli.encode import build_entailment_sequence
 
         seq = build_entailment_sequence(model.encoder.tokenizer, claim.text, texts, 512)
@@ -363,9 +363,9 @@ class TestPredictPipeline:
     def test_selection_consistent_with_probs(self, corpus, claims, pipeline_model):
         for claim in claims:
             pred = predict_pipeline(claim, corpus, pipeline_model)
-            expected = select_evidence(pred.evidence_probs, pipeline_model.threshold)
-            assert set(pred.selected) == set(expected.indices)
-            assert pred.fallback_used == expected.fallback_used
+            selected, fallback_used = select_evidence(pred.evidence_probs, pipeline_model.threshold)
+            assert set(pred.selected) == set(selected)
+            assert pred.fallback_used == fallback_used
 
     def test_overfit_model_memorizes_training_set(self, corpus, claims, pipeline_model):
         from ctrnli.corpus import gold_evidence_globals

@@ -4,10 +4,21 @@ capping, packing, tokenization, and counting."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctrnli.corpus import LABELS, PremiseDoc, PremiseSentence, normalize_text
+from ctrnli.corpus import (
+    LABELS,
+    PRIMARY_PREFIX,
+    SECONDARY_PREFIX,
+    SECTION_NAMES,
+    ClaimInstance,
+    ClinicalTrialRecord,
+    PremiseDoc,
+    normalize_text,
+    resolve_premise,
+)
 from ctrnli.encode import (
     NUM_RESERVED,
     SEP_ID,
@@ -20,7 +31,7 @@ from ctrnli.encode import (
     pool_spans_backward,
 )
 from ctrnli.ensemble import EnsembleConfig, combine, postprocess_evidence
-from ctrnli.errors import EmptyText
+from ctrnli.errors import EmptyText, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, evidence_metrics
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
 from test_encode import (
@@ -32,21 +43,22 @@ from test_encode import (
 )
 from test_nn import _oracle_accumulate, _oracle_zero_grads
 
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so ties and p == threshold are common
 probs_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40
 )
 
 
 def _prediction(claim_id, ev_probs, class_p0, threshold=0.5):
-    sel = select_evidence(ev_probs, threshold)
+    selected, fallback_used = select_evidence(ev_probs, threshold)
     cp = (class_p0, 1.0 - class_p0)
     return SystemPrediction(
         claim_id=claim_id,
         evidence_probs=tuple(ev_probs),
-        selected=tuple(sorted(sel.indices)),
+        selected=selected,
         class_probs=cp,
         verdict=verdict_from_probs(cp),
-        fallback_used=sel.fallback_used,
+        fallback_used=fallback_used,
     )
 
 
@@ -61,21 +73,83 @@ predictions = st.builds(
 class TestSelectionLaw:
     @given(probs_lists, st.floats(min_value=0.0, max_value=1.0))
     def test_threshold_law(self, probs, threshold):
-        sel = select_evidence(probs, threshold)
+        selected, fallback_used = select_evidence(probs, threshold)
         above = {i for i, p in enumerate(probs) if p > threshold}
         if above:
-            assert sel.indices == above
-            assert not sel.fallback_used
+            assert set(selected) == above
+            assert not fallback_used
         else:
-            assert sel.fallback_used
-            assert len(sel.indices) == 1
-            (only,) = sel.indices
+            assert fallback_used
+            assert len(selected) == 1
+            (only,) = selected
             assert probs[only] == max(probs)
             assert all(probs[i] < probs[only] for i in range(only))
 
     @given(probs_lists)
     def test_selection_never_empty(self, probs):
-        assert select_evidence(probs).indices
+        assert select_evidence(probs)[0]
+
+    @given(
+        probs_lists | st.lists(st.sampled_from(GRID), min_size=1, max_size=12),
+        st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(GRID),
+    )
+    def test_matches_brute_force(self, probs, threshold):
+        """{i : p_i > t} in index order, else the lowest-index argmax with the flag."""
+        above = []
+        best = 0
+        for i, p in enumerate(probs):
+            if p > threshold:
+                above.append(i)
+            if p > probs[best]:
+                best = i
+        expected = (tuple(above), False) if above else ((best,), True)
+        assert select_evidence(probs, threshold) == expected
+
+
+def _premise_oracle(claim, corpus, inject_arm_prefix):
+    """One (trial id, local index, text) row per premise sentence, in global order."""
+    roles = [(claim.primary_ctr, PRIMARY_PREFIX), (claim.secondary_ctr, SECONDARY_PREFIX)]
+    rows = []
+    for ctr_id, prefix in roles[: len(claim.ctr_ids)]:
+        for i, text in enumerate(corpus[ctr_id].section(claim.section_id)):
+            if inject_arm_prefix and claim.secondary_ctr is not None:
+                text = f"{prefix} {text}"
+            rows.append((ctr_id, i, text))
+    return rows
+
+
+class TestPremiseResolution:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=2),
+        st.sampled_from(SECTION_NAMES),
+        st.booleans(),
+        st.lists(st.integers(min_value=-2, max_value=8), max_size=8),
+    )
+    def test_matches_per_sentence_oracle(self, lengths, section_id, prefix, probes):
+        ids = [f"ct-{k}" for k in range(len(lengths))]
+        corpus = {}
+        for ctr_id, n in zip(ids, lengths):
+            # the other sections are one sentence longer, so a leak from them shows
+            sections = {
+                name: tuple(f"{ctr_id} {name} {i}" for i in range(n + (name != section_id)))
+                for name in SECTION_NAMES
+            }
+            corpus[ctr_id] = ClinicalTrialRecord(ctr_id, sections)
+        claim = ClaimInstance("c", "a claim", section_id, *ids)
+        premise = resolve_premise(claim, corpus, prefix)
+        rows = _premise_oracle(claim, corpus, prefix)
+
+        assert premise.texts == tuple(text for _, _, text in rows)
+        for g, (ctr_id, i, _) in enumerate(rows):
+            assert premise.to_global(ctr_id, i) == g
+        for k, (ctr_id, n) in enumerate(zip(ids, lengths)):
+            start = sum(lengths[:k])
+            for i in probes:
+                if 0 <= i < n:
+                    assert premise.to_global(ctr_id, i) == start + i
+                else:
+                    with pytest.raises(EvidenceIndexOutOfRange):
+                        premise.to_global(ctr_id, i)
 
 
 class TestEnsembleAlgebra:
@@ -116,12 +190,12 @@ class TestCapProperty:
         cfg = EnsembleConfig(max_evidence=max_evidence)
         kept = postprocess_evidence(pred.evidence_probs, pred.selected, cfg)
         assert len(kept) <= max_evidence
-        assert kept <= set(pred.selected)
+        assert set(kept) <= set(pred.selected)
         if len(pred.selected) <= max_evidence:
-            assert kept == set(pred.selected)
+            assert kept == pred.selected
         else:
             # nothing dropped may strictly beat anything kept
-            dropped = set(pred.selected) - kept
+            dropped = set(pred.selected) - set(kept)
             if dropped:
                 worst_kept = min(pred.evidence_probs[i] for i in kept)
                 best_dropped = max(pred.evidence_probs[i] for i in dropped)
@@ -317,10 +391,8 @@ class _CountingTokenizer:
 
 
 def _premise_of(lengths):
-    sentences = tuple(
-        PremiseSentence(i, "ct", " ".join(["w"] * n)) for i, n in enumerate(lengths)
-    )
-    return PremiseDoc(sentences=sentences, offsets={"ct": 0})
+    texts = tuple(" ".join(["w"] * n) for n in lengths)
+    return PremiseDoc(texts=texts, spans={"ct": (0, len(texts))})
 
 
 class TestPackingInvariants:
