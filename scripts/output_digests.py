@@ -13,6 +13,14 @@ directory, so the reports' path fields are the same in any checkout:
 
     python scripts/output_digests.py > digests.txt
 
+With ``--against REV`` the script does that diff itself: it exports REV with
+``git archive`` into a temporary directory, runs REV's own copy of this
+script there while it runs the matrix on this tree, prints only the lines
+that differ and exits 1 on any difference (2 if REV cannot be exported or
+its run fails):
+
+    python scripts/output_digests.py --against HEAD
+
 The train matrix, for both systems unless noted:
 
 - ``a6``: the determinism acceptance commands (seed 7, 25 steps);
@@ -34,10 +42,14 @@ runs, reports.
 """
 
 import argparse
+import difflib
 import hashlib
+import io
 import os
 import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -123,16 +135,64 @@ def digest_lines() -> list[str]:
     return lines + _digests(reports)
 
 
-def main() -> None:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+def run_matrix() -> list[str]:
+    """The digest lines of the matrix, run in a temporary directory."""
     with tempfile.TemporaryDirectory(prefix="ctrnli-digests-") as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            lines = digest_lines()
+            return digest_lines()
         finally:
             os.chdir(cwd)
-    print("\n".join(lines))
+
+
+def _fail(message: str) -> None:
+    """Exit 2, so that a failed run is never mistaken for a difference."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _git_archive(rev: str, dest: str) -> None:
+    result = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if result.returncode != 0:
+        _fail(f"git archive {rev}: {result.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(result.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def compare_against(rev: str) -> int:
+    """Print the lines where REV's matrix and this tree's differ; 1 if any do."""
+    with tempfile.TemporaryDirectory(prefix="ctrnli-against-") as tmp:
+        _git_archive(rev, tmp)
+        theirs = subprocess.Popen(
+            [sys.executable, str(Path(tmp) / "scripts" / "output_digests.py")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            ours = run_matrix()
+        except BaseException:
+            theirs.kill()
+            raise
+        out, err = theirs.communicate()
+    if theirs.returncode != 0:
+        _fail(f"{rev}: output_digests.py exited {theirs.returncode}: {err.strip()}")
+    theirs_lines = out.splitlines()
+    diff = list(difflib.unified_diff(theirs_lines, ours, rev, "this tree", lineterm="", n=0))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"all {len(ours)} lines equal to {rev}")
+    return 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="run REV's copy of this script too and print only differing lines")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(compare_against(args.against))
+    print("\n".join(run_matrix()))
 
 
 if __name__ == "__main__":

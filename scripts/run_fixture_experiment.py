@@ -66,20 +66,20 @@ def main() -> None:
     )
     pipe_preds = [predict_pipeline(c, corpus, pipeline) for c in claims]
     print(f"pipeline trained and scored in {time.time() - t0:.1f}s")
-    print(render_table(build_report(pipe_preds, golds, {"system": "pipeline"})))
+    print(render_table(build_report(pipe_preds, golds, {"system": "pipeline"}).to_json_obj()))
     print()
 
     t0 = time.time()
     joint = train_joint(claims, corpus, hp(args.joint_steps), pooling=args.pooling)
     joint_preds = [predict_joint(c, corpus, joint.model) for c in claims]
     print(f"joint trained and scored in {time.time() - t0:.1f}s")
-    print(render_table(build_report(joint_preds, golds, {"system": "joint"})))
+    print(render_table(build_report(joint_preds, golds, {"system": "joint"}).to_json_obj()))
     print()
 
     cfg = EnsembleConfig(w_pipeline=args.w_pipeline, w_joint=args.w_joint)
     combined = ensemble_predictions(pipe_preds, joint_preds, cfg)
     print(f"ensemble weights ({cfg.w_pipeline}, {cfg.w_joint})")
-    print(render_table(build_report(combined, golds, {"system": "ensemble"})))
+    print(render_table(build_report(combined, golds, {"system": "ensemble"}).to_json_obj()))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .encode import ToyEncoder, create_encoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, CtrnliError
 from .joint import predict_joint, train_joint
-from .metrics import build_gold_view, build_report, render_table, report_from_json_obj, write_report
+from .metrics import build_gold_view, build_report, render_table, write_report
 from .pipeline import PipelineModel, predict_pipeline, train_entailment_model, train_evidence_model
 
 logger = logging.getLogger(__name__)
@@ -201,13 +201,12 @@ def cmd_evaluate(args) -> int:
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}")
-    print(render_table(report))
+    print(render_table(report.to_json_obj()))
     return 0
 
 
 def cmd_report(args) -> int:
-    report = report_from_json_obj(read_json(args.report))
-    print(render_table(report))
+    print(render_table(read_json(args.report)))
     return 0
 
 

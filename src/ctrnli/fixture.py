@@ -178,9 +178,6 @@ _COMPARISON_CLAIMS = (
 
 
 def _insert(sections: dict[str, list[str]], trial_id: str, section: str, text: str) -> None:
-    if text in sections[section]:
-        # a sentence can be evidence for several claims; never duplicate it
-        return
     # odd-numbered trials put evidence first, even-numbered last, so gold
     # indices vary across the fixture
     if int(trial_id.split("-")[1]) % 2:

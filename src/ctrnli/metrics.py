@@ -11,7 +11,7 @@ reports always carry both micro and macro evidence numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -60,17 +60,6 @@ class PRF:
         p = _rate(tp, tp + fp)
         r = _rate(tp, tp + fn)
         return cls(precision=p, recall=r, f1=_f1(p, r), tp=tp, fp=fp, fn=fn, tn=tn)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
 
 
 @dataclass(frozen=True)
@@ -201,47 +190,18 @@ def entailment_macro_f1(
 
 
 @dataclass(frozen=True)
-class ClaimDiagnostics:
-    """Per-claim row of the report."""
-
-    claim_id: str
-    n_selected: int
-    fallback_used: bool
-    verdict_correct: bool
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    challenge: str | None = None
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "claim_id": self.claim_id,
-            "n_selected": self.n_selected,
-            "fallback_used": self.fallback_used,
-            "verdict_correct": self.verdict_correct,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
-        if self.challenge is not None:
-            obj["challenge"] = self.challenge
-        return obj
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Everything the evaluate and report commands emit.
 
-    The micro evidence counts always equal the sums over ``per_claim``.
+    Each ``per_claim`` row is the plain dict written to the report file. The
+    micro evidence counts always equal the sums over those rows.
     """
 
     evidence_micro: PRF
     evidence_macro: PRF
     entailment: PRF
     entailment_macro_f1: float
-    per_claim: tuple[ClaimDiagnostics, ...]
+    per_claim: tuple[dict, ...]
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
@@ -249,14 +209,11 @@ class MetricsReport:
             "schema": "metrics/1",
             "metadata": dict(self.metadata),
             "evidence": {
-                "micro": self.evidence_micro.to_json_obj(),
-                "macro": self.evidence_macro.to_json_obj(),
+                "micro": asdict(self.evidence_micro),
+                "macro": asdict(self.evidence_macro),
             },
-            "entailment": {
-                **self.entailment.to_json_obj(),
-                "macro_f1": self.entailment_macro_f1,
-            },
-            "per_claim": [d.to_json_obj() for d in self.per_claim],
+            "entailment": {**asdict(self.entailment), "macro_f1": self.entailment_macro_f1},
+            "per_claim": list(self.per_claim),
         }
 
 
@@ -277,31 +234,29 @@ def build_report(
         raise IncompleteCoverage(
             f"{len(missing)} labelled claim(s) have no prediction, the first is '{missing[0]}'"
         )
-    diagnostics = []
+    rows = []
     for pred in predictions:
         gold = _gold_for(pred, golds)
         tp, fp, fn, tn = _claim_counts(pred, gold)
-        if gold.label is None:
-            raise MissingGold(f"claim {pred.claim_id} has no gold label")
-        diagnostics.append(
-            ClaimDiagnostics(
-                claim_id=pred.claim_id,
-                n_selected=len(pred.selected),
-                fallback_used=pred.fallback_used,
-                verdict_correct=pred.verdict == gold.label,
-                tp=tp,
-                fp=fp,
-                fn=fn,
-                tn=tn,
-                challenge=gold.challenge,
-            )
-        )
+        row = {
+            "claim_id": pred.claim_id,
+            "n_selected": len(pred.selected),
+            "fallback_used": pred.fallback_used,
+            "verdict_correct": pred.verdict == gold.label,
+            "tp": tp,
+            "fp": fp,
+            "fn": fn,
+            "tn": tn,
+        }
+        if gold.challenge is not None:
+            row["challenge"] = gold.challenge
+        rows.append(row)
     return MetricsReport(
         evidence_micro=evidence_metrics(predictions, golds, "micro"),
         evidence_macro=evidence_metrics(predictions, golds, "macro"),
         entailment=entailment_metrics(predictions, golds),
         entailment_macro_f1=entailment_macro_f1(predictions, golds),
-        per_claim=tuple(diagnostics),
+        per_claim=tuple(rows),
         metadata=dict(metadata or {}),
     )
 
@@ -311,56 +266,27 @@ def write_report(report: MetricsReport, path: str | Path) -> None:
     write_text(path, json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n")
 
 
-def report_from_json_obj(obj: dict) -> MetricsReport:
-    """Rebuild a report from its JSON form (schema metrics/1); a missing or
-    mistyped field raises :class:`MalformedJson`."""
-
-    def prf(sub: dict) -> PRF:
-        return PRF(
-            precision=float(sub["precision"]), recall=float(sub["recall"]), f1=float(sub["f1"]),
-            tp=int(sub["tp"]), fp=int(sub["fp"]), fn=int(sub["fn"]), tn=int(sub["tn"]),
-        )
-
+def render_table(obj: Mapping) -> str:
+    """Aligned text table of a report's JSON form (schema metrics/1): one
+    metric per row, one task block per column. A missing or mistyped field
+    raises :class:`MalformedJson`."""
     try:
         if obj.get("schema") != "metrics/1":
             raise MalformedJson(f"unsupported report schema {obj.get('schema')!r}")
-        per_claim = tuple(
-            ClaimDiagnostics(
-                claim_id=d["claim_id"],
-                n_selected=d["n_selected"],
-                fallback_used=d["fallback_used"],
-                verdict_correct=d["verdict_correct"],
-                tp=d["tp"], fp=d["fp"], fn=d["fn"], tn=d["tn"],
-                challenge=d.get("challenge"),
-            )
-            for d in obj["per_claim"]
-        )
-        return MetricsReport(
-            evidence_micro=prf(obj["evidence"]["micro"]),
-            evidence_macro=prf(obj["evidence"]["macro"]),
-            entailment=prf(obj["entailment"]),
-            entailment_macro_f1=float(obj["entailment"]["macro_f1"]),
-            per_claim=per_claim,
-            metadata=obj.get("metadata", {}),
-        )
+        per_claim = obj["per_claim"]
+        n_fallback = sum(1 for row in per_claim if row["fallback_used"])
+        columns = (obj["evidence"]["micro"], obj["evidence"]["macro"], obj["entailment"])
+        rows = [
+            (name, *(float(column[key]) for column in columns))
+            for name, key in (("Precision", "precision"), ("Recall", "recall"), ("F1", "f1"))
+        ]
+        macro_f1 = float(obj["entailment"]["macro_f1"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedJson(f"malformed metrics/1 report: {type(exc).__name__}: {exc}") from None
-
-
-def render_table(report: MetricsReport) -> str:
-    """Aligned text table: one metric per row, one task block per column."""
-    rows = [
-        ("Precision", report.evidence_micro.precision, report.evidence_macro.precision,
-         report.entailment.precision),
-        ("Recall", report.evidence_micro.recall, report.evidence_macro.recall,
-         report.entailment.recall),
-        ("F1", report.evidence_micro.f1, report.evidence_macro.f1, report.entailment.f1),
-    ]
     header = f"{'':<12}{'Evidence (micro)':>18}{'Evidence (macro)':>18}{'Entailment':>14}"
     lines = [header, "-" * len(header)]
     for name, ev_mi, ev_ma, ent in rows:
         lines.append(f"{name:<12}{ev_mi:>18.4f}{ev_ma:>18.4f}{ent:>14.4f}")
-    lines.append(f"{'Macro-F1':<12}{'':>18}{'':>18}{report.entailment_macro_f1:>14.4f}")
-    n_fallback = sum(1 for d in report.per_claim if d.fallback_used)
-    lines.append(f"claims: {len(report.per_claim)}  fallback used: {n_fallback}")
+    lines.append(f"{'Macro-F1':<12}{'':>18}{'':>18}{macro_f1:>14.4f}")
+    lines.append(f"claims: {len(per_claim)}  fallback used: {n_fallback}")
     return "\n".join(lines)

@@ -253,12 +253,16 @@ def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.
     ``groups``), which are updated in place. An empty group, such as a frozen
     encoder's ``{}``, is never read, so its grads may be None. Returns the
     per-step losses.
+
+    Overflow and invalid values raise no numpy warning here: a diverged run
+    is refused once, as non-finite parameters, when its checkpoint is written.
     """
     schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(n_items), hp.warmup_rate)
     optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
     curve = []
-    for batch_idx in minibatches(n_items, hp, rng):
-        loss, grads = batch_grads(batch_idx)
-        optimizer.step(groups, grads)
-        curve.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch_idx in minibatches(n_items, hp, rng):
+            loss, grads = batch_grads(batch_idx)
+            optimizer.step(groups, grads)
+            curve.append(loss)
     return curve

@@ -145,6 +145,17 @@ class TestCorruption:
         with pytest.raises(BadCheckpoint, match="unknown system None"):
             read_checkpoint(joint_ckpt)
 
+    @pytest.mark.parametrize("tensors", [None, {}], ids=["missing", "object"])
+    def test_manifest_without_tensor_list(self, joint_ckpt, tensors):
+        def replace(m):
+            m.pop("tensors")
+            if tensors is not None:
+                m["tensors"] = tensors
+
+        _edit_manifest(joint_ckpt, replace)
+        with pytest.raises(BadCheckpoint, match="manifest has no tensor list"):
+            read_checkpoint(joint_ckpt)
+
     def test_unknown_system(self, joint_ckpt):
         _edit_manifest(joint_ckpt, lambda m: m.update(system="hybrid"))
         with pytest.raises(BadCheckpoint):

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,16 @@ class TestValidate:
         bad = tmp_path / "corpus.json"
         bad.write_text("{oops")
         assert main(["validate", "--corpus", str(bad), "--claims", CLAIMS]) == 1
+
+    def test_claims_directory_without_split_is_usage_error(self, capsys):
+        assert main(["validate", "--corpus", CORPUS, "--claims", str(FIXTURE)]) == 2
+        _one_line_error(capsys, "usage error: split is required")
+
+    def test_claim_file_that_is_an_object_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "claims.json"
+        bad.write_text(json.dumps(json.loads(Path(CLAIMS).read_text())[0]))
+        assert main(["validate", "--corpus", CORPUS, "--claims", str(bad)]) == 1
+        _one_line_error(capsys, "claim file must be a JSON list")
 
 
 class TestTrain:
@@ -334,6 +345,37 @@ class TestTrain:
         assert main([*args, "--max-steps", "20"]) == 1
         _one_line_error(capsys, "error: parameter", "encoder.W0", "non-finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_labelled_claim_without_evidence_is_data_error(self, tmp_path, capsys, system):
+        claims = json.loads(Path(CLAIMS).read_text())
+        assert claims[0]["claim_id"] == "claim-01" and claims[0]["label"]
+        del claims[0]["evidence"]
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(claims))
+        out = tmp_path / "ckpt"
+        args = self._train_args(out, "--system", system)
+        args[args.index("--claims") + 1] = str(path)
+        assert main(args) == 1
+        _one_line_error(capsys, "claim claim-01 has no gold evidence")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "system, flag",
+        [
+            ("pipeline", "--learning-rate"), ("joint", "--learning-rate"),
+            ("pipeline", "--weight-decay"), ("joint", "--w-evidence"),
+        ],
+    )
+    def test_overflowing_training_warns_nothing(self, tmp_path, capsys, system, flag):
+        """A run that overflows to inf and nan prints its one error line and no
+        numpy warning; pytest would otherwise capture the warnings unseen."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(self._train_args(tmp_path / "ckpt", "--system", system, flag, "1e308"))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 1
+        _one_line_error(capsys, "non-finite")
 
     def test_unknown_split_directory(self, tmp_path):
         code = main([

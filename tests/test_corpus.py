@@ -21,6 +21,7 @@ from ctrnli.corpus import (
     validate_dataset,
 )
 from ctrnli.errors import (
+    CtrnliError,
     DanglingCtrReference,
     DuplicateClaimId,
     DuplicateCtrId,
@@ -181,6 +182,91 @@ def test_non_string_field_or_bool_index_is_malformed(parse, obj):
     """Ids and texts are never coerced with str(), and a bool is not an index."""
     with pytest.raises(MalformedJson):
         parse(obj)
+
+
+# Every JSON type, plus a few values that trip numeric or truthiness checks.
+_FUZZ_VALUES = [
+    None, True, 0, -1, 1.5, float("nan"), 10**30, "", "x", [], [1], ["a"], {}, {"a": 1},
+]
+_DELETED = object()
+
+
+def _substituted(obj, path, value):
+    """A deep copy of ``obj`` with the entry at ``path`` set to ``value``,
+    or removed when ``value`` is ``_DELETED``; an empty path replaces it all."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETED:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+_COMPARISON = _claim_obj(
+    secondary_ctr="ct-2", challenge="numeric", evidence={"ct-1": [0], "ct-2": [1]}
+)
+_FUZZ_TARGETS = {
+    f"record-{'.'.join(path) or 'whole'}": (parse_record, _record_obj(), path)
+    for path in [(), ("ctr_id",), ("sections",), *(("sections", name) for name in SECTION_NAMES)]
+} | {
+    f"{kind}-claim-{'.'.join(path) or 'whole'}": (parse_claim, base, path)
+    for kind, base in (("single", _claim_obj()), ("comparison", _COMPARISON))
+    for path in [
+        (), *((key,) for key in _COMPARISON),
+        *(("evidence", ctr) for ctr in base["evidence"]),
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "parse, base, path", list(_FUZZ_TARGETS.values()), ids=list(_FUZZ_TARGETS)
+)
+def test_any_json_value_parses_or_raises_a_ctrnli_error(parse, base, path):
+    """Each field, each section list, each evidence list and the whole object,
+    replaced by any JSON type or removed, either parses or is refused with a
+    :class:`CtrnliError`; no other exception escapes."""
+    values = _FUZZ_VALUES + ([_DELETED] if path else [])
+    stray = []
+    for value in values:
+        try:
+            parse(_substituted(base, path, value))
+        except CtrnliError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+            stray.append((value, repr(exc)))
+    assert stray == []
+
+
+@pytest.mark.parametrize(
+    "parse, obj, error, fragment",
+    [
+        (parse_record, ["ct-1"], MalformedJson, "trial record must be a JSON object"),
+        (parse_record, _substituted(_record_obj(), ("sections",), _DELETED), MalformedJson,
+         "missing key 'sections'"),
+        (parse_record, _record_obj(sections=[]), MalformedJson, "'sections' must be an object"),
+        (parse_record, _substituted(_record_obj(), ("sections", "results"), ["a", 1]),
+         MalformedJson, "section 'results' must be a list of strings"),
+        (parse_claim, "c-1", MalformedJson, "claim must be a JSON object"),
+        (parse_claim, _substituted(_claim_obj(), ("primary_ctr",), _DELETED), MalformedJson,
+         "claim missing key 'primary_ctr'"),
+        (parse_claim, _claim_obj(text=" \t\n "), MalformedJson, "c-1: empty claim text"),
+        (parse_claim, _claim_obj(evidence=[0]), MalformedJson, "'evidence' must be an object"),
+    ],
+    ids=[
+        "record-not-object", "record-missing-key", "sections-not-object",
+        "section-not-strings", "claim-not-object", "claim-missing-key",
+        "whitespace-only-text", "evidence-not-object",
+    ],
+)
+def test_structural_refusals(parse, obj, error, fragment):
+    with pytest.raises(error) as info:
+        parse(obj)
+    assert fragment in str(info.value)
 
 
 class TestLoadClaims:

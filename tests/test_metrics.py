@@ -21,7 +21,6 @@ from ctrnli.metrics import (
     entailment_metrics,
     evidence_metrics,
     render_table,
-    report_from_json_obj,
     write_report,
 )
 from ctrnli.pipeline import SystemPrediction
@@ -193,6 +192,11 @@ class TestEntailmentMetrics:
         with pytest.raises(MissingGold):
             entailment_metrics(preds, golds)
 
+    @pytest.mark.parametrize("score", [entailment_metrics, entailment_macro_f1])
+    def test_empty_predictions_rejected(self, score):
+        with pytest.raises(MissingGold, match="no predictions"):
+            score([], {})
+
     def test_macro_f1_averages_both_classes(self):
         # three golds E, one C; predictions all E except one miss
         preds = [
@@ -255,6 +259,16 @@ class TestReport:
         preds += [_pred("c2", {1}, 2, "Contradiction"), _pred("c3", {1}, 2, "Contradiction")]
         assert len(build_report(preds, golds).per_claim) == 3
 
+    def test_prediction_for_unlabelled_claim_refused(self):
+        """Coverage skips an unlabelled gold claim, but a prediction for one
+        has no verdict to score against."""
+        golds = {
+            "c0": _gold("c0", {0}, 2, "Entailment"),
+            "c1": _gold("c1", {1}, 2, None),
+        }
+        with pytest.raises(MissingGold, match="claim c1 has no gold label"):
+            build_report([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
+
     def test_repeated_prediction_refused(self):
         golds = {"c0": _gold("c0", {0}, 2, "Entailment")}
         with pytest.raises(DuplicateClaimId, match="c0"):
@@ -262,17 +276,17 @@ class TestReport:
 
     def test_micro_counts_equal_per_claim_sums(self):
         report = self._report()
-        assert report.evidence_micro.tp == sum(d.tp for d in report.per_claim)
-        assert report.evidence_micro.fp == sum(d.fp for d in report.per_claim)
-        assert report.evidence_micro.fn == sum(d.fn for d in report.per_claim)
-        assert report.evidence_micro.tn == sum(d.tn for d in report.per_claim)
+        assert report.evidence_micro.tp == sum(d["tp"] for d in report.per_claim)
+        assert report.evidence_micro.fp == sum(d["fp"] for d in report.per_claim)
+        assert report.evidence_micro.fn == sum(d["fn"] for d in report.per_claim)
+        assert report.evidence_micro.tn == sum(d["tn"] for d in report.per_claim)
 
     def test_per_claim_diagnostics(self):
         report = self._report()
-        by_id = {d.claim_id: d for d in report.per_claim}
-        assert by_id["c0"].verdict_correct is True
-        assert by_id["c1"].verdict_correct is False
-        assert by_id["c0"].n_selected == 2
+        by_id = {d["claim_id"]: d for d in report.per_claim}
+        assert by_id["c0"]["verdict_correct"] is True
+        assert by_id["c1"]["verdict_correct"] is False
+        assert by_id["c0"]["n_selected"] == 2
 
     def test_json_schema_and_round_trip(self, tmp_path):
         report = self._report()
@@ -281,16 +295,12 @@ class TestReport:
         obj = read_json(path)
         assert obj["schema"] == "metrics/1"
         assert obj["metadata"] == {"split": "dev"}
-        again = report_from_json_obj(obj)
-        assert again.evidence_micro == report.evidence_micro
-        assert again.evidence_macro == report.evidence_macro
-        assert again.entailment == report.entailment
-        assert again.entailment_macro_f1 == report.entailment_macro_f1
-        assert again.per_claim == report.per_claim
+        assert obj == report.to_json_obj()
+        assert render_table(obj) == render_table(report.to_json_obj())
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(MalformedJson):
-            report_from_json_obj({"schema": "metrics/99"})
+            render_table({"schema": "metrics/99"})
 
     def test_write_is_byte_deterministic(self, tmp_path):
         report = self._report()
@@ -300,7 +310,7 @@ class TestReport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_render_table(self):
-        text = render_table(self._report())
+        text = render_table(self._report().to_json_obj())
         assert "Evidence (micro)" in text
         assert "Evidence (macro)" in text
         assert "Entailment" in text
@@ -321,5 +331,5 @@ class TestReport:
             fallback_used=True,
         )
         golds = {"c0": _gold("c0", {0}, 2, "Entailment")}
-        text = render_table(build_report([pred], golds))
+        text = render_table(build_report([pred], golds).to_json_obj())
         assert "fallback used: 1" in text
