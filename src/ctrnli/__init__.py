@@ -23,32 +23,18 @@ from .corpus import (
     resolve_premise,
     validate_dataset,
 )
-from .encode import HashingTokenizer, PretrainedEncoder, ToyEncoder, create_encoder
+from .encode import HashingTokenizer, PretrainedEncoder, ToyEncoder
 from .ensemble import (
     EnsembleConfig,
     cap_prediction,
     combine,
     ensemble_predictions,
     load_predictions,
-    postprocess_evidence,
     save_predictions,
 )
-from .checkpoint import (
-    load_any_model,
-    load_joint_model,
-    load_pipeline_model,
-    save_joint_model,
-    save_pipeline_model,
-)
+from .checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from .fixture import build_fixture, write_fixture
-from .joint import (
-    JointModel,
-    JointOutput,
-    forward_joint,
-    joint_loss,
-    predict_joint,
-    train_joint,
-)
+from .joint import JointModel, forward_joint, joint_loss, predict_joint, train_joint
 from .metrics import (
     PRF,
     MetricsReport,
@@ -85,7 +71,6 @@ __all__ = [
     "HashingTokenizer",
     "Hyperparams",
     "JointModel",
-    "JointOutput",
     "LABELS",
     "MetricsReport",
     "PRF",
@@ -103,7 +88,6 @@ __all__ = [
     "cap_prediction",
     "classify_entailment",
     "combine",
-    "create_encoder",
     "ensemble_predictions",
     "entailment_macro_f1",
     "entailment_metrics",
@@ -114,12 +98,9 @@ __all__ = [
     "load_any_model",
     "load_claims",
     "load_corpus",
-    "load_joint_model",
-    "load_pipeline_model",
     "load_predictions",
     "parse_claim",
     "parse_record",
-    "postprocess_evidence",
     "predict_joint",
     "predict_pipeline",
     "render_table",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import EncoderConfig
 from .corpus import read_json, write_text
-from .encode import ToyEncoder, create_encoder
+from .encode import PretrainedEncoder, ToyEncoder
 from .errors import BadCheckpoint, IoError, NonFiniteParameters
 from .joint import JointModel
 from .nn import EntailmentHead, EvidenceHead, in_unit_interval, is_count
@@ -154,7 +154,7 @@ def _encoder_config(encoder) -> dict:
 def _rebuild_encoder(cfg: dict):
     """Sizes are not checked here: the tensors loaded later must fit them."""
     if cfg["backend"] == "pretrained":
-        return create_encoder(backend="pretrained", model_name=cfg["model_name"])
+        return PretrainedEncoder(cfg["model_name"])
     if cfg["backend"] != "toy":
         raise ValueError(f"unknown encoder backend {cfg['backend']!r}")
     return ToyEncoder(vocab_size=cfg["vocab_size"], dim=cfg["dim"], n_layers=cfg["n_layers"])
@@ -208,10 +208,21 @@ def _save(model, path: str | Path, system: str) -> None:
     _write_blob(Path(path), named, system, config)
 
 
-def _load(path: str | Path, expected: str | None = None):
+def save_pipeline_model(model: PipelineModel, path: str | Path) -> None:
+    _save(model, path, "pipeline")
+
+
+def save_joint_model(model: JointModel, path: str | Path) -> None:
+    _save(model, path, "joint")
+
+
+def load_any_model(path: str | Path):
+    """Load whichever system the checkpoint holds.
+
+    Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
+    checkpoint is read once.
+    """
     system, config, tensors = read_checkpoint(path)
-    if expected is not None and system != expected:
-        raise BadCheckpoint(f"expected a {expected} checkpoint, found {system!r}")
     model_cls, layout = _LAYOUTS[system]
     try:
         parts: dict = {}
@@ -230,28 +241,3 @@ def _load(path: str | Path, expected: str | None = None):
             f"{Path(path) / CONFIG_FILE} does not describe a {system} model: "
             f"{type(exc).__name__}: {exc}"
         ) from None
-
-
-def save_pipeline_model(model: PipelineModel, path: str | Path) -> None:
-    _save(model, path, "pipeline")
-
-
-def save_joint_model(model: JointModel, path: str | Path) -> None:
-    _save(model, path, "joint")
-
-
-def load_pipeline_model(path: str | Path) -> PipelineModel:
-    return _load(path, "pipeline")[1]
-
-
-def load_joint_model(path: str | Path) -> JointModel:
-    return _load(path, "joint")[1]
-
-
-def load_any_model(path: str | Path):
-    """Load whichever system the checkpoint holds.
-
-    Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
-    checkpoint is read once.
-    """
-    return _load(path)

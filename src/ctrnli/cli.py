@@ -25,7 +25,7 @@ from .config import (
     read_config_file,
 )
 from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
-from .encode import ToyEncoder, create_encoder
+from .encode import PretrainedEncoder, ToyEncoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, CtrnliError
 from .joint import predict_joint, train_joint
@@ -51,7 +51,7 @@ def _load_data(cfg: RunConfig, need_labels: bool = False):
     corpus = load_corpus(corpus_path)
     claims = load_claims(claims_path, split=cfg.split, corpus=corpus, lenient=cfg.lenient)
     if need_labels:
-        claims = [c for c in claims if c.is_labeled]
+        claims = [c for c in claims if c.gold_label is not None]
     return corpus, claims
 
 
@@ -81,11 +81,8 @@ def _encoder_factory(cfg: RunConfig):
         return lambda seed: ToyEncoder(
             vocab_size=enc.vocab_size, dim=enc.dim, n_layers=enc.n_layers, seed=seed
         )
-    ready = create_encoder(
-        backend=enc.backend,
-        model_name=enc.model_name,
-        device=enc.device,
-        mixed_precision=enc.mixed_precision,
+    ready = PretrainedEncoder(
+        enc.model_name, device=enc.device, mixed_precision=enc.mixed_precision
     )
     return lambda seed: ready
 

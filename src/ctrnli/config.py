@@ -51,7 +51,7 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder backend {self.backend!r}")
         if self.pooling not in POOLING_CHOICES:
             raise ValueError(f"pooling must be one of {POOLING_CHOICES}")
-        for name, low in (("dim", 1), ("n_layers", 0)):
+        for name, low in (("vocab_size", 3), ("dim", 1), ("n_layers", 0)):
             if not is_count(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if self.max_len is not None and not is_count(self.max_len, 3):
@@ -86,6 +86,12 @@ class RunConfig:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
         if not in_unit_interval(self.threshold):
             raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
+        for name in ("corpus", "claims", "split"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        for name in ("inject_arm_prefix", "lenient"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 # the nested config objects: RunConfig field -> class

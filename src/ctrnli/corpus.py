@@ -50,9 +50,6 @@ class ClinicalTrialRecord:
     ctr_id: str
     sections: Mapping[str, tuple[str, ...]]
 
-    def section(self, name: str) -> tuple[str, ...]:
-        return self.sections[name]
-
     def to_json_obj(self) -> dict:
         return {
             "ctr_id": self.ctr_id,
@@ -74,18 +71,10 @@ class ClaimInstance:
     challenge: str | None = None
 
     @property
-    def claim_type(self) -> str:
-        return "comparison" if self.secondary_ctr is not None else "single"
-
-    @property
     def ctr_ids(self) -> tuple[str, ...]:
         if self.secondary_ctr is not None:
             return (self.primary_ctr, self.secondary_ctr)
         return (self.primary_ctr,)
-
-    @property
-    def is_labeled(self) -> bool:
-        return self.gold_label is not None
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -352,8 +341,8 @@ def resolve_premise(
     for ctr_id, prefix in roles:
         if ctr_id not in corpus:
             raise DanglingCtrReference(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
-        section = corpus[ctr_id].section(claim.section_id)
-        if inject_arm_prefix and claim.claim_type == "comparison":
+        section = corpus[ctr_id].sections[claim.section_id]
+        if inject_arm_prefix and claim.secondary_ctr is not None:
             section = tuple(f"{prefix} {text}" for text in section)
         spans[ctr_id] = (len(texts), len(texts) + len(section))
         texts += section
@@ -422,14 +411,14 @@ def validate_dataset(
             report.violations.append(
                 Violation("DanglingCtrReference", f"missing trial '{ctr}'", claim.claim_id)
             )
-        if not missing and not any(corpus[c].section(claim.section_id) for c in claim.ctr_ids):
+        if not missing and not any(corpus[c].sections[claim.section_id] for c in claim.ctr_ids):
             report.violations.append(
                 Violation("EmptyPremise", f"no sentence in {claim.section_id}", claim.claim_id)
             )
         for ctr, idxs in (claim.gold_evidence or {}).items():
             if ctr not in corpus:
                 continue  # already reported as dangling
-            n = len(corpus[ctr].section(claim.section_id))
+            n = len(corpus[ctr].sections[claim.section_id])
             for i in idxs:
                 if not 0 <= i < n:
                     report.violations.append(

@@ -384,13 +384,6 @@ class ToyEncoder:
             self.params[f"b{layer}"] = np.zeros(dim)
         self.encode_calls = 0
 
-    @property
-    def sep_id(self) -> int:
-        return self.tokenizer.sep_id
-
-    def tokenize(self, text: str) -> TokenSeq:
-        return self.tokenizer.tokenize(text)
-
     def parameters(self) -> dict[str, np.ndarray]:
         return self.params
 
@@ -485,8 +478,8 @@ class PretrainedEncoder:
 
     Model name and device are opaque strings handed to the transformers
     library. Construction fails with :class:`BackendUnavailable` when the
-    libraries are absent or the weights cannot be loaded. Mixed precision is
-    honored on CUDA devices and ignored on CPU.
+    name is empty, the libraries are absent or the weights cannot be loaded.
+    Mixed precision is honored on CUDA devices and ignored on CPU.
     """
 
     backend = "pretrained"
@@ -499,6 +492,8 @@ class PretrainedEncoder:
         cache_dir: str | None = None,
         mixed_precision: bool = True,
     ):
+        if not model_name:
+            raise BackendUnavailable("pretrained backend needs a model name")
         try:
             import torch
             from transformers import AutoModel, AutoTokenizer
@@ -557,22 +552,3 @@ class PretrainedEncoder:
                 out = self._model(input_ids=ids).last_hidden_state
         return out[0].float().cpu().numpy().astype(np.float64)
 
-
-def create_encoder(
-    backend: str,
-    vocab_size: int = 1024,
-    dim: int = 32,
-    n_layers: int = 2,
-    seed: int = 0,
-    model_name: str = "",
-    device: str = "cpu",
-    mixed_precision: bool = True,
-):
-    """Construct the configured encoder backend."""
-    if backend == "toy":
-        return ToyEncoder(vocab_size=vocab_size, dim=dim, n_layers=n_layers, seed=seed)
-    if backend == "pretrained":
-        if not model_name:
-            raise BackendUnavailable("pretrained backend needs a model name")
-        return PretrainedEncoder(model_name, device=device, mixed_precision=mixed_precision)
-    raise BackendUnavailable(f"unknown encoder backend '{backend}'")

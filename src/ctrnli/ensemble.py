@@ -101,27 +101,17 @@ def combine(
     )
 
 
-def postprocess_evidence(
-    evidence_probs: Sequence[float], selected: Sequence[int], cfg: EnsembleConfig
-) -> tuple[int, ...]:
-    """Cap a selection at ``max_evidence`` sentences, as sorted indices.
-
-    When over budget, the highest-probability indices are kept; ties break
-    toward the lower index. Under budget the selection is returned unchanged.
-    """
-    indices = sorted(set(selected))
-    if len(indices) > cfg.max_evidence:
-        ranked = sorted(indices, key=lambda i: (-evidence_probs[i], i))
-        indices = sorted(ranked[: cfg.max_evidence])
-    return tuple(indices)
-
-
 def cap_prediction(pred: SystemPrediction, cfg: EnsembleConfig) -> SystemPrediction:
-    """Apply the evidence cap to one prediction."""
-    kept = postprocess_evidence(pred.evidence_probs, pred.selected, cfg)
-    if len(kept) == len(pred.selected):
+    """Cap one prediction's selection at ``max_evidence`` sentences.
+
+    When over budget, the highest-probability indices are kept, in index
+    order; ties break toward the lower index. Under budget the prediction is
+    returned unchanged.
+    """
+    if len(pred.selected) <= cfg.max_evidence:
         return pred
-    return dataclasses.replace(pred, selected=kept)
+    ranked = sorted(pred.selected, key=lambda i: (-pred.evidence_probs[i], i))
+    return dataclasses.replace(pred, selected=tuple(sorted(ranked[: cfg.max_evidence])))
 
 
 def ensemble_predictions(

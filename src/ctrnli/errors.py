@@ -89,7 +89,7 @@ class MissingGoldLabel(MissingGold):
 
 
 class NonFiniteParameters(CtrnliError):
-    """A model to be saved holds NaN or infinite parameters (training diverged)."""
+    """Training diverged: a step's loss or a model to be saved is NaN or infinite."""
 
 
 # --- ensemble / metrics errors ---------------------------------------------

@@ -69,24 +69,6 @@ class JointModel:
     inject_arm_prefix: bool = False
 
 
-@dataclass(frozen=True)
-class JointOutput:
-    """One forward pass: survivor evidence probabilities plus the verdict.
-
-    ``evidence_probs[i]`` belongs to premise sentence ``i`` (survivors are
-    the premise prefix); truncated sentences appear in ``dropped`` with an
-    implicit probability of zero and can never be gated. The evidence
-    summary the verdict head reads is the mean of the ``gated`` vectors.
-    """
-
-    evidence_probs: tuple[float, ...]
-    gated: tuple[int, ...]
-    class_probs: tuple[float, ...]
-    verdict: str
-    fallback_used: bool
-    dropped: tuple[int, ...]
-
-
 def _verdict_probs(logits: np.ndarray) -> tuple[float, float]:
     """Two-label distribution from two-class verdict logits.
 
@@ -151,8 +133,12 @@ def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) ->
     return ji
 
 
-def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> JointOutput:
-    """Single-pass inference over one claim-document sequence."""
+def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) -> SystemPrediction:
+    """Single-pass inference over one claim-document sequence.
+
+    The probabilities cover the full premise: sentences the packer dropped
+    read 0.0 and are never selected.
+    """
     if premise.n == 0:
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
     ji = _pack(model.encoder.tokenizer, claim, premise, model.max_len)
@@ -161,37 +147,39 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
         model, matrix, ji.span_map, [len(ji.span_map)]
     )
     class_probs = _verdict_probs(v_logits[0, 0])
-    return JointOutput(
-        evidence_probs=tuple(probs),
-        gated=tuple(pooled[0]),
+    return SystemPrediction(
+        claim_id=claim.claim_id,
+        evidence_probs=tuple(probs + [0.0] * len(ji.dropped_sentences)),
+        selected=tuple(pooled[0]),
         class_probs=class_probs,
         verdict=verdict_from_probs(class_probs),
         fallback_used=fallbacks[0],
-        dropped=ji.dropped_sentences,
     )
 
 
 def joint_loss(
-    output: JointOutput,
+    evidence_probs: Sequence[float],
+    class_probs: Sequence[float],
     gold_evidence: frozenset[int] | set[int] | None,
     gold_label: str | None,
     weights: tuple[float, float] = (1.0, 1.0),
 ) -> float:
     """Weighted sum of mean per-sentence BCE and verdict cross-entropy.
 
-    Truncated sentences carry no probability and stay out of the evidence
-    term; a premise with no survivors contributes zero to it.
+    ``evidence_probs`` are the packed sentences' probabilities: truncated
+    sentences stay out of the evidence term, and a premise with no survivors
+    contributes zero to it.
     """
     if gold_evidence is None or gold_label is None:
         raise MissingGold("joint loss needs both gold evidence and a gold label")
     w_ev, w_ent = weights
     bce = 0.0
-    if output.evidence_probs:
-        for i, p in enumerate(output.evidence_probs):
+    if evidence_probs:
+        for i, p in enumerate(evidence_probs):
             p = min(max(p, 1e-300), 1.0 - 1e-16)
             bce -= np.log(p) if i in gold_evidence else np.log(1.0 - p)
-        bce /= len(output.evidence_probs)
-    ce = -float(np.log(max(output.class_probs[LABELS.index(gold_label)], 1e-300)))
+        bce /= len(evidence_probs)
+    ce = -float(np.log(max(class_probs[LABELS.index(gold_label)], 1e-300)))
     return float(w_ev * bce + w_ent * ce)
 
 
@@ -335,19 +323,5 @@ def predict_joint(
     corpus: Mapping[str, ClinicalTrialRecord],
     model: JointModel,
 ) -> SystemPrediction:
-    """Run the joint model and map its output to the shared prediction shape.
-
-    The returned probability list covers the full premise: truncated
-    sentences get probability 0.0 and are never selected.
-    """
-    premise = resolve_premise(claim, corpus, model.inject_arm_prefix)
-    out = forward_joint(claim, premise, model)
-    full_probs = list(out.evidence_probs) + [0.0] * len(out.dropped)
-    return SystemPrediction(
-        claim_id=claim.claim_id,
-        evidence_probs=tuple(full_probs),
-        selected=out.gated,
-        class_probs=(out.class_probs[0], out.class_probs[1]),
-        verdict=out.verdict,
-        fallback_used=out.fallback_used,
-    )
+    """Resolve the claim's premise and run :func:`forward_joint` over it."""
+    return forward_joint(claim, resolve_premise(claim, corpus, model.inject_arm_prefix), model)

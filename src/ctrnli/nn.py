@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteParameters
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
@@ -212,6 +214,7 @@ class Hyperparams:
         rules = [
             ("batch_size", is_count(self.batch_size, 1), "an integer >= 1"),
             ("epochs", is_count(self.epochs, 0), "an integer >= 0"),
+            ("seed", is_count(self.seed, 0), "an integer >= 0"),
             ("max_steps", self.max_steps is None or is_count(self.max_steps, 0),
              "None or an integer >= 0"),
             ("learning_rate", is_finite_number(lr) and lr > 0, "a finite number > 0"),
@@ -250,19 +253,26 @@ def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.
     """The training loop: SGDW with warmup then decay over seeded minibatches.
 
     ``batch_grads(batch_idx)`` returns (loss, one grad dict per entry of
-    ``groups``), which are updated in place. An empty group, such as a frozen
-    encoder's ``{}``, is never read, so its grads may be None. Returns the
-    per-step losses.
+    ``groups``), which are updated in place; the loss is a number or a list
+    of loss terms. An empty group, such as a frozen encoder's ``{}``, is
+    never read, so its grads may be None. Returns the per-step losses.
 
-    Overflow and invalid values raise no numpy warning here: a diverged run
-    is refused once, as non-finite parameters, when its checkpoint is written.
+    Overflow and invalid values raise no numpy warning here. A diverged run
+    stops at its first non-finite loss with :class:`NonFiniteParameters`,
+    before that step updates anything; the checkpoint writer refuses
+    parameters that overflow while the loss is still finite.
     """
     schedule = WarmupLinearSchedule(hp.learning_rate, hp.total_steps(n_items), hp.warmup_rate)
     optimizer = SgdwOptimizer(schedule, weight_decay=hp.weight_decay)
     curve = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch_idx in minibatches(n_items, hp, rng):
+        for step, batch_idx in enumerate(minibatches(n_items, hp, rng)):
             loss, grads = batch_grads(batch_idx)
+            if not np.isfinite(loss).all():
+                raise NonFiniteParameters(
+                    f"non-finite training loss {loss} at step {step + 1}: "
+                    "training diverged, no checkpoint written"
+                )
             optimizer.step(groups, grads)
             curve.append(loss)
     return curve

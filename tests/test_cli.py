@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrnli.checkpoint import load_joint_model, save_joint_model, save_pipeline_model
+from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import build_parser, main
 from ctrnli.config import SECTIONS, RunConfig
 from ctrnli.corpus import SECTION_NAMES
@@ -316,6 +316,7 @@ class TestTrain:
             ("--max-len", "2", "max_len"),
             ("--threshold", "nan", "threshold"),
             ("--threshold", "1.5", "threshold"),
+            ("--seed", "-1", "seed"),
         ],
     )
     def test_bad_hyperparameter_is_a_usage_error(self, tmp_path, capsys, flag, value, name):
@@ -336,6 +337,26 @@ class TestTrain:
         cfg.write_text(json.dumps({"encoder": {"mixed_precision": value}}))
         assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
         _one_line_error(capsys, "mixed_precision must be true or false")
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"lenient": "no"}, "lenient must be true or false"),
+            ({"inject_arm_prefix": "yes"}, "inject_arm_prefix must be true or false"),
+            ({"split": []}, "split must be a string or null"),
+            ({"encoder": {"vocab_size": "abc"}}, "vocab_size must be an integer >= 3"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_a_usage_error(
+        self, tmp_path, capsys, config, message
+    ):
+        """A truthy string would otherwise read as true, and a list as a
+        split name."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main(self._train_args(tmp_path / "ckpt", "--config", str(cfg))) == 2
+        _one_line_error(capsys, message)
         assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("system", ["pipeline", "joint"])
@@ -461,7 +482,7 @@ class TestPredict:
         )
         save_joint_model(wide, tmp_path / "ckpt")
         with pytest.raises(BadCheckpoint, match="verdict_head"):
-            load_joint_model(tmp_path / "ckpt")
+            load_any_model(tmp_path / "ckpt")
         code = main([
             "predict", "--corpus", CORPUS, "--claims", CLAIMS,
             "--checkpoint", str(tmp_path / "ckpt"), "--out", str(tmp_path / "p.json"),

@@ -5,10 +5,12 @@ The table ``TARGETS`` names each file and a command that reads it. A
 workspace holds one copy of every file; a test damages one of them, runs the
 command through ``main()`` and puts the file back. Log records at WARNING
 and above count as stderr lines, since the command-line entry point sends
-them there.
+them there. A ``train`` config file is also filled, one field at a time,
+with a value of each JSON type.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import logging
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from ctrnli.checkpoint import save_joint_model
 from ctrnli.cli import main
+from ctrnli.config import SECTIONS, RunConfig
 from ctrnli.ensemble import save_predictions
 from ctrnli.joint import predict_joint
 from ctrnli.metrics import build_gold_view, build_report, write_report
@@ -223,3 +226,49 @@ def test_fuzzed_file_ends_in_one_line(workspace, target, mutation):
     with _damaged(workspace, rel, _apply(mutation)):
         code, lines = _run(command(workspace))
     _check(code, lines)
+
+
+# --- config values of every JSON type -------------------------------------------
+
+_CONFIG_VALUES = [
+    None, True, 0, -1, 1.5, float("nan"), 10**30, "", "x", [], [1], {}, {"a": 1},
+]
+# values that ask for a huge allocation or run rather than being of a wrong type
+_HUGE = {("encoder", "vocab_size"), ("encoder", "dim"), ("encoder", "n_layers"),
+         ("hyperparams", "max_steps")}
+_CONFIG_FIELDS = [
+    (f.name,) for f in dataclasses.fields(RunConfig)
+] + [
+    (section, f.name) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("path", _CONFIG_FIELDS, ids=[".".join(p) for p in _CONFIG_FIELDS])
+def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
+    """Every run-config and section field of a ``train --config`` file, set to
+    each JSON type, trains or is refused with an exit code of 0-3 and at most
+    one stderr line. Paths are relative, so a path of "" reads the workspace
+    itself."""
+    shutil.copy(FIXTURE / "corpus.json", tmp_path / "corpus.json")
+    (tmp_path / "claims").mkdir()
+    shutil.copy(FIXTURE / "claims.json", tmp_path / "claims" / "dev.json")
+    monkeypatch.chdir(tmp_path)
+    stray = []
+    for value in _CONFIG_VALUES:
+        if value == 10**30 and path in _HUGE:
+            continue
+        config = {
+            "corpus": "corpus.json", "claims": "claims", "split": "dev",
+            "hyperparams": {"seed": 0, "max_steps": 1},
+        }
+        parent = config
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        try:
+            _check(*_run(["train", "--config", "run.json", "--out", "ckpt"]))
+        except Exception as exc:  # noqa: BLE001 - any escape is the finding
+            stray.append((value, repr(exc)))
+        shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
+    assert stray == []

@@ -68,7 +68,7 @@ class TestParseRecord:
         rec = parse_record(_record_obj())
         assert rec.ctr_id == "ct-1"
         assert tuple(rec.sections) == SECTION_NAMES
-        assert rec.section("results") == ("response improved", "survival unchanged")
+        assert rec.sections["results"] == ("response improved", "survival unchanged")
 
     def test_unknown_section_name(self):
         obj = _record_obj()
@@ -97,7 +97,7 @@ class TestParseRecord:
         obj = _record_obj()
         obj["sections"]["results"] = ["response \t improved\n markedly"]
         rec = parse_record(obj)
-        assert rec.section("results")[0] == "response improved markedly"
+        assert rec.sections["results"][0] == "response improved markedly"
 
 
 class TestLoadCorpus:
@@ -128,13 +128,13 @@ class TestLoadCorpus:
 class TestParseClaim:
     def test_single_claim(self):
         claim = parse_claim(_claim_obj())
-        assert claim.claim_type == "single"
+        assert claim.secondary_ctr is None
         assert claim.ctr_ids == ("ct-1",)
         assert claim.gold_evidence == {"ct-1": frozenset({0})}
 
     def test_comparison_claim(self):
         claim = parse_claim(_claim_obj(secondary_ctr="ct-2", evidence={"ct-1": [0], "ct-2": [1]}))
-        assert claim.claim_type == "comparison"
+        assert claim.secondary_ctr == "ct-2"
         assert claim.ctr_ids == ("ct-1", "ct-2")
 
     def test_unlabeled_claim(self):
@@ -142,7 +142,7 @@ class TestParseClaim:
         del obj["label"]
         del obj["evidence"]
         claim = parse_claim(obj)
-        assert not claim.is_labeled
+        assert claim.gold_label is None
         assert claim.gold_evidence is None
 
     def test_evidence_for_foreign_trial(self):
@@ -310,13 +310,13 @@ class TestResolvePremise:
     def test_single_claim_scopes_to_section(self, corpus, claims):
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
-        section = corpus[claim.primary_ctr].section(claim.section_id)
+        section = corpus[claim.primary_ctr].sections[claim.section_id]
         assert premise.texts == section
 
     def test_comparison_orders_primary_first(self, corpus, claims):
-        claim = next(c for c in claims if c.claim_type == "comparison")
+        claim = next(c for c in claims if c.secondary_ctr is not None)
         premise = resolve_premise(claim, corpus)
-        n_primary = len(corpus[claim.primary_ctr].section(claim.section_id))
+        n_primary = len(corpus[claim.primary_ctr].sections[claim.section_id])
         assert premise.spans == {
             claim.primary_ctr: (0, n_primary), claim.secondary_ctr: (n_primary, premise.n)
         }
@@ -380,8 +380,8 @@ class TestResolvePremise:
             premise.to_global("s", 4)
 
     def test_arm_prefix_only_for_comparison(self, corpus, claims):
-        single = next(c for c in claims if c.claim_type == "single")
-        comparison = next(c for c in claims if c.claim_type == "comparison")
+        single = next(c for c in claims if c.secondary_ctr is None)
+        comparison = next(c for c in claims if c.secondary_ctr is not None)
         assert resolve_premise(single, corpus, True).texts == resolve_premise(
             single, corpus, False
         ).texts

@@ -16,12 +16,12 @@ from ctrnli.encode import (
     PAD_ID,
     SEP_ID,
     HashingTokenizer,
+    PretrainedEncoder,
     ToyEncoder,
     build_entailment_sequence,
     build_joint_sequence,
     build_pair_sequence,
     build_pair_sequences,
-    create_encoder,
     encode_batch,
     pool_span,
     pool_span_backward,
@@ -230,7 +230,7 @@ class TestTextMemoLifetime:
     def test_toy_encoder(self):
         def make():
             encoder = ToyEncoder(vocab_size=64, dim=8)
-            encoder.encode(encoder.tokenize("median survival").token_ids)
+            encoder.encode(encoder.tokenizer.tokenize("median survival").token_ids)
             return [encoder, encoder.tokenizer]
 
         assert self._freed_without_collection(make)
@@ -516,17 +516,11 @@ class TestToyEncoder:
 
 
 class TestCreateEncoder:
-    def test_toy(self):
-        enc = create_encoder("toy", dim=8)
-        assert enc.backend == "toy" and enc.trainable
-
-    def test_unknown_backend(self):
-        with pytest.raises(BackendUnavailable):
-            create_encoder("quantum")
+    """Building the pretrained backend; each refusal is BackendUnavailable (exit 3)."""
 
     def test_pretrained_needs_model_name(self):
-        with pytest.raises(BackendUnavailable):
-            create_encoder("pretrained")
+        with pytest.raises(BackendUnavailable, match="needs a model name"):
+            PretrainedEncoder("")
 
     def test_pretrained_unloadable_model(self, monkeypatch):
         """A bogus model id must surface as BackendUnavailable, whether the
@@ -534,13 +528,11 @@ class TestCreateEncoder:
         monkeypatch.setenv("HF_HUB_OFFLINE", "1")
         monkeypatch.setenv("TRANSFORMERS_OFFLINE", "1")
         with pytest.raises(BackendUnavailable):
-            create_encoder("pretrained", model_name="no-such-org/no-such-model-xyz")
+            PretrainedEncoder("no-such-org/no-such-model-xyz")
 
     def test_pretrained_cache_dir_from_env(self, monkeypatch, tmp_path):
         """CTRNLI_CACHE feeds the weight loaders; an explicit cache_dir wins."""
         transformers = pytest.importorskip("transformers")
-        from ctrnli.encode import PretrainedEncoder
-
         seen = []
 
         class _Tokenizer:

@@ -12,7 +12,6 @@ from ctrnli.ensemble import (
     combine,
     ensemble_predictions,
     load_predictions,
-    postprocess_evidence,
     save_predictions,
 )
 from ctrnli.errors import (
@@ -37,6 +36,12 @@ def _pred(claim_id="c-1", ev=(0.9, 0.1), cp=(0.8, 0.2), threshold=0.5):
 
 
 DEFAULT = EnsembleConfig()
+
+
+def _capped(probs, selected, cfg):
+    """The indices ``cap_prediction`` keeps of ``selected``."""
+    pred = dataclasses.replace(_pred(ev=probs), selected=tuple(selected))
+    return cap_prediction(pred, cfg).selected
 
 
 class TestConfig:
@@ -190,28 +195,28 @@ class TestCombine:
 
 class TestCap:
     def test_under_budget_unchanged(self):
-        kept = postprocess_evidence((0.9, 0.8, 0.7), (0, 1, 2), DEFAULT)
+        kept = _capped((0.9, 0.8, 0.7), (0, 1, 2), DEFAULT)
         assert kept == (0, 1, 2)
 
     def test_over_budget_keeps_top_probabilities(self):
         probs = tuple(np.linspace(0.99, 0.55, 25))
-        kept = postprocess_evidence(probs, range(25), DEFAULT)
+        kept = _capped(probs, range(25), DEFAULT)
         assert kept == tuple(range(20))
 
     def test_tie_breaks_toward_lower_index(self):
         probs = tuple([0.9] * 22)
-        kept = postprocess_evidence(probs, range(22), EnsembleConfig(max_evidence=20))
+        kept = _capped(probs, range(22), EnsembleConfig(max_evidence=20))
         assert kept == tuple(range(20))
 
     def test_boundary_tie_among_distinct_probs(self):
         # 22 selected, and the budget boundary lands inside a tied trio at
         # indices 19, 20, 21: the two lowest-indexed of the trio survive
         probs = [0.99 - 0.01 * i for i in range(19)] + [0.6, 0.6, 0.6]
-        kept = postprocess_evidence(tuple(probs), range(22), EnsembleConfig(max_evidence=21))
+        kept = _capped(tuple(probs), range(22), EnsembleConfig(max_evidence=21))
         assert kept == tuple(range(21))
 
     def test_cap_one(self):
-        kept = postprocess_evidence((0.6, 0.9, 0.7), (0, 1, 2), EnsembleConfig(max_evidence=1))
+        kept = _capped((0.6, 0.9, 0.7), (0, 1, 2), EnsembleConfig(max_evidence=1))
         assert kept == (1,)
 
     def test_cap_prediction_replaces_selected(self):

@@ -9,7 +9,6 @@ from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
 from ctrnli.errors import MissingGold
 from ctrnli.joint import (
     JointModel,
-    JointOutput,
     _verdict_probs,
     forward_joint,
     joint_grads,
@@ -64,7 +63,7 @@ class TestForwardJoint:
         for claim in claims[:6]:
             out = forward_joint(claim, resolve_premise(claim, corpus), model)
             selected, fallback_used = select_evidence(out.evidence_probs, model.threshold)
-            assert set(out.gated) == set(selected)
+            assert set(out.selected) == set(selected)
             assert out.fallback_used == fallback_used
 
     def test_truncated_sentences_never_gated(self, corpus, claims):
@@ -77,17 +76,19 @@ class TestForwardJoint:
         )
         model = _tiny_model(max_len=budget)
         out = forward_joint(claim, premise, model)
-        assert out.dropped == tuple(range(1, premise.n))
-        assert len(out.evidence_probs) == 1
-        assert all(i not in out.dropped for i in out.gated)
+        ji = _packed(model, claim, premise)
+        assert ji.dropped_sentences == tuple(range(1, premise.n))
+        assert len(ji.span_map) == 1
+        assert out.evidence_probs[1:] == (0.0,) * (premise.n - 1)
+        assert all(i not in ji.dropped_sentences for i in out.selected)
 
     def test_all_sentences_dropped(self, corpus, claims):
         """A max_len that packs no sentence of a non-empty premise is refused:
         the verdict would read the zero summary vector, not the premise."""
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
-        n_claim_tokens = len(ToyEncoder().tokenize(claim.text).token_ids)
-        n_first = len(ToyEncoder().tokenize(premise.texts[0]).token_ids)
+        n_claim_tokens = len(ToyEncoder().tokenizer.tokenize(claim.text).token_ids)
+        n_first = len(ToyEncoder().tokenizer.tokenize(premise.texts[0]).token_ids)
         max_len = n_claim_tokens + 1
         model = _tiny_model(max_len=max_len)
         message = (
@@ -110,9 +111,9 @@ class TestForwardJoint:
             vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
             probs = [float(softmax(model.evidence_head.logits(v))[EVIDENCE_CLASS]) for v in vecs]
             out = forward_joint(claim, premise, model)
-            assert out.evidence_probs == tuple(probs)
-            if out.gated:
-                summary = np.mean([vecs[i] for i in out.gated], axis=0)
+            assert out.evidence_probs == tuple(probs) + (0.0,) * len(ji.dropped_sentences)
+            if out.selected:
+                summary = np.mean([vecs[i] for i in out.selected], axis=0)
                 assert out.class_probs == _verdict_probs(model.verdict_head.logits(summary))
 
     def test_class_probs_normalized(self, corpus, claims):
@@ -122,45 +123,31 @@ class TestForwardJoint:
 
 
 class TestJointLoss:
-    def _output(self, probs, class_probs):
-        from ctrnli.pipeline import verdict_from_probs
-
-        return JointOutput(
-            evidence_probs=tuple(probs),
-            gated=(),
-            class_probs=tuple(class_probs),
-            verdict=verdict_from_probs(class_probs),
-            fallback_used=False,
-            dropped=(),
-        )
-
     def test_uniform_everything(self):
         """All probabilities at one half: BCE = ln 2 and CE = ln 2."""
-        out = self._output([0.5, 0.5, 0.5], (0.5, 0.5))
-        loss = joint_loss(out, {0}, "Entailment")
+        loss = joint_loss([0.5, 0.5, 0.5], (0.5, 0.5), {0}, "Entailment")
         assert loss == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_weights_scale_terms(self):
-        out = self._output([0.5], (0.5, 0.5))
+        out = ([0.5], (0.5, 0.5))
         ln2 = np.log(2.0)
-        assert joint_loss(out, {0}, "Entailment", weights=(1.0, 0.0)) == pytest.approx(ln2)
-        assert joint_loss(out, {0}, "Entailment", weights=(0.0, 1.0)) == pytest.approx(ln2)
-        assert joint_loss(out, {0}, "Entailment", weights=(2.0, 3.0)) == pytest.approx(5 * ln2)
+        assert joint_loss(*out, {0}, "Entailment", weights=(1.0, 0.0)) == pytest.approx(ln2)
+        assert joint_loss(*out, {0}, "Entailment", weights=(0.0, 1.0)) == pytest.approx(ln2)
+        assert joint_loss(*out, {0}, "Entailment", weights=(2.0, 3.0)) == pytest.approx(5 * ln2)
 
     def test_no_survivors_means_pure_verdict_loss(self):
-        out = self._output([], (0.8, 0.2))
-        assert joint_loss(out, {0}, "Entailment") == pytest.approx(-np.log(0.8))
+        assert joint_loss([], (0.8, 0.2), {0}, "Entailment") == pytest.approx(-np.log(0.8))
 
     def test_perfect_probs_near_zero_loss(self):
-        out = self._output([1.0 - 1e-16, 1e-300], (1.0, 0.0))
-        assert joint_loss(out, {0}, "Entailment") == pytest.approx(0.0, abs=1e-9)
+        loss = joint_loss([1.0 - 1e-16, 1e-300], (1.0, 0.0), {0}, "Entailment")
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_gold(self):
-        out = self._output([0.5], (0.5, 0.5))
+        out = ([0.5], (0.5, 0.5))
         with pytest.raises(MissingGold):
-            joint_loss(out, None, "Entailment")
+            joint_loss(*out, None, "Entailment")
         with pytest.raises(MissingGold):
-            joint_loss(out, {0}, None)
+            joint_loss(*out, {0}, None)
 
 
 def _packed(model, claim, premise):
@@ -175,11 +162,15 @@ class TestJointGrads:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
+        ji = _packed(model, claim, premise)
         total, l_ev, l_ent, *_ = joint_grads(
-            model, [(_packed(model, claim, premise), gold, claim.gold_label)], teacher_forcing=False
+            model, [(ji, gold, claim.gold_label)], teacher_forcing=False
         )
         out = forward_joint(claim, premise, model)
-        assert total == pytest.approx(joint_loss(out, gold, claim.gold_label))
+        packed_probs = out.evidence_probs[: len(ji.span_map)]
+        assert total == pytest.approx(
+            joint_loss(packed_probs, out.class_probs, gold, claim.gold_label)
+        )
         assert total == pytest.approx(l_ev + l_ent)
 
     def test_zero_evidence_weight_kills_evidence_grads(self, corpus, claims):
@@ -261,8 +252,7 @@ class TestPredictJoint:
         model = _tiny_model(max_len=budget)
         pred = predict_joint(claim, corpus, model)
         assert len(pred.evidence_probs) == premise.n
-        out = forward_joint(claim, premise, model)
-        for i in out.dropped:
+        for i in _packed(model, claim, premise).dropped_sentences:
             assert pred.evidence_probs[i] == 0.0
             assert i not in pred.selected
 
@@ -288,9 +278,13 @@ class TestGradientCheck:
         base = forward_joint(claim, premise, model)
         assert all(abs(p - model.threshold) > 1e-3 for p in base.evidence_probs)
 
+        n = len(_packed(model, claim, premise).span_map)
+
         def total_loss():
             out = forward_joint(claim, premise, model)
-            return joint_loss(out, gold, claim.gold_label, weights)
+            return joint_loss(
+                out.evidence_probs[:n], out.class_probs, gold, claim.gold_label, weights
+            )
 
         *_, ev_grads, v_grads = joint_grads(
             model, [(_packed(model, claim, premise), gold, claim.gold_label)], weights,
@@ -418,7 +412,7 @@ class TestJointGradsMatchOldPath:
             gold = gold_evidence_globals(claim, premise)
             model.max_len = _survivor_budgets(model.encoder.tokenizer, claim, premise)[budget]
             ji = _packed(model, claim, premise)
-            seen_types.add(claim.claim_type)
+            seen_types.add(claim.secondary_ctr is not None)
             new = joint_grads(model, [(ji, gold, claim.gold_label)], weights, teacher_forcing)
             old = _oracle_joint_grads(
                 model, claim, premise, gold, claim.gold_label, weights, teacher_forcing
@@ -430,7 +424,7 @@ class TestJointGradsMatchOldPath:
             if not frozen:
                 assert np.array_equal(new[3]["emb"][0], np.unique(ji.token_ids))
             assert len(ji.span_map) == {"all": premise.n, "two": 2, "none": 0}[budget]
-        assert seen_types == {"single", "comparison"}
+        assert seen_types == {False, True}  # single and comparison claims
 
 
 def test_train_joint_packs_each_claim_once(corpus, claims, monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ctrnli.errors import NonFiniteParameters
 from ctrnli.nn import (
     ClassifierHead,
     EntailmentHead,
@@ -11,6 +12,7 @@ from ctrnli.nn import (
     SgdwOptimizer,
     WarmupLinearSchedule,
     cross_entropy,
+    fit,
     init_mlp,
     minibatches,
     mlp_backward,
@@ -318,6 +320,7 @@ class TestHyperparamsValidation:
             ("learning_rate", "0.1"), ("warmup_rate", -0.1), ("warmup_rate", 1.01),
             ("warmup_rate", float("nan")), ("weight_decay", -1e-9),
             ("weight_decay", float("inf")), ("w_evidence", float("nan")), ("w_entailment", -1.0),
+            ("seed", -1), ("seed", 1.5), ("seed", float("nan")), ("seed", None),
         ],
     )
     def test_rejected(self, field, value):
@@ -356,3 +359,25 @@ class TestMinibatches:
     def test_zero_epochs_yields_nothing(self):
         hp = Hyperparams(epochs=0, batch_size=4)
         assert list(minibatches(10, hp, np.random.default_rng(0))) == []
+
+
+class TestFit:
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), [1.0, float("inf"), 0.5]], ids=["loss", "loss-terms"]
+    )
+    def test_stops_at_the_first_non_finite_loss(self, bad):
+        """The step whose loss is not finite raises before it updates
+        anything, and no later step runs: one optimizer step in all."""
+        params = {"W": np.ones(2)}
+        losses = iter([0.5, bad, 0.25])
+
+        def batch_grads(batch_idx):
+            return next(losses), [{"W": np.ones(2)}]
+
+        hp = Hyperparams(
+            learning_rate=0.1, warmup_rate=0.0, weight_decay=0.0, batch_size=1, max_steps=3
+        )
+        with pytest.raises(NonFiniteParameters, match="non-finite training loss .* at step 2"):
+            fit([params], batch_grads, 3, hp, np.random.default_rng(0))
+        assert next(losses) == 0.25
+        np.testing.assert_array_equal(params["W"], np.full(2, 1.0 - 0.1))

@@ -208,8 +208,9 @@ class TestBatchedScoring:
             premise = resolve_premise(claim, corpus)
             max_len = 512
             if truncate:  # room for the claim, SEP and three sentence tokens
-                max_len = len(encoder.tokenize(claim.text).token_ids) + 4
-                truncated += sum(len(encoder.tokenize(t).token_ids) > 3 for t in premise.texts)
+                tokenize = encoder.tokenizer.tokenize
+                max_len = len(tokenize(claim.text).token_ids) + 4
+                truncated += sum(len(tokenize(t).token_ids) > 3 for t in premise.texts)
             expected = _per_pair_scores(claim, premise, encoder, head, max_len, pooling)
             assert score_evidence(claim, premise, encoder, head, max_len, pooling) == expected
         assert truncated > 0 or not truncate

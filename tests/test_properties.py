@@ -30,7 +30,7 @@ from ctrnli.encode import (
     encode_batch,
     pool_spans_backward,
 )
-from ctrnli.ensemble import EnsembleConfig, combine, postprocess_evidence
+from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
 from ctrnli.errors import EmptyText, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, evidence_metrics
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
@@ -111,7 +111,7 @@ def _premise_oracle(claim, corpus, inject_arm_prefix):
     roles = [(claim.primary_ctr, PRIMARY_PREFIX), (claim.secondary_ctr, SECONDARY_PREFIX)]
     rows = []
     for ctr_id, prefix in roles[: len(claim.ctr_ids)]:
-        for i, text in enumerate(corpus[ctr_id].section(claim.section_id)):
+        for i, text in enumerate(corpus[ctr_id].sections[claim.section_id]):
             if inject_arm_prefix and claim.secondary_ctr is not None:
                 text = f"{prefix} {text}"
             rows.append((ctr_id, i, text))
@@ -188,7 +188,7 @@ class TestCapProperty:
     @given(predictions, st.integers(min_value=1, max_value=25))
     def test_cap_invariants(self, pred, max_evidence):
         cfg = EnsembleConfig(max_evidence=max_evidence)
-        kept = postprocess_evidence(pred.evidence_probs, pred.selected, cfg)
+        kept = cap_prediction(pred, cfg).selected
         assert len(kept) <= max_evidence
         assert set(kept) <= set(pred.selected)
         if len(pred.selected) <= max_evidence:
