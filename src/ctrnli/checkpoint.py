@@ -220,15 +220,19 @@ def load_any_model(path: str | Path):
     """Load whichever system the checkpoint holds.
 
     Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
-    checkpoint is read once.
+    checkpoint is read once. A pipeline's two toy encoders share one new
+    tokenizer when their vocabulary sizes match: ids depend on nothing else.
     """
     system, config, tensors = read_checkpoint(path)
     model_cls, layout = _LAYOUTS[system]
     try:
         parts: dict = {}
+        tokenizers: dict = {}  # vocab size -> toy tokenizer
         for field, ns, head in layout:
             if head is None:
                 part = _rebuild_encoder(config[field])
+                if part.backend == "toy":
+                    part.tokenizer = tokenizers.setdefault(part.vocab_size, part.tokenizer)
             else:
                 head_cls, encoder_field = head
                 part = head_cls.create(parts[encoder_field].dim)

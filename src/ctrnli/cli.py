@@ -297,10 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# path arguments that RunConfig does not check: Path("") is the working directory
+_PATH_ARGS = ("config", "out", "checkpoint", "predictions", "predictions_a", "predictions_b",
+              "report")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        for name in _PATH_ARGS:
+            if getattr(args, name, None) == "":
+                raise UsageError(f"{name} must be a path, got an empty string")
         return args.func(args)
     except (UsageError, ClaimAloneExceedsMaxLen) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -89,6 +89,8 @@ class RunConfig:
         for name in ("corpus", "claims", "split"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+            if name != "split" and getattr(self, name) == "":  # Path("") is the working directory
+                raise ValueError(f"{name} must be a path, got an empty string")
         for name in ("inject_arm_prefix", "lenient"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")

@@ -89,14 +89,18 @@ class HashingTokenizer:
     text -> id tuple, so a text is normalized, split and looked up once per
     tokenizer. Claims are judged against shared trial sections, so texts
     recur: on the bench's shared-trials-predict workload the text memo makes
-    prediction some 15 % faster. It costs memory for the life of the
-    tokenizer: scaled-predict sends about 43k distinct texts through the
-    three tokenizers of a pipeline and a joint model, and its peak RSS rose
-    by 1.6 MB (75.7 -> 77.3 MB). Two variants of the memo cost more there.
-    A dict subclass holding a bound method of its tokenizer forms a
-    reference cycle, so every model reloaded in a process keeps its memo
-    until the cyclic garbage collector runs (86-88 MB). Storing ``TokenSeq``
-    objects instead of bare tuples read 81 MB and was no faster.
+    prediction some 15 % faster. ``checkpoint.load_any_model`` gives a
+    pipeline's two encoders one new tokenizer, so a loaded pipeline keeps
+    one memo and its entailment stage finds its texts already tokenized.
+    The memo costs memory for the life of the model: scaled-predict (seed
+    1) sends about 36k distinct texts through the two tokenizers of a
+    loaded pipeline and a joint model, and its peak RSS reads 74.7 MB
+    against 69.4 MB without the text memo (median of 3 runs each). Two
+    variants cost more when the memo was added: a dict subclass holding a
+    bound method of its tokenizer forms a reference cycle, so every model
+    reloaded in a process keeps its memo until the cyclic garbage collector
+    runs (86-88 MB against 77.3), and ``TokenSeq`` objects in place of bare
+    tuples read 81 MB and were no faster.
     """
 
     def __init__(self, vocab_size: int = 1024):
@@ -308,24 +312,29 @@ def pool_spans_backward(
 # --- toy encoder ----------------------------------------------------------------
 
 
-def _smooth(x: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+def _smooth(
+    x: np.ndarray, starts: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Window-3 neighborhood average with zero padding (self-adjoint).
 
     ``starts`` marks the rows that begin a new sequence when ``x`` holds
-    several sequences back to back. No neighbor is added across those
-    boundaries (the additions are masked, not undone), so every sequence is
-    smoothed exactly as if alone.
+    several sequences back to back; every sequence is smoothed exactly as if
+    alone. Each row is ``(x[r] + x[r-1]) + x[r+1]`` over its in-sequence
+    neighbors, divided by 3, written into ``out`` (which must not overlap
+    ``x``) or a fresh array. At a boundary the first row of a sequence is
+    reset to itself before the row after it is added, and the last row keeps
+    the value it had before that addition.
     """
-    y = x.copy()
-    if starts is None or not len(starts):
-        y[1:] += x[:-1]
-        y[:-1] += x[1:]
-    else:
-        # row r - 1 and row r sit on opposite sides of a boundary for r in starts
-        joined = np.ones((len(x) - 1, 1), dtype=bool)
-        joined[starts - 1] = False
-        np.add(y[1:], x[:-1], out=y[1:], where=joined)
-        np.add(y[:-1], x[1:], out=y[:-1], where=joined)
+    y = np.empty_like(x) if out is None else out
+    y[:1] = x[:1]
+    np.add(x[1:], x[:-1], out=y[1:])
+    joined = starts is None or not len(starts)
+    if not joined:
+        y[starts] = x[starts]
+        last = y[starts - 1]
+    y[:-1] += x[1:]
+    if not joined:
+        y[starts - 1] = last
     y /= 3.0
     return y
 
@@ -341,15 +350,18 @@ def _segment_sums(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n * dim).reshape(n, dim)
 
 
-def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``x @ weight + bias`` with each row rounded the same at any row count.
+def _affine(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x @ weight + bias`` with each row rounded the same at any row count,
+    written into ``out`` when given (unless ``x`` is one row).
 
     numpy computes a one-row product with gemv, which rounds differently from
     the gemm that computes the same row inside a taller matrix; a lone row
     is therefore doubled so that a sequence encodes to the same bits alone
     and batched.
     """
-    out = (np.concatenate([x, x]) @ weight)[:1] if x.shape[0] == 1 else x @ weight
+    out = (np.concatenate([x, x]) @ weight)[:1] if len(x) == 1 else np.matmul(x, weight, out=out)
     out += bias
     return out
 
@@ -388,30 +400,40 @@ class ToyEncoder:
         return self.params
 
     def encode(self, token_ids: Sequence[int]) -> np.ndarray:
-        out, _ = self.encode_with_cache(token_ids)
-        return out
+        return self.encode_with_cache(token_ids, cache=False)[0]
 
-    def encode_with_cache(self, token_ids: Sequence[int], lengths: Sequence[int] | None = None):
+    def encode_with_cache(
+        self, token_ids: Sequence[int], lengths: Sequence[int] | None = None, cache: bool = True
+    ):
         """Encode one sequence, or with ``lengths`` several back to back, and
         keep what :meth:`backward` needs. The rows of each sequence equal
         ``encode(seq)`` bit for bit, and ``encode_calls`` rises by one per
-        sequence."""
+        sequence.
+
+        Only training turns ``cache`` on. Without it the forward keeps no
+        layer inputs, runs in two buffers and returns None for the cache.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         lengths = [len(ids)] if lengths is None else lengths
         self.encode_calls += len(lengths)
         starts = np.cumsum(lengths[:-1]) if len(lengths) > 1 else None
+        if not cache:
+            return self._forward(ids, starts=starts), None
         inputs: list[np.ndarray] = []
         x = self._forward(ids, starts=starts, inputs=inputs)
         return x, {"ids": ids, "inputs": inputs, "lengths": lengths}
 
     def _forward(self, ids: np.ndarray, starts=None, inputs: list | None = None) -> np.ndarray:
         """Token rows for ``ids``; ``starts`` as in :func:`_smooth`. Each
-        layer's input is appended to ``inputs`` when given (for backward)."""
+        layer's input is appended to ``inputs`` when given (for backward);
+        otherwise every layer writes into the same two arrays."""
         x = self.params["emb"][ids]
+        buf = np.empty_like(x) if inputs is None else None
         for layer in range(self.n_layers):
             if inputs is not None:
                 inputs.append(x)
-            x = _smooth(_affine(x, self.params[f"W{layer}"], self.params[f"b{layer}"]), starts)
+            h = _affine(x, self.params[f"W{layer}"], self.params[f"b{layer}"], out=buf)
+            x = _smooth(h, starts, out=x if inputs is None else None)
         return x
 
     def backward(self, cache, d_out: np.ndarray, scale: float = 1.0) -> dict:
@@ -458,9 +480,10 @@ class ToyEncoder:
         return grads
 
 
-def encode_batch(encoder, seqs: Sequence[Sequence[int]]):
+def encode_batch(encoder, seqs: Sequence[Sequence[int]], cache: bool = True):
     """The ``[sum T, D]`` rows of ``seqs`` back to back, plus the cache for
-    the encoder's ``backward`` (None for a frozen encoder).
+    the encoder's ``backward``: None for a frozen encoder, and None when
+    ``cache`` is off, as prediction turns it (only training keeps a cache).
 
     A trainable encoder runs all of ``seqs`` in one forward. A frozen one
     runs them one at a time, unpadded, so each keeps exactly the features
@@ -470,7 +493,7 @@ def encode_batch(encoder, seqs: Sequence[Sequence[int]]):
         return np.concatenate([encoder.encode(seq) for seq in seqs]), None
     lengths = [len(seq) for seq in seqs]
     ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
-    return encoder.encode_with_cache(ids, lengths)
+    return encoder.encode_with_cache(ids, lengths, cache=cache)
 
 
 class PretrainedEncoder:

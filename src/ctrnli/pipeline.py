@@ -190,7 +190,7 @@ def score_evidence(
         raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
     with naming_claim(claim.claim_id):
         pairs = build_pair_sequences(encoder.tokenizer, premise.texts, claim.text, max_len)
-    matrix = encode_batch(encoder, [pair.token_ids for pair in pairs])[0]
+    matrix = encode_batch(encoder, [pair.token_ids for pair in pairs], cache=False)[0]
     return evidence_probs(head, pool_spans(matrix, _spans(pair.length for pair in pairs), pooling))
 
 

@@ -13,7 +13,13 @@ from pathlib import Path
 
 from ctrnli import Hyperparams, JointModel, PipelineModel, joint, nn, pipeline
 from ctrnli.corpus import resolve_premise
-from ctrnli.encode import HashingTokenizer, ToyEncoder, build_joint_sequence
+from ctrnli.encode import (
+    HashingTokenizer,
+    ToyEncoder,
+    build_entailment_sequence,
+    build_joint_sequence,
+    build_pair_sequences,
+)
 from ctrnli.nn import EntailmentHead, EvidenceHead
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -96,3 +102,46 @@ def test_traced_prediction_spans_every_tokenize_call(monkeypatch, corpus, claims
     assert 0 < truncated < len(twice)
     assert joint_spans == expected_joint
     assert pipeline_spans == expected_pipeline
+
+
+def test_traced_prediction_spans_every_encoder_call(monkeypatch, corpus, claims):
+    """One ``encode.forward`` span per encoder call, whether or not it keeps
+    a cache: two per pipeline claim (the batch of pairs, then the evidence
+    sequence) and one per joint claim. ``forward_tokens`` counts every token
+    those calls encode, so the cache-free path is no blind spot."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    joint_model = JointModel(
+        ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8), max_len=48
+    )
+    pipeline_model = PipelineModel(
+        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8)
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.set_phase("joint")
+        for claim in claims:
+            joint.predict_joint(claim, corpus, joint_model)
+        tracer.set_phase("pipeline")
+        pipeline_preds = [pipeline.predict_pipeline(c, corpus, pipeline_model) for c in claims]
+    finally:
+        tracer.uninstall()
+    forward = tracer.names.index("encode.forward")
+    spans = [tracer.phases[phase] for name, phase in zip(tracer.span_name, tracer.span_phase)
+             if name == forward]
+    assert spans.count("joint") == len(claims)
+    assert spans.count("pipeline") == 2 * len(claims)
+
+    tokenizer = HashingTokenizer(64)
+    joint_tokens = pipeline_tokens = 0
+    for claim, pred in zip(claims, pipeline_preds):
+        premise = resolve_premise(claim, corpus)
+        joint_tokens += build_joint_sequence(tokenizer, claim.text, premise, 48).length
+        pairs = build_pair_sequences(tokenizer, premise.texts, claim.text, 512)
+        evidence = [premise.texts[i] for i in pred.selected]
+        pipeline_tokens += sum(pair.length for pair in pairs)
+        pipeline_tokens += build_entailment_sequence(tokenizer, claim.text, evidence, 512).length
+    assert tracer.layer_metrics(("joint",))["encode.forward_tokens"] == joint_tokens
+    assert tracer.layer_metrics(("pipeline",))["encode.forward_tokens"] == pipeline_tokens

@@ -9,9 +9,12 @@ import pytest
 
 from ctrnli import checkpoint
 from ctrnli.checkpoint import load_any_model, read_checkpoint, save_joint_model, save_pipeline_model
+from ctrnli.encode import ToyEncoder
+from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, NonFiniteParameters
 from ctrnli.joint import predict_joint
-from ctrnli.pipeline import predict_pipeline
+from ctrnli.nn import EntailmentHead, EvidenceHead
+from ctrnli.pipeline import PipelineModel, predict_pipeline
 
 
 @pytest.fixture()
@@ -26,6 +29,32 @@ def joint_ckpt(tmp_path, joint_model):
     path = tmp_path / "joint-ckpt"
     save_joint_model(joint_model, path)
     return path
+
+
+@pytest.mark.parametrize("vocab_sizes", [(64, 64), (64, 96)], ids=["same-vocab", "other-vocab"])
+def test_reloaded_pipeline_shares_a_tokenizer_per_model(tmp_path, corpus, claims, vocab_sizes):
+    """A reloaded pipeline's toy encoders share one tokenizer exactly when
+    their vocabulary sizes match; every load starts its own, empty; and the
+    predictions are byte-identical to those of the in-memory model, whose
+    parameters are rounded to float32 as the checkpoint stores them."""
+    model = PipelineModel(
+        ToyEncoder(vocab_sizes[0], 8, seed=1), EvidenceHead.create(8, seed=2),
+        ToyEncoder(vocab_sizes[1], 8, seed=3), EntailmentHead.create(8, seed=4),
+    )
+    for part in (model.evidence_encoder, model.evidence_head,
+                 model.entailment_encoder, model.entailment_head):
+        for arr in part.params.values():
+            arr[...] = arr.astype("<f4")
+    save_pipeline_model(model, tmp_path / "ckpt")
+    loaded, again = (load_any_model(tmp_path / "ckpt")[1] for _ in range(2))
+    shared = loaded.evidence_encoder.tokenizer is loaded.entailment_encoder.tokenizer
+    assert shared == (vocab_sizes[0] == vocab_sizes[1])
+    assert loaded.evidence_encoder.tokenizer._texts == {}
+    assert again.evidence_encoder.tokenizer is not loaded.evidence_encoder.tokenizer
+    for name, which in (("memory", model), ("reloaded", loaded)):
+        preds = [predict_pipeline(claim, corpus, which) for claim in claims]
+        save_predictions(preds, tmp_path / f"{name}.json")
+    assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "reloaded.json").read_bytes()
 
 
 class TestRoundTrip:

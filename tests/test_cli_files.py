@@ -175,6 +175,19 @@ def test_missing_checkpoint_directory_is_a_usage_error(workspace, tmp_path):
     _check(code, lines, 2)
 
 
+@pytest.mark.parametrize("target", TARGETS)
+def test_empty_path_argument_is_a_usage_error(workspace, target):
+    """Each path argument of a command that reads a file, given as "", is a
+    usage error with one line, not the working directory; so is an empty
+    ``--out``."""
+    command = TARGETS[target][1](workspace)
+    for i, arg in enumerate(command):
+        if isinstance(arg, Path):
+            code, lines = _run([*command[:i], "", *command[i + 1 :]])
+            _check(code, lines, 2)
+            assert "empty" in lines[0], lines
+
+
 def test_train_out_under_a_regular_file_is_a_data_error(workspace, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -236,6 +249,7 @@ _CONFIG_VALUES = [
 # values that ask for a huge allocation or run rather than being of a wrong type
 _HUGE = {("encoder", "vocab_size"), ("encoder", "dim"), ("encoder", "n_layers"),
          ("hyperparams", "max_steps")}
+_PATH_FIELDS = {("corpus",), ("claims",)}
 _CONFIG_FIELDS = [
     (f.name,) for f in dataclasses.fields(RunConfig)
 ] + [
@@ -247,8 +261,8 @@ _CONFIG_FIELDS = [
 def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
     """Every run-config and section field of a ``train --config`` file, set to
     each JSON type, trains or is refused with an exit code of 0-3 and at most
-    one stderr line. Paths are relative, so a path of "" reads the workspace
-    itself."""
+    one stderr line. Paths are relative, so a path of "" would read the
+    workspace itself: it is a usage error (2)."""
     shutil.copy(FIXTURE / "corpus.json", tmp_path / "corpus.json")
     (tmp_path / "claims").mkdir()
     shutil.copy(FIXTURE / "claims.json", tmp_path / "claims" / "dev.json")
@@ -266,8 +280,9 @@ def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
             parent = parent.setdefault(key, {})
         parent[path[-1]] = value
         (tmp_path / "run.json").write_text(json.dumps(config))
+        expected = 2 if value == "" and path in _PATH_FIELDS else None
         try:
-            _check(*_run(["train", "--config", "run.json", "--out", "ckpt"]))
+            _check(*_run(["train", "--config", "run.json", "--out", "ckpt"]), expected)
         except Exception as exc:  # noqa: BLE001 - any escape is the finding
             stray.append((value, repr(exc)))
         shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 import unicodedata
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrnli.corpus import PremiseDoc
+from ctrnli.corpus import ClaimInstance, PremiseDoc
 from ctrnli.encode import (
     NUM_RESERVED,
     PAD_ID,
@@ -34,15 +35,57 @@ from ctrnli.errors import (
     EmptySpan,
     EmptyText,
 )
+from ctrnli.nn import EvidenceHead
+from ctrnli.pipeline import score_evidence
+
+
+def _oracle_smooth(x: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """``_smooth`` as it stood with a copy and masked additions, copied
+    verbatim."""
+    y = x.copy()
+    if starts is None or not len(starts):
+        y[1:] += x[:-1]
+        y[:-1] += x[1:]
+    else:
+        # row r - 1 and row r sit on opposite sides of a boundary for r in starts
+        joined = np.ones((len(x) - 1, 1), dtype=bool)
+        joined[starts - 1] = False
+        np.add(y[1:], x[:-1], out=y[1:], where=joined)
+        np.add(y[:-1], x[1:], out=y[:-1], where=joined)
+    y /= 3.0
+    return y
+
+
+def _oracle_affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``_affine`` as it stood before it could write into a given array,
+    copied verbatim."""
+    out = (np.concatenate([x, x]) @ weight)[:1] if x.shape[0] == 1 else x @ weight
+    out += bias
+    return out
+
+
+def _oracle_forward(encoder, ids: np.ndarray, starts=None, inputs: list | None = None):
+    """``ToyEncoder._forward`` as it stood with fresh arrays for every layer,
+    copied verbatim apart from taking the encoder as an argument and calling
+    the oracles above."""
+    x = encoder.params["emb"][ids]
+    for layer in range(encoder.n_layers):
+        if inputs is not None:
+            inputs.append(x)
+        x = _oracle_smooth(
+            _oracle_affine(x, encoder.params[f"W{layer}"], encoder.params[f"b{layer}"]), starts
+        )
+    return x
 
 
 def _oracle_toy_backward(encoder, cache, d_out):
     """``ToyEncoder.backward`` as it stood with a dense embedding gradient,
-    copied verbatim apart from taking the encoder as an argument."""
+    copied verbatim apart from taking the encoder as an argument and calling
+    ``_oracle_smooth``."""
     grads = {name: np.zeros_like(p) for name, p in encoder.params.items()}
     dx = d_out
     for layer in reversed(range(encoder.n_layers)):
-        dx = _smooth(dx)  # smoothing is symmetric, so its adjoint is itself
+        dx = _oracle_smooth(dx)  # smoothing is symmetric, so its adjoint is itself
         x_in = cache["inputs"][layer]
         grads[f"W{layer}"] += x_in.T @ dx
         grads[f"b{layer}"] += dx.sum(axis=0)
@@ -53,11 +96,12 @@ def _oracle_toy_backward(encoder, cache, d_out):
 
 def _oracle_encode_with_cache(encoder, token_ids):
     """``ToyEncoder.encode_with_cache`` as it stood for one sequence only,
-    copied verbatim apart from taking the encoder as an argument."""
+    copied verbatim apart from taking the encoder as an argument and calling
+    ``_oracle_forward``."""
     encoder.encode_calls += 1
     ids = np.asarray(token_ids, dtype=np.int64)
     inputs: list[np.ndarray] = []
-    x = encoder._forward(ids, inputs=inputs)
+    x = _oracle_forward(encoder, ids, inputs=inputs)
     return x, {"ids": ids, "inputs": inputs}
 
 
@@ -513,6 +557,87 @@ class TestToyEncoder:
                 param[idx] += eps
                 fd = (plus - minus) / (2 * eps)
                 np.testing.assert_allclose(grads[name][idx], fd, rtol=1e-6, atol=1e-8)
+
+
+_EDGE_ROWS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 1e308])
+# back-to-back sequences: 1-token ones included, and one sequence alone
+_LENGTHS = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8)
+
+
+def _starts(lengths):
+    return np.cumsum(lengths[:-1]) if len(lengths) > 1 else None
+
+
+class TestCacheFreeForward:
+    """The cache-free forward and the copy-free smoothing against the frozen
+    oracles above, bit for bit, including -0.0, infinities and the NaNs
+    they make."""
+
+    @settings(deadline=None)
+    @given(_LENGTHS, st.data())
+    def test_smooth_equals_oracle(self, lengths, data):
+        n = sum(lengths)
+        x = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1e6, 1e6) | _EDGE_ROWS, min_size=3, max_size=3),
+            min_size=n, max_size=n,
+        )))
+        starts = _starts(lengths)
+        with np.errstate(all="ignore"):  # inf - inf and overflow are part of the draw
+            expected = _oracle_smooth(x, starts).tobytes()
+            assert _smooth(x, starts).tobytes() == expected
+            out = np.full_like(x, np.nan)
+            assert _smooth(x, starts, out=out) is out
+            assert out.tobytes() == expected
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
+            min_size=1, max_size=8,
+        ),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_forward_equals_oracle(self, seqs, n_layers):
+        """Ids 2-4 embed to rows of -0.0, inf and -inf."""
+        enc = ToyEncoder(vocab_size=16, dim=8, n_layers=n_layers, seed=4)
+        enc.params["emb"][2:5] = np.array([-0.0, np.inf, -np.inf])[:, None]
+        lengths = [len(seq) for seq in seqs]
+        ids = np.array([i for seq in seqs for i in seq])
+        with np.errstate(all="ignore"):
+            expected = _oracle_forward(enc, ids, _starts(lengths)).tobytes()
+            rows, cache = enc.encode_with_cache(ids, lengths, cache=False)
+            assert cache is None
+            assert rows.tobytes() == expected
+            assert enc.encode_with_cache(ids, lengths)[0].tobytes() == expected
+            assert encode_batch(enc, seqs, cache=False)[0].tobytes() == expected
+
+    def test_cache_off_returns_no_cache(self):
+        enc = ToyEncoder(vocab_size=16, dim=4)
+        assert encode_batch(enc, [(2, 3), (4,)], cache=False)[1] is None
+        assert enc.encode_with_cache((2, 3, 4), cache=False)[1] is None
+        assert enc.encode_with_cache((2, 3, 4))[1]["inputs"]
+        assert enc.encode_calls == 4
+
+    def test_scoring_keeps_no_layer_inputs(self):
+        """The tracemalloc peak of an 80-sentence ``score_evidence`` call
+        stays under 2.5 times its token matrix: the two forward buffers and
+        little else. The forward that kept every layer's input read 4.1
+        (2,707 KiB of a 660 KiB matrix; +837 KiB over a cache-free copy when
+        first measured at another premise length)."""
+        texts = tuple(" ".join(f"w{i}x{j}" for j in range(24)) for i in range(80))
+        premise = PremiseDoc(texts, {"t": (0, 80)})
+        claim = ClaimInstance("c", "the claim has eight words in its text", "s", "t")
+        enc = ToyEncoder(seed=3)
+        head = EvidenceHead.create(enc.dim)
+        score_evidence(claim, premise, enc, head)  # fill the tokenizer memo first
+        matrix_bytes = 80 * (24 + 1 + 8) * enc.dim * 8
+        tracemalloc.start()
+        try:
+            score_evidence(claim, premise, enc, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix_bytes, peak / matrix_bytes
 
 
 class TestCreateEncoder:
