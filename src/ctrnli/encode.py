@@ -28,15 +28,22 @@ SEP_ID = 1
 NUM_RESERVED = 2
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """An immutable id sequence; plain text never carries separator ids."""
+class TokenSeq(tuple):
+    """An immutable id sequence; plain text never carries separator ids.
 
-    token_ids: tuple[int, ...]
+    A tuple of the ids itself, so a tokenizer's memo can hand out the
+    sequence it stored.
+    """
+
+    __slots__ = ()
+
+    @property
+    def token_ids(self) -> TokenSeq:
+        return self
 
     @property
     def length(self) -> int:
-        return len(self.token_ids)
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -86,21 +93,20 @@ class HashingTokenizer:
     and platforms.
 
     Each instance memoizes word -> id, so a word is hashed once, and raw
-    text -> id tuple, so a text is normalized, split and looked up once per
-    tokenizer. Claims are judged against shared trial sections, so texts
-    recur: on the bench's shared-trials-predict workload the text memo makes
-    prediction some 15 % faster. ``checkpoint.load_any_model`` gives a
-    pipeline's two encoders one new tokenizer, so a loaded pipeline keeps
-    one memo and its entailment stage finds its texts already tokenized.
-    The memo costs memory for the life of the model: scaled-predict (seed
-    1) sends about 36k distinct texts through the two tokenizers of a
-    loaded pipeline and a joint model, and its peak RSS reads 74.7 MB
-    against 69.4 MB without the text memo (median of 3 runs each). Two
-    variants cost more when the memo was added: a dict subclass holding a
-    bound method of its tokenizer forms a reference cycle, so every model
-    reloaded in a process keeps its memo until the cyclic garbage collector
-    runs (86-88 MB against 77.3), and ``TokenSeq`` objects in place of bare
-    tuples read 81 MB and were no faster.
+    text -> ``TokenSeq``, so a text is normalized, split and looked up once
+    per tokenizer and a repeat returns the stored sequence. Claims are
+    judged against shared trial sections, so texts recur: on the bench's
+    shared-trials-predict workload the text memo makes prediction some 15 %
+    faster. ``checkpoint.load_any_model`` gives a pipeline's two encoders
+    one new tokenizer, so a loaded pipeline keeps one memo and its
+    entailment stage finds its texts already tokenized. The memo costs
+    memory for the life of the model: scaled-predict (seed 1) sends about
+    36k distinct texts through the two tokenizers of a loaded pipeline and
+    a joint model, and its peak RSS reads 75.4 MB against 71.0 MB without
+    the text memo (median of 3 runs each, 2-vCPU VM). A dict subclass
+    holding a bound method of its tokenizer would form a reference cycle,
+    so every model reloaded in a process would keep its memo until the
+    cyclic garbage collector runs (86-88 MB against 77.3 when measured).
     """
 
     def __init__(self, vocab_size: int = 1024):
@@ -109,18 +115,18 @@ class HashingTokenizer:
         self.vocab_size = vocab_size
         self.sep_id = SEP_ID
         self._ids = _WordIds(vocab_size)
-        self._texts: dict[str, tuple[int, ...]] = {}
+        self._texts: dict[str, TokenSeq] = {}
 
     def tokenize(self, text: str) -> TokenSeq:
-        ids = self._texts.get(text)
-        if ids is None:
+        seq = self._texts.get(text)
+        if seq is None:
             # the same words as normalize_text(text).lower().split(): lower()
             # turns no code point into whitespace or out of it
             words = unicodedata.normalize("NFC", text).lower().split()
             if not words:
                 raise EmptyText(f"nothing to tokenize in {text!r}")
-            ids = self._texts[text] = tuple(map(self._ids.__getitem__, words))
-        return TokenSeq(ids)
+            seq = self._texts[text] = TokenSeq(map(self._ids.__getitem__, words))
+        return seq
 
 
 # --- sequence builders --------------------------------------------------------
@@ -129,7 +135,7 @@ class HashingTokenizer:
 def _claim_ids(tokenizer, claim: str, max_len: int, room: int) -> tuple[int, ...]:
     """The claim's token ids; a claim that leaves fewer than ``room`` of
     ``max_len`` positions free raises :class:`ClaimAloneExceedsMaxLen`."""
-    claim_ids = tokenizer.tokenize(claim).token_ids
+    claim_ids = tokenizer.tokenize(claim)
     if len(claim_ids) + room > max_len:
         raise ClaimAloneExceedsMaxLen(
             f"{len(claim_ids)} claim tokens leave no room for premise tokens in max_len {max_len}"
@@ -158,7 +164,7 @@ def build_pair_sequences(
     separator and at least one sentence token is an error.
     """
     claim_ids = _claim_ids(tokenizer, claim, max_len, room=2)
-    sentence_ids = [tokenizer.tokenize(text).token_ids for text in sentences]
+    sentence_ids = [tokenizer.tokenize(text) for text in sentences]
     sentence_budget = max_len - 1 - len(claim_ids)
     tail = (tokenizer.sep_id,) + claim_ids
     return [TokenSeq(sent_ids[:sentence_budget] + tail) for sent_ids in sentence_ids]
@@ -184,7 +190,7 @@ def build_joint_sequence(tokenizer, claim: str, premise: PremiseDoc, max_len: in
     span_map: list[tuple[int, int]] = []
     dropped: list[int] = []
     for i, text in enumerate(premise.texts):
-        sent_ids = tokenizer.tokenize(text).token_ids
+        sent_ids = tokenizer.tokenize(text)
         sep_cost = 1 if i > 0 else 0  # the claim's separator already stands before sentence 0
         if len(tokens) + sep_cost + len(sent_ids) > max_len:
             dropped = list(range(i, premise.n))
@@ -211,7 +217,7 @@ def build_entailment_sequence(tokenizer, claim: str, evidence_texts: Sequence[st
     claim_ids = _claim_ids(tokenizer, claim, max_len, room=2)
     evidence_ids: list[int] = []
     for text in evidence_texts:
-        evidence_ids.extend(tokenizer.tokenize(text).token_ids)
+        evidence_ids.extend(tokenizer.tokenize(text))
     budget = max_len - 1 - len(claim_ids)
     evidence_ids = evidence_ids[:budget]
     return TokenSeq(claim_ids + (tokenizer.sep_id,) + tuple(evidence_ids))
@@ -558,7 +564,7 @@ class PretrainedEncoder:
         ids = self._hf_tokenizer.encode(text, add_special_tokens=False)
         if not ids:
             raise EmptyText(f"tokenizer produced no ids for {text!r}")
-        return TokenSeq(tuple(int(i) for i in ids))
+        return TokenSeq(int(i) for i in ids)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}

@@ -11,8 +11,9 @@ files produced by external systems.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -138,10 +139,59 @@ def ensemble_predictions(
     return [cap_prediction(combine(p, by_id[p.claim_id], cfg, threshold), cfg) for p in preds_a]
 
 
+_ITEM_SEP = ",\n      "  # between the items of a list inside one record
+
+
+def _json_scalar(value) -> str:
+    """A string, bool, int or finite float as ``json.dumps`` writes it; any
+    other value raises ``TypeError``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    raise TypeError(f"cannot write {value!r} in a prediction file")
+
+
+def _json_list(values, fast=float.__repr__) -> str:
+    """A record's list at indent 2: ``fast`` formats every item, and a list
+    it refuses (an int or bool probability) goes through :func:`_json_scalar`."""
+    if not values:
+        return "[]"
+    try:
+        items = _ITEM_SEP.join(map(fast, values))
+    except TypeError:
+        items = _ITEM_SEP.join(map(_json_scalar, values))
+    return f"[\n      {items}\n    ]"
+
+
+def _json_record(p: SystemPrediction) -> str:
+    # the six fields in sorted-key order; every probability is finite, as
+    # SystemPrediction checks its range
+    return (
+        f'  {{\n    "claim_id": {_json_scalar(p.claim_id)},'
+        f'\n    "class_probs": {_json_list(p.class_probs)},'
+        f'\n    "evidence_probs": {_json_list(p.evidence_probs)},'
+        f'\n    "fallback_used": {_json_scalar(p.fallback_used)},'
+        f'\n    "selected": {_json_list(p.selected, _json_scalar)},'
+        f'\n    "verdict": {_json_scalar(p.verdict)}\n  }}'
+    )
+
+
 def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> None:
-    """Write predictions as a JSON list, deterministically ordered."""
-    payload = [p.to_json_obj() for p in preds]
-    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write predictions as a JSON list, deterministically ordered.
+
+    The bytes equal ``json.dumps([dataclasses.asdict(p) for p in preds],
+    sort_keys=True, indent=2)`` plus a newline, built record by record
+    without the json module's pure-Python indenting encoder.
+    ``tests/test_ensemble.py::test_save_predictions_matches_json_dumps``
+    holds the two equal.
+    """
+    body = ",\n".join(map(_json_record, preds))
+    write_text(path, f"[\n{body}\n]\n" if body else "[]\n")
 
 
 def load_predictions(path: str | Path) -> list[SystemPrediction]:

@@ -181,12 +181,20 @@ class SgdwOptimizer:
 
 def is_count(value, low: int) -> bool:
     """``value`` is an integer (not a bool) of at least ``low``."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value >= low
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 def is_finite_number(value) -> bool:
-    """``value`` is a finite real number (not a bool)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """``value`` is a real number (not a bool) that converts to a finite float;
+    an int past the float range is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def in_unit_interval(value) -> bool:

@@ -66,7 +66,11 @@ _ENTAILMENT_SEED_SALT = 23
 
 def verdict_from_probs(class_probs: Sequence[float]) -> str:
     """Argmax verdict; an exact tie resolves to Entailment (lowest index)."""
-    return LABELS[int(np.argmax(np.asarray(class_probs)))]
+    best = 0
+    for i in range(1, len(class_probs)):
+        if class_probs[i] > class_probs[best]:
+            best = i
+    return LABELS[best]
 
 
 @dataclass(frozen=True)
@@ -96,16 +100,6 @@ class SystemPrediction:
         if any(not 0 <= i < n for i in self.selected):
             raise ValueError("selected indices outside the premise")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "evidence_probs": list(self.evidence_probs),
-            "selected": list(self.selected),
-            "class_probs": list(self.class_probs),
-            "verdict": self.verdict,
-            "fallback_used": self.fallback_used,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SystemPrediction":
         """Parse one prediction object; any schema violation raises MalformedJson."""
@@ -134,7 +128,7 @@ class SystemPrediction:
                 verdict=str(obj["verdict"]),
                 fallback_used=fallback_used,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"{type(exc).__name__}: {exc}"
             raise MalformedJson(f"malformed prediction {obj.get('claim_id')!r}: {what}") from None
 

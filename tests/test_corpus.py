@@ -32,6 +32,7 @@ from ctrnli.errors import (
     UnknownSectionName,
 )
 from ctrnli.fixture import write_fixture
+from ctrnli.pipeline import SystemPrediction
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 
@@ -236,6 +237,36 @@ def test_any_json_value_parses_or_raises_a_ctrnli_error(parse, base, path):
         try:
             parse(_substituted(base, path, value))
         except CtrnliError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+            stray.append((value, repr(exc)))
+    assert stray == []
+
+
+_PREDICTION = {
+    "claim_id": "c-1", "evidence_probs": [0.2, 0.9], "selected": [1],
+    "class_probs": [0.3, 0.7], "verdict": "Contradiction", "fallback_used": False,
+}
+_PREDICTION_PATHS = [
+    (), *((key,) for key in _PREDICTION),
+    ("evidence_probs", 0), ("selected", 0), ("class_probs", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "path", _PREDICTION_PATHS, ids=[".".join(map(str, p)) or "whole" for p in _PREDICTION_PATHS]
+)
+def test_any_json_value_in_a_prediction_parses_or_raises_malformed_json(path):
+    """Each prediction field, one item of each list and the whole object,
+    replaced by any JSON type (an int past the float range included) or
+    removed, either parses or is refused with :class:`MalformedJson`."""
+    SystemPrediction.from_json_obj(_PREDICTION)  # the unmodified object parses
+    values = _FUZZ_VALUES + [10**400] + ([_DELETED] if path and isinstance(path[-1], str) else [])
+    stray = []
+    for value in values:
+        try:
+            SystemPrediction.from_json_obj(_substituted(_PREDICTION, path, value))
+        except MalformedJson:
             pass
         except Exception as exc:  # noqa: BLE001 - any other exception is the finding
             stray.append((value, repr(exc)))

@@ -1,9 +1,12 @@
 """Probability averaging, the selection cap, and prediction file I/O."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ctrnli.config import RunConfig
 from ctrnli.ensemble import (
@@ -327,3 +330,45 @@ class TestEndToEnd:
         out = ensemble_predictions(a, b, DEFAULT)
         for pred, claim in zip(out, claims):
             assert pred.verdict == claim.gold_label
+
+
+# every number type a prediction may hold, and floats whose repr is unusual
+_PROBS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0).map(np.float64),
+    st.sampled_from([-0.0, np.float64(-0.0), 5e-324, 1e-310, 1e-300, 1e-5, 0, 1, True, False]),
+)
+_CLAIM_IDS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),  # surrogates included
+    st.sampled_from(["c-1", "é日本", "\x00\x1f\x7f\"\\/", "\ud800", "a\udfffb", "\U0001f600"]),
+)
+
+
+@st.composite
+def _any_prediction(draw):
+    ev = draw(st.lists(_PROBS, max_size=5))
+    selected = sorted(draw(st.sets(st.integers(0, len(ev) - 1)))) if ev else []
+    p0 = draw(_PROBS)
+    cp = draw(st.sampled_from([(p0, 1 - p0), (1 - p0, p0)]))
+    return SystemPrediction(
+        claim_id=draw(_CLAIM_IDS),
+        evidence_probs=tuple(ev),
+        selected=tuple(selected),
+        class_probs=cp,
+        verdict=verdict_from_probs(cp),
+        fallback_used=draw(st.booleans()),
+    )
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(preds=st.lists(_any_prediction(), max_size=3))
+@example(preds=[])
+@example(preds=[SystemPrediction("c-1", (), (), (1, 0), "Entailment")])
+def test_save_predictions_matches_json_dumps(tmp_path, preds):
+    """The direct writer's bytes are the json module's indented encoding."""
+    path = tmp_path / "preds.json"
+    save_predictions(preds, path)
+    expected = json.dumps([dataclasses.asdict(p) for p in preds], sort_keys=True, indent=2)
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")

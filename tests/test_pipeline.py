@@ -1,5 +1,6 @@
 """Two-stage system: selection rule, verdict rule, training, prediction."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -105,11 +106,11 @@ class TestSystemPrediction:
 
     def test_json_round_trip(self):
         pred = self._make(fallback_used=True)
-        again = SystemPrediction.from_json_obj(json.loads(json.dumps(pred.to_json_obj())))
+        again = SystemPrediction.from_json_obj(json.loads(json.dumps(dataclasses.asdict(pred))))
         assert again == pred
 
     def test_json_missing_fallback_flag_defaults_false(self):
-        obj = self._make().to_json_obj()
+        obj = dataclasses.asdict(self._make())
         del obj["fallback_used"]
         assert SystemPrediction.from_json_obj(obj).fallback_used is False
 

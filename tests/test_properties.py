@@ -1,6 +1,7 @@
 """Property-based checks over the pure rules: selection, combination,
 capping, packing, tokenization, and counting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -205,7 +206,7 @@ class TestCapProperty:
 class TestPredictionRoundTrip:
     @given(predictions)
     def test_json_round_trip(self, pred):
-        again = SystemPrediction.from_json_obj(json.loads(json.dumps(pred.to_json_obj())))
+        again = SystemPrediction.from_json_obj(json.loads(json.dumps(dataclasses.asdict(pred))))
         assert again == pred
 
 
