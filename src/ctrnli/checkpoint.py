@@ -23,7 +23,7 @@ import numpy as np
 from .config import EncoderConfig
 from .corpus import read_json, write_text
 from .encode import PretrainedEncoder, ToyEncoder
-from .errors import BadCheckpoint, IoError, NonFiniteParameters
+from .errors import BadCheckpoint, CtrnliError, IoError
 from .joint import JointModel
 from .nn import EntailmentHead, EvidenceHead, in_unit_interval, is_count
 from .pipeline import PipelineModel
@@ -43,7 +43,7 @@ def _write_blob(path: Path, named: Mapping[str, np.ndarray], system: str, config
     for name, arr in arrays.items():
         bad = arr.size - np.count_nonzero(np.isfinite(arr))
         if bad:
-            raise NonFiniteParameters(
+            raise CtrnliError(
                 f"parameter {name} has {bad} non-finite value(s) of {arr.size}: "
                 "training diverged, no checkpoint written"
             )

@@ -27,16 +27,12 @@ from .config import (
 from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
-from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, CtrnliError
+from .errors import BackendUnavailable, CtrnliError, UsageError
 from .joint import predict_joint, train_joint
 from .metrics import build_gold_view, build_report, render_table, write_report
 from .pipeline import PipelineModel, predict_pipeline, train_entailment_model, train_evidence_model
 
 logger = logging.getLogger(__name__)
-
-
-class UsageError(Exception):
-    """Bad invocation: missing inputs, contradictory flags."""
 
 
 def _require(value, what: str):
@@ -310,7 +306,7 @@ def main(argv=None) -> int:
             if getattr(args, name, None) == "":
                 raise UsageError(f"{name} must be a path, got an empty string")
         return args.func(args)
-    except (UsageError, ClaimAloneExceedsMaxLen) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

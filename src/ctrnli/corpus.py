@@ -15,18 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import (
-    CtrnliError,
-    DanglingCtrReference,
-    DuplicateClaimId,
-    DuplicateCtrId,
-    EmptySentence,
-    EvidenceIndexOutOfRange,
-    IoError,
-    MalformedJson,
-    MissingSection,
-    UnknownSectionName,
-)
+from .errors import CtrnliError, EvidenceIndexOutOfRange, IoError, MalformedJson
 from .nn import is_count
 
 logger = logging.getLogger(__name__)
@@ -173,10 +162,10 @@ def parse_record(obj) -> ClinicalTrialRecord:
 
     for name in raw_sections:
         if name not in SECTION_NAMES:
-            raise UnknownSectionName(f"{ctr_id}: unknown section name '{name}'")
+            raise MalformedJson(f"{ctr_id}: unknown section name '{name}'")
     for name in SECTION_NAMES:
         if name not in raw_sections:
-            raise MissingSection(f"{ctr_id}: missing section '{name}'")
+            raise MalformedJson(f"{ctr_id}: missing section '{name}'")
 
     sections: dict[str, tuple[str, ...]] = {}
     for name in SECTION_NAMES:
@@ -186,7 +175,7 @@ def parse_record(obj) -> ClinicalTrialRecord:
         sections[name] = tuple(normalize_text(s) for s in sents)
         for i, s in enumerate(sections[name]):
             if not s:
-                raise EmptySentence(f"{ctr_id}: empty sentence at {name}[{i}]")
+                raise MalformedJson(f"{ctr_id}: empty sentence at {name}[{i}]")
     return ClinicalTrialRecord(ctr_id=ctr_id, sections=sections)
 
 
@@ -206,7 +195,7 @@ def load_corpus(path: str | Path) -> dict[str, ClinicalTrialRecord]:
         for obj in objs:
             record = parse_record(obj)
             if record.ctr_id in corpus:
-                raise DuplicateCtrId(f"duplicate ctr_id '{record.ctr_id}' in {fp}")
+                raise MalformedJson(f"duplicate ctr_id '{record.ctr_id}' in {fp}")
             corpus[record.ctr_id] = record
     return corpus
 
@@ -264,11 +253,11 @@ def parse_claim(obj) -> ClaimInstance:
 
 
 def check_unique_claim_ids(claim_ids: Iterable[str], where: str) -> None:
-    """Raise :class:`DuplicateClaimId` on the first id that occurs twice."""
+    """Raise :class:`CtrnliError` on the first id that occurs twice."""
     seen: set[str] = set()
     for claim_id in claim_ids:
         if claim_id in seen:
-            raise DuplicateClaimId(f"duplicate claim_id '{claim_id}' in {where}")
+            raise CtrnliError(f"duplicate claim_id '{claim_id}' in {where}")
         seen.add(claim_id)
 
 
@@ -282,10 +271,10 @@ def load_claims(
 
     ``path`` is either the claim file itself or a directory holding
     ``{split}.json``. When ``corpus`` is given, claims whose trial references
-    are missing raise :class:`DanglingCtrReference` after the whole file is
+    are missing raise :class:`CtrnliError` after the whole file is
     scanned, carrying the full list of offenders; with ``lenient`` set they
     are skipped instead, with one warning naming them all. A repeated
-    ``claim_id`` raises :class:`DuplicateClaimId`.
+    ``claim_id`` raises :class:`CtrnliError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -311,7 +300,7 @@ def load_claims(
     if dangling:
         message = f"{len(dangling)} claim(s) reference missing trials: {', '.join(dangling)}"
         if not lenient:
-            raise DanglingCtrReference(message)
+            raise CtrnliError(message)
         logger.warning("%s; skipped", message)
     return claims
 
@@ -340,7 +329,7 @@ def resolve_premise(
         roles.append((claim.secondary_ctr, SECONDARY_PREFIX))
     for ctr_id, prefix in roles:
         if ctr_id not in corpus:
-            raise DanglingCtrReference(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
+            raise CtrnliError(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
         section = corpus[ctr_id].sections[claim.section_id]
         if inject_arm_prefix and claim.secondary_ctr is not None:
             section = tuple(f"{prefix} {text}" for text in section)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PremiseDoc, normalize_text
-from .errors import BackendUnavailable, ClaimAloneExceedsMaxLen, EmptySpan, EmptyText
+from .errors import BackendUnavailable, CtrnliError, UsageError
 from .nn import scaled_sum
 
 PAD_ID = 0
@@ -124,7 +124,7 @@ class HashingTokenizer:
             # turns no code point into whitespace or out of it
             words = unicodedata.normalize("NFC", text).lower().split()
             if not words:
-                raise EmptyText(f"nothing to tokenize in {text!r}")
+                raise CtrnliError(f"nothing to tokenize in {text!r}")
             seq = self._texts[text] = TokenSeq(map(self._ids.__getitem__, words))
         return seq
 
@@ -134,10 +134,10 @@ class HashingTokenizer:
 
 def _claim_ids(tokenizer, claim: str, max_len: int, room: int) -> tuple[int, ...]:
     """The claim's token ids; a claim that leaves fewer than ``room`` of
-    ``max_len`` positions free raises :class:`ClaimAloneExceedsMaxLen`."""
+    ``max_len`` positions free raises :class:`UsageError`."""
     claim_ids = tokenizer.tokenize(claim)
     if len(claim_ids) + room > max_len:
-        raise ClaimAloneExceedsMaxLen(
+        raise UsageError(
             f"{len(claim_ids)} claim tokens leave no room for premise tokens in max_len {max_len}"
         )
     return claim_ids
@@ -145,12 +145,12 @@ def _claim_ids(tokenizer, claim: str, max_len: int, room: int) -> tuple[int, ...
 
 @contextmanager
 def naming_claim(claim_id: str):
-    """Prefix a :class:`ClaimAloneExceedsMaxLen` raised inside the block with
+    """Prefix a :class:`UsageError` raised inside the block with
     the claim it concerns."""
     try:
         yield
-    except ClaimAloneExceedsMaxLen as exc:
-        raise ClaimAloneExceedsMaxLen(f"claim {claim_id}: {exc}") from None
+    except UsageError as exc:
+        raise UsageError(f"claim {claim_id}: {exc}") from None
 
 
 def build_pair_sequences(
@@ -230,7 +230,7 @@ def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str = "mean") -> 
     """Reduce the token rows in half-open ``span`` to one vector."""
     start, end = span
     if not (0 <= start < end <= matrix.shape[0]):
-        raise EmptySpan(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
+        raise CtrnliError(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
     block = matrix[start:end]
     if mode == "mean":
         return block.mean(axis=0)
@@ -560,10 +560,10 @@ class PretrainedEncoder:
     def tokenize(self, text: str) -> TokenSeq:
         text = normalize_text(text)
         if not text:
-            raise EmptyText("nothing to tokenize")
+            raise CtrnliError("nothing to tokenize")
         ids = self._hf_tokenizer.encode(text, add_special_tokens=False)
         if not ids:
-            raise EmptyText(f"tokenizer produced no ids for {text!r}")
+            raise CtrnliError(f"tokenizer produced no ids for {text!r}")
         return TokenSeq(int(i) for i in ids)
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import check_unique_claim_ids, read_json, write_text
-from .errors import MalformedJson, MismatchedClaim, MismatchedPremiseLength
+from .errors import CtrnliError, MalformedJson
 from .nn import is_count, is_finite_number
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
@@ -62,11 +62,11 @@ def combine(
     that equal inputs combine to themselves exactly.
     """
     if pred_a.claim_id != pred_b.claim_id:
-        raise MismatchedClaim(
+        raise CtrnliError(
             f"cannot combine predictions for {pred_a.claim_id!r} and {pred_b.claim_id!r}"
         )
     if len(pred_a.evidence_probs) != len(pred_b.evidence_probs):
-        raise MismatchedPremiseLength(
+        raise CtrnliError(
             f"claim {pred_a.claim_id}: premise lengths "
             f"{len(pred_a.evidence_probs)} != {len(pred_b.evidence_probs)}"
         )
@@ -132,7 +132,7 @@ def ensemble_predictions(
     missing = [p.claim_id for p in preds_a if p.claim_id not in by_id]
     extra = sorted(by_id.keys() - {p.claim_id for p in preds_a})
     if missing or extra:
-        raise MismatchedClaim(
+        raise CtrnliError(
             f"prediction lists cover different claims (missing from second: {missing}, "
             f"only in second: {extra})"
         )
@@ -197,7 +197,7 @@ def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> Non
 def load_predictions(path: str | Path) -> list[SystemPrediction]:
     """Read a prediction list written by :func:`save_predictions` or an
     external system emitting the same shape; a claim predicted twice raises
-    :class:`DuplicateClaimId`."""
+    :class:`CtrnliError`."""
     payload = read_json(path)
     if not isinstance(payload, list):
         raise MalformedJson(f"{path}: expected a JSON list of predictions")

@@ -9,8 +9,10 @@ of the per-sentence binary cross-entropy and the verdict cross-entropy,
 backpropagated through the forward inference runs (:func:`_forward`) over
 sequences packed once before training. During training the evidence summary
 pools the gold spans (teacher forcing); at inference it pools the gated spans.
-The claim's own block is never fed to the verdict head: its content already
-reaches the sentence vectors through the shared encoding.
+The claim's own block is never fed to either head. With the toy encoder its
+content barely reaches the sentence vectors either: two window-3 smoothing
+layers let a row see only two tokens on either side, so no sentence after the
+first reads any claim token (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .encode import (
     pool_spans_backward,
 )
 from .encode import pool_span, pool_span_backward  # noqa: F401  bench/tracing.py wraps them here
-from .errors import EmptyPremise, MissingGold, MissingGoldEvidence, MissingGoldLabel
+from .errors import CtrnliError, UsageError
 from .nn import (
     EntailmentHead,
     EvidenceHead,
@@ -121,12 +123,12 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
 
 def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) -> JointInput:
     """The claim's joint sequence; a ``max_len`` that packs none of a
-    non-empty premise's sentences is a usage error (``ValueError``)."""
+    non-empty premise's sentences raises :class:`UsageError`."""
     with naming_claim(claim.claim_id):
         ji = build_joint_sequence(tokenizer, claim.text, premise, max_len)
     if premise.n and not ji.span_map:
         first = tokenizer.tokenize(premise.texts[0]).length
-        raise ValueError(
+        raise UsageError(
             f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
             f"(the first has {first} tokens)"
         )
@@ -140,7 +142,7 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     read 0.0 and are never selected.
     """
     if premise.n == 0:
-        raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
+        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
     ji = _pack(model.encoder.tokenizer, claim, premise, model.max_len)
     matrix = model.encoder.encode(ji.token_ids)
     _, _, probs, pooled, fallbacks, v_logits, _ = _forward(
@@ -171,7 +173,7 @@ def joint_loss(
     contributes zero to it.
     """
     if gold_evidence is None or gold_label is None:
-        raise MissingGold("joint loss needs both gold evidence and a gold label")
+        raise CtrnliError("joint loss needs both gold evidence and a gold label")
     w_ev, w_ent = weights
     bce = 0.0
     if evidence_probs:
@@ -297,9 +299,9 @@ def train_joint(
     examples = []
     for claim in train_claims:
         if claim.gold_evidence is None:
-            raise MissingGoldEvidence(f"claim {claim.claim_id} has no gold evidence")
+            raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
         if claim.gold_label is None:
-            raise MissingGoldLabel(f"claim {claim.claim_id} has no gold label")
+            raise CtrnliError(f"claim {claim.claim_id} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         ji = _pack(encoder.tokenizer, claim, premise, max_len)
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))

@@ -24,7 +24,7 @@ from .corpus import (
     resolve_premise,
     write_text,
 )
-from .errors import IncompleteCoverage, LengthMismatch, MalformedJson, MissingGold
+from .errors import CtrnliError, MalformedJson
 from .pipeline import SystemPrediction
 
 
@@ -97,9 +97,9 @@ def build_gold_view(
 def _claim_counts(pred: SystemPrediction, gold: GoldClaim) -> tuple[int, int, int, int]:
     """Sentence-level confusion counts for one claim."""
     if gold.evidence is None:
-        raise MissingGold(f"claim {pred.claim_id} has no gold evidence")
+        raise CtrnliError(f"claim {pred.claim_id} has no gold evidence")
     if len(pred.evidence_probs) != gold.n_sentences:
-        raise LengthMismatch(
+        raise CtrnliError(
             f"claim {pred.claim_id}: prediction covers {len(pred.evidence_probs)} "
             f"sentences but the premise has {gold.n_sentences}"
         )
@@ -113,7 +113,7 @@ def _claim_counts(pred: SystemPrediction, gold: GoldClaim) -> tuple[int, int, in
 
 def _gold_for(pred: SystemPrediction, golds: Mapping[str, GoldClaim]) -> GoldClaim:
     if pred.claim_id not in golds:
-        raise MissingGold(f"no gold annotations for claim {pred.claim_id}")
+        raise CtrnliError(f"no gold annotations for claim {pred.claim_id}")
     return golds[pred.claim_id]
 
 
@@ -126,7 +126,7 @@ def evidence_metrics(
     if mode not in ("micro", "macro"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
     if not predictions:
-        raise MissingGold("no predictions to score")
+        raise CtrnliError("no predictions to score")
     per_claim = [_claim_counts(p, _gold_for(p, golds)) for p in predictions]
     totals = tuple(sum(c[i] for c in per_claim) for i in range(4))
     if mode == "micro":
@@ -153,7 +153,7 @@ def _label_counts(
     for pred in predictions:
         gold = _gold_for(pred, golds)
         if gold.label is None:
-            raise MissingGold(f"claim {pred.claim_id} has no gold label")
+            raise CtrnliError(f"claim {pred.claim_id} has no gold label")
         hit_pos = pred.verdict == positive
         is_pos = gold.label == positive
         if hit_pos and is_pos:
@@ -172,7 +172,7 @@ def entailment_metrics(
 ) -> PRF:
     """Score verdicts with Entailment as the positive class."""
     if not predictions:
-        raise MissingGold("no predictions to score")
+        raise CtrnliError("no predictions to score")
     return PRF.from_counts(*_label_counts(predictions, golds, LABELS[0]))
 
 
@@ -181,7 +181,7 @@ def entailment_macro_f1(
 ) -> float:
     """Mean of the two per-class F1 scores."""
     if not predictions:
-        raise MissingGold("no predictions to score")
+        raise CtrnliError("no predictions to score")
     scores = []
     for label in LABELS:
         prf = PRF.from_counts(*_label_counts(predictions, golds, label))
@@ -231,7 +231,7 @@ def build_report(
     covered = {p.claim_id for p in predictions}
     missing = [cid for cid, gold in golds.items() if gold.label is not None and cid not in covered]
     if missing:
-        raise IncompleteCoverage(
+        raise CtrnliError(
             f"{len(missing)} labelled claim(s) have no prediction, the first is '{missing[0]}'"
         )
     rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteParameters
+from .errors import CtrnliError
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.
     never read, so its grads may be None. Returns the per-step losses.
 
     Overflow and invalid values raise no numpy warning here. A diverged run
-    stops at its first non-finite loss with :class:`NonFiniteParameters`,
+    stops at its first non-finite loss with :class:`CtrnliError`,
     before that step updates anything; the checkpoint writer refuses
     parameters that overflow while the loss is still finite.
     """
@@ -277,7 +277,7 @@ def fit(groups: list[dict], batch_grads, n_items: int, hp: Hyperparams, rng: np.
         for step, batch_idx in enumerate(minibatches(n_items, hp, rng)):
             loss, grads = batch_grads(batch_idx)
             if not np.isfinite(loss).all():
-                raise NonFiniteParameters(
+                raise CtrnliError(
                     f"non-finite training loss {loss} at step {step + 1}: "
                     "training diverged, no checkpoint written"
                 )

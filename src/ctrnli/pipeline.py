@@ -37,13 +37,7 @@ from .encode import (
     pool_spans_backward,
 )
 from .encode import pool_span_backward  # noqa: F401  bench/tracing.py wraps it here
-from .errors import (
-    EmptyEvidence,
-    EmptyPremise,
-    MalformedJson,
-    MissingGoldEvidence,
-    MissingGoldLabel,
-)
+from .errors import CtrnliError, MalformedJson
 from .nn import (
     ClassifierHead,
     EntailmentHead,
@@ -181,7 +175,7 @@ def score_evidence(
     that of scoring its pair alone, bit for bit.
     """
     if premise.n == 0:
-        raise EmptyPremise(f"claim {claim.claim_id} resolved to an empty premise")
+        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
     with naming_claim(claim.claim_id):
         pairs = build_pair_sequences(encoder.tokenizer, premise.texts, claim.text, max_len)
     matrix = encode_batch(encoder, [pair.token_ids for pair in pairs], cache=False)[0]
@@ -204,7 +198,7 @@ def classify_entailment(
     """
     indices = sorted(set(selected))
     if not indices:
-        raise EmptyEvidence(f"claim {claim.claim_id}: no evidence sentences selected")
+        raise CtrnliError(f"claim {claim.claim_id}: no evidence sentences selected")
     texts = [premise.texts[i] for i in indices]
     with naming_claim(claim.claim_id):
         seq = build_entailment_sequence(encoder.tokenizer, claim.text, texts, max_len)
@@ -282,7 +276,7 @@ def evidence_training_items(
     items = []
     for claim in claims:
         if claim.gold_evidence is None:
-            raise MissingGoldEvidence(f"claim {claim.claim_id} has no gold evidence")
+            raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         gold = gold_evidence_globals(claim, premise)
         with naming_claim(claim.claim_id):
@@ -333,11 +327,11 @@ def entailment_training_items(
     items = []
     for claim in claims:
         if claim.gold_label is None:
-            raise MissingGoldLabel(f"claim {claim.claim_id} has no gold label")
+            raise CtrnliError(f"claim {claim.claim_id} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         if evidence_source == "gold":
             if claim.gold_evidence is None:
-                raise MissingGoldEvidence(f"claim {claim.claim_id} has no gold evidence")
+                raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
             indices = sorted(gold_evidence_globals(claim, premise))
         else:
             probs = score_evidence(

@@ -11,7 +11,7 @@ from ctrnli import checkpoint
 from ctrnli.checkpoint import load_any_model, read_checkpoint, save_joint_model, save_pipeline_model
 from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
-from ctrnli.errors import BadCheckpoint, NonFiniteParameters
+from ctrnli.errors import BadCheckpoint, CtrnliError
 from ctrnli.joint import predict_joint
 from ctrnli.nn import EntailmentHead, EvidenceHead
 from ctrnli.pipeline import PipelineModel, predict_pipeline
@@ -267,7 +267,7 @@ class TestNonFinite:
         original = head.copy()
         head[1] = bad
         try:
-            with pytest.raises(NonFiniteParameters, match="verdict_head.b2 has 1 non-finite"):
+            with pytest.raises(CtrnliError, match="verdict_head.b2 has 1 non-finite"):
                 save_joint_model(joint_model, tmp_path / "ckpt")
         finally:
             head[:] = original

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctrnli import cli, errors
 from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import build_parser, main
 from ctrnli.config import SECTIONS, RunConfig
@@ -980,3 +981,33 @@ def test_every_flag_names_a_config_field_or_a_command_argument():
         for action in parser._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.dest in allowed, (name, action.dest)
+
+
+# the exit code and stderr prefix cli.main gives each exception class
+_EXIT_CODES = {
+    "CtrnliError": (1, "error"),
+    "UsageError": (2, "usage error"),
+    "BackendUnavailable": (3, "backend unavailable"),
+    "MalformedJson": (1, "error"),
+    "BadCheckpoint": (1, "error"),
+    "IoError": (1, "error"),
+    "EvidenceIndexOutOfRange": (1, "error"),
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+    ids=lambda c: c.__name__,
+)
+def test_each_error_class_ends_in_its_exit_code(monkeypatch, capsys, cls):
+    """Every class in ctrnli.errors has a row above: a new class fails here
+    until its exit code is written down."""
+    code, prefix = _EXIT_CODES[cls.__name__]
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert main(["report", "--report", "r.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"

@@ -6,7 +6,7 @@ import pytest
 from ctrnli import joint
 from ctrnli.corpus import LABELS, ClaimInstance, PremiseDoc, gold_evidence_globals, resolve_premise
 from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
-from ctrnli.errors import MissingGold
+from ctrnli.errors import CtrnliError, UsageError
 from ctrnli.joint import (
     JointModel,
     _verdict_probs,
@@ -95,7 +95,7 @@ class TestForwardJoint:
             f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
             f"\\(the first has {n_first} tokens\\)"
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(UsageError, match=message):
             forward_joint(claim, premise, model)
 
     @pytest.mark.parametrize("pooling", ["mean", "first", "max"])
@@ -144,9 +144,10 @@ class TestJointLoss:
 
     def test_missing_gold(self):
         out = ([0.5], (0.5, 0.5))
-        with pytest.raises(MissingGold):
+        message = "joint loss needs both gold evidence and a gold label"
+        with pytest.raises(CtrnliError, match=message):
             joint_loss(*out, None, "Entailment")
-        with pytest.raises(MissingGold):
+        with pytest.raises(CtrnliError, match=message):
             joint_loss(*out, {0}, None)
 
 

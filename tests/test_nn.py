@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctrnli.errors import NonFiniteParameters
+from ctrnli.errors import CtrnliError
 from ctrnli.nn import (
     ClassifierHead,
     EntailmentHead,
@@ -377,7 +377,7 @@ class TestFit:
         hp = Hyperparams(
             learning_rate=0.1, warmup_rate=0.0, weight_decay=0.0, batch_size=1, max_steps=3
         )
-        with pytest.raises(NonFiniteParameters, match="non-finite training loss .* at step 2"):
+        with pytest.raises(CtrnliError, match="non-finite training loss .* at step 2"):
             fit([params], batch_grads, 3, hp, np.random.default_rng(0))
         assert next(losses) == 0.25
         np.testing.assert_array_equal(params["W"], np.full(2, 1.0 - 0.1))

@@ -8,12 +8,7 @@ import pytest
 
 from ctrnli.corpus import LABELS, resolve_premise
 from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence, pool_span
-from ctrnli.errors import (
-    EmptyEvidence,
-    EmptyPremise,
-    MissingGoldEvidence,
-    MissingGoldLabel,
-)
+from ctrnli.errors import CtrnliError
 from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
 from ctrnli.pipeline import (
     EVIDENCE_CLASS,
@@ -130,7 +125,7 @@ class TestScoreAndClassify:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         empty = type(premise)(texts=(), spans={})
-        with pytest.raises(EmptyPremise):
+        with pytest.raises(CtrnliError, match="resolved to an empty premise"):
             score_evidence(
                 claim, empty, pipeline_model.evidence_encoder, pipeline_model.evidence_head
             )
@@ -138,7 +133,7 @@ class TestScoreAndClassify:
     def test_empty_selection_rejected(self, corpus, claims, pipeline_model):
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
-        with pytest.raises(EmptyEvidence):
+        with pytest.raises(CtrnliError, match="no evidence sentences selected"):
             classify_entailment(
                 claim, premise, [], pipeline_model.entailment_encoder,
                 pipeline_model.entailment_head,
@@ -306,9 +301,9 @@ class TestTrainingItems:
         from ctrnli.encode import HashingTokenizer
 
         unlabeled = replace(claims[0], gold_evidence=None, gold_label=None)
-        with pytest.raises(MissingGoldEvidence):
+        with pytest.raises(CtrnliError, match="has no gold evidence"):
             evidence_training_items([unlabeled], corpus, HashingTokenizer(), 512)
-        with pytest.raises(MissingGoldLabel):
+        with pytest.raises(CtrnliError, match="has no gold label"):
             entailment_training_items([unlabeled], corpus, HashingTokenizer(), 512)
 
 

@@ -32,7 +32,7 @@ from ctrnli.encode import (
     pool_spans_backward,
 )
 from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
-from ctrnli.errors import EmptyText, EvidenceIndexOutOfRange
+from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, evidence_metrics
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
 from test_encode import (
@@ -387,7 +387,7 @@ class _CountingTokenizer:
     def tokenize(self, text):
         words = text.split()
         if not words:
-            raise EmptyText(text)
+            raise CtrnliError(text)
         return TokenSeq(tuple(2 for _ in words))
 
 
