@@ -75,9 +75,9 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     """Load (system, config, tensors) from a checkpoint directory.
 
     Every manifest inconsistency (missing files, bytes that are not UTF-8
-    JSON, tensors that do not tile the blob in manifest order) raises
+    JSON, a tensor named twice or off its place in the blob) raises
     :class:`BadCheckpoint`; a file that exists but cannot be read raises
-    :class:`IoError`. Tensors come back as float64.
+    :class:`IoError`. Tensors are float64 views of the blob, converted once.
     """
     path = Path(path)
     try:
@@ -94,7 +94,7 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise BadCheckpoint("manifest has no tensor list")
-    tensors: dict[str, np.ndarray] = {}
+    layout: dict[str, tuple] = {}  # name -> (shape, first value, value count)
     end = 0  # each tensor starts where the one before it ends
     for entry in entries:
         try:
@@ -102,6 +102,10 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             dtype = entry["dtype"]
         except (KeyError, TypeError) as exc:
             raise BadCheckpoint(f"malformed tensor entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise BadCheckpoint(f"malformed tensor entry {entry!r}")
+        if name in layout:
+            raise BadCheckpoint(f"tensor {name}: named twice in the manifest")
         if dtype != "float32":
             raise BadCheckpoint(f"tensor {name}: unsupported dtype {dtype!r}")
         if not all(is_count(d, 0) for d in shape):
@@ -111,33 +115,34 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             raise BadCheckpoint(f"tensor {name}: byte_offset {offset}, expected {end}")
         if end + n_bytes > len(blob):
             raise BadCheckpoint(f"tensor {name}: offset {offset} outside the parameter blob")
-        flat = np.frombuffer(blob, dtype=_DTYPE, count=n_bytes // _DTYPE.itemsize, offset=offset)
-        with np.errstate(invalid="ignore"):  # a NaN is refused once the tensor is placed
-            tensors[name] = flat.reshape(shape).astype(np.float64)
+        layout[name] = (shape, end // _DTYPE.itemsize, n_bytes // _DTYPE.itemsize)
         end += n_bytes
     if end != len(blob):
         raise BadCheckpoint(
             f"parameter blob has {len(blob)} bytes but the manifest accounts for {end}"
         )
+    with np.errstate(invalid="ignore"):  # a NaN is refused once the tensor is placed
+        values = np.frombuffer(blob, dtype=_DTYPE).astype(np.float64)
+    tensors = {name: values[a : a + n].reshape(shape) for name, (shape, a, n) in layout.items()}
     return system, config, tensors
 
 
-def _load_params_into(target: dict[str, np.ndarray], tensors: Mapping[str, np.ndarray], ns: str):
-    """Fill ``target`` from the tensors named ``{ns}.*``, which must match it."""
+def _load_params(shapes: dict[str, tuple], tensors: Mapping[str, np.ndarray], ns: str) -> dict:
+    """The tensors named ``{ns}.*``, which must have exactly these names and ``shapes``."""
     prefix = f"{ns}."
     loaded = {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
-    if set(target) != set(loaded):
+    if set(shapes) != set(loaded):
         raise BadCheckpoint(
-            f"{ns} tensors {sorted(loaded)} do not match the model's {sorted(target)}"
+            f"{ns} tensors {sorted(loaded)} do not match the model's {sorted(shapes)}"
         )
     for name, arr in loaded.items():
-        if target[name].shape != arr.shape:
+        if shapes[name] != arr.shape:
             raise BadCheckpoint(
-                f"{ns}.{name}: shape {arr.shape} does not match expected {target[name].shape}"
+                f"{ns}.{name}: shape {arr.shape} does not match expected {shapes[name]}"
             )
         if not np.isfinite(arr).all():
             raise BadCheckpoint(f"{ns}.{name}: holds non-finite values")
-        target[name] = arr
+    return loaded
 
 
 def _encoder_config(encoder) -> dict:
@@ -151,13 +156,22 @@ def _encoder_config(encoder) -> dict:
     return cfg
 
 
-def _rebuild_encoder(cfg: dict):
-    """Sizes are not checked here: the tensors loaded later must fit them."""
+def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shared: dict):
+    """The encoder ``cfg`` describes, at its stored tensors, which a toy encoder's sizes are
+    checked against first; ``shared`` maps a vocabulary size to its encoders' tokenizer."""
     if cfg["backend"] == "pretrained":
         return PretrainedEncoder(cfg["model_name"])
     if cfg["backend"] != "toy":
         raise ValueError(f"unknown encoder backend {cfg['backend']!r}")
-    return ToyEncoder(vocab_size=cfg["vocab_size"], dim=cfg["dim"], n_layers=cfg["n_layers"])
+    vocab_size, dim, n_layers = cfg["vocab_size"], cfg["dim"], cfg["n_layers"]
+    EncoderConfig(vocab_size=vocab_size, dim=dim, n_layers=n_layers)  # sizes are counts
+    stored = sum(name.startswith(f"{ns}.") for name in tensors)
+    if 2 * n_layers + 1 != stored:  # one embedding, then a W and a b per layer
+        raise BadCheckpoint(f"{ns}: n_layers {n_layers} does not fit its {stored} tensors")
+    params = _load_params(ToyEncoder.param_shapes(vocab_size, dim, n_layers), tensors, ns)
+    encoder = ToyEncoder(vocab_size, dim, n_layers, params=params)
+    encoder.tokenizer = shared.setdefault(vocab_size, encoder.tokenizer)
+    return encoder
 
 
 # Each part of a model: (model field, tensor namespace, None for an encoder,
@@ -230,14 +244,11 @@ def load_any_model(path: str | Path):
         tokenizers: dict = {}  # vocab size -> toy tokenizer
         for field, ns, head in layout:
             if head is None:
-                part = _rebuild_encoder(config[field])
-                if part.backend == "toy":
-                    part.tokenizer = tokenizers.setdefault(part.vocab_size, part.tokenizer)
+                part = _rebuild_encoder(config[field], tensors, ns, tokenizers)
             else:
                 head_cls, encoder_field = head
-                part = head_cls.create(parts[encoder_field].dim)
-            if head or part.trainable:  # a frozen encoder stores no tensors
-                _load_params_into(part.params, tensors, ns)
+                shapes = head_cls.param_shapes(parts[encoder_field].dim)
+                part = head_cls(params=_load_params(shapes, tensors, ns))
             parts[field] = part
         return system, model_cls(**parts, **_settings(config, system))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

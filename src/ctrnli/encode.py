@@ -387,20 +387,31 @@ class ToyEncoder:
     backend = "toy"
     trainable = True
 
-    def __init__(self, vocab_size: int = 1024, dim: int = 32, n_layers: int = 2, seed: int = 0):
+    def __init__(self, vocab_size: int = 1024, dim: int = 32, n_layers: int = 2, seed: int = 0,
+                 params: dict | None = None):
+        """Draws the parameters from ``seed`` unless given ``params`` of :meth:`param_shapes`."""
         self.vocab_size = vocab_size
         self.dim = dim
         self.n_layers = n_layers
         self.tokenizer = HashingTokenizer(vocab_size)
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, np.ndarray] = {
-            "emb": rng.normal(0.0, 0.5, size=(vocab_size, dim))
-        }
-        for layer in range(n_layers):
-            noise = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(dim, dim))
-            self.params[f"W{layer}"] = np.eye(dim) + noise
-            self.params[f"b{layer}"] = np.zeros(dim)
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {"emb": rng.normal(0.0, 0.5, size=(vocab_size, dim))}
+            for layer in range(n_layers):
+                noise = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(dim, dim))
+                params[f"W{layer}"] = np.eye(dim) + noise
+                params[f"b{layer}"] = np.zeros(dim)
+        self.params: dict[str, np.ndarray] = params
         self.encode_calls = 0
+
+    @staticmethod
+    def param_shapes(vocab_size: int, dim: int, n_layers: int) -> dict[str, tuple[int, ...]]:
+        """The name and shape of each parameter of an encoder of these sizes."""
+        shapes = {"emb": (vocab_size, dim)}
+        for layer in range(n_layers):
+            shapes[f"W{layer}"] = (dim, dim)
+            shapes[f"b{layer}"] = (dim,)
+        return shapes
 
     def parameters(self) -> dict[str, np.ndarray]:
         return self.params

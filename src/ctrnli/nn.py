@@ -104,10 +104,14 @@ class ClassifierHead:
     params: dict
 
     @classmethod
-    def create(cls, dim: int, hidden: int | None = None, seed: int = 0):
+    def create(cls, dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        hidden = hidden or dim
-        return cls(params=init_mlp(rng, dim, hidden, 2))
+        return cls(params=init_mlp(rng, dim, dim, 2))
+
+    @staticmethod
+    def param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
+        """The name and shape of each parameter :meth:`create` draws for ``dim``."""
+        return {"W1": (dim, dim), "b1": (dim,), "W2": (dim, 2), "b2": (2,)}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         out, _ = mlp_forward(self.params, x)

@@ -13,7 +13,7 @@ from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
 from ctrnli.joint import predict_joint
-from ctrnli.nn import EntailmentHead, EvidenceHead
+from ctrnli.nn import ClassifierHead, EntailmentHead, EvidenceHead
 from ctrnli.pipeline import PipelineModel, predict_pipeline
 
 
@@ -212,6 +212,25 @@ class TestCorruption:
         with pytest.raises(BadCheckpoint, match=f"tensor {name}: byte_offset"):
             read_checkpoint(joint_ckpt)
 
+    def test_tensor_named_twice(self, joint_ckpt):
+        """A second entry of a name, its values in bytes of their own at the
+        end of the blob, would replace the first one's values."""
+        manifest = json.loads((joint_ckpt / "manifest.json").read_text())
+        blob = (joint_ckpt / "params.bin").read_bytes()
+        first = next(t for t in manifest["tensors"] if t["name"] == "encoder.W0")
+        count = int(np.prod(first["shape"]))
+        values = np.frombuffer(blob, "<f4", count, first["byte_offset"]) * 2
+        manifest["tensors"].append(dict(first, byte_offset=len(blob)))
+        (joint_ckpt / "params.bin").write_bytes(blob + values.astype("<f4").tobytes())
+        (joint_ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadCheckpoint, match="tensor encoder.W0: named twice"):
+            read_checkpoint(joint_ckpt)
+
+    def test_tensor_name_not_a_string(self, joint_ckpt):
+        _edit_manifest(joint_ckpt, lambda m: m["tensors"][0].update(name=["encoder.W0"]))
+        with pytest.raises(BadCheckpoint, match="malformed tensor entry"):
+            read_checkpoint(joint_ckpt)
+
     @pytest.mark.parametrize(
         "shape", [[-1, 32], [32, 2.0], "ab"], ids=["negative", "float", "string"]
     )
@@ -319,3 +338,31 @@ def test_load_any_model_reads_once(request, monkeypatch, system):
             assert all(np.array_equal(value.params[k], loaded.params[k]) for k in value.params)
         else:
             assert loaded == value, name
+
+
+def test_load_draws_no_random_numbers(monkeypatch, tmp_path, corpus, claims, pipeline_ckpt,
+                                      joint_ckpt):
+    """Each part is built at its stored values: nothing is drawn and then
+    overwritten, and the predictions equal those of a load that may draw."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    for path, predict in ((pipeline_ckpt, predict_pipeline), (joint_ckpt, predict_joint)):
+        expected = load_any_model(path)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", refuse)
+            loaded = load_any_model(path)[1]
+        for name, model in (("expected", expected), ("loaded", loaded)):
+            save_predictions([predict(c, corpus, model) for c in claims], tmp_path / name)
+        assert (tmp_path / "expected").read_bytes() == (tmp_path / "loaded").read_bytes()
+
+
+@pytest.mark.parametrize("vocab_size, dim, n_layers", [(64, 8, 0), (1024, 32, 2), (100, 5, 3)])
+def test_param_shapes_match_the_seeded_constructors(vocab_size, dim, n_layers):
+    """A load builds each part at the shapes ``param_shapes`` states, and
+    training at the shapes the seeded constructors draw: they must agree."""
+    encoder = ToyEncoder(vocab_size, dim, n_layers, seed=1)
+    drawn = {name: arr.shape for name, arr in encoder.params.items()}
+    assert drawn == ToyEncoder.param_shapes(vocab_size, dim, n_layers)
+    head = ClassifierHead.create(dim, seed=1)
+    assert {name: arr.shape for name, arr in head.params.items()} == ClassifierHead.param_shapes(dim)

@@ -633,11 +633,14 @@ class TestPredict:
             lambda cfg, enc: cfg[enc].update(dim=-1),
             lambda cfg, enc: cfg.update(inject_arm_prefix="no"),
             lambda cfg, enc: cfg[enc].update(backend="bogus", model_name="x"),
+            # sizes past the stored tensors are refused before anything is built
+            lambda cfg, enc: cfg[enc].update(vocab_size=10**13),
+            lambda cfg, enc: cfg[enc].update(n_layers=3),
         ],
         ids=[
             "no-max_len", "no-encoder", "no-dim", "encoder-is-string", "bad-pooling",
             "max_len-is-string", "vocab_size-1", "negative-dim", "inject-is-string",
-            "unknown-backend",
+            "unknown-backend", "vocab_size-huge", "n_layers-past-the-tensors",
         ],
     )
     def test_malformed_checkpoint_config_is_a_data_error(
