@@ -15,11 +15,19 @@ directory, so the reports' path fields are the same in any checkout:
 
 With ``--against REV`` the script does that diff itself: it exports REV with
 ``git archive`` into a temporary directory, runs REV's own copy of this
-script there while it runs the matrix on this tree, prints only the lines
-that differ and exits 1 on any difference (2 if REV cannot be exported or
-its run fails):
+script there while it runs the matrix on this tree, and prints only the
+lines that differ (exit 2 if REV cannot be exported or its run fails):
 
     python scripts/output_digests.py --against HEAD
+
+A change that alters outputs on purpose declares the paths it alters in
+``expected_output_changes.txt`` next to this script: one glob per line, such
+as ``*/predictions.json``, matched against the whole path of a digest line
+(``*`` crosses ``/``); blank lines and ``#`` lines are ignored. The file
+holds no glob unless a change declares one. The comparison exits 0 when
+every differing line's path matches a glob and every glob matches at least
+one differing line, and 1 otherwise; with no glob declared, that means 0
+exactly when all lines are equal.
 
 The train matrix, for both systems unless noted:
 
@@ -43,6 +51,7 @@ runs, reports.
 
 import argparse
 import difflib
+import fnmatch
 import hashlib
 import io
 import os
@@ -61,6 +70,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ctrnli.cli import main as cli  # noqa: E402
 
 FIXTURE = ROOT / "data" / "fixture"
+EXPECTED_CHANGES = Path(__file__).resolve().parent / "expected_output_changes.txt"
 DATA = ["--corpus", "corpus.json", "--claims", "claims.json"]
 README = ["--seed", "0", "--learning-rate", "0.2", "--weight-decay", "0", "--epochs", "999",
           "--batch-size", "16"]
@@ -160,8 +170,32 @@ def _git_archive(rev: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
+def expected_changes() -> list[str]:
+    """The path globs declared in ``expected_output_changes.txt``."""
+    lines = [line.strip() for line in EXPECTED_CHANGES.read_text(encoding="utf-8").splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def judge(diff: list[str], globs: list[str]) -> int:
+    """0 when the differing lines of ``diff`` (a unified diff of digest lines)
+    are exactly the ones ``globs`` declare, 1 otherwise; says why on stdout."""
+    changed = {line[1:].split("  ", 1)[1] for line in diff[2:] if line[:1] in "+-"}
+    unexpected = sorted(p for p in changed if not any(fnmatch.fnmatchcase(p, g) for g in globs))
+    unused = [g for g in globs if not any(fnmatch.fnmatchcase(p, g) for p in changed)]
+    for path in unexpected:
+        print(f"undeclared change: {path}")
+    for glob in unused:
+        print(f"declared change that did not happen: {glob}")
+    if unexpected or unused:
+        return 1
+    if changed:
+        print(f"{len(changed)} paths differ, each one declared in {EXPECTED_CHANGES.name}")
+    return 0
+
+
 def compare_against(rev: str) -> int:
-    """Print the lines where REV's matrix and this tree's differ; 1 if any do."""
+    """Print the lines where REV's matrix and this tree's differ, and judge
+    them against the declared changes."""
     with tempfile.TemporaryDirectory(prefix="ctrnli-against-") as tmp:
         _git_archive(rev, tmp)
         theirs = subprocess.Popen(
@@ -180,9 +214,9 @@ def compare_against(rev: str) -> int:
     diff = list(difflib.unified_diff(theirs_lines, ours, rev, "this tree", lineterm="", n=0))
     if diff:
         print("\n".join(diff))
-        return 1
-    print(f"all {len(ours)} lines equal to {rev}")
-    return 0
+    else:
+        print(f"all {len(ours)} lines equal to {rev}")
+    return judge(diff, expected_changes())
 
 
 def main() -> None:

@@ -3,12 +3,12 @@
 A checkpoint is a directory holding ``config.json`` (how to rebuild the
 model), ``manifest.json`` (which system it is, and each tensor's name,
 shape, dtype, and byte offset into the blob), and ``params.bin`` (the
-tensors concatenated as little-endian 32-bit floats). Parameters are
-float64 in memory; saving quantizes them and loading casts back. Every head
-is two-class, so the config records no class count, and a tensor of any
-other shape is refused. A model whose parameters are not all finite (a
-diverged training run) is neither saved nor loaded. Both systems share one
-save and one load path, driven by the per-system layout table ``_LAYOUTS``.
+tensors concatenated as little-endian 32-bit floats), the values a trained
+or loaded model holds: float32 arrays in toy encoders, float64 in heads.
+Every head is two-class, so the config records no class count, and a tensor
+of any other shape is refused. A model whose parameters are not all finite
+(a diverged training run) is neither saved nor loaded. Both systems share
+one save and one load path, driven by the per-system layout table ``_LAYOUTS``.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     Every manifest inconsistency (missing files, bytes that are not UTF-8
     JSON, a tensor named twice or off its place in the blob) raises
     :class:`BadCheckpoint`; a file that exists but cannot be read raises
-    :class:`IoError`. Tensors are float64 views of the blob, converted once.
+    :class:`IoError`. Tensors are float32 views of the blob.
     """
     path = Path(path)
     try:
         manifest = read_json(path / MANIFEST_FILE, BadCheckpoint)
         config = read_json(path / CONFIG_FILE, BadCheckpoint)
-        blob = (path / PARAMS_FILE).read_bytes()
+        blob = bytearray((path / PARAMS_FILE).read_bytes())  # writable, as trained arrays are
     except FileNotFoundError as exc:
         raise BadCheckpoint(f"missing checkpoint file {exc.filename}") from None
     except OSError as exc:
@@ -121,14 +121,13 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
         raise BadCheckpoint(
             f"parameter blob has {len(blob)} bytes but the manifest accounts for {end}"
         )
-    with np.errstate(invalid="ignore"):  # a NaN is refused once the tensor is placed
-        values = np.frombuffer(blob, dtype=_DTYPE).astype(np.float64)
+    values = np.frombuffer(blob, dtype=_DTYPE)
     tensors = {name: values[a : a + n].reshape(shape) for name, (shape, a, n) in layout.items()}
     return system, config, tensors
 
 
-def _load_params(shapes: dict[str, tuple], tensors: Mapping[str, np.ndarray], ns: str) -> dict:
-    """The tensors named ``{ns}.*``, which must have exactly these names and ``shapes``."""
+def _load_params(shapes: dict, tensors: Mapping[str, np.ndarray], ns: str, dtype) -> dict:
+    """The tensors named ``{ns}.*`` (just these names and ``shapes``, all finite) as ``dtype``."""
     prefix = f"{ns}."
     loaded = {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
     if set(shapes) != set(loaded):
@@ -142,7 +141,7 @@ def _load_params(shapes: dict[str, tuple], tensors: Mapping[str, np.ndarray], ns
             )
         if not np.isfinite(arr).all():
             raise BadCheckpoint(f"{ns}.{name}: holds non-finite values")
-    return loaded
+    return {name: arr.astype(dtype, copy=False) for name, arr in loaded.items()}
 
 
 def _encoder_config(encoder) -> dict:
@@ -168,7 +167,8 @@ def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shar
     stored = sum(name.startswith(f"{ns}.") for name in tensors)
     if 2 * n_layers + 1 != stored:  # one embedding, then a W and a b per layer
         raise BadCheckpoint(f"{ns}: n_layers {n_layers} does not fit its {stored} tensors")
-    params = _load_params(ToyEncoder.param_shapes(vocab_size, dim, n_layers), tensors, ns)
+    shapes = ToyEncoder.param_shapes(vocab_size, dim, n_layers)
+    params = _load_params(shapes, tensors, ns, np.float32)
     encoder = ToyEncoder(vocab_size, dim, n_layers, params=params)
     encoder.tokenizer = shared.setdefault(vocab_size, encoder.tokenizer)
     return encoder
@@ -248,7 +248,7 @@ def load_any_model(path: str | Path):
             else:
                 head_cls, encoder_field = head
                 shapes = head_cls.param_shapes(parts[encoder_field].dim)
-                part = head_cls(params=_load_params(shapes, tensors, ns))
+                part = head_cls(params=_load_params(shapes, tensors, ns, np.float64))
             parts[field] = part
         return system, model_cls(**parts, **_settings(config, system))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

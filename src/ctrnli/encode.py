@@ -377,11 +377,11 @@ class ToyEncoder:
     neighborhood averaging). No attention: deterministic, CPU-fast, and
     differentiable by hand, which is all the training and gradient tests need.
 
-    Parameters are float64 for clean finite-difference checks; checkpoints
-    quantize to float32 on disk. ``encode_calls`` is a plain diagnostic
-    counter of encoded sequences (not synchronized) used to verify the
-    one-pass property of the joint system and the n + 1 encodes of the
-    pipeline.
+    The forward runs in the parameters' dtype: float64 when seeded, for training
+    and its finite-difference checks; float32, as checkpoints store them, once
+    trained or loaded. ``encode_calls`` is a plain diagnostic counter of
+    encoded sequences (not synchronized) used to verify the one-pass property
+    of the joint system and the n + 1 encodes of the pipeline.
     """
 
     backend = "toy"

@@ -52,6 +52,7 @@ from .nn import (
     mlp_forward,
     padded,
     softmax,
+    to_stored_precision,
 )
 from .pipeline import EVIDENCE_CLASS, SystemPrediction, select_evidence, verdict_from_probs
 
@@ -282,7 +283,7 @@ def train_joint(
     encoder_factory=None,
 ) -> JointTrainResult:
     """Jointly fit the shared encoder (``encoder_factory(seed)``, toy when
-    None) and both heads."""
+    None) and both heads; the model holds the values its checkpoint stores."""
     root = np.random.SeedSequence([_JOINT_SEED_SALT, hyperparams.seed])
     enc_seed, ev_seed, v_seed, shuffle_seed = root.spawn(4)
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
@@ -315,6 +316,7 @@ def train_joint(
 
     rng = np.random.default_rng(shuffle_seed)
     steps = fit(groups, batch_grads, len(examples), hyperparams, rng)
+    to_stored_precision(encoder, model.evidence_head, model.verdict_head)
     names = ("total", "evidence", "entailment")
     curves = {name: [step[k] for step in steps] for k, name in enumerate(names)}
     return JointTrainResult(model=model, loss_curve=curves)

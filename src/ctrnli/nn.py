@@ -118,6 +118,16 @@ class ClassifierHead:
         return out
 
 
+def to_stored_precision(encoder, *heads: ClassifierHead) -> None:
+    """Round a trained model in place to the float32 values a checkpoint stores:
+    a toy encoder's as float32 arrays, a head's in float64 ones for its softmax."""
+    params = encoder.parameters()
+    with np.errstate(over="ignore"):  # past the float32 range is inf, which is never saved
+        params.update({name: arr.astype(np.float32) for name, arr in params.items()})
+        for arr in [a for head in heads for a in head.params.values()]:
+            arr[...] = arr.astype(np.float32)
+
+
 class EvidenceHead(ClassifierHead):
     """Maps a pooled sentence-pair vector to (evidence, non-evidence) logits.
 

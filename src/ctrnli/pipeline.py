@@ -49,6 +49,7 @@ from .nn import (
     mlp_backward,
     mlp_forward,
     softmax,
+    to_stored_precision,
 )
 
 EVIDENCE_CLASS = 0  # logit index of the positive "is evidence" class
@@ -262,6 +263,7 @@ def _train_stage(salt: int, head_cls, hp: Hyperparams, pooling: str, encoder_fac
         return loss, [head_grads, enc_grads]
 
     curve = fit(groups, batch_grads, len(items), hp, np.random.default_rng(shuffle_seed))
+    to_stored_precision(encoder, head)
     return TrainResult(encoder=encoder, head=head, loss_curve=curve)
 
 

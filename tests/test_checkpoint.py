@@ -13,8 +13,13 @@ from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
 from ctrnli.joint import predict_joint
-from ctrnli.nn import ClassifierHead, EntailmentHead, EvidenceHead
-from ctrnli.pipeline import PipelineModel, predict_pipeline
+from ctrnli.nn import ClassifierHead, EntailmentHead, EvidenceHead, to_stored_precision
+from ctrnli.pipeline import (
+    PipelineModel,
+    TrainResult,
+    entailment_training_items,
+    predict_pipeline,
+)
 
 
 @pytest.fixture()
@@ -31,62 +36,74 @@ def joint_ckpt(tmp_path, joint_model):
     return path
 
 
+def _assert_predict_the_same_bytes(tmp_path, corpus, claims, predict, model, loaded):
+    assert len(claims) == 20
+    for name, which in (("memory", model), ("reloaded", loaded)):
+        save_predictions([predict(claim, corpus, which) for claim in claims], tmp_path / name)
+    assert (tmp_path / "memory").read_bytes() == (tmp_path / "reloaded").read_bytes()
+
+
 @pytest.mark.parametrize("vocab_sizes", [(64, 64), (64, 96)], ids=["same-vocab", "other-vocab"])
 def test_reloaded_pipeline_shares_a_tokenizer_per_model(tmp_path, corpus, claims, vocab_sizes):
     """A reloaded pipeline's toy encoders share one tokenizer exactly when
     their vocabulary sizes match; every load starts its own, empty; and the
-    predictions are byte-identical to those of the in-memory model, whose
-    parameters are rounded to float32 as the checkpoint stores them."""
+    predictions are byte-identical to those of the in-memory model, cast as
+    training casts it to the values the checkpoint stores."""
     model = PipelineModel(
         ToyEncoder(vocab_sizes[0], 8, seed=1), EvidenceHead.create(8, seed=2),
         ToyEncoder(vocab_sizes[1], 8, seed=3), EntailmentHead.create(8, seed=4),
     )
-    for part in (model.evidence_encoder, model.evidence_head,
-                 model.entailment_encoder, model.entailment_head):
-        for arr in part.params.values():
-            arr[...] = arr.astype("<f4")
+    to_stored_precision(model.evidence_encoder, model.evidence_head)
+    to_stored_precision(model.entailment_encoder, model.entailment_head)
     save_pipeline_model(model, tmp_path / "ckpt")
     loaded, again = (load_any_model(tmp_path / "ckpt")[1] for _ in range(2))
     shared = loaded.evidence_encoder.tokenizer is loaded.entailment_encoder.tokenizer
     assert shared == (vocab_sizes[0] == vocab_sizes[1])
     assert loaded.evidence_encoder.tokenizer._texts == {}
     assert again.evidence_encoder.tokenizer is not loaded.evidence_encoder.tokenizer
-    for name, which in (("memory", model), ("reloaded", loaded)):
-        preds = [predict_pipeline(claim, corpus, which) for claim in claims]
-        save_predictions(preds, tmp_path / f"{name}.json")
-    assert (tmp_path / "memory.json").read_bytes() == (tmp_path / "reloaded.json").read_bytes()
+    _assert_predict_the_same_bytes(tmp_path, corpus, claims, predict_pipeline, model, loaded)
 
 
 class TestRoundTrip:
-    def test_pipeline_predictions_survive(self, corpus, claims, pipeline_model, pipeline_ckpt):
-        """Float32 quantization moves probabilities by at most ~1e-4 and the
-        discrete outputs not at all on an overfit model."""
+    """A model fresh from training (the fixture recipe, through the library)
+    already holds the values its checkpoint stores: its prediction file and
+    that of its reload are byte-identical, with no rounding step between."""
+
+    def test_pipeline_predictions_survive(self, tmp_path, corpus, claims, pipeline_model,
+                                          pipeline_ckpt):
         loaded = load_any_model(pipeline_ckpt)[1]
         assert loaded.pooling == pipeline_model.pooling
         assert loaded.threshold == pipeline_model.threshold
-        for claim in claims:
-            a = predict_pipeline(claim, corpus, pipeline_model)
-            b = predict_pipeline(claim, corpus, loaded)
-            np.testing.assert_allclose(a.evidence_probs, b.evidence_probs, atol=1e-4)
-            np.testing.assert_allclose(a.class_probs, b.class_probs, atol=1e-4)
-            assert a.selected == b.selected
-            assert a.verdict == b.verdict
+        _assert_predict_the_same_bytes(
+            tmp_path, corpus, claims, predict_pipeline, pipeline_model, loaded
+        )
 
-    def test_joint_predictions_survive(self, corpus, claims, joint_model, joint_ckpt):
+    def test_joint_predictions_survive(self, tmp_path, corpus, claims, joint_model, joint_ckpt):
         loaded = load_any_model(joint_ckpt)[1]
-        for claim in claims:
-            a = predict_joint(claim, corpus, joint_model)
-            b = predict_joint(claim, corpus, loaded)
-            np.testing.assert_allclose(a.evidence_probs, b.evidence_probs, atol=1e-4)
-            assert a.selected == b.selected
-            assert a.verdict == b.verdict
+        _assert_predict_the_same_bytes(tmp_path, corpus, claims, predict_joint, joint_model, loaded)
 
-    def test_parameters_are_quantized_exactly(self, pipeline_model, pipeline_ckpt):
-        loaded = load_any_model(pipeline_ckpt)[1]
-        for name, arr in pipeline_model.evidence_head.params.items():
-            expected = arr.astype(np.float32).astype(np.float64)
-            np.testing.assert_array_equal(loaded.evidence_head.params[name], expected)
-            assert loaded.evidence_head.params[name].dtype == np.float64
+    def test_parameters_are_quantized_exactly(self, pipeline_model, pipeline_ckpt, joint_model,
+                                              joint_ckpt):
+        """A trained model holds the arrays of its reload, dtypes included:
+        float32 in toy encoders, which encode to float32 rows, and float64 in
+        heads. A seeded encoder stays float64."""
+        seeded = ToyEncoder(64, 8, seed=1)
+        assert {arr.dtype for arr in seeded.params.values()} == {np.dtype(np.float64)}
+        assert seeded.encode([3, 4, 5]).dtype == np.float64
+        for model, path, n_parts in ((pipeline_model, pipeline_ckpt, 4),
+                                     (joint_model, joint_ckpt, 3)):
+            loaded = load_any_model(path)[1]
+            parts = {field: part for field, part in vars(model).items() if hasattr(part, "params")}
+            assert len(parts) == n_parts
+            for field, part in parts.items():
+                toy = isinstance(part, ToyEncoder)
+                if toy:
+                    assert part.encode([3, 4, 5]).dtype == np.float32
+                reloaded = getattr(loaded, field).params
+                assert part.params.keys() == reloaded.keys()
+                for name, arr in part.params.items():
+                    assert arr.dtype == reloaded[name].dtype == (np.float32 if toy else np.float64)
+                    np.testing.assert_array_equal(arr, reloaded[name])
 
     def test_save_is_byte_deterministic(self, tmp_path, joint_model):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -128,6 +145,21 @@ class TestRoundTrip:
         assert system == "pipeline" and model.evidence_head is not None
         system, model = load_any_model(joint_ckpt)
         assert system == "joint" and model.verdict_head is not None
+
+
+def test_predicted_evidence_items_survive_the_reload(corpus, claims, pipeline_model,
+                                                     pipeline_ckpt):
+    """Entailment training on predicted evidence sees the same sequences from
+    a trained evidence model as from its reload."""
+    loaded = load_any_model(pipeline_ckpt)[1]
+    items = [
+        entailment_training_items(
+            claims, corpus, model.entailment_encoder.tokenizer, 512, "predicted",
+            TrainResult(model.evidence_encoder, model.evidence_head), pooling=model.pooling,
+        )
+        for model in (pipeline_model, loaded)
+    ]
+    assert items[0] == items[1]
 
 
 def _edit_manifest(path, mutate):

@@ -34,6 +34,7 @@ from ctrnli.encode import (
 from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
 from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, evidence_metrics
+from ctrnli.nn import to_stored_precision
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
 from test_encode import (
     _densify,
@@ -228,6 +229,17 @@ class TestTokenizer:
 
 _ENCODER = ToyEncoder(vocab_size=64, dim=8, seed=5)
 
+
+def _stored_encoder(dim: int) -> ToyEncoder:
+    """A seeded encoder cast as training leaves it: float32 parameters."""
+    encoder = ToyEncoder(vocab_size=64, dim=dim, seed=5)
+    to_stored_precision(encoder)
+    return encoder
+
+
+# float32 at several widths, since BLAS picks its kernels by size
+_STORED_ENCODERS = [_stored_encoder(dim) for dim in (8, 32, 48)]
+
 token_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
     min_size=1,
@@ -241,9 +253,17 @@ class TestEncodeBatch:
     @example([[3, 9, 9, 4]])  # one sequence
     @example([[5], [2, 8, 1], [6], [6], [1, 2, 3, 4, 5, 6, 7]])  # mixed, 1-token neighbors
     def test_matches_per_sequence_encode_bitwise(self, seqs):
-        rows, _ = encode_batch(_ENCODER, seqs)
-        expected = np.concatenate([_ENCODER.encode(seq) for seq in seqs])
-        assert np.array_equal(rows, expected)
+        """In the parameters' dtype, with the training cache and without it,
+        as ``score_evidence`` batches a trained or loaded encoder; one-row
+        sequences included, which ``_affine`` doubles."""
+        for encoder in (_ENCODER, *_STORED_ENCODERS):
+            dtype = encoder.params["emb"].dtype
+            expected = np.concatenate([encoder.encode(seq) for seq in seqs])
+            assert expected.dtype == dtype
+            for cache in (True, False):
+                rows, _ = encode_batch(encoder, seqs, cache=cache)
+                assert rows.dtype == dtype
+                assert np.array_equal(rows, expected)
 
 
 class TestRowSparseEmbeddingGrad:

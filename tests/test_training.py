@@ -11,12 +11,15 @@ encoder cache and backward, one-span pool backward, one-example
 cross-entropy, dense accumulation and the optimizer step), so the training
 code under test never checks itself. Every parameter and every loss value
 must match bit for bit, with a trainable toy encoder and with a frozen
-(``trainable=False``) encoder.
+(``trainable=False``) encoder. The parameters are compared twice: in
+float64 as training leaves them, recorded where ``to_stored_precision``
+receives them, and as that cast returns them.
 """
 
 import numpy as np
 import pytest
 
+from ctrnli import joint, pipeline
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
 from ctrnli.encode import ToyEncoder, pool_span
 from ctrnli.joint import JointModel, train_joint
@@ -27,6 +30,7 @@ from ctrnli.nn import (
     WarmupLinearSchedule,
     minibatches,
     mlp_forward,
+    to_stored_precision,
 )
 from ctrnli.pipeline import (
     entailment_training_items,
@@ -165,61 +169,86 @@ def _frozen(seed):
 FACTORIES = pytest.mark.parametrize("factory", [_toy, _frozen], ids=["toy", "frozen"])
 
 
+@pytest.fixture()
+def uncast(monkeypatch):
+    """Per training run, copies of the float64 parameters training hands to
+    ``to_stored_precision``: the encoder's, then each head's."""
+    recorded = []
+
+    def recording(encoder, *heads):
+        parts = [encoder.parameters(), *(head.params for head in heads)]
+        recorded.append([{name: arr.copy() for name, arr in p.items()} for p in parts])
+        to_stored_precision(encoder, *heads)
+
+    for module in (pipeline, joint):
+        monkeypatch.setattr(module, "to_stored_precision", recording)
+    return recorded
+
+
 def _assert_same_params(a: dict, b: dict):
     assert set(a) == set(b)
     for name in a:
+        assert a[name].dtype == b[name].dtype, name
         assert np.array_equal(a[name], b[name]), name
 
 
-def _assert_same_stage(result, encoder, head, curve):
-    assert len(result.loss_curve) == HP.max_steps
-    assert result.loss_curve == curve
-    _assert_same_params(result.head.params, head.params)
-    if encoder.trainable:
-        _assert_same_params(result.encoder.params, encoder.params)
+def _assert_same_model(uncast: list, result_parts, oracle_parts):
+    """Training left the oracle's float64 parameters, bit for bit, and the
+    cast turned them into the values a checkpoint stores: a toy encoder's
+    as float32 arrays, a head's as float64 arrays of float32 values."""
+    (enc, *heads), (oracle_enc, *oracle_heads) = result_parts, oracle_parts
+    parts = [(enc.parameters(), oracle_enc.parameters(), np.float32)]
+    parts += [(h.params, o.params, np.float64) for h, o in zip(heads, oracle_heads)]
+    assert len(uncast[-1]) == len(parts)
+    for before, (after, oracle, dtype) in zip(uncast[-1], parts):
+        _assert_same_params(before, oracle)
+        stored = {name: arr.astype(np.float32).astype(dtype) for name, arr in oracle.items()}
+        _assert_same_params(after, stored)
 
 
 @FACTORIES
 @pytest.mark.parametrize("pooling", ["mean", "max"])
-def test_evidence_stage_matches_old_loop(corpus, claims, factory, pooling):
+def test_evidence_stage_matches_old_loop(corpus, claims, factory, pooling, uncast):
     result = train_evidence_model(claims, corpus, HP, pooling=pooling, encoder_factory=factory)
-    oracle = _oracle_stage(
+    encoder, head, curve = _oracle_stage(
         11, EvidenceHead,
         lambda tok: evidence_training_items(claims, corpus, tok, 512),
         HP, pooling, factory,
     )
-    _assert_same_stage(result, *oracle)
+    assert len(curve) == HP.max_steps and result.loss_curve == curve
+    _assert_same_model(uncast, (result.encoder, result.head), (encoder, head))
 
 
 @FACTORIES
 @pytest.mark.parametrize("source", ["gold", "predicted"])
-def test_entailment_stage_matches_old_loop(corpus, claims, factory, source):
+def test_entailment_stage_matches_old_loop(corpus, claims, factory, source, uncast):
     evidence = train_evidence_model(claims, corpus, HP, encoder_factory=factory)
     model = evidence if source == "predicted" else None
     result = train_entailment_model(
         claims, corpus, HP, evidence_source=source, evidence_model=model, encoder_factory=factory
     )
-    oracle = _oracle_stage(
+    encoder, head, curve = _oracle_stage(
         23, EntailmentHead,
         lambda tok: entailment_training_items(
             claims, corpus, tok, 512, evidence_source=source, evidence_model=model
         ),
         HP, "mean", factory,
     )
-    _assert_same_stage(result, *oracle)
+    assert len(curve) == HP.max_steps and result.loss_curve == curve
+    _assert_same_model(uncast, (result.encoder, result.head), (encoder, head))
 
 
 @FACTORIES
 @pytest.mark.parametrize("pooling", ["mean", "max"])
-def test_joint_matches_old_loop(corpus, claims, factory, pooling):
+def test_joint_matches_old_loop(corpus, claims, factory, pooling, uncast):
     result = train_joint(claims, corpus, HP, pooling=pooling, encoder_factory=factory)
     model, curves = _oracle_train_joint(claims, corpus, HP, pooling, factory)
     assert result.loss_curve == curves
     assert len(curves["total"]) == HP.max_steps
-    _assert_same_params(result.model.evidence_head.params, model.evidence_head.params)
-    _assert_same_params(result.model.verdict_head.params, model.verdict_head.params)
-    if model.encoder.trainable:
-        _assert_same_params(result.model.encoder.params, model.encoder.params)
+    parts = ("encoder", "evidence_head", "verdict_head")
+    _assert_same_model(
+        uncast, [getattr(result.model, p) for p in parts], [getattr(model, p) for p in parts]
+    )
 
 
 def test_frozen_encoder_is_shared_not_rebuilt(corpus, claims):
