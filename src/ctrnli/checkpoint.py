@@ -77,13 +77,15 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     Every manifest inconsistency (missing files, bytes that are not UTF-8
     JSON, a tensor named twice or off its place in the blob) raises
     :class:`BadCheckpoint`; a file that exists but cannot be read raises
-    :class:`IoError`. Tensors are float32 views of the blob.
+    :class:`IoError`. Tensors are float32 views of the blob, read-only for
+    good: the blob is immutable ``bytes``, so a write raises ``ValueError``
+    and no view can be made writable again.
     """
     path = Path(path)
     try:
         manifest = read_json(path / MANIFEST_FILE, BadCheckpoint)
         config = read_json(path / CONFIG_FILE, BadCheckpoint)
-        blob = bytearray((path / PARAMS_FILE).read_bytes())  # writable, as trained arrays are
+        blob = (path / PARAMS_FILE).read_bytes()  # immutable: no view of it can be written
     except FileNotFoundError as exc:
         raise BadCheckpoint(f"missing checkpoint file {exc.filename}") from None
     except OSError as exc:
@@ -157,7 +159,8 @@ def _encoder_config(encoder) -> dict:
 
 def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shared: dict):
     """The encoder ``cfg`` describes, at its stored tensors, which a toy encoder's sizes are
-    checked against first; ``shared`` maps a vocabulary size to its encoders' tokenizer."""
+    checked against first; a toy encoder keeps the read-only views, so it builds its layer-0
+    table here. ``shared`` maps a vocabulary size to its encoders' tokenizer."""
     if cfg["backend"] == "pretrained":
         return PretrainedEncoder(cfg["model_name"])
     if cfg["backend"] != "toy":

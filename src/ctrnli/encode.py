@@ -15,7 +15,8 @@ import os
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,16 +72,21 @@ class JointInput:
 class _WordIds(dict):
     """Word -> id memo: a missing word is hashed once with blake2b, then stored.
 
-    Stored ids are taken from one tuple of the word-id range, so words that
-    share an id share one int object.
+    Each word is hashed from a copy of one empty hasher, cheaper than a new
+    one. Stored ids are taken from one tuple of the word-id range, so words
+    that share an id share one int object.
     """
+
+    _HASHER = hashlib.blake2b(digest_size=8)
 
     def __init__(self, vocab_size: int):
         super().__init__()
         self.word_ids = tuple(range(NUM_RESERVED, vocab_size))
 
     def __missing__(self, word: str) -> int:
-        digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
+        hasher = self._HASHER.copy()
+        hasher.update(word.encode("utf-8"))
+        digest = hasher.digest()
         word_id = self[word] = self.word_ids[int.from_bytes(digest, "little") % len(self.word_ids)]
         return word_id
 
@@ -379,9 +385,16 @@ class ToyEncoder:
 
     The forward runs in the parameters' dtype: float64 when seeded, for training
     and its finite-difference checks; float32, as checkpoints store them, once
-    trained or loaded. ``encode_calls`` is a plain diagnostic counter of
-    encoded sequences (not synchronized) used to verify the one-pass property
-    of the joint system and the n + 1 encodes of the pipeline.
+    trained or loaded. Given parameters that are all read-only, as a loaded
+    checkpoint's are for good, it applies layer 0 to the whole vocabulary
+    once, and a forward without the training cache gathers rows of that
+    table: the per-token rows bit for bit, as a gather commutes with a
+    row-wise affine that ``_affine`` rounds alike at any row count. Such an
+    encoder holds its parameters in a read-only mapping, so that no tensor
+    can be swapped under the table either. ``encode_calls`` is a plain
+    diagnostic counter of encoded sequences (not synchronized) used to
+    verify the one-pass property of the joint system and the n + 1 encodes
+    of the pipeline.
     """
 
     backend = "toy"
@@ -401,7 +414,9 @@ class ToyEncoder:
                 noise = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(dim, dim))
                 params[f"W{layer}"] = np.eye(dim) + noise
                 params[f"b{layer}"] = np.zeros(dim)
-        self.params: dict[str, np.ndarray] = params
+        frozen = n_layers and not any(arr.flags.writeable for arr in params.values())
+        self._layer0 = _affine(params["emb"], params["W0"], params["b0"]) if frozen else None
+        self.params: Mapping[str, np.ndarray] = MappingProxyType(params) if frozen else params
         self.encode_calls = 0
 
     @staticmethod
@@ -413,7 +428,7 @@ class ToyEncoder:
             shapes[f"b{layer}"] = (dim,)
         return shapes
 
-    def parameters(self) -> dict[str, np.ndarray]:
+    def parameters(self) -> Mapping[str, np.ndarray]:
         return self.params
 
     def encode(self, token_ids: Sequence[int]) -> np.ndarray:
@@ -443,10 +458,14 @@ class ToyEncoder:
     def _forward(self, ids: np.ndarray, starts=None, inputs: list | None = None) -> np.ndarray:
         """Token rows for ``ids``; ``starts`` as in :func:`_smooth`. Each
         layer's input is appended to ``inputs`` when given (for backward);
-        otherwise every layer writes into the same two arrays."""
-        x = self.params["emb"][ids]
+        otherwise every layer writes into the same two arrays, and a frozen
+        encoder starts from its layer-0 table rows, already past the affine."""
+        first = int(inputs is None and self._layer0 is not None)
+        x = (self._layer0 if first else self.params["emb"]).take(ids, axis=0)
         buf = np.empty_like(x) if inputs is None else None
-        for layer in range(self.n_layers):
+        if first:
+            x, buf = _smooth(x, starts, out=buf), x
+        for layer in range(first, self.n_layers):
             if inputs is not None:
                 inputs.append(x)
             h = _affine(x, self.params[f"W{layer}"], self.params[f"b{layer}"], out=buf)

@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ctrnli import checkpoint
+from ctrnli import checkpoint, encode
 from ctrnli.checkpoint import load_any_model, read_checkpoint, save_joint_model, save_pipeline_model
 from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
-from ctrnli.joint import predict_joint
+from ctrnli.joint import JointModel, predict_joint
 from ctrnli.nn import ClassifierHead, EntailmentHead, EvidenceHead, to_stored_precision
 from ctrnli.pipeline import (
     PipelineModel,
@@ -160,6 +160,54 @@ def test_predicted_evidence_items_survive_the_reload(corpus, claims, pipeline_mo
         for model in (pipeline_model, loaded)
     ]
     assert items[0] == items[1]
+
+
+def test_loaded_tensors_are_read_only(joint_ckpt):
+    """A checkpoint's tensors are views of immutable bytes: no write reaches
+    them, none can be made writable again, and a loaded toy encoder swaps
+    none, so its layer-0 table never disagrees with its parameters."""
+    _, _, tensors = read_checkpoint(joint_ckpt)
+    assert not any(arr.flags.writeable for arr in tensors.values())
+    with pytest.raises(ValueError):
+        tensors["encoder.emb"].flags.writeable = True
+    encoder = load_any_model(joint_ckpt)[1].encoder
+    assert not any(arr.flags.writeable for arr in encoder.params.values())
+    with pytest.raises(ValueError):
+        encoder.params["W0"][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        encoder.params["W0"] = np.zeros_like(encoder.params["W0"])
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_loaded_encoder_builds_its_layer0_table_at_load(monkeypatch, tmp_path, corpus, claims,
+                                                        system):
+    """From the first prediction on, every forward of a loaded toy encoder
+    runs the affines of layers 1 and up only: layer 0 was applied to the
+    whole vocabulary when the checkpoint was loaded."""
+    n_layers = 3
+    encoders = [ToyEncoder(64, 8, n_layers, seed=seed) for seed in (1, 3)]
+    if system == "pipeline":
+        model = PipelineModel(encoders[0], EvidenceHead.create(8, seed=2),
+                              encoders[1], EntailmentHead.create(8, seed=4))
+        save_pipeline_model(model, tmp_path / "ckpt")
+    else:
+        model = JointModel(encoders[0], EvidenceHead.create(8, seed=2),
+                           EntailmentHead.create(8, seed=4))
+        save_joint_model(model, tmp_path / "ckpt")
+    loaded = load_any_model(tmp_path / "ckpt")[1]
+    counts = {"affine": 0, "forward": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(encode, "_affine", counting("affine", encode._affine))
+    monkeypatch.setattr(ToyEncoder, "_forward", counting("forward", ToyEncoder._forward))
+    (predict_pipeline if system == "pipeline" else predict_joint)(claims[0], corpus, loaded)
+    assert counts["forward"] == (2 if system == "pipeline" else 1)
+    assert counts["affine"] == counts["forward"] * (n_layers - 1)
 
 
 def _edit_manifest(path, mutate):

@@ -266,6 +266,46 @@ class TestEncodeBatch:
                 assert np.array_equal(rows, expected)
 
 
+def _frozen_twins(vocab_size: int, dim: int, n_layers: int) -> tuple[ToyEncoder, ToyEncoder]:
+    """A seeded encoder cast to float32, with nonzero biases, and its twin
+    over read-only copies of the same arrays, as a checkpoint loads them."""
+    writable = ToyEncoder(vocab_size, dim, n_layers, seed=5)
+    to_stored_precision(writable)
+    rng = np.random.default_rng(6)
+    for layer in range(n_layers):
+        writable.params[f"b{layer}"][:] = rng.normal(0.0, 0.1, size=dim)
+    frozen = {name: arr.copy() for name, arr in writable.params.items()}
+    for arr in frozen.values():
+        arr.flags.writeable = False
+    return writable, ToyEncoder(vocab_size, dim, n_layers, params=frozen)
+
+
+# every depth, at a small and at the default vocabulary and width
+_TWINS = [
+    _frozen_twins(*sizes, n_layers) for sizes in ((64, 8), (1024, 32)) for n_layers in range(4)
+]
+
+
+class TestLayer0Table:
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=5),
+                    min_size=1, max_size=8))
+    @example([[7]])  # one 1-token sequence
+    @example([[3, 9, 9, 4]])  # one sequence
+    @example([[5], [2, 8, 1], [6], [6]])  # 1-token neighbors
+    def test_frozen_twin_encodes_the_writable_bytes(self, seqs):
+        """A read-only encoder gathers layer 0 from its table, a writable
+        one computes it per token, and both give the same bytes, alone and
+        back to back; with no layer there is nothing to tabulate."""
+        for writable, frozen in _TWINS:
+            assert writable._layer0 is None
+            assert (frozen._layer0 is None) == (frozen.n_layers == 0)
+            alone = [frozen.encode(seq).tobytes() for seq in seqs]
+            assert alone == [writable.encode(seq).tobytes() for seq in seqs]
+            rows = encode_batch(frozen, seqs, cache=False)[0]
+            assert rows.tobytes() == encode_batch(writable, seqs, cache=False)[0].tobytes()
+            assert rows.tobytes() == b"".join(alone)
+
+
 class TestRowSparseEmbeddingGrad:
     @given(
         st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=20),
