@@ -233,18 +233,19 @@ def build_entailment_sequence(tokenizer, claim: str, evidence_texts: Sequence[st
 
 
 def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str = "mean") -> np.ndarray:
-    """Reduce the token rows in half-open ``span`` to one vector."""
-    start, end = span
-    if not (0 <= start < end <= matrix.shape[0]):
+    """Half-open ``span``'s rows reduced to one vector: one span of :func:`pool_spans`."""
+    if not (0 <= span[0] < span[1] <= matrix.shape[0]):
         raise CtrnliError(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
-    block = matrix[start:end]
-    if mode == "mean":
-        return block.mean(axis=0)
-    if mode == "first":
-        return block[0]
-    if mode == "max":
-        return block.max(axis=0)
-    raise ValueError(f"unknown pooling mode '{mode}'")
+    return pool_spans(matrix, (span,), mode)[0]
+
+
+def _offset_major(matrix: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: float):
+    """Row ``k`` of span ``i`` at ``[k, i]`` of one block; ``fill`` past each span's end."""
+    offsets = np.arange(lengths.max())[:, None]
+    past = offsets >= lengths
+    block = matrix.take(np.where(past, 0, starts + offsets), axis=0)
+    block[past] = fill
+    return block
 
 
 def pool_spans(
@@ -252,11 +253,9 @@ def pool_spans(
 ) -> np.ndarray:
     """Pool each half-open span of ``matrix`` rows; one row per span.
 
-    Spans must be non-empty and in increasing order (they may touch). Row
-    ``i`` equals ``pool_span(matrix, spans[i], mode)`` bit for bit: max
-    pooling runs as one ``np.maximum.reduceat`` over the span edges, while
-    mean pooling stays a per-span ``mean``, because ``np.add.reduceat`` sums
-    in another order.
+    Spans must be non-empty and in increasing order (they may touch). Each
+    mode is one reduction over the batch; mean sums an offset-major block
+    row by row, as ``.mean(axis=0)`` sums a span of two or more columns.
     """
     if not spans:
         return np.zeros((0, matrix.shape[1]))
@@ -266,7 +265,13 @@ def pool_spans(
         return np.ascontiguousarray(np.maximum.reduceat(matrix[: edges[-1]], edges[:-1])[::2])
     if mode == "first":
         return matrix[[start for start, _ in spans]]
-    return np.stack([pool_span(matrix, span, mode) for span in spans])
+    if mode != "mean":
+        raise ValueError(f"unknown pooling mode '{mode}'")
+    # an empty spare span, so .sum never meets a lone column, which it would add
+    # pairwise; the -0.0 past each span's end changes no float
+    starts, ends = np.asarray([*spans, (0, 0)]).T
+    sums = _offset_major(matrix, starts, ends - starts, -0.0).sum(axis=0)[:-1]
+    return sums / (ends - starts)[:-1, None].astype(matrix.dtype)
 
 
 def pool_span_backward(
@@ -276,8 +281,7 @@ def pool_span_backward(
     mode: str = "mean",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of :func:`pool_span` wrt the matrix (zero outside the span);
-    ``out`` as in :func:`pool_spans_backward`."""
+    """The one-span case of :func:`pool_spans_backward`, with ``out`` as there."""
     return pool_spans_backward(d_pooled[None], matrix, [span], mode, out)
 
 
@@ -307,16 +311,12 @@ def pool_spans_backward(
         grad[starts] += d_pooled
         return grad
     lengths = ends - starts
-    span_of_row = np.repeat(np.arange(len(spans)), lengths)
-    offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    rows = starts[span_of_row] + offset
     if mode == "mean":
+        rows = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
         grad[rows] += np.repeat(d_pooled / lengths[:, None], lengths, axis=0)
     else:
         # -inf padding never beats a span row, so argmax sees each span alone
-        blocks = np.full((len(spans), lengths.max(), matrix.shape[1]), -np.inf)
-        blocks[span_of_row, offset] = matrix[rows]
-        winners = starts[:, None] + blocks.argmax(axis=1)
+        winners = starts[:, None] + _offset_major(matrix, starts, lengths, -np.inf).argmax(axis=0)
         grad[winners, np.arange(matrix.shape[1])] += d_pooled
     return grad
 

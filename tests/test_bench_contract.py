@@ -4,12 +4,14 @@
 imports a wrapped function, so removing or renaming one of those names in
 ``src/`` makes ``bench/run.py --trace 1`` fail at start-up. Installing and
 uninstalling a tracer here catches that in the fast suite, and a short
-traced joint training run and a traced prediction pass check that the spans
-still follow the calls a signature change or a cache could hide from them;
-nothing under ``bench/`` is modified.
+traced joint training run and traced prediction passes check that the spans
+still follow the calls a signature change, a cache or a call path could hide
+from them; nothing under ``bench/`` is modified.
 """
 
 from pathlib import Path
+
+import pytest
 
 from ctrnli import Hyperparams, JointModel, PipelineModel, joint, nn, pipeline
 from ctrnli.corpus import resolve_premise
@@ -145,3 +147,26 @@ def test_traced_prediction_spans_every_encoder_call(monkeypatch, corpus, claims)
         pipeline_tokens += build_entailment_sequence(tokenizer, claim.text, evidence, 512).length
     assert tracer.layer_metrics(("joint",))["encode.forward_tokens"] == joint_tokens
     assert tracer.layer_metrics(("pipeline",))["encode.forward_tokens"] == pipeline_tokens
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max", "first"])
+def test_traced_pipeline_prediction_pools_once_per_claim(monkeypatch, corpus, claims, pooling):
+    """One ``encode.pool`` span per pipeline claim at every pooling mode: the
+    entailment stage's single span. Evidence scoring pools every premise
+    sentence in one ``pool_spans`` call, which never goes through the traced
+    ``pool_span``, so a mean-pooling claim records no span per sentence."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    model = PipelineModel(
+        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8),
+        pooling=pooling,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for claim in claims:
+            pipeline.predict_pipeline(claim, corpus, model)
+    finally:
+        tracer.uninstall()
+    assert list(tracer.span_name).count(tracer.names.index("encode.pool")) == len(claims)

@@ -100,6 +100,22 @@ def _oracle_encode_with_cache(encoder, token_ids):
     return x, {"ids": ids, "inputs": inputs}
 
 
+def _oracle_pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str = "mean") -> np.ndarray:
+    """``pool_span`` as it stood before it became the one-span case of
+    ``pool_spans``, copied verbatim."""
+    start, end = span
+    if not (0 <= start < end <= matrix.shape[0]):
+        raise CtrnliError(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
+    block = matrix[start:end]
+    if mode == "mean":
+        return block.mean(axis=0)
+    if mode == "first":
+        return block[0]
+    if mode == "max":
+        return block.max(axis=0)
+    raise ValueError(f"unknown pooling mode '{mode}'")
+
+
 def _oracle_pool_span_backward(
     d_pooled: np.ndarray,
     matrix: np.ndarray,
@@ -454,7 +470,7 @@ class TestSpanPooling:
     )
     def test_pool_spans_match_pool_span_bitwise(self, mode, spans):
         pooled = pool_spans(self.matrix, spans, mode)
-        expected = np.stack([pool_span(self.matrix, span, mode) for span in spans])
+        expected = np.stack([_oracle_pool_span(self.matrix, span, mode) for span in spans])
         assert pooled.flags.c_contiguous
         assert np.array_equal(pooled, expected)
 

@@ -5,7 +5,7 @@ import pytest
 
 from ctrnli import joint
 from ctrnli.corpus import LABELS, ClaimInstance, PremiseDoc, gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder, build_joint_sequence, pool_span
+from ctrnli.encode import ToyEncoder, build_joint_sequence
 from ctrnli.errors import CtrnliError, UsageError
 from ctrnli.joint import (
     JointModel,
@@ -26,6 +26,7 @@ from ctrnli.nn import (
 from ctrnli.pipeline import EVIDENCE_CLASS, select_evidence
 from test_encode import (
     _oracle_encode_with_cache,
+    _oracle_pool_span,
     _oracle_pool_span_backward,
     _oracle_toy_backward,
     assert_grads_equal,
@@ -108,7 +109,7 @@ class TestForwardJoint:
             premise = resolve_premise(claim, corpus)
             ji = build_joint_sequence(model.encoder.tokenizer, claim.text, premise, max_len)
             matrix = model.encoder.encode(ji.token_ids)
-            vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
+            vecs = [_oracle_pool_span(matrix, span, pooling) for span in ji.span_map]
             probs = [float(softmax(model.evidence_head.logits(v))[EVIDENCE_CLASS]) for v in vecs]
             out = forward_joint(claim, premise, model)
             assert out.evidence_probs == tuple(probs) + (0.0,) * len(ji.dropped_sentences)
@@ -313,8 +314,8 @@ class TestGradientCheck:
 # Copied verbatim apart from its name: a per-span pool_span list, one head
 # forward and backward per sentence, and a re-pack of (claim, premise) on
 # every call. It calls the one-sequence encoder cache and backward, one-span
-# pool backward, one-example cross-entropy, one-vector head backward and
-# dense accumulation of that time (the ``_oracle_*`` copies).
+# pool and pool backward, one-example cross-entropy, one-vector head backward
+# and dense accumulation of that time (the ``_oracle_*`` copies).
 
 
 def _oracle_joint_grads(
@@ -344,7 +345,7 @@ def _oracle_joint_grads(
         matrix, enc_cache = encoder.encode(ji.token_ids), None
     d_matrix = np.zeros_like(matrix)
 
-    sentence_vecs = [pool_span(matrix, span, pooling) for span in ji.span_map]
+    sentence_vecs = [_oracle_pool_span(matrix, span, pooling) for span in ji.span_map]
     n_surv = len(sentence_vecs)
 
     # Evidence term: mean BCE over survivors.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctrnli.corpus import LABELS, resolve_premise
-from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence, pool_span
+from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence
 from ctrnli.errors import CtrnliError
 from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
 from ctrnli.pipeline import (
@@ -24,6 +24,7 @@ from ctrnli.pipeline import (
     verdict_from_probs,
 )
 from conftest import OVERFIT_POOLING
+from test_encode import _oracle_pool_span
 
 
 class TestSelectEvidence:
@@ -158,7 +159,7 @@ def _per_pair_scores(claim, premise, encoder, head, max_len, pooling):
     for text in premise.texts:
         pair = build_pair_sequence(encoder.tokenizer, text, claim.text, max_len)
         matrix = encoder.encode(pair.token_ids)
-        pooled = pool_span(matrix, (0, matrix.shape[0]), pooling)
+        pooled = _oracle_pool_span(matrix, (0, matrix.shape[0]), pooling)
         probs.append(float(softmax(head.logits(pooled))[EVIDENCE_CLASS]))
     return probs
 

@@ -29,6 +29,8 @@ from ctrnli.encode import (
     _segment_sums,
     build_joint_sequence,
     encode_batch,
+    pool_span,
+    pool_spans,
     pool_spans_backward,
 )
 from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
@@ -39,6 +41,7 @@ from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_prob
 from test_encode import (
     _densify,
     _oracle_encode_with_cache,
+    _oracle_pool_span,
     _oracle_pool_span_backward,
     _oracle_toy_backward,
     assert_grads_equal,
@@ -402,6 +405,56 @@ class TestBatchedBackward:
         assert_grads_equal(grads, expected)
 
 
+def _spans_of(gaps_and_lengths) -> tuple[list[tuple[int, int]], int]:
+    """Spans of the given lengths, each ``gap`` rows after the last one (a
+    gap of 0 makes them touch), and the row where the last one ends."""
+    spans, end = [], 0
+    for gap, length in gaps_and_lengths:
+        spans.append((end + gap, end + gap + length))
+        end += gap + length
+    return spans, end
+
+
+# few finite levels, so max pooling meets ties and float32 sums round in an
+# order-dependent way, plus the values whose sums are easy to get wrong
+POOL_LEVELS = np.array([-1e8, -2.0, -0.0, 0.0, 0.1, 1.0, 3.3, 1e8, np.inf, -np.inf, np.nan])
+POOL_LEVEL_P = np.array([4, 8, 8, 8, 8, 8, 8, 4, 1, 1, 1]) / 59
+
+
+def _row_bytes(rows: np.ndarray) -> bytes:
+    """The bytes of ``rows`` with every NaN made one NaN: numpy's add gives
+    the NaN of ``nan + nan`` a sign that depends on the array's length, so
+    two sums in the same order can still differ there."""
+    return np.where(np.isnan(rows), np.nan, rows).tobytes()
+
+
+class TestPoolSpans:
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), min_size=1, max_size=6),
+        st.sampled_from(["mean", "max", "first"]),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from([1, 2, 5]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # a lone column whose pairwise sum differs from its row-order sum
+    @example([(0, 12), (0, 9), (2, 1)], "mean", np.float32, 1, 3)
+    def test_rows_equal_per_span_oracle(self, gaps_and_lengths, mode, dtype, width, seed):
+        """Each row of ``pool_spans`` equals ``pool_span`` of its span and the
+        per-span oracle, as bytes. The oracle adds a lone column pairwise, so
+        at width 1 it pools the column doubled to width 2, which it sums row
+        by row."""
+        spans, end = _spans_of(gaps_and_lengths)
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(POOL_LEVELS, size=(end + 2, width), p=POOL_LEVEL_P).astype(dtype)
+        wide = np.repeat(matrix, 2, axis=1) if width == 1 else matrix
+        with np.errstate(invalid="ignore"):
+            pooled = pool_spans(matrix, spans, mode)
+            one_by_one = np.stack([pool_span(matrix, span, mode) for span in spans])
+            oracle = np.stack([_oracle_pool_span(wide, span, mode)[:width] for span in spans])
+        assert pooled.dtype == oracle.dtype and pooled.flags.c_contiguous
+        assert _row_bytes(pooled) == _row_bytes(one_by_one) == _row_bytes(oracle)
+
+
 class TestPoolSpansBackward:
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(1, 6)), min_size=0, max_size=8),
@@ -412,10 +465,7 @@ class TestPoolSpansBackward:
     def test_equals_per_span_loop(self, gaps_and_lengths, mode, seed):
         """Spans separated by ``gap`` rows; values from a few levels, so max
         pooling meets ties, which go to the first row as argmax sends them."""
-        spans, end = [], 0
-        for gap, length in gaps_and_lengths:
-            spans.append((end + gap, end + gap + length))
-            end += gap + length
+        spans, end = _spans_of(gaps_and_lengths)
         rng = np.random.default_rng(seed)
         matrix = rng.integers(-2, 3, size=(end + 2, 5)).astype(float)
         d_pooled = rng.normal(size=(len(spans), 5))

@@ -21,7 +21,7 @@ import pytest
 
 from ctrnli import joint, pipeline
 from ctrnli.corpus import gold_evidence_globals, resolve_premise
-from ctrnli.encode import ToyEncoder, pool_span
+from ctrnli.encode import ToyEncoder
 from ctrnli.joint import JointModel, train_joint
 from ctrnli.nn import (
     EntailmentHead,
@@ -38,7 +38,12 @@ from ctrnli.pipeline import (
     train_entailment_model,
     train_evidence_model,
 )
-from test_encode import _oracle_encode_with_cache, _oracle_pool_span_backward, _oracle_toy_backward
+from test_encode import (
+    _oracle_encode_with_cache,
+    _oracle_pool_span,
+    _oracle_pool_span_backward,
+    _oracle_toy_backward,
+)
 from test_joint import _oracle_joint_grads
 from test_nn import (
     _oracle_accumulate,
@@ -60,7 +65,7 @@ def _oracle_pooled_forward(encoder, head, token_ids, pooling: str):
         if encoder.trainable
         else (encoder.encode(token_ids), None)
     )
-    pooled = pool_span(matrix, (0, matrix.shape[0]), mode=pooling)
+    pooled = _oracle_pool_span(matrix, (0, matrix.shape[0]), mode=pooling)
     logits, mlp_cache = mlp_forward(head.params, pooled)
     return logits, (matrix, cache, mlp_cache)
 
