@@ -28,7 +28,20 @@ SECONDARY_PREFIX = "secondary trial:"
 
 
 def normalize_text(text: str) -> str:
-    """NFC-normalize and collapse internal whitespace runs to single spaces."""
+    """NFC-normalize and collapse whitespace runs to single spaces.
+
+    Text that is already normal is returned as is: ``isprintable()`` is false
+    for every whitespace character but the space, so printable NFC text with
+    no leading, trailing or doubled space is its own normal form.
+    """
+    if (
+        text.isprintable()
+        and not text.startswith(" ")
+        and not text.endswith(" ")
+        and "  " not in text
+        and unicodedata.is_normalized("NFC", text)
+    ):
+        return text
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
@@ -148,6 +161,20 @@ def _string(obj: dict, key: str, owner: str, optional: bool = False) -> str | No
     return value
 
 
+def _check_text(text: str, owner: str, what: str) -> None:
+    """Refuse normalized ``text`` that is empty or holds a lone surrogate (a
+    JSON ``\\udXXX`` escape, which no later stage can encode) as ``what`` of
+    ``owner``. ASCII text holds no surrogate, and ``isascii()`` costs no
+    scan, so callers check only empty or non-ASCII text."""
+    if not text:
+        raise MalformedJson(f"{owner}: empty {what}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(text[exc.start])
+        raise MalformedJson(f"{owner}: lone surrogate U+{code:04X} in {what}") from None
+
+
 def parse_record(obj) -> ClinicalTrialRecord:
     """Build a validated record from one decoded JSON object."""
     if not isinstance(obj, dict):
@@ -170,12 +197,17 @@ def parse_record(obj) -> ClinicalTrialRecord:
     sections: dict[str, tuple[str, ...]] = {}
     for name in SECTION_NAMES:
         sents = raw_sections[name]
-        if not isinstance(sents, list) or not all(isinstance(s, str) for s in sents):
+        if not isinstance(sents, list):
             raise MalformedJson(f"{ctr_id}: section '{name}' must be a list of strings")
-        sections[name] = tuple(normalize_text(s) for s in sents)
-        for i, s in enumerate(sections[name]):
-            if not s:
-                raise MalformedJson(f"{ctr_id}: empty sentence at {name}[{i}]")
+        texts = []
+        for i, sent in enumerate(sents):
+            if not isinstance(sent, str):
+                raise MalformedJson(f"{ctr_id}: section '{name}' must be a list of strings")
+            text = normalize_text(sent)
+            if not text or not text.isascii():
+                _check_text(text, ctr_id, f"sentence at {name}[{i}]")
+            texts.append(text)
+        sections[name] = tuple(texts)
     return ClinicalTrialRecord(ctr_id=ctr_id, sections=sections)
 
 
@@ -206,15 +238,16 @@ def parse_claim(obj) -> ClaimInstance:
         raise MalformedJson("claim must be a JSON object")
     try:
         claim_id = _string(obj, "claim_id", "claim")
-        text = normalize_text(_string(obj, "text", claim_id))
+        raw_text = _string(obj, "text", claim_id)
         section_id = _string(obj, "section_id", claim_id)
         primary_ctr = _string(obj, "primary_ctr", claim_id)
     except KeyError as exc:
         raise MalformedJson(f"claim missing key {exc}") from exc
     if section_id not in SECTION_NAMES:
         raise MalformedJson(f"{claim_id}: unknown section_id '{section_id}'")
-    if not text:
-        raise MalformedJson(f"{claim_id}: empty claim text")
+    text = normalize_text(raw_text)
+    if not text or not text.isascii():
+        _check_text(text, claim_id, "claim text")
 
     secondary_ctr = _string(obj, "secondary_ctr", claim_id, optional=True)
     if secondary_ctr == primary_ctr:

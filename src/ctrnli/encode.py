@@ -108,7 +108,7 @@ class HashingTokenizer:
     entailment stage finds its texts already tokenized. The memo costs
     memory for the life of the model: scaled-predict (seed 1) sends about
     36k distinct texts through the two tokenizers of a loaded pipeline and
-    a joint model, and its peak RSS reads 75.4 MB against 71.0 MB without
+    a joint model, and its peak RSS reads 72.3 MB against 69.5 MB without
     the text memo (median of 3 runs each, 2-vCPU VM). A dict subclass
     holding a bound method of its tokenizer would form a reference cycle,
     so every model reloaded in a process would keep its memo until the

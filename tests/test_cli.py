@@ -14,7 +14,7 @@ from ctrnli import cli, errors
 from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import build_parser, main
 from ctrnli.config import SECTIONS, RunConfig
-from ctrnli.corpus import SECTION_NAMES
+from ctrnli.corpus import SECTION_NAMES, load_claims, load_corpus
 from ctrnli.ensemble import load_predictions
 from ctrnli.errors import BadCheckpoint
 from ctrnli.nn import EntailmentHead, init_mlp
@@ -154,6 +154,29 @@ class TestValidate:
         corpus.write_text(json.dumps(records))
         assert main(["validate", "--corpus", str(corpus), "--claims", CLAIMS]) == 0
         assert "0 violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "train", "predict"])
+    @pytest.mark.parametrize("name", ["corpus", "claims"])
+    def test_lone_surrogate_is_data_error(self, tmp_path, capsys, ckpts, name, command):
+        """A JSON \\ud800 escape in a sentence or a claim text is refused at
+        load, before any command could try to encode it."""
+        paths = {"corpus": CORPUS, "claims": CLAIMS}
+        objs = json.loads(Path(paths[name]).read_text())
+        if name == "corpus":
+            objs[0]["sections"]["results"][0] += " \ud800"
+        else:
+            objs[0]["text"] += " \ud800"
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(objs))
+        args = [command, "--corpus", str(paths["corpus"]), "--claims", str(paths["claims"])]
+        out = str(tmp_path / "out")
+        if command == "train":
+            args += ["--out", out, "--max-steps", "2", "--seed", "0"]
+        elif command == "predict":
+            args += ["--checkpoint", str(ckpts["joint"]), "--out", out]
+        assert main(args) == 1
+        owner = "trial-01" if name == "corpus" else "claim-01"
+        _one_line_error(capsys, owner, "lone surrogate U+D800")
 
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "corpus.json"
@@ -407,10 +430,47 @@ class TestTrain:
         assert code == 2
 
 
+def _untidy(text: str, i: int) -> str:
+    """``text`` with each space turned into another whitespace run (tab,
+    doubled space, NBSP, newline), and whitespace at both ends."""
+    gaps = ("\t", "  ", "\u00a0", " \n ")
+    words = text.split(" ")
+    out = words[0] + "".join(gaps[(i + k) % len(gaps)] + w for k, w in enumerate(words[1:]))
+    return f" {out}\u00a0"
+
+
 class TestPredict:
     def test_writes_valid_predictions(self, prediction_files, corpus, claims):
         preds = load_predictions(prediction_files["pipeline"])
         assert [p.claim_id for p in preds] == [c.claim_id for c in claims]
+
+    def test_untidy_whitespace_predicts_as_the_clean_fixture(
+        self, tmp_path, ckpts, prediction_files
+    ):
+        """Text that is not normal is normalized at load: the fixture with its
+        spaces rewritten loads to the same records and claims and predicts
+        the same bytes."""
+        records = json.loads(Path(CORPUS).read_text())
+        for record in records:
+            for name in SECTION_NAMES:
+                sents = record["sections"][name]
+                record["sections"][name] = [_untidy(s, i) for i, s in enumerate(sents)]
+        claims = json.loads(Path(CLAIMS).read_text())
+        for i, claim in enumerate(claims):
+            claim["text"] = _untidy(claim["text"], i)
+        corpus, claims_path = tmp_path / "corpus.json", tmp_path / "claims.json"
+        corpus.write_text(json.dumps(records))
+        claims_path.write_text(json.dumps(claims))
+        assert load_corpus(corpus) == load_corpus(CORPUS)
+        assert load_claims(claims_path) == load_claims(CLAIMS)
+        for system in ("pipeline", "joint"):
+            out = tmp_path / f"{system}.json"
+            code = main([
+                "predict", "--corpus", str(corpus), "--claims", str(claims_path),
+                "--checkpoint", str(ckpts[system]), "--out", str(out),
+            ])
+            assert code == 0
+            assert out.read_bytes() == prediction_files[system].read_bytes()
 
     @pytest.mark.parametrize("system", ["pipeline", "joint"])
     def test_empty_premise_is_data_error(self, tmp_path, ckpts, capsys, empty_premise, system):

@@ -1,10 +1,12 @@
 """Corpus loading, claim parsing, premise resolution, and dataset validation."""
 
 import json
+import operator
 from pathlib import Path
 
 import pytest
 
+from ctrnli import corpus as corpus_module
 from ctrnli.corpus import (
     LABELS,
     SECTION_NAMES,
@@ -17,6 +19,7 @@ from ctrnli.corpus import (
     normalize_text,
     parse_claim,
     parse_record,
+    read_json,
     resolve_premise,
     validate_dataset,
 )
@@ -89,6 +92,27 @@ class TestParseRecord:
         obj["sections"]["results"] = ["response \t improved\n markedly"]
         rec = parse_record(obj)
         assert rec.sections["results"][0] == "response improved markedly"
+
+
+def test_load_keeps_the_decoded_strings(monkeypatch):
+    """Normal text is not copied: every fixture sentence and claim text is the
+    string object that ``read_json`` decoded."""
+    decoded = []
+
+    def recording_read_json(path):
+        decoded.append(read_json(path))
+        return decoded[-1]
+
+    monkeypatch.setattr(corpus_module, "read_json", recording_read_json)
+    corpus = load_corpus(FIXTURE / "corpus.json")
+    claims = load_claims(FIXTURE / "claims.json", corpus=corpus)
+    records, claim_objs = decoded
+    for obj in records:
+        for name in SECTION_NAMES:
+            kept, raw = corpus[obj["ctr_id"]].sections[name], obj["sections"][name]
+            assert len(kept) == len(raw) and all(map(operator.is_, kept, raw))
+    texts, raw = [c.text for c in claims], [obj["text"] for obj in claim_objs]
+    assert len(texts) == len(raw) and all(map(operator.is_, texts, raw))
 
 
 class TestLoadCorpus:
@@ -277,11 +301,16 @@ def test_any_json_value_in_a_prediction_parses_or_raises_malformed_json(path):
          "claim missing key 'primary_ctr'"),
         (parse_claim, _claim_obj(text=" \t\n "), MalformedJson, "c-1: empty claim text"),
         (parse_claim, _claim_obj(evidence=[0]), MalformedJson, "'evidence' must be an object"),
+        (parse_record, _substituted(_record_obj(), ("sections", "results", 1), "a \t\ud800 b"),
+         MalformedJson, "ct-1: lone surrogate U+D800 in sentence at results[1]"),
+        (parse_claim, _claim_obj(text="\udfff"), MalformedJson,
+         "c-1: lone surrogate U+DFFF in claim text"),
     ],
     ids=[
         "record-not-object", "record-missing-key", "sections-not-object",
         "section-not-strings", "claim-not-object", "claim-missing-key",
-        "whitespace-only-text", "evidence-not-object",
+        "whitespace-only-text", "evidence-not-object", "sentence-lone-surrogate",
+        "claim-lone-surrogate",
     ],
 )
 def test_structural_refusals(parse, obj, error, fragment):

@@ -3,6 +3,7 @@ capping, packing, tokenization, and counting."""
 
 import dataclasses
 import json
+import unicodedata
 
 import numpy as np
 import pytest
@@ -482,11 +483,37 @@ class TestPoolSpansBackward:
         assert np.array_equal(acc, expected)
 
 
+# whitespace that is not a space (tab, NBSP, line separator, ideographic
+# space), non-whitespace that is not printable (soft hyphen, surrogates),
+# combining marks that compose under NFC (acute, long solidus overlay, Hangul
+# jamo) and sigma, whose final form is its own code point
+_NORMALIZE_ALPHABET = st.sampled_from(
+    list("ae=< ")
+    + ["\t", "\n", "\u00a0", "\u2028", "\u3000", "\u00ad", "\u0301", "\u0338"]
+    + ["\u1100", "\u1161", "\u11a8", "\u03a3", "\u03c3", "\u03c2", "\ud800", "\udfff"]
+)
+
+
 class TestNormalize:
     @given(st.text(max_size=200))
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    @given(st.text(_NORMALIZE_ALPHABET, max_size=40))
+    @example("a\tb")
+    @example("a\u00a0b")
+    @example(" a")
+    @example("a ")
+    @example("a  b")
+    @example("e\u0301")
+    def test_equals_nfc_then_whitespace_collapse(self, text):
+        """Every input gets the one formula's text, and normal printable text
+        comes back as the object passed in."""
+        normal = " ".join(unicodedata.normalize("NFC", text).split())
+        assert normalize_text(text) == normal
+        if normal.isprintable():
+            assert normalize_text(normal) is normal
 
 
 class _CountingTokenizer:
