@@ -46,7 +46,7 @@ from .metrics import (
     render_table,
     write_report,
 )
-from .nn import EntailmentHead, EvidenceHead, Hyperparams
+from .nn import ClassifierHead, Hyperparams
 from .pipeline import (
     PipelineModel,
     SystemPrediction,
@@ -63,11 +63,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClaimInstance",
+    "ClassifierHead",
     "ClinicalTrialRecord",
     "EncoderConfig",
     "EnsembleConfig",
-    "EntailmentHead",
-    "EvidenceHead",
     "HashingTokenizer",
     "Hyperparams",
     "JointModel",

@@ -25,7 +25,7 @@ from .corpus import read_json, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .errors import BadCheckpoint, CtrnliError, IoError
 from .joint import JointModel
-from .nn import EntailmentHead, EvidenceHead, in_unit_interval, is_count
+from .nn import ClassifierHead, in_unit_interval, is_count
 from .pipeline import PipelineModel
 
 _DTYPE = np.dtype("<f4")
@@ -178,19 +178,19 @@ def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shar
 
 
 # Each part of a model: (model field, tensor namespace, None for an encoder,
-# whose config is stored under its field name, or for a head its class and
-# the field of the encoder whose dim sizes it).
+# whose config is stored under its field name, or for a head the field of
+# the encoder whose dim sizes it).
 _LAYOUTS = {
     "pipeline": (PipelineModel, (
         ("evidence_encoder", "evidence.encoder", None),
-        ("evidence_head", "evidence.head", (EvidenceHead, "evidence_encoder")),
+        ("evidence_head", "evidence.head", "evidence_encoder"),
         ("entailment_encoder", "entailment.encoder", None),
-        ("entailment_head", "entailment.head", (EntailmentHead, "entailment_encoder")),
+        ("entailment_head", "entailment.head", "entailment_encoder"),
     )),
     "joint": (JointModel, (
         ("encoder", "encoder", None),
-        ("evidence_head", "evidence_head", (EvidenceHead, "encoder")),
-        ("verdict_head", "verdict_head", (EntailmentHead, "encoder")),
+        ("evidence_head", "evidence_head", "encoder"),
+        ("verdict_head", "verdict_head", "encoder"),
     )),
 }
 _SETTINGS = ("max_len", "threshold", "pooling", "inject_arm_prefix")
@@ -215,12 +215,11 @@ def _settings(config: dict, system: str) -> dict:
 def _save(model, path: str | Path, system: str) -> None:
     named: dict[str, np.ndarray] = {}
     config = {key: getattr(model, key) for key in _SETTINGS}
-    for field, ns, head in _LAYOUTS[system][1]:
+    for field, ns, sized_by in _LAYOUTS[system][1]:
         part = getattr(model, field)
-        if head is None:
+        if sized_by is None:
             config[field] = _encoder_config(part)
-        params = part.params if head else part.parameters()
-        for name, arr in params.items():
+        for name, arr in part.params.items():
             named[f"{ns}.{name}"] = arr
     _write_blob(Path(path), named, system, config)
 
@@ -245,13 +244,12 @@ def load_any_model(path: str | Path):
     try:
         parts: dict = {}
         tokenizers: dict = {}  # vocab size -> toy tokenizer
-        for field, ns, head in layout:
-            if head is None:
+        for field, ns, sized_by in layout:
+            if sized_by is None:
                 part = _rebuild_encoder(config[field], tensors, ns, tokenizers)
             else:
-                head_cls, encoder_field = head
-                shapes = head_cls.param_shapes(parts[encoder_field].dim)
-                part = head_cls(params=_load_params(shapes, tensors, ns, np.float64))
+                shapes = ClassifierHead.param_shapes(parts[sized_by].dim)
+                part = ClassifierHead(params=_load_params(shapes, tensors, ns, np.float64))
             parts[field] = part
         return system, model_cls(**parts, **_settings(config, system))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

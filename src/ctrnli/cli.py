@@ -119,7 +119,6 @@ def cmd_train(args) -> int:
         )
         entailment = train_entailment_model(
             claims, corpus, hp,
-            evidence_source=cfg.evidence_source,
             evidence_model=evidence if cfg.evidence_source == "predicted" else None,
             encoder_factory=factory,
             max_len=max_len, threshold=cfg.threshold, pooling=cfg.encoder.pooling,

@@ -152,17 +152,20 @@ def write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _string(obj: dict, key: str, owner: str, optional: bool = False) -> str | None:
-    """``obj[key]``, which must be a JSON string; with ``optional`` a missing
-    key or ``null`` gives None. A missing required key raises ``KeyError``."""
+def _string(obj: dict, key: str, owner: str, optional: bool = False, what: str = "") -> str | None:
+    """``obj[key]``, which must be a JSON string without a lone surrogate,
+    named ``what`` (else the key) in the error; with ``optional`` a missing key
+    or ``null`` gives None. A missing required key raises ``KeyError``."""
     value = obj.get(key) if optional else obj[key]
     if not isinstance(value, str) and not (optional and value is None):
         raise MalformedJson(f"{owner}: '{key}' must be a string")
+    if value and not value.isascii():
+        _check_text(value, owner, what or f"'{key}'")
     return value
 
 
 def _check_text(text: str, owner: str, what: str) -> None:
-    """Refuse normalized ``text`` that is empty or holds a lone surrogate (a
+    """Refuse ``text`` that is empty or holds a lone surrogate (a
     JSON ``\\udXXX`` escape, which no later stage can encode) as ``what`` of
     ``owner``. ASCII text holds no surrogate, and ``isascii()`` costs no
     scan, so callers check only empty or non-ASCII text."""
@@ -238,16 +241,16 @@ def parse_claim(obj) -> ClaimInstance:
         raise MalformedJson("claim must be a JSON object")
     try:
         claim_id = _string(obj, "claim_id", "claim")
-        raw_text = _string(obj, "text", claim_id)
+        raw_text = _string(obj, "text", claim_id, what="claim text")
         section_id = _string(obj, "section_id", claim_id)
         primary_ctr = _string(obj, "primary_ctr", claim_id)
     except KeyError as exc:
         raise MalformedJson(f"claim missing key {exc}") from exc
     if section_id not in SECTION_NAMES:
         raise MalformedJson(f"{claim_id}: unknown section_id '{section_id}'")
-    text = normalize_text(raw_text)
-    if not text or not text.isascii():
-        _check_text(text, claim_id, "claim text")
+    text = normalize_text(raw_text)  # normalizing makes no surrogate
+    if not text:
+        raise MalformedJson(f"{claim_id}: empty claim text")
 
     secondary_ctr = _string(obj, "secondary_ctr", claim_id, optional=True)
     if secondary_ctr == primary_ctr:
@@ -369,6 +372,13 @@ def resolve_premise(
         spans[ctr_id] = (len(texts), len(texts) + len(section))
         texts += section
     return PremiseDoc(texts=texts, spans=spans)
+
+
+def require_sentences(claim: ClaimInstance, premise: PremiseDoc) -> PremiseDoc:
+    """``premise``, which training and prediction refuse when it has no sentence."""
+    if premise.n == 0:
+        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
+    return premise
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:

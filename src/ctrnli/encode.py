@@ -428,9 +428,6 @@ class ToyEncoder:
             shapes[f"b{layer}"] = (dim,)
         return shapes
 
-    def parameters(self) -> Mapping[str, np.ndarray]:
-        return self.params
-
     def encode(self, token_ids: Sequence[int]) -> np.ndarray:
         return self.encode_with_cache(token_ids, cache=False)[0]
 
@@ -543,6 +540,7 @@ class PretrainedEncoder:
 
     backend = "pretrained"
     trainable = False
+    params: Mapping[str, np.ndarray] = MappingProxyType({})  # frozen: nothing to train or save
 
     def __init__(
         self,
@@ -595,9 +593,6 @@ class PretrainedEncoder:
         if not ids:
             raise CtrnliError(f"tokenizer produced no ids for {text!r}")
         return TokenSeq(int(i) for i in ids)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {}
 
     def encode(self, token_ids: Sequence[int]) -> np.ndarray:
         self.encode_calls += 1

@@ -29,6 +29,7 @@ from .corpus import (
     ClinicalTrialRecord,
     PremiseDoc,
     gold_evidence_globals,
+    require_sentences,
     resolve_premise,
 )
 from .encode import (
@@ -43,8 +44,7 @@ from .encode import (
 from .encode import pool_span, pool_span_backward  # noqa: F401  bench/tracing.py wraps them here
 from .errors import CtrnliError, UsageError
 from .nn import (
-    EntailmentHead,
-    EvidenceHead,
+    ClassifierHead,
     Hyperparams,
     cross_entropy,
     fit,
@@ -64,8 +64,8 @@ class JointModel:
     """Shared encoder plus the two task heads and inference settings."""
 
     encoder: object
-    evidence_head: EvidenceHead
-    verdict_head: EntailmentHead
+    evidence_head: ClassifierHead
+    verdict_head: ClassifierHead
     max_len: int = 1024
     threshold: float = 0.5
     pooling: str = "mean"
@@ -123,11 +123,12 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
 
 
 def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) -> JointInput:
-    """The claim's joint sequence; a ``max_len`` that packs none of a
-    non-empty premise's sentences raises :class:`UsageError`."""
+    """The claim's joint sequence; an empty premise raises :class:`CtrnliError`,
+    and a ``max_len`` that packs none of its sentences :class:`UsageError`."""
+    require_sentences(claim, premise)
     with naming_claim(claim.claim_id):
         ji = build_joint_sequence(tokenizer, claim.text, premise, max_len)
-    if premise.n and not ji.span_map:
+    if not ji.span_map:
         first = tokenizer.tokenize(premise.texts[0]).length
         raise UsageError(
             f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
@@ -142,8 +143,6 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     The probabilities cover the full premise: sentences the packer dropped
     read 0.0 and are never selected.
     """
-    if premise.n == 0:
-        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
     ji = _pack(model.encoder.tokenizer, claim, premise, model.max_len)
     matrix = model.encoder.encode(ji.token_ids)
     _, _, probs, pooled, fallbacks, v_logits, _ = _forward(
@@ -289,8 +288,8 @@ def train_joint(
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
     model = JointModel(
         encoder=encoder,
-        evidence_head=EvidenceHead.create(encoder.dim, seed=ev_seed),
-        verdict_head=EntailmentHead.create(encoder.dim, seed=v_seed),
+        evidence_head=ClassifierHead.create(encoder.dim, seed=ev_seed),
+        verdict_head=ClassifierHead.create(encoder.dim, seed=v_seed),
         max_len=max_len,
         threshold=threshold,
         pooling=pooling,
@@ -308,7 +307,7 @@ def train_joint(
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))
 
     weights = (hyperparams.w_evidence, hyperparams.w_entailment)
-    groups = [model.evidence_head.params, model.verdict_head.params, encoder.parameters()]
+    groups = [model.evidence_head.params, model.verdict_head.params, encoder.params]
 
     def batch_grads(batch_idx):
         *totals, enc_g, ev_g, v_g = joint_grads(model, [examples[i] for i in batch_idx], weights)

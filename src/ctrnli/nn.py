@@ -33,15 +33,6 @@ def cross_entropy(logits: np.ndarray, target) -> tuple:
     return loss.tolist(), probs - np.eye(probs.shape[-1])[target]
 
 
-def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> dict:
-    return {
-        "W1": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_hidden)),
-        "b1": np.zeros(d_hidden),
-        "W2": rng.normal(0.0, 1.0 / np.sqrt(d_hidden), size=(d_hidden, d_out)),
-        "b2": np.zeros(d_out),
-    }
-
-
 def mlp_forward(params: dict, x: np.ndarray):
     a1 = x @ params["W1"]
     a1 += params["b1"]
@@ -99,18 +90,25 @@ def padded(rows: np.ndarray, lengths) -> np.ndarray:
 
 @dataclass
 class ClassifierHead:
-    """A 2-layer MLP head producing two class logits from one pooled vector."""
+    """A 2-layer MLP head producing two class logits from one pooled vector.
+    Index 0 is the positive "is evidence" class for an evidence head, and
+    Entailment for a verdict head, whose index 1 is Contradiction."""
 
     params: dict
 
     @classmethod
-    def create(cls, dim: int, seed: int = 0):
+    def create(cls, dim: int, seed: int = 0) -> ClassifierHead:
+        """Weights drawn from N(0, 1 / fan-in) in :meth:`param_shapes` order; zero biases."""
         rng = np.random.default_rng(seed)
-        return cls(params=init_mlp(rng, dim, dim, 2))
+        return cls(params={
+            name: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape) if name[0] == "W"
+            else np.zeros(shape)
+            for name, shape in cls.param_shapes(dim).items()
+        })
 
     @staticmethod
     def param_shapes(dim: int) -> dict[str, tuple[int, ...]]:
-        """The name and shape of each parameter :meth:`create` draws for ``dim``."""
+        """The name and shape of each parameter of a head over ``dim``-wide vectors."""
         return {"W1": (dim, dim), "b1": (dim,), "W2": (dim, 2), "b2": (2,)}
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -121,25 +119,12 @@ class ClassifierHead:
 def to_stored_precision(encoder, *heads: ClassifierHead) -> None:
     """Round a trained model in place to the float32 values a checkpoint stores:
     a toy encoder's as float32 arrays, a head's in float64 ones for its softmax."""
-    params = encoder.parameters()
+    params = encoder.params  # a frozen encoder's is empty and read-only
     with np.errstate(over="ignore"):  # past the float32 range is inf, which is never saved
-        params.update({name: arr.astype(np.float32) for name, arr in params.items()})
+        for name in params:
+            params[name] = params[name].astype(np.float32)
         for arr in [a for head in heads for a in head.params.values()]:
             arr[...] = arr.astype(np.float32)
-
-
-class EvidenceHead(ClassifierHead):
-    """Maps a pooled sentence-pair vector to (evidence, non-evidence) logits.
-
-    Index 0 is the positive "is evidence" class.
-    """
-
-
-class EntailmentHead(ClassifierHead):
-    """Maps a pooled sequence vector to verdict logits.
-
-    Index 0 is Entailment, index 1 Contradiction.
-    """
 
 
 @dataclass
@@ -252,15 +237,16 @@ class Hyperparams:
     def total_steps(self, n_items: int) -> int:
         if self.max_steps is not None:
             return self.max_steps
-        if n_items == 0:
-            return 0
         steps_per_epoch = int(np.ceil(n_items / self.batch_size))
         return self.epochs * steps_per_epoch
 
 
 def minibatches(n_items: int, hp: Hyperparams, rng: np.random.Generator):
-    """Yield index arrays: seeded reshuffle every pass, stop at total_steps."""
+    """Yield index arrays: seeded reshuffle every pass, stop at total_steps.
+    Steps asked of no items raise :class:`CtrnliError` instead of never ending."""
     total = hp.total_steps(n_items)
+    if total and not n_items:
+        raise CtrnliError(f"{total} training steps asked for, but there is nothing to train on")
     emitted = 0
     while emitted < total:
         order = rng.permutation(n_items)

@@ -23,6 +23,7 @@ from .corpus import (
     ClinicalTrialRecord,
     PremiseDoc,
     gold_evidence_globals,
+    require_sentences,
     resolve_premise,
 )
 from .encode import (
@@ -40,8 +41,6 @@ from .encode import pool_span_backward  # noqa: F401  bench/tracing.py wraps it 
 from .errors import CtrnliError, MalformedJson
 from .nn import (
     ClassifierHead,
-    EntailmentHead,
-    EvidenceHead,
     Hyperparams,
     cross_entropy,
     fit,
@@ -150,7 +149,7 @@ def _spans(lengths) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def evidence_probs(head: EvidenceHead, vectors: np.ndarray) -> list[float]:
+def evidence_probs(head: ClassifierHead, vectors: np.ndarray) -> list[float]:
     """Evidence probability of each row of ``vectors`` in one head call.
 
     The rows go through the head as a ``[B, 1, D]`` stack, which rounds each
@@ -165,7 +164,7 @@ def score_evidence(
     claim: ClaimInstance,
     premise: PremiseDoc,
     encoder,
-    head: EvidenceHead,
+    head: ClassifierHead,
     max_len: int = 512,
     pooling: str = "mean",
 ) -> list[float]:
@@ -175,8 +174,7 @@ def score_evidence(
     ``encode_batch`` call and one stacked head call; each probability equals
     that of scoring its pair alone, bit for bit.
     """
-    if premise.n == 0:
-        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
+    require_sentences(claim, premise)
     with naming_claim(claim.claim_id):
         pairs = build_pair_sequences(encoder.tokenizer, premise.texts, claim.text, max_len)
     matrix = encode_batch(encoder, [pair.token_ids for pair in pairs], cache=False)[0]
@@ -188,7 +186,7 @@ def classify_entailment(
     premise: PremiseDoc,
     selected: Sequence[int],
     encoder,
-    head: EntailmentHead,
+    head: ClassifierHead,
     max_len: int = 512,
     pooling: str = "mean",
 ) -> tuple[tuple[float, float], str]:
@@ -248,14 +246,14 @@ class TrainResult:
     loss_curve: list[float] = field(default_factory=list)
 
 
-def _train_stage(salt: int, head_cls, hp: Hyperparams, pooling: str, encoder_factory, make_items):
+def _train_stage(salt: int, hp: Hyperparams, pooling: str, encoder_factory, make_items):
     """Train one stage: ``encoder_factory(seed)`` (a toy encoder when None),
-    a two-class ``head_cls``, and ``make_items(tokenizer)`` as the data."""
+    a head, and ``make_items(tokenizer)`` as the data."""
     enc_seed, head_seed, shuffle_seed = np.random.SeedSequence([salt, hp.seed]).spawn(3)
     encoder = encoder_factory(enc_seed) if encoder_factory else ToyEncoder(seed=enc_seed)
-    head = head_cls.create(encoder.dim, seed=head_seed)
+    head = ClassifierHead.create(encoder.dim, seed=head_seed)
     items = make_items(encoder.tokenizer)
-    groups = [head.params, encoder.parameters()]
+    groups = [head.params, encoder.params]
 
     def batch_grads(batch_idx):
         batch = [items[i] for i in batch_idx]
@@ -279,7 +277,7 @@ def evidence_training_items(
     for claim in claims:
         if claim.gold_evidence is None:
             raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
-        premise = resolve_premise(claim, corpus, inject_arm_prefix)
+        premise = require_sentences(claim, resolve_premise(claim, corpus, inject_arm_prefix))
         gold = gold_evidence_globals(claim, premise)
         with naming_claim(claim.claim_id):
             for i, text in enumerate(premise.texts):
@@ -300,7 +298,7 @@ def train_evidence_model(
 ) -> TrainResult:
     """Fit the per-sentence evidence classifier (binary cross-entropy)."""
     return _train_stage(
-        _EVIDENCE_SEED_SALT, EvidenceHead, hyperparams, pooling, encoder_factory,
+        _EVIDENCE_SEED_SALT, hyperparams, pooling, encoder_factory,
         lambda tok: evidence_training_items(train_claims, corpus, tok, max_len, inject_arm_prefix),
     )
 
@@ -310,7 +308,6 @@ def entailment_training_items(
     corpus: Mapping[str, ClinicalTrialRecord],
     tokenizer,
     max_len: int,
-    evidence_source: str = "gold",
     evidence_model: TrainResult | None = None,
     threshold: float = 0.5,
     pooling: str = "mean",
@@ -318,20 +315,16 @@ def entailment_training_items(
 ):
     """All (sequence token ids, verdict target) items across the claims.
 
-    With ``evidence_source="gold"`` the premise side of each sequence is the
-    gold evidence (the stronger training signal); "predicted" runs the given
-    evidence model's selection instead.
+    Without ``evidence_model`` the premise side of each sequence is the gold
+    evidence (the stronger training signal); with one it is that model's
+    selection.
     """
-    if evidence_source not in ("gold", "predicted"):
-        raise ValueError(f"unknown evidence_source '{evidence_source}'")
-    if evidence_source == "predicted" and evidence_model is None:
-        raise ValueError("evidence_source='predicted' needs an evidence model")
     items = []
     for claim in claims:
         if claim.gold_label is None:
             raise CtrnliError(f"claim {claim.claim_id} has no gold label")
-        premise = resolve_premise(claim, corpus, inject_arm_prefix)
-        if evidence_source == "gold":
+        premise = require_sentences(claim, resolve_premise(claim, corpus, inject_arm_prefix))
+        if evidence_model is None:
             if claim.gold_evidence is None:
                 raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
             indices = sorted(gold_evidence_globals(claim, premise))
@@ -351,7 +344,6 @@ def train_entailment_model(
     train_claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
-    evidence_source: str = "gold",
     evidence_model: TrainResult | None = None,
     max_len: int = 512,
     threshold: float = 0.5,
@@ -359,12 +351,13 @@ def train_entailment_model(
     inject_arm_prefix: bool = False,
     encoder_factory=None,
 ) -> TrainResult:
-    """Fit the verdict classifier on gold (default) or predicted evidence."""
+    """Fit the verdict classifier on gold evidence, or on the selections of
+    ``evidence_model`` when given."""
     return _train_stage(
-        _ENTAILMENT_SEED_SALT, EntailmentHead, hyperparams, pooling, encoder_factory,
+        _ENTAILMENT_SEED_SALT, hyperparams, pooling, encoder_factory,
         lambda tok: entailment_training_items(
-            train_claims, corpus, tok, max_len, evidence_source, evidence_model, threshold,
-            pooling, inject_arm_prefix,
+            train_claims, corpus, tok, max_len, evidence_model, threshold, pooling,
+            inject_arm_prefix,
         ),
     )
 
@@ -377,9 +370,9 @@ class PipelineModel:
     """Both trained stages plus the inference settings they were built with."""
 
     evidence_encoder: object
-    evidence_head: EvidenceHead
+    evidence_head: ClassifierHead
     entailment_encoder: object
-    entailment_head: EntailmentHead
+    entailment_head: ClassifierHead
     max_len: int = 512
     threshold: float = 0.5
     pooling: str = "mean"

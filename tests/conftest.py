@@ -6,6 +6,9 @@ reused by every test that only needs a competent model.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from ctrnli import (
@@ -19,6 +22,24 @@ from ctrnli import (
 )
 
 OVERFIT_POOLING = "max"
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` have passed,
+    so that a loop that never ends fails its test instead of hanging the
+    suite (``SIGALRM``: POSIX only, main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def overfit_hyperparams(max_steps: int, seed: int = 0) -> Hyperparams:

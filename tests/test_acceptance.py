@@ -28,9 +28,8 @@ from conftest import OVERFIT_POOLING, overfit_hyperparams
 
 from ctrnli import (
     LABELS,
+    ClassifierHead,
     EnsembleConfig,
-    EntailmentHead,
-    EvidenceHead,
     JointModel,
     PipelineModel,
     PremiseDoc,
@@ -334,8 +333,8 @@ def test_a5_gradients_vs_finite_differences(bundled, verdict):
             for _ in range(3)
         ]
         for head in (
-            EvidenceHead.create(8, seed=seed),
-            EntailmentHead.create(8, seed=seed + 50),
+            ClassifierHead.create(8, seed=seed),
+            ClassifierHead.create(8, seed=seed + 50),
         ):
             _, _, analytic = sequence_classification_grads(encoder, head, items, pooling)
             worst = max(
@@ -354,8 +353,8 @@ def test_a5_gradients_vs_finite_differences(bundled, verdict):
         gold = gold_evidence_globals(claim, premise)
         model = JointModel(
             encoder=ToyEncoder(vocab_size=128, dim=8, n_layers=2, seed=2000 + seed),
-            evidence_head=EvidenceHead.create(8, seed=seed),
-            verdict_head=EntailmentHead.create(8, seed=seed + 50),
+            evidence_head=ClassifierHead.create(8, seed=seed),
+            verdict_head=ClassifierHead.create(8, seed=seed + 50),
             max_len=128,
             pooling="mean",
         )

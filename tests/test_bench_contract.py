@@ -22,7 +22,7 @@ from ctrnli.encode import (
     build_joint_sequence,
     build_pair_sequences,
 )
-from ctrnli.nn import EntailmentHead, EvidenceHead
+from ctrnli.nn import ClassifierHead
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -76,10 +76,10 @@ def test_traced_prediction_spans_every_tokenize_call(monkeypatch, corpus, claims
     import tracing
 
     joint_model = JointModel(
-        ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8), max_len=48
+        ToyEncoder(64, 8), ClassifierHead.create(8), ClassifierHead.create(8), max_len=48
     )
     pipeline_model = PipelineModel(
-        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8)
+        ToyEncoder(64, 8), ClassifierHead.create(8), ToyEncoder(64, 8), ClassifierHead.create(8)
     )
     twice = claims + claims
     tracer = tracing.Tracer()
@@ -115,10 +115,10 @@ def test_traced_prediction_spans_every_encoder_call(monkeypatch, corpus, claims)
     import tracing
 
     joint_model = JointModel(
-        ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8), max_len=48
+        ToyEncoder(64, 8), ClassifierHead.create(8), ClassifierHead.create(8), max_len=48
     )
     pipeline_model = PipelineModel(
-        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8)
+        ToyEncoder(64, 8), ClassifierHead.create(8), ToyEncoder(64, 8), ClassifierHead.create(8)
     )
     tracer = tracing.Tracer()
     tracer.install()
@@ -159,7 +159,7 @@ def test_traced_pipeline_prediction_pools_once_per_claim(monkeypatch, corpus, cl
     import tracing
 
     model = PipelineModel(
-        ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8), EntailmentHead.create(8),
+        ToyEncoder(64, 8), ClassifierHead.create(8), ToyEncoder(64, 8), ClassifierHead.create(8),
         pooling=pooling,
     )
     tracer = tracing.Tracer()

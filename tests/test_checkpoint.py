@@ -13,7 +13,7 @@ from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
 from ctrnli.joint import JointModel, predict_joint
-from ctrnli.nn import ClassifierHead, EntailmentHead, EvidenceHead, to_stored_precision
+from ctrnli.nn import ClassifierHead, to_stored_precision
 from ctrnli.pipeline import (
     PipelineModel,
     TrainResult,
@@ -50,8 +50,8 @@ def test_reloaded_pipeline_shares_a_tokenizer_per_model(tmp_path, corpus, claims
     predictions are byte-identical to those of the in-memory model, cast as
     training casts it to the values the checkpoint stores."""
     model = PipelineModel(
-        ToyEncoder(vocab_sizes[0], 8, seed=1), EvidenceHead.create(8, seed=2),
-        ToyEncoder(vocab_sizes[1], 8, seed=3), EntailmentHead.create(8, seed=4),
+        ToyEncoder(vocab_sizes[0], 8, seed=1), ClassifierHead.create(8, seed=2),
+        ToyEncoder(vocab_sizes[1], 8, seed=3), ClassifierHead.create(8, seed=4),
     )
     to_stored_precision(model.evidence_encoder, model.evidence_head)
     to_stored_precision(model.entailment_encoder, model.entailment_head)
@@ -154,7 +154,7 @@ def test_predicted_evidence_items_survive_the_reload(corpus, claims, pipeline_mo
     loaded = load_any_model(pipeline_ckpt)[1]
     items = [
         entailment_training_items(
-            claims, corpus, model.entailment_encoder.tokenizer, 512, "predicted",
+            claims, corpus, model.entailment_encoder.tokenizer, 512,
             TrainResult(model.evidence_encoder, model.evidence_head), pooling=model.pooling,
         )
         for model in (pipeline_model, loaded)
@@ -187,12 +187,12 @@ def test_loaded_encoder_builds_its_layer0_table_at_load(monkeypatch, tmp_path, c
     n_layers = 3
     encoders = [ToyEncoder(64, 8, n_layers, seed=seed) for seed in (1, 3)]
     if system == "pipeline":
-        model = PipelineModel(encoders[0], EvidenceHead.create(8, seed=2),
-                              encoders[1], EntailmentHead.create(8, seed=4))
+        model = PipelineModel(encoders[0], ClassifierHead.create(8, seed=2),
+                              encoders[1], ClassifierHead.create(8, seed=4))
         save_pipeline_model(model, tmp_path / "ckpt")
     else:
-        model = JointModel(encoders[0], EvidenceHead.create(8, seed=2),
-                           EntailmentHead.create(8, seed=4))
+        model = JointModel(encoders[0], ClassifierHead.create(8, seed=2),
+                           ClassifierHead.create(8, seed=4))
         save_joint_model(model, tmp_path / "ckpt")
     loaded = load_any_model(tmp_path / "ckpt")[1]
     counts = {"affine": 0, "forward": 0}

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from ctrnli import cli, errors
 from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import build_parser, main
@@ -17,7 +18,7 @@ from ctrnli.config import SECTIONS, RunConfig
 from ctrnli.corpus import SECTION_NAMES, load_claims, load_corpus
 from ctrnli.ensemble import load_predictions
 from ctrnli.errors import BadCheckpoint
-from ctrnli.nn import EntailmentHead, init_mlp
+from test_nn import three_class_head
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 CORPUS = str(FIXTURE / "corpus.json")
@@ -55,7 +56,7 @@ def out_of_range_claims(tmp_path):
 @pytest.fixture()
 def empty_premise(tmp_path):
     """(corpus, claims) paths: the fixture corpus plus a trial whose four
-    sections are empty, and one claim on that trial."""
+    sections are empty, and one labelled claim on that trial."""
     records = json.loads(Path(CORPUS).read_text())
     records.append({"ctr_id": "trial-empty", "sections": {name: [] for name in SECTION_NAMES}})
     corpus = tmp_path / "corpus.json"
@@ -64,6 +65,7 @@ def empty_premise(tmp_path):
     claims.write_text(json.dumps([{
         "claim_id": "claim-empty", "text": "The trial reports no adverse events.",
         "section_id": "adverse_events", "primary_ctr": "trial-empty",
+        "label": "Entailment", "evidence": {},
     }]))
     return str(corpus), str(claims)
 
@@ -178,6 +180,29 @@ class TestValidate:
         owner = "trial-01" if name == "corpus" else "claim-01"
         _one_line_error(capsys, owner, "lone surrogate U+D800")
 
+    @pytest.mark.parametrize("command", ["validate", "train", "predict"])
+    @pytest.mark.parametrize("key", ["claim_id", "primary_ctr"])
+    def test_lone_surrogate_in_an_id_is_data_error(self, tmp_path, capsys, ckpts, key, command):
+        """A \\ud800 escape in a claim id or trial reference is refused at load.
+        Before, validate passed the claim id, and train and predict stopped on
+        the trial reference with a usage error from the UTF-8 encoder."""
+        objs = json.loads(Path(CLAIMS).read_text())
+        if key == "claim_id":
+            objs[0]["claim_id"] = "claim-\ud800"
+        else:
+            objs[0]["evidence"] = {"t\ud800": objs[0]["evidence"].pop(objs[0]["primary_ctr"])}
+            objs[0]["primary_ctr"] = "t\ud800"
+        claims = tmp_path / "claims.json"
+        claims.write_text(json.dumps(objs))
+        args = [command, "--corpus", CORPUS, "--claims", str(claims)]
+        out = str(tmp_path / "out")
+        if command == "train":
+            args += ["--out", out, "--max-steps", "2", "--seed", "0"]
+        elif command == "predict":
+            args += ["--checkpoint", str(ckpts["joint"]), "--out", out]
+        assert main(args) == 1
+        _one_line_error(capsys, f"lone surrogate U+D800 in '{key}'")
+
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text("{oops")
@@ -207,6 +232,20 @@ class TestTrain:
             "--out", str(tmp_path / "ckpt"), "--max-steps", "1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("steps", [["--max-steps", "5"], []], ids=["max-steps", "epochs"])
+    @pytest.mark.parametrize("system", ["pipeline", "joint"])
+    def test_empty_premise_is_data_error(self, tmp_path, capsys, empty_premise, system, steps):
+        """Training refuses the claim with predict's one line; the pipeline
+        once looped forever here, and the joint system trained on it."""
+        corpus, claims = empty_premise
+        out = tmp_path / "ckpt"
+        args = ["train", "--system", system, "--corpus", corpus, "--claims", claims,
+                "--out", str(out), "--seed", "0", *steps]
+        with time_limit(30):
+            assert main(args) == 1
+        _one_line_error(capsys, "claim-empty resolved to an empty premise")
+        assert not out.exists()
 
     def test_joint_max_len_that_packs_no_sentence_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "ckpt"
@@ -537,9 +576,8 @@ class TestPredict:
         assert not (tmp_path / "p.json").exists()
 
     def test_three_class_verdict_head_is_refused(self, tmp_path, joint_model, capsys):
-        dim = joint_model.encoder.dim
         wide = dataclasses.replace(
-            joint_model, verdict_head=EntailmentHead(params=init_mlp(np.random.default_rng(0), dim, dim, 3))
+            joint_model, verdict_head=three_class_head(joint_model.encoder.dim)
         )
         save_joint_model(wide, tmp_path / "ckpt")
         with pytest.raises(BadCheckpoint, match="verdict_head"):

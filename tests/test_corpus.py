@@ -319,6 +319,30 @@ def test_structural_refusals(parse, obj, error, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "parse, obj, fragment",
+    [
+        (parse_record, _record_obj(ctr_id="ct-\ud800"),
+         "trial record: lone surrogate U+D800 in 'ctr_id'"),
+        (parse_claim, _claim_obj(claim_id="claim-\ud800"),
+         "claim: lone surrogate U+D800 in 'claim_id'"),
+        (parse_claim, _claim_obj(primary_ctr="t\ud800", evidence={"t\ud800": [0]}),
+         "c-1: lone surrogate U+D800 in 'primary_ctr'"),
+        (parse_claim, _claim_obj(secondary_ctr="\udc00é"),
+         "c-1: lone surrogate U+DC00 in 'secondary_ctr'"),
+        (parse_claim, _claim_obj(challenge="negation \udfff"),
+         "c-1: lone surrogate U+DFFF in 'challenge'"),
+    ],
+    ids=["ctr_id", "claim_id", "primary_ctr", "secondary_ctr", "challenge"],
+)
+def test_lone_surrogate_in_an_id_is_refused(parse, obj, fragment):
+    """An id holds no lone surrogate, which no UTF-8 writer or hash can encode;
+    unlike a text, an id is not normalized, so it is checked as decoded."""
+    with pytest.raises(MalformedJson) as info:
+        parse(obj)
+    assert str(info.value) == fragment
+
+
 class TestLoadClaims:
     def test_dangling_reference_raises_after_full_scan(self, tmp_path, corpus):
         objs = [

@@ -30,7 +30,7 @@ from ctrnli.encode import (
     _smooth,
 )
 from ctrnli.errors import BackendUnavailable, CtrnliError, UsageError
-from ctrnli.nn import EvidenceHead
+from ctrnli.nn import ClassifierHead
 from ctrnli.pipeline import score_evidence
 
 
@@ -294,20 +294,19 @@ class TestTextMemoLifetime:
     def test_loaded_model(self, system, tmp_path, corpus, claims):
         from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
         from ctrnli.joint import JointModel, predict_joint
-        from ctrnli.nn import EntailmentHead, EvidenceHead
         from ctrnli.pipeline import PipelineModel, predict_pipeline
 
         if system == "pipeline":
             save_pipeline_model(
                 PipelineModel(
-                    ToyEncoder(64, 8), EvidenceHead.create(8), ToyEncoder(64, 8),
-                    EntailmentHead.create(8),
+                    ToyEncoder(64, 8), ClassifierHead.create(8), ToyEncoder(64, 8),
+                    ClassifierHead.create(8),
                 ),
                 tmp_path / "ckpt",
             )
         else:
             save_joint_model(
-                JointModel(ToyEncoder(64, 8), EvidenceHead.create(8), EntailmentHead.create(8)),
+                JointModel(ToyEncoder(64, 8), ClassifierHead.create(8), ClassifierHead.create(8)),
                 tmp_path / "ckpt",
             )
         predict = predict_pipeline if system == "pipeline" else predict_joint
@@ -639,7 +638,7 @@ class TestCacheFreeForward:
         premise = PremiseDoc(texts, {"t": (0, 80)})
         claim = ClaimInstance("c", "the claim has eight words in its text", "s", "t")
         enc = ToyEncoder(seed=3)
-        head = EvidenceHead.create(enc.dim)
+        head = ClassifierHead.create(enc.dim)
         score_evidence(claim, premise, enc, head)  # fill the tokenizer memo first
         matrix_bytes = 80 * (24 + 1 + 8) * enc.dim * 8
         tracemalloc.start()

@@ -17,8 +17,7 @@ from ctrnli.joint import (
     train_joint,
 )
 from ctrnli.nn import (
-    EntailmentHead,
-    EvidenceHead,
+    ClassifierHead,
     Hyperparams,
     mlp_forward,
     softmax,
@@ -44,8 +43,8 @@ def _tiny_model(max_len=1024, threshold=0.5, seed=0) -> JointModel:
     enc = ToyEncoder(dim=16, seed=seed)
     return JointModel(
         encoder=enc,
-        evidence_head=EvidenceHead.create(16, seed=seed + 1),
-        verdict_head=EntailmentHead.create(16, seed=seed + 2),
+        evidence_head=ClassifierHead.create(16, seed=seed + 1),
+        verdict_head=ClassifierHead.create(16, seed=seed + 2),
         max_len=max_len,
         threshold=threshold,
     )

@@ -3,22 +3,36 @@
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from ctrnli.errors import CtrnliError
 from ctrnli.nn import (
     ClassifierHead,
-    EntailmentHead,
-    EvidenceHead,
     Hyperparams,
     SgdwOptimizer,
     WarmupLinearSchedule,
     cross_entropy,
     fit,
-    init_mlp,
     minibatches,
     mlp_backward,
     mlp_forward,
     softmax,
 )
+
+
+def _oracle_init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> dict:
+    """The head initializer as it stood before ``ClassifierHead.create``
+    drew from ``param_shapes``, copied verbatim."""
+    return {
+        "W1": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_hidden)),
+        "b1": np.zeros(d_hidden),
+        "W2": rng.normal(0.0, 1.0 / np.sqrt(d_hidden), size=(d_hidden, d_out)),
+        "b2": np.zeros(d_out),
+    }
+
+
+def three_class_head(dim: int, seed: int = 0) -> ClassifierHead:
+    """A head with three output classes, which ``create`` never builds."""
+    return ClassifierHead(params=_oracle_init_mlp(np.random.default_rng(seed), dim, dim, 3))
 
 
 def _oracle_mlp_backward(params: dict, cache, d_logits: np.ndarray):
@@ -135,7 +149,7 @@ class TestCrossEntropy:
 class TestMlp:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        head = ClassifierHead(params=init_mlp(np.random.default_rng(9), 5, 5, 3))
+        head = three_class_head(5, seed=9)
         x = rng.normal(size=5)
         d_logits = rng.normal(size=3)
 
@@ -203,19 +217,31 @@ class TestMlp:
                 assert np.array_equal(grads[name], expected[name]), name
 
     def test_head_probabilities_normalized(self):
-        head = EvidenceHead.create(dim=8, seed=1)
+        head = ClassifierHead.create(dim=8, seed=1)
         probs = softmax(head.logits(np.random.default_rng(0).normal(size=8)))
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_create_is_seeded(self):
-        a = EntailmentHead.create(dim=6, seed=42)
-        b = EntailmentHead.create(dim=6, seed=42)
+        a = ClassifierHead.create(dim=6, seed=42)
+        b = ClassifierHead.create(dim=6, seed=42)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
+    @pytest.mark.parametrize("dim", [1, 2, 6, 16, 33])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_create_draws_what_the_old_initializer_drew(self, dim, seed):
+        """Bit for bit the old ``init_mlp(rng, dim, dim, 2)``: the same names
+        in the same order, the same dtypes, and the same draws, W1 before W2."""
+        head = ClassifierHead.create(dim, seed=seed)
+        expected = _oracle_init_mlp(np.random.default_rng(seed), dim, dim, 2)
+        assert list(head.params) == list(expected)
+        for name, arr in expected.items():
+            assert head.params[name].dtype == arr.dtype, name
+            assert head.params[name].tobytes() == arr.tobytes(), name
+
     def test_configurable_class_count(self):
-        head = EntailmentHead(params=init_mlp(np.random.default_rng(0), 6, 6, 3))
+        head = three_class_head(6)
         assert head.logits(np.zeros(6)).shape == (3,)
 
 
@@ -360,8 +386,25 @@ class TestMinibatches:
         hp = Hyperparams(epochs=0, batch_size=4)
         assert list(minibatches(10, hp, np.random.default_rng(0))) == []
 
+    def test_steps_over_no_items_are_refused(self):
+        """Steps asked of zero items raise instead of looping forever."""
+        with time_limit(20), pytest.raises(CtrnliError, match="5 training steps .* nothing"):
+            list(minibatches(0, Hyperparams(max_steps=5), np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("max_steps", [None, 0])
+    def test_no_steps_over_no_items_yield_nothing(self, max_steps):
+        hp = Hyperparams(max_steps=max_steps)
+        assert list(minibatches(0, hp, np.random.default_rng(0))) == []
+
 
 class TestFit:
+    def test_steps_over_no_items_are_refused(self):
+        def batch_grads(batch_idx):
+            raise AssertionError("no batch exists")
+
+        with time_limit(20), pytest.raises(CtrnliError, match="nothing to train on"):
+            fit([{}], batch_grads, 0, Hyperparams(max_steps=3), np.random.default_rng(0))
+
     @pytest.mark.parametrize(
         "bad", [float("nan"), [1.0, float("inf"), 0.5]], ids=["loss", "loss-terms"]
     )

@@ -9,7 +9,7 @@ import pytest
 from ctrnli.corpus import LABELS, resolve_premise
 from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence
 from ctrnli.errors import CtrnliError
-from ctrnli.nn import EntailmentHead, EvidenceHead, Hyperparams, softmax
+from ctrnli.nn import ClassifierHead, Hyperparams, softmax
 from ctrnli.pipeline import (
     EVIDENCE_CLASS,
     PipelineModel,
@@ -199,7 +199,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("truncate", [False, True])
     def test_matches_per_pair_loop_bitwise(self, corpus, claims, pooling, truncate):
         encoder = ToyEncoder(dim=16, seed=3)
-        head = EvidenceHead.create(16, seed=4)
+        head = ClassifierHead.create(16, seed=4)
         truncated = 0
         for claim in claims:
             premise = resolve_premise(claim, corpus)
@@ -217,9 +217,9 @@ class TestBatchedScoring:
         encoder = ToyEncoder(dim=16)
         model = PipelineModel(
             evidence_encoder=encoder,
-            evidence_head=EvidenceHead.create(16, seed=1),
+            evidence_head=ClassifierHead.create(16, seed=1),
             entailment_encoder=encoder,
-            entailment_head=EntailmentHead.create(16, seed=2),
+            entailment_head=ClassifierHead.create(16, seed=2),
         )
         for claim in claims:
             before = encoder.encode_calls
@@ -230,7 +230,7 @@ class TestBatchedScoring:
     def test_frozen_encoder_scores_through_encode_batch(self, corpus, claims, pooling):
         toy = ToyEncoder(dim=16, seed=3)
         stub = _StubPretrained(toy)
-        head = EvidenceHead.create(16, seed=4)
+        head = ClassifierHead.create(16, seed=4)
         assert not stub.trainable
         for claim in claims[:5]:
             premise = resolve_premise(claim, corpus)
@@ -272,29 +272,13 @@ class TestTrainingItems:
         expected, _ = select_evidence(probs)
         items = entailment_training_items(
             [claim], corpus, model.encoder.tokenizer, 512,
-            evidence_source="predicted", evidence_model=model, pooling=OVERFIT_POOLING,
+            evidence_model=model, pooling=OVERFIT_POOLING,
         )
         texts = [premise.texts[i] for i in expected]
         from ctrnli.encode import build_entailment_sequence
 
         seq = build_entailment_sequence(model.encoder.tokenizer, claim.text, texts, 512)
         assert items[0][0] == seq.token_ids
-
-    def test_predicted_source_requires_model(self, corpus, claims):
-        from ctrnli.encode import HashingTokenizer
-
-        with pytest.raises(ValueError):
-            entailment_training_items(
-                claims, corpus, HashingTokenizer(), 512, evidence_source="predicted"
-            )
-
-    def test_unknown_source_rejected(self, corpus, claims):
-        from ctrnli.encode import HashingTokenizer
-
-        with pytest.raises(ValueError):
-            entailment_training_items(
-                claims, corpus, HashingTokenizer(), 512, evidence_source="silver"
-            )
 
     def test_missing_gold_raises(self, corpus, claims):
         from dataclasses import replace

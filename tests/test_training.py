@@ -19,13 +19,20 @@ receives them, and as that cast returns them.
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from ctrnli import joint, pipeline
-from ctrnli.corpus import gold_evidence_globals, resolve_premise
+from ctrnli.corpus import (
+    SECTION_NAMES,
+    ClinicalTrialRecord,
+    gold_evidence_globals,
+    parse_claim,
+    resolve_premise,
+)
+from ctrnli.errors import CtrnliError
 from ctrnli.encode import ToyEncoder
 from ctrnli.joint import JointModel, train_joint
 from ctrnli.nn import (
-    EntailmentHead,
-    EvidenceHead,
+    ClassifierHead,
     Hyperparams,
     WarmupLinearSchedule,
     minibatches,
@@ -122,8 +129,8 @@ def _oracle_train_joint(train_claims, corpus, hyperparams, pooling, factory):
     encoder = factory(enc_seed)
     model = JointModel(
         encoder=encoder,
-        evidence_head=EvidenceHead.create(encoder.dim, seed=ev_seed),
-        verdict_head=EntailmentHead.create(encoder.dim, seed=v_seed),
+        evidence_head=ClassifierHead.create(encoder.dim, seed=ev_seed),
+        verdict_head=ClassifierHead.create(encoder.dim, seed=v_seed),
         pooling=pooling,
     )
     examples = []
@@ -181,7 +188,7 @@ def uncast(monkeypatch):
     recorded = []
 
     def recording(encoder, *heads):
-        parts = [encoder.parameters(), *(head.params for head in heads)]
+        parts = [encoder.params, *(head.params for head in heads)]
         recorded.append([{name: arr.copy() for name, arr in p.items()} for p in parts])
         to_stored_precision(encoder, *heads)
 
@@ -202,7 +209,7 @@ def _assert_same_model(uncast: list, result_parts, oracle_parts):
     cast turned them into the values a checkpoint stores: a toy encoder's
     as float32 arrays, a head's as float64 arrays of float32 values."""
     (enc, *heads), (oracle_enc, *oracle_heads) = result_parts, oracle_parts
-    parts = [(enc.parameters(), oracle_enc.parameters(), np.float32)]
+    parts = [(enc.params, oracle_enc.params, np.float32)]
     parts += [(h.params, o.params, np.float64) for h, o in zip(heads, oracle_heads)]
     assert len(uncast[-1]) == len(parts)
     for before, (after, oracle, dtype) in zip(uncast[-1], parts):
@@ -216,7 +223,7 @@ def _assert_same_model(uncast: list, result_parts, oracle_parts):
 def test_evidence_stage_matches_old_loop(corpus, claims, factory, pooling, uncast):
     result = train_evidence_model(claims, corpus, HP, pooling=pooling, encoder_factory=factory)
     encoder, head, curve = _oracle_stage(
-        11, EvidenceHead,
+        11, ClassifierHead,
         lambda tok: evidence_training_items(claims, corpus, tok, 512),
         HP, pooling, factory,
     )
@@ -230,13 +237,11 @@ def test_entailment_stage_matches_old_loop(corpus, claims, factory, source, unca
     evidence = train_evidence_model(claims, corpus, HP, encoder_factory=factory)
     model = evidence if source == "predicted" else None
     result = train_entailment_model(
-        claims, corpus, HP, evidence_source=source, evidence_model=model, encoder_factory=factory
+        claims, corpus, HP, evidence_model=model, encoder_factory=factory
     )
     encoder, head, curve = _oracle_stage(
-        23, EntailmentHead,
-        lambda tok: entailment_training_items(
-            claims, corpus, tok, 512, evidence_source=source, evidence_model=model
-        ),
+        23, ClassifierHead,
+        lambda tok: entailment_training_items(claims, corpus, tok, 512, evidence_model=model),
         HP, "mean", factory,
     )
     assert len(curve) == HP.max_steps and result.loss_curve == curve
@@ -262,3 +267,32 @@ def test_frozen_encoder_is_shared_not_rebuilt(corpus, claims):
     evidence = train_evidence_model(claims, corpus, HP, encoder_factory=lambda seed: ready)
     entailment = train_entailment_model(claims, corpus, HP, encoder_factory=lambda seed: ready)
     assert evidence.encoder is ready and entailment.encoder is ready
+
+
+TRAINERS = pytest.mark.parametrize(
+    "train", [train_evidence_model, train_entailment_model, train_joint],
+    ids=["evidence", "entailment", "joint"],
+)
+
+
+@TRAINERS
+@pytest.mark.parametrize("max_steps", [5, None])
+def test_empty_premise_is_refused(corpus, train, max_steps):
+    """A claim whose premise has no sentence is refused as prediction refuses
+    it. Before, 5 evidence steps over no pair looped forever, and the other
+    stages trained on the bare claim."""
+    empty = {name: () for name in SECTION_NAMES}
+    corpus = {**corpus, "trial-empty": ClinicalTrialRecord("trial-empty", empty)}
+    claim = parse_claim({
+        "claim_id": "claim-empty", "text": "No adverse events.", "section_id": "adverse_events",
+        "primary_ctr": "trial-empty", "label": "Entailment", "evidence": {},
+    })
+    hp = Hyperparams(max_steps=max_steps)
+    with time_limit(20), pytest.raises(CtrnliError, match="claim-empty resolved to an empty"):
+        train([claim], corpus, hp)
+
+
+@TRAINERS
+def test_steps_over_no_claims_are_refused(corpus, train):
+    with time_limit(20), pytest.raises(CtrnliError, match="nothing to train on"):
+        train([], corpus, Hyperparams(max_steps=5))
