@@ -7,7 +7,7 @@ once and serves both tasks from shared representations. Their output
 probabilities can be combined by weighted averaging.
 """
 
-from .config import EncoderConfig, RunConfig
+from .config import EncoderConfig, EnsembleConfig, RunConfig
 from .corpus import (
     LABELS,
     SECTION_NAMES,
@@ -25,7 +25,6 @@ from .corpus import (
 )
 from .encode import HashingTokenizer, PretrainedEncoder, ToyEncoder
 from .ensemble import (
-    EnsembleConfig,
     cap_prediction,
     combine,
     ensemble_predictions,

@@ -20,12 +20,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import EncoderConfig
+from .config import EncoderConfig, RunConfig
 from .corpus import read_json, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .errors import BadCheckpoint, CtrnliError, IoError
 from .joint import JointModel
-from .nn import ClassifierHead, in_unit_interval, is_count
+from .nn import ClassifierHead, is_count
 from .pipeline import PipelineModel
 
 _DTYPE = np.dtype("<f4")
@@ -197,13 +197,13 @@ _SETTINGS = ("max_len", "threshold", "pooling", "inject_arm_prefix")
 
 
 def _settings(config: dict, system: str) -> dict:
-    """The shared settings, checked with the rules a run config obeys."""
-    encoder = EncoderConfig(max_len=config["max_len"], pooling=config["pooling"])
+    """The shared settings, checked by the run config they would make."""
     threshold, inject = config["threshold"], config["inject_arm_prefix"]
-    if not in_unit_interval(threshold):
-        raise BadCheckpoint(f"threshold must be a finite number in [0, 1], got {threshold!r}")
-    if not isinstance(inject, bool):
-        raise BadCheckpoint(f"inject_arm_prefix must be true or false, got {inject!r}")
+    try:
+        encoder = EncoderConfig(max_len=config["max_len"], pooling=config["pooling"])
+        RunConfig(encoder=encoder, threshold=threshold, inject_arm_prefix=inject)
+    except ValueError as exc:
+        raise BadCheckpoint(str(exc)) from None
     return {
         "max_len": encoder.resolved_max_len(system),
         "threshold": float(threshold),

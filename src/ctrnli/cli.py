@@ -20,19 +20,18 @@ from .config import (
     POOLING_CHOICES,
     SECTIONS,
     SYSTEM_CHOICES,
+    TASK_CHOICES,
     RunConfig,
     build_run_config,
     read_config_file,
 )
 from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
 from .encode import PretrainedEncoder, ToyEncoder
-from .ensemble import TASK_CHOICES, ensemble_predictions, load_predictions, save_predictions
+from .ensemble import ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, CtrnliError, UsageError
 from .joint import predict_joint, train_joint
 from .metrics import build_gold_view, build_report, render_table, write_report
 from .pipeline import PipelineModel, predict_pipeline, train_entailment_model, train_evidence_model
-
-logger = logging.getLogger(__name__)
 
 
 def _require(value, what: str):

@@ -1,5 +1,6 @@
 """Run configuration: JSON files with flag overrides layered on top.
 
+This module states the default and the rule of every run setting once.
 A run config names the data, the system (pipeline or joint), the encoder
 backend, and the optimization hyperparameters. Defaults follow the training
 setup the reference systems used: learning rate 1e-5, warmup rate 0.06,
@@ -14,34 +15,39 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import read_json
-from .ensemble import EnsembleConfig
 from .errors import MalformedJson
-from .nn import Hyperparams, in_unit_interval, is_count
+from .nn import Hyperparams, in_unit_interval, is_count, is_finite_number
 
 SYSTEM_CHOICES = ("pipeline", "joint")
 POOLING_CHOICES = ("mean", "first", "max")
 EVIDENCE_SOURCE_CHOICES = ("gold", "predicted")
+TASK_CHOICES = ("both", "evidence", "entailment")
 
+# Every entry point that takes one of these settings defaults to its name
+# here; the functions below the entry points take the setting explicitly.
+DEFAULT_POOLING = "mean"
+DEFAULT_THRESHOLD = 0.5
 # toy-encoder pair inputs stay short; joint inputs pack a whole document
 DEFAULT_MAX_LEN = {"pipeline": 512, "joint": 1024}
+DEFAULT_VOCAB_SIZE, DEFAULT_DIM, DEFAULT_N_LAYERS = 1024, 32, 2
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
     """Which encoder to build and how big its inputs may be.
 
-    ``max_len`` of None means the per-system default (512 for the pipeline's
-    pair inputs, 1024 for the joint document input); otherwise it must leave
-    room for a claim token, a separator and a sentence token (at least 3).
+    ``max_len`` of None means the system's ``DEFAULT_MAX_LEN``; otherwise it
+    must leave room for a claim token, a separator and a sentence token (at
+    least 3).
     ``mixed_precision`` acts on the pretrained backend on CUDA only.
     """
 
     backend: str = "toy"
-    vocab_size: int = 1024
-    dim: int = 32
-    n_layers: int = 2
+    vocab_size: int = DEFAULT_VOCAB_SIZE
+    dim: int = DEFAULT_DIM
+    n_layers: int = DEFAULT_N_LAYERS
     max_len: int | None = None
-    pooling: str = "mean"
+    pooling: str = DEFAULT_POOLING
     model_name: str = ""
     device: str = "cpu"
     mixed_precision: bool = True
@@ -50,7 +56,7 @@ class EncoderConfig:
         if self.backend not in ("toy", "pretrained"):
             raise ValueError(f"unknown encoder backend {self.backend!r}")
         if self.pooling not in POOLING_CHOICES:
-            raise ValueError(f"pooling must be one of {POOLING_CHOICES}")
+            raise ValueError(f"pooling must be one of {POOLING_CHOICES}, got {self.pooling!r}")
         for name, low in (("vocab_size", 3), ("dim", 1), ("n_layers", 0)):
             if not is_count(getattr(self, name), low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
@@ -64,6 +70,34 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
+class EnsembleConfig:
+    """Member weights, the evidence cap and the tasks to average.
+
+    Weights must be finite, non-negative numbers that sum to one, and
+    ``max_evidence`` an integer of at least one. ``tasks`` restricts the
+    averaging to one task; the first prediction passes through unchanged for
+    the other. The evidence threshold is the run's, passed beside this config.
+    """
+
+    w_pipeline: float = 0.4
+    w_joint: float = 0.6
+    max_evidence: int = 20
+    tasks: str = "both"
+
+    def __post_init__(self):
+        for name in ("w_pipeline", "w_joint"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if abs(self.w_pipeline + self.w_joint - 1.0) > 1e-9:
+            raise ValueError("ensemble weights must sum to 1")
+        if not is_count(self.max_evidence, 1):
+            raise ValueError(f"max_evidence must be an integer >= 1, got {self.max_evidence!r}")
+        if self.tasks not in TASK_CHOICES:
+            raise ValueError(f"tasks must be one of {TASK_CHOICES}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one command invocation needs."""
 
@@ -74,7 +108,7 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     evidence_source: str = "gold"
     inject_arm_prefix: bool = False
     lenient: bool = False

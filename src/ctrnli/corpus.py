@@ -321,8 +321,6 @@ def load_claims(
     data = read_json(path)
     if not isinstance(data, list):
         raise MalformedJson(f"{path}: claim file must be a JSON list")
-    if not data:
-        logger.warning("claim file %s is empty", path)
 
     parsed = [parse_claim(obj) for obj in data]
     check_unique_claim_ids((claim.claim_id for claim in parsed), str(path))

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_DIM, DEFAULT_N_LAYERS, DEFAULT_VOCAB_SIZE, POOLING_CHOICES
 from .corpus import PremiseDoc, normalize_text
 from .errors import BackendUnavailable, CtrnliError, UsageError
 from .nn import scaled_sum
@@ -115,7 +116,7 @@ class HashingTokenizer:
     cyclic garbage collector runs (86-88 MB against 77.3 when measured).
     """
 
-    def __init__(self, vocab_size: int = 1024):
+    def __init__(self, vocab_size: int = DEFAULT_VOCAB_SIZE):
         if vocab_size <= NUM_RESERVED:
             raise ValueError("vocab_size must exceed the reserved id count")
         self.vocab_size = vocab_size
@@ -232,7 +233,7 @@ def build_entailment_sequence(tokenizer, claim: str, evidence_texts: Sequence[st
 # --- pooling -------------------------------------------------------------------
 
 
-def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str = "mean") -> np.ndarray:
+def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str) -> np.ndarray:
     """Half-open ``span``'s rows reduced to one vector: one span of :func:`pool_spans`."""
     if not (0 <= span[0] < span[1] <= matrix.shape[0]):
         raise CtrnliError(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
@@ -248,28 +249,25 @@ def _offset_major(matrix: np.ndarray, starts: np.ndarray, lengths: np.ndarray, f
     return block
 
 
-def pool_spans(
-    matrix: np.ndarray, spans: Sequence[tuple[int, int]], mode: str = "mean"
-) -> np.ndarray:
+def pool_spans(matrix: np.ndarray, spans: Sequence[tuple[int, int]], mode: str) -> np.ndarray:
     """Pool each half-open span of ``matrix`` rows; one row per span.
 
     Spans must be non-empty and in increasing order (they may touch). Each
-    mode is one reduction over the batch; mean sums an offset-major block
-    row by row, as ``.mean(axis=0)`` sums a span of two or more columns.
+    mode is one reduction over the batch; mean and max fold an offset-major
+    block row by row, as ``.mean(axis=0)`` and ``.max(axis=0)`` fold a span
+    of two or more columns (so max breaks a ``0.0``/``-0.0`` tie as they do).
     """
     if not spans:
         return np.zeros((0, matrix.shape[1]))
-    if mode == "max":
-        # reduce over [s0, e0), [e0, s1), [s1, e1), ... and keep the even segments
-        edges = np.ravel(spans)
-        return np.ascontiguousarray(np.maximum.reduceat(matrix[: edges[-1]], edges[:-1])[::2])
     if mode == "first":
         return matrix[[start for start, _ in spans]]
-    if mode != "mean":
+    if mode not in ("mean", "max"):
         raise ValueError(f"unknown pooling mode '{mode}'")
-    # an empty spare span, so .sum never meets a lone column, which it would add
-    # pairwise; the -0.0 past each span's end changes no float
+    # an empty spare span, so the fold never meets a lone column, which numpy
+    # reduces pairwise; the fill past each span's end changes no float
     starts, ends = np.asarray([*spans, (0, 0)]).T
+    if mode == "max":
+        return _offset_major(matrix, starts, ends - starts, -np.inf).max(axis=0)[:-1]
     sums = _offset_major(matrix, starts, ends - starts, -0.0).sum(axis=0)[:-1]
     return sums / (ends - starts)[:-1, None].astype(matrix.dtype)
 
@@ -278,7 +276,7 @@ def pool_span_backward(
     d_pooled: np.ndarray,
     matrix: np.ndarray,
     span: tuple[int, int],
-    mode: str = "mean",
+    mode: str,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The one-span case of :func:`pool_spans_backward`, with ``out`` as there."""
@@ -289,7 +287,7 @@ def pool_spans_backward(
     d_pooled: np.ndarray,
     matrix: np.ndarray,
     spans: Sequence[tuple[int, int]],
-    mode: str = "mean",
+    mode: str,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of :func:`pool_spans` wrt the matrix (zero outside the spans).
@@ -302,7 +300,7 @@ def pool_spans_backward(
     place and ``out`` is returned; otherwise it lands in a fresh zero matrix.
     """
     grad = np.zeros_like(matrix) if out is None else out
-    if mode not in ("mean", "first", "max"):
+    if mode not in POOLING_CHOICES:
         raise ValueError(f"unknown pooling mode '{mode}'")
     if not len(spans):
         return grad
@@ -400,8 +398,8 @@ class ToyEncoder:
     backend = "toy"
     trainable = True
 
-    def __init__(self, vocab_size: int = 1024, dim: int = 32, n_layers: int = 2, seed: int = 0,
-                 params: dict | None = None):
+    def __init__(self, vocab_size: int = DEFAULT_VOCAB_SIZE, dim: int = DEFAULT_DIM,
+                 n_layers: int = DEFAULT_N_LAYERS, seed: int = 0, params: dict | None = None):
         """Draws the parameters from ``seed`` unless given ``params`` of :meth:`param_shapes`."""
         self.vocab_size = vocab_size
         self.dim = dim

@@ -12,49 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
+from .config import DEFAULT_THRESHOLD, TASK_CHOICES, EnsembleConfig  # noqa: F401  re-exported
 from .corpus import check_unique_claim_ids, read_json, write_text
 from .errors import CtrnliError, MalformedJson
-from .nn import is_count, is_finite_number
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
-
-TASK_CHOICES = ("both", "evidence", "entailment")
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Member weights, the evidence cap and the tasks to average.
-
-    Weights must be finite, non-negative numbers that sum to one, and
-    ``max_evidence`` an integer of at least one. ``tasks`` restricts the
-    averaging to one task; the first prediction passes through unchanged for
-    the other. The evidence threshold is the run's, passed beside this config.
-    """
-
-    w_pipeline: float = 0.4
-    w_joint: float = 0.6
-    max_evidence: int = 20
-    tasks: str = "both"
-
-    def __post_init__(self):
-        for name in ("w_pipeline", "w_joint"):
-            value = getattr(self, name)
-            if not (is_finite_number(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if abs(self.w_pipeline + self.w_joint - 1.0) > 1e-9:
-            raise ValueError("ensemble weights must sum to 1")
-        if not is_count(self.max_evidence, 1):
-            raise ValueError(f"max_evidence must be an integer >= 1, got {self.max_evidence!r}")
-        if self.tasks not in TASK_CHOICES:
-            raise ValueError(f"tasks must be one of {TASK_CHOICES}")
 
 
 def combine(
-    pred_a: SystemPrediction, pred_b: SystemPrediction, cfg: EnsembleConfig, threshold: float = 0.5
+    pred_a: SystemPrediction, pred_b: SystemPrediction, cfg: EnsembleConfig, threshold: float
 ) -> SystemPrediction:
     """Average two predictions for the same claim; evidence is selected at ``threshold``.
 
@@ -119,7 +88,7 @@ def ensemble_predictions(
     preds_a: Sequence[SystemPrediction],
     preds_b: Sequence[SystemPrediction],
     cfg: EnsembleConfig,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> list[SystemPrediction]:
     """Combine two prediction lists claim by claim, then cap the evidence.
 

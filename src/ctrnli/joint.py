@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_MAX_LEN, DEFAULT_POOLING, DEFAULT_THRESHOLD
 from .corpus import (
     LABELS,
     ClaimInstance,
@@ -66,9 +67,9 @@ class JointModel:
     encoder: object
     evidence_head: ClassifierHead
     verdict_head: ClassifierHead
-    max_len: int = 1024
-    threshold: float = 0.5
-    pooling: str = "mean"
+    max_len: int = DEFAULT_MAX_LEN["joint"]
+    threshold: float = DEFAULT_THRESHOLD
+    pooling: str = DEFAULT_POOLING
     inject_arm_prefix: bool = False
 
 
@@ -275,9 +276,9 @@ def train_joint(
     train_claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
-    max_len: int = 1024,
-    threshold: float = 0.5,
-    pooling: str = "mean",
+    max_len: int = DEFAULT_MAX_LEN["joint"],
+    threshold: float = DEFAULT_THRESHOLD,
+    pooling: str = DEFAULT_POOLING,
     inject_arm_prefix: bool = False,
     encoder_factory=None,
 ) -> JointTrainResult:

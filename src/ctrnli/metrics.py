@@ -25,6 +25,7 @@ from .corpus import (
     write_text,
 )
 from .errors import CtrnliError, MalformedJson
+from .nn import in_unit_interval
 from .pipeline import SystemPrediction
 
 
@@ -117,6 +118,16 @@ def _gold_for(pred: SystemPrediction, golds: Mapping[str, GoldClaim]) -> GoldCla
     return golds[pred.claim_id]
 
 
+def _evidence_prf(per_claim: Sequence[tuple[int, int, int, int]], mode: str) -> PRF:
+    """The micro or macro PRF of per-claim confusion counts."""
+    totals = tuple(map(sum, zip(*per_claim)))
+    if mode == "micro":
+        return PRF.from_counts(*totals)
+    rates = [PRF.from_counts(*c) for c in per_claim]
+    keys = ("precision", "recall", "f1")
+    return PRF(*(sum(getattr(r, key) for r in rates) / len(rates) for key in keys), *totals)
+
+
 def evidence_metrics(
     predictions: Sequence[SystemPrediction],
     golds: Mapping[str, GoldClaim],
@@ -127,66 +138,43 @@ def evidence_metrics(
         raise ValueError(f"unknown aggregation mode {mode!r}")
     if not predictions:
         raise CtrnliError("no predictions to score")
-    per_claim = [_claim_counts(p, _gold_for(p, golds)) for p in predictions]
-    totals = tuple(sum(c[i] for c in per_claim) for i in range(4))
-    if mode == "micro":
-        return PRF.from_counts(*totals)
-    rates = [PRF.from_counts(*c) for c in per_claim]
-    n = len(rates)
-    return PRF(
-        precision=sum(r.precision for r in rates) / n,
-        recall=sum(r.recall for r in rates) / n,
-        f1=sum(r.f1 for r in rates) / n,
-        tp=totals[0],
-        fp=totals[1],
-        fn=totals[2],
-        tn=totals[3],
-    )
+    return _evidence_prf([_claim_counts(p, _gold_for(p, golds)) for p in predictions], mode)
 
 
 def _label_counts(
-    predictions: Sequence[SystemPrediction],
-    golds: Mapping[str, GoldClaim],
-    positive: str,
+    predictions: Sequence[SystemPrediction], golds: Mapping[str, GoldClaim]
 ) -> tuple[int, int, int, int]:
-    tp = fp = fn = tn = 0
+    """Verdict confusion counts (tp, fp, fn, tn) with Entailment as the
+    positive class; reversed, they are Contradiction's. A gold label outside
+    ``LABELS`` raises :class:`CtrnliError`."""
+    if not predictions:
+        raise CtrnliError("no predictions to score")
+    counts = [0, 0, 0, 0]
     for pred in predictions:
-        gold = _gold_for(pred, golds)
-        if gold.label is None:
-            raise CtrnliError(f"claim {pred.claim_id} has no gold label")
-        hit_pos = pred.verdict == positive
-        is_pos = gold.label == positive
-        if hit_pos and is_pos:
-            tp += 1
-        elif hit_pos:
-            fp += 1
-        elif is_pos:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
+        label = _gold_for(pred, golds).label
+        if label not in LABELS:
+            what = "no gold label" if label is None else f"gold label {label!r} outside {LABELS}"
+            raise CtrnliError(f"claim {pred.claim_id} has {what}")
+        counts[2 * (pred.verdict != LABELS[0]) + (label != LABELS[0])] += 1
+    return tuple(counts)
+
+
+def _macro_f1(counts: tuple[int, int, int, int]) -> float:
+    return (PRF.from_counts(*counts).f1 + PRF.from_counts(*counts[::-1]).f1) / len(LABELS)
 
 
 def entailment_metrics(
     predictions: Sequence[SystemPrediction], golds: Mapping[str, GoldClaim]
 ) -> PRF:
     """Score verdicts with Entailment as the positive class."""
-    if not predictions:
-        raise CtrnliError("no predictions to score")
-    return PRF.from_counts(*_label_counts(predictions, golds, LABELS[0]))
+    return PRF.from_counts(*_label_counts(predictions, golds))
 
 
 def entailment_macro_f1(
     predictions: Sequence[SystemPrediction], golds: Mapping[str, GoldClaim]
 ) -> float:
     """Mean of the two per-class F1 scores."""
-    if not predictions:
-        raise CtrnliError("no predictions to score")
-    scores = []
-    for label in LABELS:
-        prf = PRF.from_counts(*_label_counts(predictions, golds, label))
-        scores.append(prf.f1)
-    return sum(scores) / len(scores)
+    return _macro_f1(_label_counts(predictions, golds))
 
 
 @dataclass(frozen=True)
@@ -234,10 +222,12 @@ def build_report(
         raise CtrnliError(
             f"{len(missing)} labelled claim(s) have no prediction, the first is '{missing[0]}'"
         )
-    rows = []
+    verdicts = _label_counts(predictions, golds)  # refuses an empty list
+    rows, per_claim = [], []
     for pred in predictions:
         gold = _gold_for(pred, golds)
-        tp, fp, fn, tn = _claim_counts(pred, gold)
+        tp, fp, fn, tn = counts = _claim_counts(pred, gold)
+        per_claim.append(counts)
         row = {
             "claim_id": pred.claim_id,
             "n_selected": len(pred.selected),
@@ -252,10 +242,10 @@ def build_report(
             row["challenge"] = gold.challenge
         rows.append(row)
     return MetricsReport(
-        evidence_micro=evidence_metrics(predictions, golds, "micro"),
-        evidence_macro=evidence_metrics(predictions, golds, "macro"),
-        entailment=entailment_metrics(predictions, golds),
-        entailment_macro_f1=entailment_macro_f1(predictions, golds),
+        evidence_micro=_evidence_prf(per_claim, "micro"),
+        evidence_macro=_evidence_prf(per_claim, "macro"),
+        entailment=PRF.from_counts(*verdicts),
+        entailment_macro_f1=_macro_f1(verdicts),
         per_claim=tuple(rows),
         metadata=dict(metadata or {}),
     )
@@ -268,8 +258,15 @@ def write_report(report: MetricsReport, path: str | Path) -> None:
 
 def render_table(obj: Mapping) -> str:
     """Aligned text table of a report's JSON form (schema metrics/1): one
-    metric per row, one task block per column. A missing or mistyped field
-    raises :class:`MalformedJson`."""
+    metric per row, one task block per column. A missing or mistyped field,
+    or a metric that is not a finite number in [0, 1], raises
+    :class:`MalformedJson`."""
+
+    def rate(column: Mapping, key: str) -> float:
+        if not in_unit_interval(column[key]):
+            raise ValueError(f"{key} {column[key]!r} is not a number in [0, 1]")
+        return float(column[key])
+
     try:
         if obj.get("schema") != "metrics/1":
             raise MalformedJson(f"unsupported report schema {obj.get('schema')!r}")
@@ -277,10 +274,10 @@ def render_table(obj: Mapping) -> str:
         n_fallback = sum(1 for row in per_claim if row["fallback_used"])
         columns = (obj["evidence"]["micro"], obj["evidence"]["macro"], obj["entailment"])
         rows = [
-            (name, *(float(column[key]) for column in columns))
+            (name, *(rate(column, key) for column in columns))
             for name, key in (("Precision", "precision"), ("Recall", "recall"), ("F1", "f1"))
         ]
-        macro_f1 = float(obj["entailment"]["macro_f1"])
+        macro_f1 = rate(obj["entailment"], "macro_f1")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedJson(f"malformed metrics/1 report: {type(exc).__name__}: {exc}") from None
     header = f"{'':<12}{'Evidence (micro)':>18}{'Evidence (macro)':>18}{'Entailment':>14}"

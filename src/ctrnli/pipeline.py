@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_MAX_LEN, DEFAULT_POOLING, DEFAULT_THRESHOLD
 from .corpus import (
     LABELS,
     ClaimInstance,
@@ -127,9 +128,7 @@ class SystemPrediction:
             raise MalformedJson(f"malformed prediction {obj.get('claim_id')!r}: {what}") from None
 
 
-def select_evidence(
-    probs: Sequence[float], threshold: float = 0.5
-) -> tuple[tuple[int, ...], bool]:
+def select_evidence(probs: Sequence[float], threshold: float) -> tuple[tuple[int, ...], bool]:
     """The sorted indices {i : p_i > threshold} and whether the fallback was used.
 
     Strictly greater, so p_i == threshold is out. When nothing clears the
@@ -165,8 +164,8 @@ def score_evidence(
     premise: PremiseDoc,
     encoder,
     head: ClassifierHead,
-    max_len: int = 512,
-    pooling: str = "mean",
+    max_len: int,
+    pooling: str,
 ) -> list[float]:
     """One evidence probability per premise sentence.
 
@@ -187,8 +186,8 @@ def classify_entailment(
     selected: Sequence[int],
     encoder,
     head: ClassifierHead,
-    max_len: int = 512,
-    pooling: str = "mean",
+    max_len: int,
+    pooling: str,
 ) -> tuple[tuple[float, float], str]:
     """Class distribution and verdict for the claim given selected evidence.
 
@@ -211,7 +210,7 @@ def classify_entailment(
 
 
 def sequence_classification_grads(
-    encoder, head, items: Sequence[tuple[tuple[int, ...], int]], pooling: str = "mean"
+    encoder, head, items: Sequence[tuple[tuple[int, ...], int]], pooling: str
 ):
     """Mean cross-entropy over (token_ids, target) items, with gradients.
 
@@ -291,8 +290,8 @@ def train_evidence_model(
     train_claims: Sequence[ClaimInstance],
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
-    max_len: int = 512,
-    pooling: str = "mean",
+    max_len: int = DEFAULT_MAX_LEN["pipeline"],
+    pooling: str = DEFAULT_POOLING,
     inject_arm_prefix: bool = False,
     encoder_factory=None,
 ) -> TrainResult:
@@ -309,8 +308,9 @@ def entailment_training_items(
     tokenizer,
     max_len: int,
     evidence_model: TrainResult | None = None,
-    threshold: float = 0.5,
-    pooling: str = "mean",
+    *,
+    threshold: float,
+    pooling: str,
     inject_arm_prefix: bool = False,
 ):
     """All (sequence token ids, verdict target) items across the claims.
@@ -345,9 +345,9 @@ def train_entailment_model(
     corpus: Mapping[str, ClinicalTrialRecord],
     hyperparams: Hyperparams,
     evidence_model: TrainResult | None = None,
-    max_len: int = 512,
-    threshold: float = 0.5,
-    pooling: str = "mean",
+    max_len: int = DEFAULT_MAX_LEN["pipeline"],
+    threshold: float = DEFAULT_THRESHOLD,
+    pooling: str = DEFAULT_POOLING,
     inject_arm_prefix: bool = False,
     encoder_factory=None,
 ) -> TrainResult:
@@ -356,8 +356,8 @@ def train_entailment_model(
     return _train_stage(
         _ENTAILMENT_SEED_SALT, hyperparams, pooling, encoder_factory,
         lambda tok: entailment_training_items(
-            train_claims, corpus, tok, max_len, evidence_model, threshold, pooling,
-            inject_arm_prefix,
+            train_claims, corpus, tok, max_len, evidence_model,
+            threshold=threshold, pooling=pooling, inject_arm_prefix=inject_arm_prefix,
         ),
     )
 
@@ -373,9 +373,9 @@ class PipelineModel:
     evidence_head: ClassifierHead
     entailment_encoder: object
     entailment_head: ClassifierHead
-    max_len: int = 512
-    threshold: float = 0.5
-    pooling: str = "mean"
+    max_len: int = DEFAULT_MAX_LEN["pipeline"]
+    threshold: float = DEFAULT_THRESHOLD
+    pooling: str = DEFAULT_POOLING
     inject_arm_prefix: bool = False
 
 

@@ -236,6 +236,7 @@ def test_a3_ensemble_averaging_algebra(verdict):
         _consistent_prediction("w", (0.9,), 0.8),
         _consistent_prediction("w", (0.7,), 0.5),
         EnsembleConfig(),
+        0.5,
     )
     assert abs(worked.class_probs[0] - 0.62) <= 1e-12
     assert abs(worked.class_probs[1] - 0.38) <= 1e-12
@@ -247,18 +248,18 @@ def test_a3_ensemble_averaging_algebra(verdict):
         a = _consistent_prediction(f"p{pair}", tuple(rng.random(n)), float(rng.random()))
         b = _consistent_prediction(f"p{pair}", tuple(rng.random(n)), float(rng.random()))
 
-        same = combine(a, a, EnsembleConfig())
+        same = combine(a, a, EnsembleConfig(), 0.5)
         assert np.allclose(same.evidence_probs, a.evidence_probs, atol=1e-9, rtol=0.0)
         assert np.allclose(same.class_probs, a.class_probs, atol=1e-9, rtol=0.0)
         assert same.selected == a.selected
         assert same.verdict == a.verdict
         assert same.fallback_used == a.fallback_used
 
-        assert combine(a, b, EnsembleConfig(w_pipeline=1.0, w_joint=0.0)) == a
-        assert combine(a, b, EnsembleConfig(w_pipeline=0.0, w_joint=1.0)) == b
+        assert combine(a, b, EnsembleConfig(w_pipeline=1.0, w_joint=0.0), 0.5) == a
+        assert combine(a, b, EnsembleConfig(w_pipeline=0.0, w_joint=1.0), 0.5) == b
 
         w = float(rng.random())
-        mixed = combine(a, b, EnsembleConfig(w_pipeline=w, w_joint=1.0 - w))
+        mixed = combine(a, b, EnsembleConfig(w_pipeline=w, w_joint=1.0 - w), 0.5)
         for lo_hi, got in (
             (zip(a.evidence_probs, b.evidence_probs), mixed.evidence_probs),
             (zip(a.class_probs, b.class_probs), mixed.class_probs),

@@ -155,7 +155,8 @@ def test_predicted_evidence_items_survive_the_reload(corpus, claims, pipeline_mo
     items = [
         entailment_training_items(
             claims, corpus, model.entailment_encoder.tokenizer, 512,
-            TrainResult(model.evidence_encoder, model.evidence_head), pooling=model.pooling,
+            TrainResult(model.evidence_encoder, model.evidence_head), threshold=0.5,
+            pooling=model.pooling,
         )
         for model in (pipeline_model, loaded)
     ]

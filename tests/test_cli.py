@@ -1066,6 +1066,45 @@ class TestEvaluateAndReport:
         assert main(["report", "--report", str(path)]) == 1
         _one_line_error(capsys, "high")
 
+    @staticmethod
+    def _report_obj(rate):
+        rates = {"precision": rate, "recall": rate, "f1": rate}
+        return {
+            "schema": "metrics/1",
+            "per_claim": [],
+            "evidence": {"micro": dict(rates), "macro": dict(rates)},
+            "entailment": {**rates, "macro_f1": rate},
+        }
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.25])
+    def test_report_of_rates_in_the_unit_interval_renders(self, tmp_path, capsys, rate):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(self._report_obj(rate)))
+        assert main(["report", "--report", str(path)]) == 0
+        assert f"{rate:.4f}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [(b, k) for b in ("micro", "macro", "entailment") for k in ("precision", "recall", "f1")]
+        + [("entailment", "macro_f1")],
+    )
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf"), -1, 2, True],
+        ids=["10**400", "NaN", "Infinity", "-1", "2", "true"],
+    )
+    def test_report_metric_that_is_not_a_rate_is_data_error(
+        self, tmp_path, capsys, block, key, value
+    ):
+        """Each of the ten cells the table reads must be a finite number in
+        [0, 1]: an integer past the float range, a non-finite number, a
+        value outside [0, 1] and a bool each end in one line, exit 1."""
+        obj = self._report_obj(0.5)
+        (obj["entailment"] if block == "entailment" else obj["evidence"][block])[key] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(obj))
+        assert main(["report", "--report", str(path)]) == 1
+        _one_line_error(capsys, "error: malformed metrics/1 report", key)
+
 
 def test_every_flag_names_a_config_field_or_a_command_argument():
     """Flags reach the config by dest name, so a mistyped dest would be

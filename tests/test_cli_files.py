@@ -168,6 +168,47 @@ def test_damaged_file_ends_in_its_exit_code(workspace, target, damage, expected)
     _check(code, lines, expected)
 
 
+def _empty_list(path, original):
+    path.write_text("[]")
+
+
+def _train(ws):
+    return [
+        "train", "--corpus", ws / "corpus.json", "--claims", ws / "claims", "--split", "dev",
+        "--seed", "0", "--max-steps", "1", "--out", ws / "trained",
+    ]
+
+
+def _validate(ws):
+    return ["validate", "--corpus", ws / "corpus.json", "--claims", ws / "claims", "--split", "dev"]
+
+
+# every command that reads a data file, with the file it reads, when that
+# file holds an empty JSON list: (file, command, exit code, stderr lines)
+_EMPTY_LIST_RUNS = {
+    **{target: (rel, command, None, None) for target, (rel, command) in TARGETS.items()},
+    "claims-validate": ("claims/dev.json", _validate, 0, 0),
+    "claims-train": ("claims/dev.json", _train, 2, 1),
+    "claims-predict": ("claims/dev.json", _predict, 0, 0),
+    "claims-evaluate": ("claims/dev.json", _evaluate, 1, 1),
+    "predictions-evaluate": ("joint.json", _evaluate, 1, 1),
+}
+
+
+@pytest.mark.parametrize("target", _EMPTY_LIST_RUNS)
+def test_empty_list_ends_in_at_most_one_line(workspace, target):
+    """A file holding ``[]`` is reported by the command that acted on it
+    (``0 predictions written``, ``no labeled claims to train on``, ``no
+    predictions to score``...), in at most one line."""
+    rel, command, code_expected, n_lines = _EMPTY_LIST_RUNS[target]
+    with _damaged(workspace, rel, _empty_list):
+        code, lines = _run(command(workspace))
+    shutil.rmtree(workspace / "trained", ignore_errors=True)
+    _check(code, lines)
+    if code_expected is not None:
+        assert (code, len(lines)) == (code_expected, n_lines), (code, lines)
+
+
 def test_missing_checkpoint_directory_is_a_usage_error(workspace, tmp_path):
     argv = _predict(workspace)
     argv[argv.index("--checkpoint") + 1] = tmp_path / "nope"

@@ -460,7 +460,7 @@ class TestSpanPooling:
 
     def test_empty_span(self):
         with pytest.raises(CtrnliError, match=r"span \(4, 4\) invalid for matrix of 12 rows"):
-            pool_span(self.matrix, (4, 4))
+            pool_span(self.matrix, (4, 4), "mean")
 
     @pytest.mark.parametrize("mode", ["mean", "first", "max"])
     @pytest.mark.parametrize(
@@ -639,11 +639,11 @@ class TestCacheFreeForward:
         claim = ClaimInstance("c", "the claim has eight words in its text", "s", "t")
         enc = ToyEncoder(seed=3)
         head = ClassifierHead.create(enc.dim)
-        score_evidence(claim, premise, enc, head)  # fill the tokenizer memo first
+        score_evidence(claim, premise, enc, head, 512, "mean")  # fill the tokenizer memo first
         matrix_bytes = 80 * (24 + 1 + 8) * enc.dim * 8
         tracemalloc.start()
         try:
-            score_evidence(claim, premise, enc, head)
+            score_evidence(claim, premise, enc, head, 512, "mean")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

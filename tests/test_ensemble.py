@@ -103,14 +103,14 @@ class TestCombine:
         """0.4 * 0.8 + 0.6 * 0.5 = 0.62 on the first class."""
         a = _pred(cp=(0.8, 0.2))
         b = _pred(cp=(0.5, 0.5))
-        out = combine(a, b, DEFAULT)
+        out = combine(a, b, DEFAULT, 0.5)
         assert abs(out.class_probs[0] - 0.62) < 1e-12
         assert abs(out.class_probs[1] - 0.38) < 1e-12
         assert out.verdict == "Entailment"
 
     def test_identity(self):
         a = _pred(ev=(0.9, 0.3, 0.7), cp=(0.25, 0.75))
-        out = combine(a, a, DEFAULT)
+        out = combine(a, a, DEFAULT, 0.5)
         np.testing.assert_allclose(out.evidence_probs, a.evidence_probs, atol=1e-12)
         np.testing.assert_allclose(out.class_probs, a.class_probs, atol=1e-12)
         assert out.selected == a.selected
@@ -120,15 +120,15 @@ class TestCombine:
     def test_degenerate_weights_reproduce_members(self):
         a = _pred(ev=(0.9, 0.1), cp=(0.8, 0.2))
         b = _pred(ev=(0.2, 0.6), cp=(0.3, 0.7))
-        only_a = combine(a, b, EnsembleConfig(w_pipeline=1.0, w_joint=0.0))
-        only_b = combine(a, b, EnsembleConfig(w_pipeline=0.0, w_joint=1.0))
+        only_a = combine(a, b, EnsembleConfig(w_pipeline=1.0, w_joint=0.0), 0.5)
+        only_b = combine(a, b, EnsembleConfig(w_pipeline=0.0, w_joint=1.0), 0.5)
         assert only_a == a
         assert only_b == b
 
     def test_convexity(self):
         a = _pred(ev=(0.9, 0.1, 0.4), cp=(0.8, 0.2))
         b = _pred(ev=(0.2, 0.6, 0.5), cp=(0.3, 0.7))
-        out = combine(a, b, DEFAULT)
+        out = combine(a, b, DEFAULT, 0.5)
         for p, pa, pb in zip(out.evidence_probs, a.evidence_probs, b.evidence_probs):
             assert min(pa, pb) - 1e-12 <= p <= max(pa, pb) + 1e-12
         for p, pa, pb in zip(out.class_probs, a.class_probs, b.class_probs):
@@ -138,7 +138,7 @@ class TestCombine:
         # a selects {0}, b selects {1}; the average selects only index 1
         a = _pred(ev=(0.6, 0.45))
         b = _pred(ev=(0.3, 0.9))
-        out = combine(a, b, DEFAULT)
+        out = combine(a, b, DEFAULT, 0.5)
         expected, _ = select_evidence(out.evidence_probs, 0.5)
         assert set(out.selected) == set(expected)
         assert out.selected == (1,)
@@ -146,38 +146,38 @@ class TestCombine:
     def test_threshold_argument_gates_the_averaged_probs(self):
         """Averages (0.4, 0.35, 0.1): fallback to [0] at 0.5, both above 0.3."""
         a = b = _pred(ev=(0.4, 0.35, 0.1))
-        assert combine(a, b, DEFAULT).selected == (0,)
+        assert combine(a, b, DEFAULT, 0.5).selected == (0,)
         assert combine(a, b, DEFAULT, 0.3).selected == (0, 1)
         assert ensemble_predictions([a], [b], DEFAULT, 0.3)[0].selected == (0, 1)
 
     def test_fallback_recomputed(self):
         a = _pred(ev=(0.55, 0.1))
         b = _pred(ev=(0.4, 0.3))
-        out = combine(a, b, DEFAULT)
+        out = combine(a, b, DEFAULT, 0.5)
         # averaged probs are (0.46, 0.22): nothing clears 0.5
         assert out.fallback_used
         assert out.selected == (0,)
 
     def test_mismatched_claim(self):
         with pytest.raises(CtrnliError, match="cannot combine predictions for 'x' and 'y'"):
-            combine(_pred(claim_id="x"), _pred(claim_id="y"), DEFAULT)
+            combine(_pred(claim_id="x"), _pred(claim_id="y"), DEFAULT, 0.5)
 
     def test_mismatched_premise_length(self):
         with pytest.raises(CtrnliError, match="premise lengths 2 != 3"):
-            combine(_pred(ev=(0.9, 0.1)), _pred(ev=(0.9, 0.1, 0.5)), DEFAULT)
+            combine(_pred(ev=(0.9, 0.1)), _pred(ev=(0.9, 0.1, 0.5)), DEFAULT, 0.5)
 
     def test_never_caps(self):
         """Averaging leaves large selections alone; the cap is separate."""
         n = 30
         a = _pred(ev=tuple([0.9] * n))
         b = _pred(ev=tuple([0.8] * n))
-        out = combine(a, b, DEFAULT)
+        out = combine(a, b, DEFAULT, 0.5)
         assert len(out.selected) == 30
 
     def test_evidence_only_restriction(self):
         a = _pred(ev=(0.9, 0.1), cp=(0.8, 0.2))
         b = _pred(ev=(0.2, 0.9), cp=(0.1, 0.9))
-        out = combine(a, b, EnsembleConfig(tasks="evidence"))
+        out = combine(a, b, EnsembleConfig(tasks="evidence"), 0.5)
         assert out.class_probs == a.class_probs
         assert out.verdict == a.verdict
         assert out.evidence_probs != a.evidence_probs
@@ -185,7 +185,7 @@ class TestCombine:
     def test_entailment_only_restriction(self):
         a = _pred(ev=(0.9, 0.1), cp=(0.8, 0.2))
         b = _pred(ev=(0.2, 0.9), cp=(0.1, 0.9))
-        out = combine(a, b, EnsembleConfig(tasks="entailment"))
+        out = combine(a, b, EnsembleConfig(tasks="entailment"), 0.5)
         assert out.evidence_probs == a.evidence_probs
         assert out.selected == a.selected
         assert out.class_probs != a.class_probs

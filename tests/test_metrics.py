@@ -186,7 +186,7 @@ class TestEntailmentMetrics:
         with pytest.raises(CtrnliError, match="claim c has no gold label"):
             entailment_metrics(preds, golds)
 
-    @pytest.mark.parametrize("score", [entailment_metrics, entailment_macro_f1])
+    @pytest.mark.parametrize("score", [entailment_metrics, entailment_macro_f1, build_report])
     def test_empty_predictions_rejected(self, score):
         with pytest.raises(CtrnliError, match="no predictions to score"):
             score([], {})
@@ -263,6 +263,14 @@ class TestReport:
         }
         with pytest.raises(CtrnliError, match="claim c1 has no gold label"):
             build_report([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
+
+    @pytest.mark.parametrize("score", [build_report, entailment_metrics, entailment_macro_f1])
+    def test_gold_label_outside_labels_refused(self, score):
+        """A library-built gold claim labelled neither Entailment nor
+        Contradiction would count as a negative for both classes."""
+        golds = {"c0": _gold("c0", {0}, 2, "Entailment"), "c1": _gold("c1", {1}, 2, "Neutral")}
+        with pytest.raises(CtrnliError, match="claim c1 has gold label 'Neutral' outside"):
+            score([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
 
     def test_repeated_prediction_refused(self):
         golds = {"c0": _gold("c0", {0}, 2, "Entailment")}

@@ -117,7 +117,7 @@ class TestScoreAndClassify:
         premise = resolve_premise(claim, corpus)
         probs = score_evidence(
             claim, premise, pipeline_model.evidence_encoder, pipeline_model.evidence_head,
-            pooling=OVERFIT_POOLING,
+            max_len=512, pooling=OVERFIT_POOLING,
         )
         assert len(probs) == premise.n
         assert all(0.0 <= p <= 1.0 for p in probs)
@@ -128,7 +128,8 @@ class TestScoreAndClassify:
         empty = type(premise)(texts=(), spans={})
         with pytest.raises(CtrnliError, match="resolved to an empty premise"):
             score_evidence(
-                claim, empty, pipeline_model.evidence_encoder, pipeline_model.evidence_head
+                claim, empty, pipeline_model.evidence_encoder, pipeline_model.evidence_head,
+                512, "mean",
             )
 
     def test_empty_selection_rejected(self, corpus, claims, pipeline_model):
@@ -137,7 +138,7 @@ class TestScoreAndClassify:
         with pytest.raises(CtrnliError, match="no evidence sentences selected"):
             classify_entailment(
                 claim, premise, [], pipeline_model.entailment_encoder,
-                pipeline_model.entailment_head,
+                pipeline_model.entailment_head, 512, "mean",
             )
 
     def test_selection_order_does_not_matter(self, corpus, claims, pipeline_model):
@@ -146,6 +147,7 @@ class TestScoreAndClassify:
         kwargs = dict(
             encoder=pipeline_model.entailment_encoder,
             head=pipeline_model.entailment_head,
+            max_len=512,
             pooling=OVERFIT_POOLING,
         )
         a = classify_entailment(claim, premise, [2, 0, 1], **kwargs)
@@ -255,7 +257,9 @@ class TestTrainingItems:
     def test_entailment_targets_are_label_indices(self, corpus, claims):
         from ctrnli.encode import HashingTokenizer
 
-        items = entailment_training_items(claims, corpus, HashingTokenizer(), 512)
+        items = entailment_training_items(
+            claims, corpus, HashingTokenizer(), 512, threshold=0.5, pooling="mean"
+        )
         assert len(items) == len(claims)
         for claim, (_, target) in zip(claims, items):
             assert target == LABELS.index(claim.gold_label)
@@ -267,12 +271,12 @@ class TestTrainingItems:
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         probs = score_evidence(
-            claim, premise, model.encoder, model.head, pooling=OVERFIT_POOLING
+            claim, premise, model.encoder, model.head, max_len=512, pooling=OVERFIT_POOLING
         )
-        expected, _ = select_evidence(probs)
+        expected, _ = select_evidence(probs, 0.5)
         items = entailment_training_items(
             [claim], corpus, model.encoder.tokenizer, 512,
-            evidence_model=model, pooling=OVERFIT_POOLING,
+            evidence_model=model, threshold=0.5, pooling=OVERFIT_POOLING,
         )
         texts = [premise.texts[i] for i in expected]
         from ctrnli.encode import build_entailment_sequence
@@ -289,7 +293,9 @@ class TestTrainingItems:
         with pytest.raises(CtrnliError, match="has no gold evidence"):
             evidence_training_items([unlabeled], corpus, HashingTokenizer(), 512)
         with pytest.raises(CtrnliError, match="has no gold label"):
-            entailment_training_items([unlabeled], corpus, HashingTokenizer(), 512)
+            entailment_training_items(
+                [unlabeled], corpus, HashingTokenizer(), 512, threshold=0.5, pooling="mean"
+            )
 
 
 class TestTraining:

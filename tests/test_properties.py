@@ -93,7 +93,7 @@ class TestSelectionLaw:
 
     @given(probs_lists)
     def test_selection_never_empty(self, probs):
-        assert select_evidence(probs)[0]
+        assert select_evidence(probs, 0.5)[0]
 
     @given(
         probs_lists | st.lists(st.sampled_from(GRID), min_size=1, max_size=12),
@@ -167,7 +167,7 @@ class TestEnsembleAlgebra:
             "c", list(rng.uniform(size=n)), float(rng.uniform())
         )
         cfg = EnsembleConfig(w_pipeline=w, w_joint=1.0 - w)
-        out = combine(pred_a, pred_b, cfg)
+        out = combine(pred_a, pred_b, cfg, 0.5)
         for p, pa, pb in zip(out.evidence_probs, pred_a.evidence_probs, pred_b.evidence_probs):
             assert min(pa, pb) - 1e-9 <= p <= max(pa, pb) + 1e-9
         for p, pa, pb in zip(out.class_probs, pred_a.class_probs, pred_b.class_probs):
@@ -176,7 +176,7 @@ class TestEnsembleAlgebra:
 
     @given(predictions)
     def test_identity(self, pred):
-        out = combine(pred, pred, EnsembleConfig())
+        out = combine(pred, pred, EnsembleConfig(), 0.5)
         np.testing.assert_allclose(out.evidence_probs, pred.evidence_probs, atol=1e-9)
         np.testing.assert_allclose(out.class_probs, pred.class_probs, atol=1e-9)
 
@@ -186,8 +186,8 @@ class TestEnsembleAlgebra:
         other = _prediction(
             "c", list(rng.uniform(size=len(pred.evidence_probs))), float(rng.uniform())
         )
-        assert combine(pred, other, EnsembleConfig(w_pipeline=1.0, w_joint=0.0)) == pred
-        assert combine(other, pred, EnsembleConfig(w_pipeline=0.0, w_joint=1.0)) == pred
+        assert combine(pred, other, EnsembleConfig(w_pipeline=1.0, w_joint=0.0), 0.5) == pred
+        assert combine(other, pred, EnsembleConfig(w_pipeline=0.0, w_joint=1.0), 0.5) == pred
 
 
 class TestCapProperty:

@@ -241,7 +241,9 @@ def test_entailment_stage_matches_old_loop(corpus, claims, factory, source, unca
     )
     encoder, head, curve = _oracle_stage(
         23, ClassifierHead,
-        lambda tok: entailment_training_items(claims, corpus, tok, 512, evidence_model=model),
+        lambda tok: entailment_training_items(
+            claims, corpus, tok, 512, evidence_model=model, threshold=0.5, pooling="mean"
+        ),
         HP, "mean", factory,
     )
     assert len(curve) == HP.max_steps and result.loss_curve == curve
