@@ -33,15 +33,12 @@ from .ensemble import (
 )
 from .checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from .fixture import build_fixture, write_fixture
-from .joint import JointModel, forward_joint, joint_loss, predict_joint, train_joint
+from .joint import JointModel, forward_joint, predict_joint, train_joint
 from .metrics import (
     PRF,
     MetricsReport,
     build_gold_view,
     build_report,
-    entailment_macro_f1,
-    entailment_metrics,
-    evidence_metrics,
     render_table,
     write_report,
 )
@@ -87,12 +84,8 @@ __all__ = [
     "classify_entailment",
     "combine",
     "ensemble_predictions",
-    "entailment_macro_f1",
-    "entailment_metrics",
-    "evidence_metrics",
     "forward_joint",
     "gold_evidence_globals",
-    "joint_loss",
     "load_any_model",
     "load_claims",
     "load_corpus",

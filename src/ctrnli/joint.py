@@ -96,14 +96,13 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
     stack of summaries; a stack rounds each row exactly as a one-vector call
     does. A summary averages its sequence's gated vectors or, given ``golds``
     (teacher forcing), the gold ones that survived truncation (all survivors
-    when none did). Returns the stacked evidence softmax and head cache, the
+    when none did). Returns the stacked evidence logits and head cache, the
     evidence probabilities, and per sequence the pooled rows of ``spans``
     and the fallback flag, then the verdict logits and head cache.
     """
     vecs = pool_spans(matrix, spans, model.pooling)
     logits, ev_cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
-    ev_probs = softmax(logits[:, 0])
-    probs = ev_probs[:, EVIDENCE_CLASS].tolist()
+    probs = softmax(logits[:, 0])[:, EVIDENCE_CLASS].tolist()
     pooled, fallbacks = [], []
     summaries = np.zeros((len(counts), 1, model.encoder.dim))  # zero when nothing is pooled
     first = 0
@@ -120,7 +119,7 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
         fallbacks.append(fallback)
         first += n
     v_logits, v_cache = mlp_forward(model.verdict_head.params, summaries)
-    return ev_probs, ev_cache, probs, pooled, fallbacks, v_logits, v_cache
+    return logits[:, 0], ev_cache, probs, pooled, fallbacks, v_logits, v_cache
 
 
 def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) -> JointInput:
@@ -160,32 +159,6 @@ def forward_joint(claim: ClaimInstance, premise: PremiseDoc, model: JointModel) 
     )
 
 
-def joint_loss(
-    evidence_probs: Sequence[float],
-    class_probs: Sequence[float],
-    gold_evidence: frozenset[int] | set[int] | None,
-    gold_label: str | None,
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> float:
-    """Weighted sum of mean per-sentence BCE and verdict cross-entropy.
-
-    ``evidence_probs`` are the packed sentences' probabilities: truncated
-    sentences stay out of the evidence term, and a premise with no survivors
-    contributes zero to it.
-    """
-    if gold_evidence is None or gold_label is None:
-        raise CtrnliError("joint loss needs both gold evidence and a gold label")
-    w_ev, w_ent = weights
-    bce = 0.0
-    if evidence_probs:
-        for i, p in enumerate(evidence_probs):
-            p = min(max(p, 1e-300), 1.0 - 1e-16)
-            bce -= np.log(p) if i in gold_evidence else np.log(1.0 - p)
-        bce /= len(evidence_probs)
-    ce = -float(np.log(max(class_probs[LABELS.index(gold_label)], 1e-300)))
-    return float(w_ev * bce + w_ent * ce)
-
-
 def joint_grads(
     model: JointModel,
     examples: Sequence[tuple[JointInput, frozenset[int], str]],
@@ -211,7 +184,7 @@ def joint_grads(
     offsets = itertools.accumulate((ji.length for ji, _, _ in examples), initial=0)
     spans = [(o + s, o + e) for o, (ji, _, _) in zip(offsets, examples) for s, e in ji.span_map]
     counts = [len(ji.span_map) for ji, _, _ in examples]
-    ev_probs, ev_cache, _, pooled, _, v_logits, v_cache = _forward(
+    ev_logits, ev_cache, _, pooled, _, v_logits, v_cache = _forward(
         model, matrix, spans, counts, golds if teacher_forcing else None
     )
 
@@ -219,15 +192,13 @@ def joint_grads(
     # survivors go back through the head as one stack, padded to
     # [examples, survivors, 1, *] so each example's grads sum on their own.
     per_row = np.repeat(counts, counts)  # the survivor count of each row's example
-    rows = np.arange(len(per_row))
     targets = [
         EVIDENCE_CLASS if i in gold else 1 - EVIDENCE_CLASS
         for gold, n in zip(golds, counts)
         for i in range(n)
     ]
-    row_losses = (-np.log(np.maximum(ev_probs[rows, targets], 1e-300)) / per_row).tolist()
-    d_logits = ev_probs.copy()
-    d_logits[rows, targets] -= 1.0
+    losses, d_logits = cross_entropy(ev_logits, targets)
+    row_losses = (np.array(losses) / per_row).tolist()
     d_logits *= (w_ev / per_row)[:, None]
     x, a1 = ev_cache
     ev_grads, d_vecs = mlp_backward(

@@ -11,6 +11,7 @@ reports always carry both micro and macro evidence numbers.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -118,27 +119,13 @@ def _gold_for(pred: SystemPrediction, golds: Mapping[str, GoldClaim]) -> GoldCla
     return golds[pred.claim_id]
 
 
-def _evidence_prf(per_claim: Sequence[tuple[int, int, int, int]], mode: str) -> PRF:
-    """The micro or macro PRF of per-claim confusion counts."""
+def _evidence_prfs(per_claim: Sequence[tuple[int, int, int, int]]) -> tuple[PRF, PRF]:
+    """The micro and the macro PRF of per-claim confusion counts."""
     totals = tuple(map(sum, zip(*per_claim)))
-    if mode == "micro":
-        return PRF.from_counts(*totals)
     rates = [PRF.from_counts(*c) for c in per_claim]
     keys = ("precision", "recall", "f1")
-    return PRF(*(sum(getattr(r, key) for r in rates) / len(rates) for key in keys), *totals)
-
-
-def evidence_metrics(
-    predictions: Sequence[SystemPrediction],
-    golds: Mapping[str, GoldClaim],
-    mode: str = "micro",
-) -> PRF:
-    """Score evidence selection, pooled (micro) or claim-averaged (macro)."""
-    if mode not in ("micro", "macro"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    if not predictions:
-        raise CtrnliError("no predictions to score")
-    return _evidence_prf([_claim_counts(p, _gold_for(p, golds)) for p in predictions], mode)
+    macro = PRF(*(sum(getattr(r, key) for r in rates) / len(rates) for key in keys), *totals)
+    return PRF.from_counts(*totals), macro
 
 
 def _label_counts(
@@ -161,20 +148,6 @@ def _label_counts(
 
 def _macro_f1(counts: tuple[int, int, int, int]) -> float:
     return (PRF.from_counts(*counts).f1 + PRF.from_counts(*counts[::-1]).f1) / len(LABELS)
-
-
-def entailment_metrics(
-    predictions: Sequence[SystemPrediction], golds: Mapping[str, GoldClaim]
-) -> PRF:
-    """Score verdicts with Entailment as the positive class."""
-    return PRF.from_counts(*_label_counts(predictions, golds))
-
-
-def entailment_macro_f1(
-    predictions: Sequence[SystemPrediction], golds: Mapping[str, GoldClaim]
-) -> float:
-    """Mean of the two per-class F1 scores."""
-    return _macro_f1(_label_counts(predictions, golds))
 
 
 @dataclass(frozen=True)
@@ -241,9 +214,10 @@ def build_report(
         if gold.challenge is not None:
             row["challenge"] = gold.challenge
         rows.append(row)
+    evidence_micro, evidence_macro = _evidence_prfs(per_claim)
     return MetricsReport(
-        evidence_micro=_evidence_prf(per_claim, "micro"),
-        evidence_macro=_evidence_prf(per_claim, "macro"),
+        evidence_micro=evidence_micro,
+        evidence_macro=evidence_macro,
         entailment=PRF.from_counts(*verdicts),
         entailment_macro_f1=_macro_f1(verdicts),
         per_claim=tuple(rows),
@@ -258,20 +232,28 @@ def write_report(report: MetricsReport, path: str | Path) -> None:
 
 def render_table(obj: Mapping) -> str:
     """Aligned text table of a report's JSON form (schema metrics/1): one
-    metric per row, one task block per column. A missing or mistyped field,
-    or a metric that is not a finite number in [0, 1], raises
-    :class:`MalformedJson`."""
+    metric per row, one task block per column. A missing or mistyped field
+    (a ``fallback_used`` that is not a boolean among them), or a metric that
+    is not a finite number in [0, 1], raises :class:`MalformedJson`, whose
+    line echoes the value abbreviated."""
 
     def rate(column: Mapping, key: str) -> float:
         if not in_unit_interval(column[key]):
-            raise ValueError(f"{key} {column[key]!r} is not a number in [0, 1]")
+            raise ValueError(f"{key} {reprlib.repr(column[key])} is not a number in [0, 1]")
         return float(column[key])
+
+    def fallback(row: Mapping) -> bool:
+        if not isinstance(row["fallback_used"], bool):
+            raise ValueError(f"fallback_used {reprlib.repr(row['fallback_used'])} is not a boolean")
+        return row["fallback_used"]
 
     try:
         if obj.get("schema") != "metrics/1":
-            raise MalformedJson(f"unsupported report schema {obj.get('schema')!r}")
+            raise MalformedJson(f"unsupported report schema {reprlib.repr(obj.get('schema'))}")
         per_claim = obj["per_claim"]
-        n_fallback = sum(1 for row in per_claim if row["fallback_used"])
+        if not isinstance(per_claim, list):
+            raise TypeError(f"per_claim {reprlib.repr(per_claim)} is not a list")
+        n_fallback = sum(map(fallback, per_claim))
         columns = (obj["evidence"]["micro"], obj["evidence"]["macro"], obj["entailment"])
         rows = [
             (name, *(rate(column, key) for column in columns))

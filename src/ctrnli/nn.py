@@ -28,7 +28,8 @@ def cross_entropy(logits: np.ndarray, target) -> tuple:
     """Loss and d(loss)/d(logits) for one example, or for each row of a
     ``[B, C]`` stack given one target per row (then a list of B losses)."""
     probs = softmax(logits)
-    picked = np.take_along_axis(probs, np.asarray(target)[..., None], axis=-1)[..., 0]
+    target = np.asarray(target, dtype=np.intp)  # an empty list holds no integers
+    picked = np.take_along_axis(probs, target[..., None], axis=-1)[..., 0]
     loss = -np.log(np.maximum(picked, 1e-300))
     return loss.tolist(), probs - np.eye(probs.shape[-1])[target]
 

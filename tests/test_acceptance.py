@@ -36,11 +36,9 @@ from ctrnli import (
     SystemPrediction,
     ToyEncoder,
     build_gold_view,
+    build_report,
     cap_prediction,
     combine,
-    entailment_macro_f1,
-    entailment_metrics,
-    evidence_metrics,
     gold_evidence_globals,
     load_claims,
     load_corpus,
@@ -117,15 +115,15 @@ def test_a1_overfit_fidelity(bundled, verdict):
     )
     pipe_preds = [predict_pipeline(c, corpus, pipeline) for c in claims]
     pipe_secs = time.monotonic() - start
-    pipe_ev = evidence_metrics(pipe_preds, golds).f1
-    pipe_ent = entailment_macro_f1(pipe_preds, golds)
+    pipe_report = build_report(pipe_preds, golds)
+    pipe_ev, pipe_ent = pipe_report.evidence_micro.f1, pipe_report.entailment_macro_f1
 
     start = time.monotonic()
     joint = train_joint(claims, corpus, overfit_hyperparams(400), pooling=OVERFIT_POOLING).model
     joint_preds = [predict_joint(c, corpus, joint) for c in claims]
     joint_secs = time.monotonic() - start
-    joint_ev = evidence_metrics(joint_preds, golds).f1
-    joint_ent = entailment_macro_f1(joint_preds, golds)
+    joint_report = build_report(joint_preds, golds)
+    joint_ev, joint_ent = joint_report.evidence_micro.f1, joint_report.entailment_macro_f1
 
     ok = (
         shape_ok
@@ -188,14 +186,15 @@ def test_a2_metrics_against_brute_force(verdict):
             per_claim.append((tp, fp, fn, n - tp - fp - fn))
 
         totals = tuple(sum(c[k] for c in per_claim) for k in range(4))
-        micro = evidence_metrics(preds, golds, "micro")
+        report = build_report(preds, golds)
+        micro = report.evidence_micro
         assert (micro.tp, micro.fp, micro.fn, micro.tn) == totals
         p = rate(totals[0], totals[0] + totals[1])
         r = rate(totals[0], totals[0] + totals[2])
         assert close(micro.precision, p) and close(micro.recall, r)
         assert close(micro.f1, f1_of(p, r))
 
-        macro = evidence_metrics(preds, golds, "macro")
+        macro = report.evidence_macro
         assert (macro.tp, macro.fp, macro.fn, macro.tn) == totals
         rows = [
             (rate(tp, tp + fp), rate(tp, tp + fn)) for tp, fp, fn, _ in per_claim
@@ -204,7 +203,7 @@ def test_a2_metrics_against_brute_force(verdict):
         assert close(macro.recall, sum(r for _, r in rows) / len(rows))
         assert close(macro.f1, sum(f1_of(p, r) for p, r in rows) / len(rows))
 
-        ent = entailment_metrics(preds, golds)
+        ent = report.entailment
         by_label = {}
         for positive in LABELS:
             tp = fp = fn = tn = 0
@@ -222,7 +221,7 @@ def test_a2_metrics_against_brute_force(verdict):
         assert (ent.tp, ent.fp, ent.fn, ent.tn) == (tp, fp, fn, tn)
         assert close(ent.f1, pos_f1)
         macro_f1 = sum(row[4] for row in by_label.values()) / len(LABELS)
-        assert close(entailment_macro_f1(preds, golds), macro_f1)
+        assert close(report.entailment_macro_f1, macro_f1)
 
     verdict(
         "A2 metrics against brute-force oracle",

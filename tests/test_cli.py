@@ -31,6 +31,7 @@ def _one_line_error(capsys, *fragments):
     assert err.count("\n") == 1 and "Traceback" not in err, err
     for fragment in fragments:
         assert fragment in err, (fragment, err)
+    return err
 
 
 @pytest.fixture()
@@ -1097,13 +1098,33 @@ class TestEvaluateAndReport:
     ):
         """Each of the ten cells the table reads must be a finite number in
         [0, 1]: an integer past the float range, a non-finite number, a
-        value outside [0, 1] and a bool each end in one line, exit 1."""
+        value outside [0, 1] and a bool each end in one line, exit 1. The
+        line echoes the value abbreviated, so 401 digits stay short."""
         obj = self._report_obj(0.5)
         (obj["entailment"] if block == "entailment" else obj["evidence"][block])[key] = value
         path = tmp_path / "report.json"
         path.write_text(json.dumps(obj))
         assert main(["report", "--report", str(path)]) == 1
-        _one_line_error(capsys, "error: malformed metrics/1 report", key)
+        err = _one_line_error(capsys, "error: malformed metrics/1 report", key)
+        assert len(err) < 200, err
+
+    @pytest.mark.parametrize(
+        "per_claim, named",
+        [([{"fallback_used": True}, {"fallback_used": flag}], "fallback_used")
+         for flag in ("false", 0, [0], None)]
+        + [("", "per_claim"), ({}, "per_claim")],
+        ids=["string-flag", "0-flag", "list-flag", "null-flag", "string-rows", "object-rows"],
+    )
+    def test_report_with_damaged_rows_is_data_error(self, tmp_path, capsys, per_claim, named):
+        """A ``fallback_used`` that is not a JSON boolean is refused instead of
+        being counted by its truth value, and rows that are no list instead
+        of being counted as zero claims: one line, exit 1."""
+        obj = self._report_obj(0.5)
+        obj["per_claim"] = per_claim
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(obj))
+        assert main(["report", "--report", str(path)]) == 1
+        _one_line_error(capsys, "error: malformed metrics/1 report", named)
 
 
 def test_every_flag_names_a_config_field_or_a_command_argument():

@@ -6,14 +6,16 @@ workspace holds one copy of every file; a test damages one of them, runs the
 command through ``main()`` and puts the file back. Log records at WARNING
 and above count as stderr lines, since the command-line entry point sends
 them there. A ``train`` config file is also filled, one field at a time,
-with a value of each JSON type.
+with a value of each JSON type, and a small report is damaged node by node.
 """
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import logging
+import reprlib
 import shutil
 import warnings
 from pathlib import Path
@@ -22,12 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
+
 from ctrnli.checkpoint import save_joint_model
 from ctrnli.cli import main
 from ctrnli.config import SECTIONS, RunConfig
 from ctrnli.ensemble import save_predictions
 from ctrnli.joint import predict_joint
-from ctrnli.metrics import build_gold_view, build_report, write_report
+from ctrnli.metrics import GoldClaim, build_gold_view, build_report, write_report
+from ctrnli.pipeline import SystemPrediction
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 
@@ -328,3 +333,74 @@ def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
             stray.append((value, repr(exc)))
         shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
     assert stray == []
+
+
+# --- a report, damaged node by node ------------------------------------------------
+
+
+def _small_report() -> dict:
+    """A valid metrics/1 report of two claims, one tagged with a challenge,
+    one decided by the fallback."""
+    preds = [
+        SystemPrediction("c0", (0.9, 0.2), (0,), (0.8, 0.2), "Entailment"),
+        SystemPrediction("c1", (0.4, 0.3), (0,), (0.3, 0.7), "Contradiction", fallback_used=True),
+    ]
+    golds = {
+        "c0": GoldClaim("c0", 2, frozenset({0}), "Entailment", challenge="numerical"),
+        "c1": GoldClaim("c1", 2, frozenset({1}), "Entailment"),
+    }
+    return build_report(preds, golds, {"split": "dev"}).to_json_obj()
+
+
+def _nodes(value, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, (*path, key))
+
+
+_REPORT = _small_report()
+# each node's replacements: ROADMAP item 14's values, plus -Infinity
+_NODE_VALUES = [
+    None, True, False, 0, -1, 2**63, 10**400, -0.0, 1e308, 0.5,
+    float("nan"), float("inf"), float("-inf"),
+    "", " ", "\ud800", "x", "Entailment", "x" * 100_000,
+    [], [0], [[]], {}, {"a": 1},
+]
+_DELETED = object()
+
+
+def _with_node(path, value):
+    """A copy of ``_REPORT`` whose node at ``path`` is ``value``, or is gone
+    when ``value`` is ``_DELETED``."""
+    if not path:
+        return value
+    report = copy.deepcopy(_REPORT)
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return report
+
+
+@pytest.mark.parametrize(
+    "path", list(_nodes(_REPORT)), ids=lambda path: ".".join(map(str, path)) or "root"
+)
+def test_report_damaged_node_by_node_ends_in_one_line(tmp_path, path):
+    """Every node of a valid report, replaced by each value of
+    ``_NODE_VALUES``, and every key, deleted: ``report`` prints its table
+    (exit 0, nothing on stderr) or refuses the file in one line of under 200
+    characters (exit 1), never with a traceback."""
+    deletion = [_DELETED] if path and isinstance(path[-1], str) else []
+    report = tmp_path / "report.json"
+    for value in _NODE_VALUES + deletion:
+        report.write_text(json.dumps(_with_node(path, value)))
+        with time_limit(20):
+            code, lines = _run(["report", "--report", report])
+        shown = "deleted" if value is _DELETED else reprlib.repr(value)
+        assert code in (0, 1) and len(lines) == code, (shown, code, lines)
+        assert all(len(line) < 200 and "Traceback" not in line for line in lines), (shown, lines)

@@ -12,7 +12,6 @@ from ctrnli.joint import (
     _verdict_probs,
     forward_joint,
     joint_grads,
-    joint_loss,
     predict_joint,
     train_joint,
 )
@@ -122,33 +121,62 @@ class TestForwardJoint:
         assert sum(out.class_probs) == pytest.approx(1.0)
 
 
+def _oracle_joint_loss(
+    evidence_probs,
+    class_probs,
+    gold_evidence: frozenset[int] | set[int] | None,
+    gold_label: str | None,
+    weights: tuple[float, float] = (1.0, 1.0),
+) -> float:
+    """Weighted sum of mean per-sentence BCE and verdict cross-entropy, from
+    probabilities: the loss ``joint_grads`` differentiates, written out once
+    more as its oracle.
+
+    ``evidence_probs`` are the packed sentences' probabilities: truncated
+    sentences stay out of the evidence term, and a premise with no survivors
+    contributes zero to it.
+    """
+    if gold_evidence is None or gold_label is None:
+        raise CtrnliError("joint loss needs both gold evidence and a gold label")
+    w_ev, w_ent = weights
+    bce = 0.0
+    if evidence_probs:
+        for i, p in enumerate(evidence_probs):
+            p = min(max(p, 1e-300), 1.0 - 1e-16)
+            bce -= np.log(p) if i in gold_evidence else np.log(1.0 - p)
+        bce /= len(evidence_probs)
+    ce = -float(np.log(max(class_probs[LABELS.index(gold_label)], 1e-300)))
+    return float(w_ev * bce + w_ent * ce)
+
+
 class TestJointLoss:
     def test_uniform_everything(self):
         """All probabilities at one half: BCE = ln 2 and CE = ln 2."""
-        loss = joint_loss([0.5, 0.5, 0.5], (0.5, 0.5), {0}, "Entailment")
+        loss = _oracle_joint_loss([0.5, 0.5, 0.5], (0.5, 0.5), {0}, "Entailment")
         assert loss == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_weights_scale_terms(self):
-        out = ([0.5], (0.5, 0.5))
+        out = ([0.5], (0.5, 0.5), {0}, "Entailment")
         ln2 = np.log(2.0)
-        assert joint_loss(*out, {0}, "Entailment", weights=(1.0, 0.0)) == pytest.approx(ln2)
-        assert joint_loss(*out, {0}, "Entailment", weights=(0.0, 1.0)) == pytest.approx(ln2)
-        assert joint_loss(*out, {0}, "Entailment", weights=(2.0, 3.0)) == pytest.approx(5 * ln2)
+        assert _oracle_joint_loss(*out, weights=(1.0, 0.0)) == pytest.approx(ln2)
+        assert _oracle_joint_loss(*out, weights=(0.0, 1.0)) == pytest.approx(ln2)
+        assert _oracle_joint_loss(*out, weights=(2.0, 3.0)) == pytest.approx(5 * ln2)
 
     def test_no_survivors_means_pure_verdict_loss(self):
-        assert joint_loss([], (0.8, 0.2), {0}, "Entailment") == pytest.approx(-np.log(0.8))
+        loss = _oracle_joint_loss([], (0.8, 0.2), {0}, "Entailment")
+        assert loss == pytest.approx(-np.log(0.8))
 
     def test_perfect_probs_near_zero_loss(self):
-        loss = joint_loss([1.0 - 1e-16, 1e-300], (1.0, 0.0), {0}, "Entailment")
+        loss = _oracle_joint_loss([1.0 - 1e-16, 1e-300], (1.0, 0.0), {0}, "Entailment")
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_gold(self):
         out = ([0.5], (0.5, 0.5))
         message = "joint loss needs both gold evidence and a gold label"
         with pytest.raises(CtrnliError, match=message):
-            joint_loss(*out, None, "Entailment")
+            _oracle_joint_loss(*out, None, "Entailment")
         with pytest.raises(CtrnliError, match=message):
-            joint_loss(*out, {0}, None)
+            _oracle_joint_loss(*out, {0}, None)
 
 
 def _packed(model, claim, premise):
@@ -170,7 +198,7 @@ class TestJointGrads:
         out = forward_joint(claim, premise, model)
         packed_probs = out.evidence_probs[: len(ji.span_map)]
         assert total == pytest.approx(
-            joint_loss(packed_probs, out.class_probs, gold, claim.gold_label)
+            _oracle_joint_loss(packed_probs, out.class_probs, gold, claim.gold_label)
         )
         assert total == pytest.approx(l_ev + l_ent)
 
@@ -283,7 +311,7 @@ class TestGradientCheck:
 
         def total_loss():
             out = forward_joint(claim, premise, model)
-            return joint_loss(
+            return _oracle_joint_loss(
                 out.evidence_probs[:n], out.class_probs, gold, claim.gold_label, weights
             )
 

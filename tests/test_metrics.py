@@ -1,4 +1,5 @@
-"""Scoring: confusion counts, micro/macro aggregation, report round-trips."""
+"""Scoring through ``build_report``, the one scorer: confusion counts,
+micro/macro aggregation, refusals, report round-trips."""
 
 import json
 
@@ -11,9 +12,6 @@ from ctrnli.metrics import (
     GoldClaim,
     build_gold_view,
     build_report,
-    entailment_macro_f1,
-    entailment_metrics,
-    evidence_metrics,
     render_table,
     write_report,
 )
@@ -60,7 +58,7 @@ class TestEvidenceMetrics:
         """Selected {0, 2}, gold {0, 1} of 3: one of each count."""
         preds = [_pred("c", {0, 2}, 3)]
         golds = {"c": _gold("c", {0, 1}, 3)}
-        prf = evidence_metrics(preds, golds)
+        prf = build_report(preds, golds).evidence_micro
         assert (prf.tp, prf.fp, prf.fn, prf.tn) == (1, 1, 1, 0)
         assert prf.precision == pytest.approx(0.5)
         assert prf.recall == pytest.approx(0.5)
@@ -69,21 +67,21 @@ class TestEvidenceMetrics:
     def test_perfect_selection(self):
         preds = [_pred("c", {1, 3}, 5)]
         golds = {"c": _gold("c", {1, 3}, 5)}
-        prf = evidence_metrics(preds, golds)
+        prf = build_report(preds, golds).evidence_micro
         assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
     def test_select_everything(self):
         """Selecting all 10 sentences against one gold: recall 1, precision 0.1."""
         preds = [_pred("c", set(range(10)), 10)]
         golds = {"c": _gold("c", {4}, 10)}
-        prf = evidence_metrics(preds, golds)
+        prf = build_report(preds, golds).evidence_micro
         assert prf.recall == 1.0
         assert prf.precision == pytest.approx(0.1)
 
     def test_micro_pools_counts(self):
         preds = [_pred("a", {0}, 2), _pred("b", {0, 1}, 3)]
         golds = {"a": _gold("a", {0, 1}, 2), "b": _gold("b", {0}, 3)}
-        prf = evidence_metrics(preds, golds, "micro")
+        prf = build_report(preds, golds).evidence_micro
         # a: tp=1 fn=1; b: tp=1 fp=1
         assert (prf.tp, prf.fp, prf.fn) == (2, 1, 1)
         assert prf.precision == pytest.approx(2 / 3)
@@ -92,8 +90,8 @@ class TestEvidenceMetrics:
     def test_macro_averages_rates(self):
         preds = [_pred("a", {0}, 2), _pred("b", {0, 1}, 3)]
         golds = {"a": _gold("a", {0, 1}, 2), "b": _gold("b", {0}, 3)}
-        micro = evidence_metrics(preds, golds, "micro")
-        macro = evidence_metrics(preds, golds, "macro")
+        report = build_report(preds, golds)
+        micro, macro = report.evidence_micro, report.evidence_macro
         # a: P=1 R=0.5 F1=2/3; b: P=0.5 R=1 F1=2/3
         assert macro.precision == pytest.approx(0.75)
         assert macro.recall == pytest.approx(0.75)
@@ -108,34 +106,31 @@ class TestEvidenceMetrics:
             "b": _gold("b", {0}, 3),
             "c": _gold("c", {0}, 2),
         }
-        for mode in ("micro", "macro"):
-            forward = evidence_metrics(preds, golds, mode)
-            backward = evidence_metrics(list(reversed(preds)), golds, mode)
-            assert forward == backward
+        forward = build_report(preds, golds)
+        backward = build_report(list(reversed(preds)), golds)
+        assert forward.evidence_micro == backward.evidence_micro
+        assert forward.evidence_macro == backward.evidence_macro
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(CtrnliError, match="no predictions to score"):
-            evidence_metrics([], {})
+            build_report([], {})
 
     def test_unlabeled_gold_rejected(self):
+        """A labelled claim without gold evidence has no evidence to score."""
         preds = [_pred("c", {0}, 2)]
-        golds = {"c": GoldClaim("c", 2, evidence=None, label=None)}
+        golds = {"c": GoldClaim("c", 2, evidence=None, label="Entailment")}
         with pytest.raises(CtrnliError, match="claim c has no gold evidence"):
-            evidence_metrics(preds, golds)
+            build_report(preds, golds)
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(CtrnliError, match="no gold annotations for claim ghost"):
-            evidence_metrics([_pred("ghost", {0}, 2)], {})
+            build_report([_pred("ghost", {0}, 2)], {})
 
     def test_length_mismatch(self):
         preds = [_pred("c", {0}, 2)]
         golds = {"c": _gold("c", {0}, 5)}
         with pytest.raises(CtrnliError, match="covers 2 sentences but the premise has 5"):
-            evidence_metrics(preds, golds)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            evidence_metrics([_pred("c", {0}, 1)], {"c": _gold("c", {0}, 1)}, "weighted")
+            build_report(preds, golds)
 
 
 class TestEntailmentMetrics:
@@ -148,7 +143,7 @@ class TestEntailmentMetrics:
             "c2": _gold("c2", {0}, 1, "Contradiction"),
             "c3": _gold("c3", {0}, 1, "Contradiction"),
         }
-        prf = entailment_metrics(preds, golds)
+        prf = build_report(preds, golds).entailment
         assert prf.precision == pytest.approx(0.5)
         assert prf.recall == 1.0
         assert (prf.tp, prf.fp, prf.fn, prf.tn) == (2, 2, 0, 0)
@@ -162,8 +157,9 @@ class TestEntailmentMetrics:
             "c0": _gold("c0", {0}, 1, "Entailment"),
             "c1": _gold("c1", {0}, 1, "Contradiction"),
         }
-        assert entailment_metrics(preds, golds).f1 == 1.0
-        assert entailment_macro_f1(preds, golds) == 1.0
+        report = build_report(preds, golds)
+        assert report.entailment.f1 == 1.0
+        assert report.entailment_macro_f1 == 1.0
 
     def test_inverted_verdicts(self):
         """Always predicting the wrong class zeroes every F1, while the
@@ -176,20 +172,16 @@ class TestEntailmentMetrics:
             "c0": _gold("c0", {0}, 1, "Entailment"),
             "c1": _gold("c1", {0}, 1, "Contradiction"),
         }
-        assert entailment_metrics(preds, golds).f1 == 0.0
-        assert entailment_macro_f1(preds, golds) == 0.0
-        assert evidence_metrics(preds, golds).f1 == 1.0
+        report = build_report(preds, golds)
+        assert report.entailment.f1 == 0.0
+        assert report.entailment_macro_f1 == 0.0
+        assert report.evidence_micro.f1 == 1.0
 
     def test_missing_label(self):
         preds = [_pred("c", {0}, 1)]
         golds = {"c": GoldClaim("c", 1, evidence=frozenset({0}), label=None)}
         with pytest.raises(CtrnliError, match="claim c has no gold label"):
-            entailment_metrics(preds, golds)
-
-    @pytest.mark.parametrize("score", [entailment_metrics, entailment_macro_f1, build_report])
-    def test_empty_predictions_rejected(self, score):
-        with pytest.raises(CtrnliError, match="no predictions to score"):
-            score([], {})
+            build_report(preds, golds)
 
     def test_macro_f1_averages_both_classes(self):
         # three golds E, one C; predictions all E except one miss
@@ -206,7 +198,7 @@ class TestEntailmentMetrics:
             "c3": _gold("c3", {0}, 1, "Contradiction"),
         }
         # Entailment: tp=2 fp=1 fn=1 -> F1 = 2/3; Contradiction: tp=0 fp=1 fn=1 -> 0
-        assert entailment_macro_f1(preds, golds) == pytest.approx(1 / 3)
+        assert build_report(preds, golds).entailment_macro_f1 == pytest.approx(1 / 3)
 
 
 class TestGoldView:
@@ -264,13 +256,12 @@ class TestReport:
         with pytest.raises(CtrnliError, match="claim c1 has no gold label"):
             build_report([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
 
-    @pytest.mark.parametrize("score", [build_report, entailment_metrics, entailment_macro_f1])
-    def test_gold_label_outside_labels_refused(self, score):
+    def test_gold_label_outside_labels_refused(self):
         """A library-built gold claim labelled neither Entailment nor
         Contradiction would count as a negative for both classes."""
         golds = {"c0": _gold("c0", {0}, 2, "Entailment"), "c1": _gold("c1", {1}, 2, "Neutral")}
         with pytest.raises(CtrnliError, match="claim c1 has gold label 'Neutral' outside"):
-            score([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
+            build_report([_pred("c0", {0}, 2), _pred("c1", {1}, 2)], golds)
 
     def test_repeated_prediction_refused(self):
         golds = {"c0": _gold("c0", {0}, 2, "Entailment")}

@@ -145,6 +145,22 @@ class TestCrossEntropy:
             assert loss == old_loss
             assert np.array_equal(d, old_d)
 
+    def test_stack_of_no_rows(self):
+        """A batch whose examples keep no sentence scores zero evidence rows."""
+        losses, d_logits = cross_entropy(np.zeros((0, 2)), [])
+        assert losses == []
+        assert d_logits.shape == (0, 2)
+
+    def test_plain_list_of_targets_equals_an_array(self):
+        logits = np.random.default_rng(7).normal(size=(5, 2))
+        targets = [1, 0, 0, 1, 1]
+        from_list = cross_entropy(logits, targets)
+        from_array = cross_entropy(logits, np.array(targets))
+        assert from_list[0] == from_array[0]
+        assert np.array_equal(from_list[1], from_array[1])
+        for row, target, loss in zip(logits, targets, from_list[0]):
+            assert loss == _oracle_cross_entropy(row, target)[0]
+
 
 class TestMlp:
     def test_backward_matches_finite_differences(self):

@@ -36,7 +36,7 @@ from ctrnli.encode import (
 )
 from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
 from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
-from ctrnli.metrics import GoldClaim, evidence_metrics
+from ctrnli.metrics import GoldClaim, build_report
 from ctrnli.nn import to_stored_precision
 from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
 from test_encode import (
@@ -596,7 +596,7 @@ class TestMetricsOracle:
                     exp_fn += 1
                 else:
                     exp_tn += 1
-        prf = evidence_metrics(preds, golds, "micro")
+        prf = build_report(preds, golds).evidence_micro
         assert (prf.tp, prf.fp, prf.fn, prf.tn) == (exp_tp, exp_fp, exp_fn, exp_tn)
         denom_p = exp_tp + exp_fp
         denom_r = exp_tp + exp_fn
