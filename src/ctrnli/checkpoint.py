@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .config import EncoderConfig, RunConfig
-from .corpus import read_json, write_text
+from .corpus import read_json, shown_path, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .errors import BadCheckpoint, CtrnliError, IoError
 from .joint import JointModel
@@ -66,7 +67,7 @@ def _write_blob(path: Path, named: Mapping[str, np.ndarray], system: str, config
         path.mkdir(parents=True, exist_ok=True)
         (path / PARAMS_FILE).write_bytes(b"".join(chunks))
     except OSError as exc:
-        raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
+        raise IoError(f"cannot write checkpoint to {shown_path(path)}: {exc.strerror}") from exc
     write_text(path / MANIFEST_FILE, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     write_text(path / CONFIG_FILE, json.dumps(config, sort_keys=True, indent=2) + "\n")
 
@@ -87,12 +88,12 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
         config = read_json(path / CONFIG_FILE, BadCheckpoint)
         blob = (path / PARAMS_FILE).read_bytes()  # immutable: no view of it can be written
     except FileNotFoundError as exc:
-        raise BadCheckpoint(f"missing checkpoint file {exc.filename}") from None
+        raise BadCheckpoint(f"missing checkpoint file {shown_path(exc.filename)}") from None
     except OSError as exc:
-        raise IoError(f"cannot read {path / PARAMS_FILE}: {exc}") from exc
+        raise IoError(f"cannot read {shown_path(path / PARAMS_FILE)}: {exc.strerror}") from exc
     system = manifest.get("system") if isinstance(manifest, dict) else None
     if system not in ("pipeline", "joint"):
-        raise BadCheckpoint(f"manifest names unknown system {system!r}")
+        raise BadCheckpoint(f"manifest names unknown system {reprlib.repr(system)}")
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise BadCheckpoint("manifest has no tensor list")
@@ -103,18 +104,22 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
             name, shape, offset = entry["name"], tuple(entry["shape"]), entry["byte_offset"]
             dtype = entry["dtype"]
         except (KeyError, TypeError) as exc:
-            raise BadCheckpoint(f"malformed tensor entry {entry!r}") from exc
+            raise BadCheckpoint(f"malformed tensor entry {reprlib.repr(entry)}") from exc
         if not isinstance(name, str):
-            raise BadCheckpoint(f"malformed tensor entry {entry!r}")
+            raise BadCheckpoint(f"malformed tensor entry {reprlib.repr(entry)}")
         if name in layout:
             raise BadCheckpoint(f"tensor {name}: named twice in the manifest")
         if dtype != "float32":
-            raise BadCheckpoint(f"tensor {name}: unsupported dtype {dtype!r}")
+            raise BadCheckpoint(f"tensor {name}: unsupported dtype {reprlib.repr(dtype)}")
         if not all(is_count(d, 0) for d in shape):
-            raise BadCheckpoint(f"tensor {name}: shape {list(shape)} is not a list of sizes")
+            raise BadCheckpoint(
+                f"tensor {name}: shape {reprlib.repr(list(shape))} is not a list of sizes"
+            )
         n_bytes = math.prod(shape) * _DTYPE.itemsize
         if offset != end:
-            raise BadCheckpoint(f"tensor {name}: byte_offset {offset}, expected {end}")
+            raise BadCheckpoint(
+                f"tensor {name}: byte_offset {reprlib.repr(offset)}, expected {end}"
+            )
         if end + n_bytes > len(blob):
             raise BadCheckpoint(f"tensor {name}: offset {offset} outside the parameter blob")
         layout[name] = (shape, end // _DTYPE.itemsize, n_bytes // _DTYPE.itemsize)
@@ -139,7 +144,8 @@ def _load_params(shapes: dict, tensors: Mapping[str, np.ndarray], ns: str, dtype
     for name, arr in loaded.items():
         if shapes[name] != arr.shape:
             raise BadCheckpoint(
-                f"{ns}.{name}: shape {arr.shape} does not match expected {shapes[name]}"
+                f"{ns}.{name}: shape {arr.shape} does not match expected "
+                f"{reprlib.repr(shapes[name])}"
             )
         if not np.isfinite(arr).all():
             raise BadCheckpoint(f"{ns}.{name}: holds non-finite values")
@@ -164,12 +170,14 @@ def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shar
     if cfg["backend"] == "pretrained":
         return PretrainedEncoder(cfg["model_name"])
     if cfg["backend"] != "toy":
-        raise ValueError(f"unknown encoder backend {cfg['backend']!r}")
+        raise ValueError(f"unknown encoder backend {reprlib.repr(cfg['backend'])}")
     vocab_size, dim, n_layers = cfg["vocab_size"], cfg["dim"], cfg["n_layers"]
     EncoderConfig(vocab_size=vocab_size, dim=dim, n_layers=n_layers)  # sizes are counts
     stored = sum(name.startswith(f"{ns}.") for name in tensors)
     if 2 * n_layers + 1 != stored:  # one embedding, then a W and a b per layer
-        raise BadCheckpoint(f"{ns}: n_layers {n_layers} does not fit its {stored} tensors")
+        raise BadCheckpoint(
+            f"{ns}: n_layers {reprlib.repr(n_layers)} does not fit its {stored} tensors"
+        )
     shapes = ToyEncoder.param_shapes(vocab_size, dim, n_layers)
     params = _load_params(shapes, tensors, ns, np.float32)
     encoder = ToyEncoder(vocab_size, dim, n_layers, params=params)

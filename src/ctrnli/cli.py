@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .config import (
     build_run_config,
     read_config_file,
 )
-from .corpus import load_claims, load_corpus, read_json, validate_dataset, write_text
+from .corpus import load_claims, load_corpus, read_json, shown_path, validate_dataset, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .ensemble import ensemble_predictions, load_predictions, save_predictions
 from .errors import BackendUnavailable, CtrnliError, UsageError
@@ -152,8 +153,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg, file_obj = _run_config(args)
     ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise UsageError(f"checkpoint {ckpt} does not exist")
+    if not os.path.exists(ckpt):  # False, not OSError, for a name too long to exist
+        raise UsageError(f"checkpoint {shown_path(ckpt)} does not exist")
     corpus, claims = _load_data(cfg)
     system, model = load_any_model(ckpt)
     # the checkpoint's threshold stands unless a flag or the config file sets one
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
-        print(f"not found: {exc}", file=sys.stderr)
+        print(f"not found: {shown_path(exc.filename)}", file=sys.stderr)
         return 2
     except BackendUnavailable as exc:
         print(f"backend unavailable: {exc}", file=sys.stderr)

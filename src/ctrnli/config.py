@@ -11,12 +11,13 @@ overridden by any explicitly passed flags.
 from __future__ import annotations
 
 import dataclasses
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import read_json
 from .errors import MalformedJson
-from .nn import Hyperparams, in_unit_interval, is_count, is_finite_number
+from .nn import Hyperparams, in_unit_interval, is_count, is_finite_number, refusal
 
 SYSTEM_CHOICES = ("pipeline", "joint")
 POOLING_CHOICES = ("mean", "first", "max")
@@ -54,16 +55,16 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.backend not in ("toy", "pretrained"):
-            raise ValueError(f"unknown encoder backend {self.backend!r}")
+            raise ValueError(f"unknown encoder backend {reprlib.repr(self.backend)}")
         if self.pooling not in POOLING_CHOICES:
-            raise ValueError(f"pooling must be one of {POOLING_CHOICES}, got {self.pooling!r}")
+            raise refusal("pooling", f"one of {POOLING_CHOICES}", self.pooling)
         for name, low in (("vocab_size", 3), ("dim", 1), ("n_layers", 0)):
             if not is_count(getattr(self, name), low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+                raise refusal(name, f"an integer >= {low}", getattr(self, name))
         if self.max_len is not None and not is_count(self.max_len, 3):
-            raise ValueError(f"max_len must be None or an integer >= 3, got {self.max_len!r}")
+            raise refusal("max_len", "None or an integer >= 3", self.max_len)
         if not isinstance(self.mixed_precision, bool):
-            raise ValueError(f"mixed_precision must be true or false, got {self.mixed_precision!r}")
+            raise refusal("mixed_precision", "true or false", self.mixed_precision)
 
     def resolved_max_len(self, system: str) -> int:
         return self.max_len if self.max_len is not None else DEFAULT_MAX_LEN[system]
@@ -88,11 +89,11 @@ class EnsembleConfig:
         for name in ("w_pipeline", "w_joint"):
             value = getattr(self, name)
             if not (is_finite_number(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+                raise refusal(name, "a finite number >= 0", value)
         if abs(self.w_pipeline + self.w_joint - 1.0) > 1e-9:
             raise ValueError("ensemble weights must sum to 1")
         if not is_count(self.max_evidence, 1):
-            raise ValueError(f"max_evidence must be an integer >= 1, got {self.max_evidence!r}")
+            raise refusal("max_evidence", "an integer >= 1", self.max_evidence)
         if self.tasks not in TASK_CHOICES:
             raise ValueError(f"tasks must be one of {TASK_CHOICES}")
 
@@ -119,15 +120,15 @@ class RunConfig:
         if self.evidence_source not in EVIDENCE_SOURCE_CHOICES:
             raise ValueError(f"evidence_source must be one of {EVIDENCE_SOURCE_CHOICES}")
         if not in_unit_interval(self.threshold):
-            raise ValueError(f"threshold must be a finite number in [0, 1], got {self.threshold!r}")
+            raise refusal("threshold", "a finite number in [0, 1]", self.threshold)
         for name in ("corpus", "claims", "split"):
             if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+                raise refusal(name, "a string or null", getattr(self, name))
             if name != "split" and getattr(self, name) == "":  # Path("") is the working directory
                 raise ValueError(f"{name} must be a path, got an empty string")
         for name in ("inject_arm_prefix", "lenient"):
             if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+                raise refusal(name, "true or false", getattr(self, name))
 
 
 # the nested config objects: RunConfig field -> class
@@ -148,7 +149,7 @@ def _build(cls, obj: dict):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(obj) - names
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {cls.__name__} keys: {reprlib.repr(sorted(unknown))}")
     return cls(**obj)
 
 

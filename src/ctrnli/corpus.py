@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,6 +128,12 @@ class PremiseDoc:
 # --- loading -----------------------------------------------------------------
 
 
+def shown_path(path) -> str:
+    """``path`` as a one-line error shows it: whole up to 120 characters, else its ends."""
+    text = str(path)
+    return text if len(text) <= 120 else f"{text[:58]}...{text[-58:]}"
+
+
 def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
     """The JSON value of a file, streamed as UTF-8.
 
@@ -139,7 +146,7 @@ def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
     except FileNotFoundError:
         raise
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot read {shown_path(path)}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"{path}: {exc}") from exc
 
@@ -149,7 +156,7 @@ def write_text(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {shown_path(path)}: {exc.strerror}") from exc
 
 
 def _string(obj: dict, key: str, owner: str, optional: bool = False, what: str = "") -> str | None:
@@ -222,7 +229,7 @@ def load_corpus(path: str | Path) -> dict[str, ClinicalTrialRecord]:
     record identifiers are an error.
     """
     path = Path(path)
-    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    files = sorted(path.glob("*.json")) if os.path.isdir(path) else [path]
     corpus: dict[str, ClinicalTrialRecord] = {}
     for fp in files:
         data = read_json(fp)
@@ -313,7 +320,7 @@ def load_claims(
     ``claim_id`` raises :class:`CtrnliError`.
     """
     path = Path(path)
-    if path.is_dir():
+    if os.path.isdir(path):
         if split is None:
             raise ValueError("split is required when path is a directory")
         path = path / f"{split}.json"
@@ -380,11 +387,13 @@ def require_sentences(claim: ClaimInstance, premise: PremiseDoc) -> PremiseDoc:
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:
-    """Map a claim's per-trial gold evidence indices onto the premise's global indices."""
+    """Map a claim's per-trial gold evidence (required) onto the premise's global indices."""
+    if claim.gold_evidence is None:
+        raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
     try:
         return frozenset(
             premise.to_global(ctr_id, loc)
-            for ctr_id, locals_ in (claim.gold_evidence or {}).items()
+            for ctr_id, locals_ in claim.gold_evidence.items()
             for loc in locals_
         )
     except EvidenceIndexOutOfRange as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import reprlib
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,8 @@ def combine(
     """
     if pred_a.claim_id != pred_b.claim_id:
         raise CtrnliError(
-            f"cannot combine predictions for {pred_a.claim_id!r} and {pred_b.claim_id!r}"
+            f"cannot combine predictions for {reprlib.repr(pred_a.claim_id)} and "
+            f"{reprlib.repr(pred_b.claim_id)}"
         )
     if len(pred_a.evidence_probs) != len(pred_b.evidence_probs):
         raise CtrnliError(
@@ -102,8 +104,8 @@ def ensemble_predictions(
     extra = sorted(by_id.keys() - {p.claim_id for p in preds_a})
     if missing or extra:
         raise CtrnliError(
-            f"prediction lists cover different claims (missing from second: {missing}, "
-            f"only in second: {extra})"
+            f"prediction lists cover different claims (missing from second: "
+            f"{reprlib.repr(missing)}, only in second: {reprlib.repr(extra)})"
         )
     return [cap_prediction(combine(p, by_id[p.claim_id], cfg, threshold), cfg) for p in preds_a]
 
@@ -122,7 +124,7 @@ def _json_scalar(value) -> str:
         return int.__repr__(value)
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    raise TypeError(f"cannot write {value!r} in a prediction file")
+    raise TypeError(f"cannot write {reprlib.repr(value)} in a prediction file")
 
 
 def _json_list(values, fast=float.__repr__) -> str:

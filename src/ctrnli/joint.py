@@ -7,8 +7,8 @@ threshold, and the gated vectors are pooled again into an evidence summary
 the verdict head classifies. Both heads train jointly against a weighted sum
 of the per-sentence binary cross-entropy and the verdict cross-entropy,
 backpropagated through the forward inference runs (:func:`_forward`) over
-sequences packed once before training. During training the evidence summary
-pools the gold spans (teacher forcing); at inference it pools the gated spans.
+sequences packed once before training. Training always teacher-forces: the
+evidence summary pools the gold spans; at inference it pools the gated spans.
 The claim's own block is never fed to either head. With the toy encoder its
 content barely reaches the sentence vectors either: two window-3 smoothing
 layers let a row see only two tokens on either side, so no sentence after the
@@ -91,30 +91,30 @@ def _forward(model: JointModel, matrix: np.ndarray, spans, counts: Sequence[int]
     sequences laid back to back in ``matrix``.
 
     ``spans`` are the rows of every surviving sentence, ``counts[k]`` of them
-    for sequence ``k``, in order. One evidence-head call scores the
-    survivors' ``[n, 1, D]`` stack and one verdict-head call the ``[B, 1, D]``
-    stack of summaries; a stack rounds each row exactly as a one-vector call
-    does. A summary averages its sequence's gated vectors or, given ``golds``
-    (teacher forcing), the gold ones that survived truncation (all survivors
-    when none did). Returns the stacked evidence logits and head cache, the
-    evidence probabilities, and per sequence the pooled rows of ``spans``
-    and the fallback flag, then the verdict logits and head cache.
+    for sequence ``k``, in order; no count is zero, since :func:`_pack`
+    refuses a sequence that keeps no sentence. One evidence-head call scores
+    the survivors' ``[n, 1, D]`` stack and one verdict-head call the
+    ``[B, 1, D]`` stack of summaries; a stack rounds each row exactly as a
+    one-vector call does. A summary averages its sequence's gated vectors or,
+    given ``golds`` (teacher forcing), the gold ones that survived truncation
+    (all survivors when none did). Returns the stacked evidence logits and
+    head cache, the evidence probabilities, and per sequence the pooled rows
+    of ``spans`` and the fallback flag, then the verdict logits and head cache.
     """
     vecs = pool_spans(matrix, spans, model.pooling)
     logits, ev_cache = mlp_forward(model.evidence_head.params, vecs[:, None, :])
     probs = softmax(logits[:, 0])[:, EVIDENCE_CLASS].tolist()
     pooled, fallbacks = [], []
-    summaries = np.zeros((len(counts), 1, model.encoder.dim))  # zero when nothing is pooled
+    summaries = np.empty((len(counts), 1, model.encoder.dim))
     first = 0
     for k, n in enumerate(counts):
-        chosen, fallback = [], False
-        if golds is not None:
-            chosen = sorted(i for i in golds[k] if i < n) or list(range(n))
-        elif n:
+        if golds is None:
             chosen, fallback = select_evidence(probs[first : first + n], model.threshold)
+        else:
+            chosen, fallback = sorted(i for i in golds[k] if i < n) or list(range(n)), False
         rows = [first + i for i in chosen]
-        if rows:  # the bits of .mean(axis=0), without its Python-level wrapper
-            np.divide(vecs[rows].sum(axis=0), len(rows), out=summaries[k, 0])
+        # the bits of .mean(axis=0), without its Python-level wrapper
+        np.divide(vecs[rows].sum(axis=0), len(rows), out=summaries[k, 0])
         pooled.append(rows)
         fallbacks.append(fallback)
         first += n
@@ -163,7 +163,6 @@ def joint_grads(
     model: JointModel,
     examples: Sequence[tuple[JointInput, frozenset[int], str]],
     weights: tuple[float, float] = (1.0, 1.0),
-    teacher_forcing: bool = True,
 ):
     """Mean loss terms and analytic gradients over a minibatch of packed
     (sequence, gold evidence, gold label) examples.
@@ -172,9 +171,9 @@ def joint_grads(
     head, one pool backward per loss term and one encoder backward. Returns
     (total, evidence_loss, verdict_loss, encoder grads or None, evidence-head
     grads, verdict-head grads): each ``1 / len(examples)`` times the
-    per-example values summed in example order, bit for bit. Teacher forcing
-    pools the gold spans (see :func:`_forward`); without it the loss is the
-    inference loss.
+    per-example values summed in example order, bit for bit. The verdict term
+    is teacher-forced: it reads the summary of the gold spans that survived
+    (see :func:`_forward`).
     """
     w_ev, w_ent = weights
     encoder = model.encoder
@@ -185,7 +184,7 @@ def joint_grads(
     spans = [(o + s, o + e) for o, (ji, _, _) in zip(offsets, examples) for s, e in ji.span_map]
     counts = [len(ji.span_map) for ji, _, _ in examples]
     ev_logits, ev_cache, _, pooled, _, v_logits, v_cache = _forward(
-        model, matrix, spans, counts, golds if teacher_forcing else None
+        model, matrix, spans, counts, golds
     )
 
     # Evidence term: each example's mean BCE over its survivors. All
@@ -221,7 +220,7 @@ def joint_grads(
         survived = np.arange(d_vecs.shape[1]) < np.array(counts)[:, None]
         d_matrix = pool_spans_backward(d_vecs[survived, 0], matrix, spans, model.pooling)
         sizes = [len(chosen) for chosen in pooled]
-        d_pooled = np.repeat(d_summary[:, 0] / np.maximum(sizes, 1)[:, None], sizes, axis=0)
+        d_pooled = np.repeat(d_summary[:, 0] / np.asarray(sizes)[:, None], sizes, axis=0)
         pooled_spans = [spans[r] for chosen in pooled for r in chosen]
         pool_spans_backward(d_pooled, matrix, pooled_spans, model.pooling, out=d_matrix)
         enc_grads = encoder.backward(enc_cache, d_matrix, scale)
@@ -270,8 +269,6 @@ def train_joint(
 
     examples = []
     for claim in train_claims:
-        if claim.gold_evidence is None:
-            raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
         if claim.gold_label is None:
             raise CtrnliError(f"claim {claim.claim_id} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)

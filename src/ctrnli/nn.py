@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,7 @@ def padded(rows: np.ndarray, lengths) -> np.ndarray:
     """The ``rows`` of items of ``lengths``, laid back to back, as a
     ``[items, max length, ...]`` stack with zeros past each item's end."""
     lengths = np.asarray(lengths)
-    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    keep = np.arange(lengths.max()) < lengths[:, None]
     out = np.zeros(keep.shape + rows.shape[1:])
     out[keep] = rows
     return out
@@ -202,6 +203,11 @@ def in_unit_interval(value) -> bool:
     return is_finite_number(value) and 0 <= value <= 1
 
 
+def refusal(name: str, rule: str, value) -> ValueError:
+    """``{name} must be {rule}, got {value}``, with ``value`` abbreviated."""
+    return ValueError(f"{name} must be {rule}, got {reprlib.repr(value)}")
+
+
 @dataclass
 class Hyperparams:
     """Training configuration; defaults follow the published recipe."""
@@ -233,7 +239,7 @@ class Hyperparams:
             rules.append((name, is_finite_number(value) and value >= 0, "a finite number >= 0"))
         for name, ok, rule in rules:
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise refusal(name, rule, getattr(self, name))
 
     def total_steps(self, n_items: int) -> int:
         if self.max_steps is not None:

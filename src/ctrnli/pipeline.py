@@ -12,6 +12,7 @@ encoding into Entailment vs Contradiction.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -105,16 +106,18 @@ class SystemPrediction:
             selected = tuple(obj["selected"])
             fallback_used = obj.get("fallback_used", False)
             if not isinstance(claim_id, str):
-                raise TypeError(f"claim_id must be a string, got {claim_id!r}")
+                raise TypeError(f"claim_id must be a string, got {reprlib.repr(claim_id)}")
             if not all(is_count(i, 0) for i in selected):
-                raise TypeError(f"selected must hold integers >= 0, got {list(selected)}")
+                shown = reprlib.repr(list(selected))
+                raise TypeError(f"selected must hold integers >= 0, got {shown}")
             if not isinstance(fallback_used, bool):
-                raise TypeError(f"fallback_used must be true or false, got {fallback_used!r}")
+                shown = reprlib.repr(fallback_used)
+                raise TypeError(f"fallback_used must be true or false, got {shown}")
             probs = {key: tuple(obj[key]) for key in ("evidence_probs", "class_probs")}
             for key, values in probs.items():
                 # JSON numbers parse to int or float; __post_init__ refuses non-finite ones
                 if not {*map(type, values)} <= {int, float}:
-                    raise TypeError(f"{key} must hold numbers, got {list(values)}")
+                    raise TypeError(f"{key} must hold numbers, got {reprlib.repr(list(values))}")
             return cls(
                 claim_id=claim_id,
                 evidence_probs=tuple(map(float, probs["evidence_probs"])),
@@ -124,8 +127,8 @@ class SystemPrediction:
                 fallback_used=fallback_used,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            what = f"{type(exc).__name__}: {exc}"
-            raise MalformedJson(f"malformed prediction {obj.get('claim_id')!r}: {what}") from None
+            what = f"{reprlib.repr(obj.get('claim_id'))}: {type(exc).__name__}: {exc}"
+            raise MalformedJson(f"malformed prediction {what}") from None
 
 
 def select_evidence(probs: Sequence[float], threshold: float) -> tuple[tuple[int, ...], bool]:
@@ -274,8 +277,6 @@ def evidence_training_items(
     """All (pair token ids, is-evidence target) items across the claims."""
     items = []
     for claim in claims:
-        if claim.gold_evidence is None:
-            raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
         premise = require_sentences(claim, resolve_premise(claim, corpus, inject_arm_prefix))
         gold = gold_evidence_globals(claim, premise)
         with naming_claim(claim.claim_id):
@@ -325,8 +326,6 @@ def entailment_training_items(
             raise CtrnliError(f"claim {claim.claim_id} has no gold label")
         premise = require_sentences(claim, resolve_premise(claim, corpus, inject_arm_prefix))
         if evidence_model is None:
-            if claim.gold_evidence is None:
-                raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
             indices = sorted(gold_evidence_globals(claim, premise))
         else:
             probs = score_evidence(

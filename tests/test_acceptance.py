@@ -365,9 +365,9 @@ def test_a5_gradients_vs_finite_differences(bundled, verdict):
         batch = [(ji, gold, claim.gold_label)]
 
         def joint_total():
-            return joint_grads(model, batch, weights, teacher_forcing=True)[0]
+            return joint_grads(model, batch, weights)[0]
 
-        _, _, _, _, ev_grads, v_grads = joint_grads(model, batch, weights, teacher_forcing=True)
+        _, _, _, _, ev_grads, v_grads = joint_grads(model, batch, weights)
         worst = max(worst, _fd_check(model.evidence_head.params, joint_total, ev_grads))
         worst = max(worst, _fd_check(model.verdict_head.params, joint_total, v_grads))
 

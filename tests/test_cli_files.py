@@ -6,7 +6,8 @@ workspace holds one copy of every file; a test damages one of them, runs the
 command through ``main()`` and puts the file back. Log records at WARNING
 and above count as stderr lines, since the command-line entry point sends
 them there. A ``train`` config file is also filled, one field at a time,
-with a value of each JSON type, and a small report is damaged node by node.
+with a value of each JSON type, and a small report and a small prediction
+file are damaged node by node.
 """
 
 import contextlib
@@ -290,7 +291,8 @@ def test_fuzzed_file_ends_in_one_line(workspace, target, mutation):
 # --- config values of every JSON type -------------------------------------------
 
 _CONFIG_VALUES = [
-    None, True, 0, -1, 1.5, float("nan"), 10**30, 10**400, "", "x", [], [1], {}, {"a": 1},
+    None, True, 0, -1, 1.5, float("nan"), 10**30, 10**400, "", "x", "x" * 100_000,
+    [], [1], {}, {"a": 1},
 ]
 # values that ask for a huge allocation or run rather than being of a wrong type
 _HUGE = {("encoder", "vocab_size"), ("encoder", "dim"), ("encoder", "n_layers"),
@@ -307,8 +309,8 @@ _CONFIG_FIELDS = [
 def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
     """Every run-config and section field of a ``train --config`` file, set to
     each JSON type, trains or is refused with an exit code of 0-3 and at most
-    one stderr line. Paths are relative, so a path of "" would read the
-    workspace itself: it is a usage error (2)."""
+    one stderr line of under 200 characters. Paths are relative, so a path of
+    "" would read the workspace itself: it is a usage error (2)."""
     shutil.copy(FIXTURE / "corpus.json", tmp_path / "corpus.json")
     (tmp_path / "claims").mkdir()
     shutil.copy(FIXTURE / "claims.json", tmp_path / "claims" / "dev.json")
@@ -328,9 +330,11 @@ def test_any_config_value_ends_in_one_line(tmp_path, monkeypatch, path):
         (tmp_path / "run.json").write_text(json.dumps(config))
         expected = 2 if value == "" and path in _PATH_FIELDS else None
         try:
-            _check(*_run(["train", "--config", "run.json", "--out", "ckpt"]), expected)
+            code, lines = _run(["train", "--config", "run.json", "--out", "ckpt"])
+            _check(code, lines, expected)
+            assert all(len(line) < 200 for line in lines), lines
         except Exception as exc:  # noqa: BLE001 - any escape is the finding
-            stray.append((value, repr(exc)))
+            stray.append((reprlib.repr(value), str(exc)[:300]))
         shutil.rmtree(tmp_path / "ckpt", ignore_errors=True)
     assert stray == []
 
@@ -371,20 +375,20 @@ _NODE_VALUES = [
 _DELETED = object()
 
 
-def _with_node(path, value):
-    """A copy of ``_REPORT`` whose node at ``path`` is ``value``, or is gone
-    when ``value`` is ``_DELETED``."""
+def _with_node(tree, path, value):
+    """A copy of the JSON value ``tree`` whose node at ``path`` is ``value``,
+    or is gone when ``value`` is ``_DELETED``."""
     if not path:
         return value
-    report = copy.deepcopy(_REPORT)
-    parent = report
+    tree = copy.deepcopy(tree)
+    parent = tree
     for key in path[:-1]:
         parent = parent[key]
     if value is _DELETED:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    return report
+    return tree
 
 
 @pytest.mark.parametrize(
@@ -398,9 +402,57 @@ def test_report_damaged_node_by_node_ends_in_one_line(tmp_path, path):
     deletion = [_DELETED] if path and isinstance(path[-1], str) else []
     report = tmp_path / "report.json"
     for value in _NODE_VALUES + deletion:
-        report.write_text(json.dumps(_with_node(path, value)))
+        report.write_text(json.dumps(_with_node(_REPORT, path, value)))
         with time_limit(20):
             code, lines = _run(["report", "--report", report])
         shown = "deleted" if value is _DELETED else reprlib.repr(value)
         assert code in (0, 1) and len(lines) == code, (shown, code, lines)
         assert all(len(line) < 200 and "Traceback" not in line for line in lines), (shown, lines)
+
+
+# --- a prediction file, damaged node by node -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_predictions(tmp_path_factory, corpus, claims, joint_model):
+    """A workspace of the fixture corpus, its first two claims as the dev
+    split, and their predictions by the overfit joint model, written twice:
+    ``pipeline.json`` stays intact, ``joint.json`` is the one damaged."""
+    ws = tmp_path_factory.mktemp("predictions")
+    shutil.copy(FIXTURE / "corpus.json", ws / "corpus.json")
+    (ws / "claims").mkdir()
+    dev = json.loads((FIXTURE / "claims.json").read_text())[:2]
+    (ws / "claims" / "dev.json").write_text(json.dumps(dev))
+    by_id = {claim.claim_id: claim for claim in claims}
+    preds = [predict_joint(by_id[obj["claim_id"]], corpus, joint_model) for obj in dev]
+    save_predictions(preds, ws / "pipeline.json")
+    return ws, json.loads((ws / "pipeline.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "value", _NODE_VALUES + [_DELETED],
+    ids=lambda value: "deleted" if value is _DELETED else reprlib.repr(value),
+)
+def test_predictions_damaged_node_by_node_end_in_one_line(two_predictions, value):
+    """Every node of a valid two-record prediction file replaced by ``value``
+    (or every key deleted, for ``_DELETED``): ``ensemble`` (against the intact
+    file) and ``evaluate`` each succeed (exit 0) or refuse the file (exit 1),
+    with at most one stderr line of under 200 characters and never a
+    traceback."""
+    ws, records = two_predictions
+    commands = {
+        "ensemble": ["ensemble", ws / "pipeline.json", ws / "joint.json", "--out", ws / "e.json"],
+        "evaluate": _evaluate(ws),
+    }
+    stray = []
+    for path in _nodes(records):
+        if value is _DELETED and not (path and isinstance(path[-1], str)):
+            continue
+        (ws / "joint.json").write_text(json.dumps(_with_node(records, path, value)))
+        for name, argv in commands.items():
+            with time_limit(20):
+                code, lines = _run(argv)
+            ok = code in (0, 1) and len(lines) <= 1
+            if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
+                stray.append((name, path, code, [line[:200] for line in lines]))
+    assert stray == []

@@ -2,6 +2,7 @@
 
 import json
 import operator
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,13 @@ class TestResolvePremise:
         premise = resolve_premise(claim, recs)
         assert premise.n == 9
         assert sorted(gold_evidence_globals(claim, premise)) == [2, 5]
+
+    def test_gold_globals_refuse_a_claim_without_gold_evidence(self, corpus, claims):
+        """The one check for gold evidence: no empty set stands in for it."""
+        claim = replace(claims[0], gold_evidence=None)
+        premise = resolve_premise(claim, corpus)
+        with pytest.raises(CtrnliError, match=f"^claim {claim.claim_id} has no gold evidence$"):
+            gold_evidence_globals(claim, premise)
 
     def test_comparison_of_a_trial_with_itself_rejected(self):
         """Both halves of such a premise carry one trial id, so its evidence

@@ -185,20 +185,21 @@ def _packed(model, claim, premise):
 
 class TestJointGrads:
     def test_loss_terms_match_forward(self, corpus, claims):
-        """With teacher forcing off, the gradient path and the plain forward
-        pass must report identical losses."""
+        """The gradient path's evidence term is the mean BCE of the plain
+        forward pass's packed probabilities; the verdict term is
+        teacher-forced, so only the evidence term is shared with inference."""
         model = _tiny_model()
         claim = claims[0]
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         ji = _packed(model, claim, premise)
-        total, l_ev, l_ent, *_ = joint_grads(
-            model, [(ji, gold, claim.gold_label)], teacher_forcing=False
-        )
+        total, l_ev, l_ent, *_ = joint_grads(model, [(ji, gold, claim.gold_label)])
         out = forward_joint(claim, premise, model)
         packed_probs = out.evidence_probs[: len(ji.span_map)]
-        assert total == pytest.approx(
-            _oracle_joint_loss(packed_probs, out.class_probs, gold, claim.gold_label)
+        assert l_ev == pytest.approx(
+            _oracle_joint_loss(
+                packed_probs, out.class_probs, gold, claim.gold_label, weights=(1.0, 0.0)
+            )
         )
         assert total == pytest.approx(l_ev + l_ent)
 
@@ -294,33 +295,21 @@ class TestPredictJoint:
 class TestGradientCheck:
     def test_head_gradients_match_finite_differences(self, corpus, claims):
         """Analytic head gradients against central differences on the total
-        joint loss, teacher forcing off so the loss is the inference loss."""
+        teacher-forced joint loss, as the old per-sentence path computes it."""
         model = _tiny_model(seed=3)
         claim = claims[1]
         premise = resolve_premise(claim, corpus)
         gold = gold_evidence_globals(claim, premise)
         weights = (1.0, 1.0)
 
-        # finite differences only see the analytic gradient while the gate
-        # pattern is constant, so keep every probability away from the
-        # threshold (the loss is piecewise smooth in between crossings)
-        base = forward_joint(claim, premise, model)
-        assert all(abs(p - model.threshold) > 1e-3 for p in base.evidence_probs)
-
-        n = len(_packed(model, claim, premise).span_map)
-
         def total_loss():
-            out = forward_joint(claim, premise, model)
-            return _oracle_joint_loss(
-                out.evidence_probs[:n], out.class_probs, gold, claim.gold_label, weights
-            )
+            return _oracle_joint_grads(model, claim, premise, gold, claim.gold_label, weights)[0]
 
         *_, ev_grads, v_grads = joint_grads(
-            model, [(_packed(model, claim, premise), gold, claim.gold_label)], weights,
-            teacher_forcing=False,
+            model, [(_packed(model, claim, premise), gold, claim.gold_label)], weights
         )
-        # gating makes the loss piecewise; probe a few coordinates only and
-        # rely on the acceptance gradient check for aggregate coverage
+        # probe a few coordinates only and rely on the acceptance gradient
+        # check for aggregate coverage
         eps = 1e-5
         for params, grads in (
             (model.evidence_head.params, ev_grads),
@@ -416,20 +405,19 @@ def _oracle_joint_grads(
 
 
 def _survivor_budgets(tokenizer, claim, premise):
-    """max_len values keeping every sentence, the first two, and none."""
+    """max_len values keeping every sentence and the first two."""
     claim_len = len(tokenizer.tokenize(claim.text).token_ids) + 1
     s0, s1 = (len(tokenizer.tokenize(s).token_ids) for s in premise.texts[:2])
-    return {"all": 1024, "two": claim_len + s0 + 1 + s1, "none": claim_len}
+    return {"all": 1024, "two": claim_len + s0 + 1 + s1}
 
 
 class TestJointGradsMatchOldPath:
     """The shared forward must leave every loss and gradient bit-identical."""
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["toy", "frozen"])
-    @pytest.mark.parametrize("budget", ["all", "two", "none"])
-    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    @pytest.mark.parametrize("budget", ["all", "two"])
     @pytest.mark.parametrize("pooling", ["mean", "max", "first"])
-    def test_bitwise_equal(self, corpus, claims, pooling, teacher_forcing, budget, frozen):
+    def test_bitwise_equal(self, corpus, claims, pooling, budget, frozen):
         model = _tiny_model(seed=4)
         if frozen:
             model.encoder = _StubPretrained(ToyEncoder(dim=16, seed=5))
@@ -442,17 +430,15 @@ class TestJointGradsMatchOldPath:
             model.max_len = _survivor_budgets(model.encoder.tokenizer, claim, premise)[budget]
             ji = _packed(model, claim, premise)
             seen_types.add(claim.secondary_ctr is not None)
-            new = joint_grads(model, [(ji, gold, claim.gold_label)], weights, teacher_forcing)
-            old = _oracle_joint_grads(
-                model, claim, premise, gold, claim.gold_label, weights, teacher_forcing
-            )
+            new = joint_grads(model, [(ji, gold, claim.gold_label)], weights)
+            old = _oracle_joint_grads(model, claim, premise, gold, claim.gold_label, weights)
             assert new[:3] == old[:3], claim.claim_id
             assert (new[3] is None) == frozen and (old[3] is None) == frozen
             for new_g, old_g in zip(new[3:], old[3:]):
                 assert_grads_equal(new_g or {}, old_g or {})
             if not frozen:
                 assert np.array_equal(new[3]["emb"][0], np.unique(ji.token_ids))
-            assert len(ji.span_map) == {"all": premise.n, "two": 2, "none": 0}[budget]
+            assert len(ji.span_map) == {"all": premise.n, "two": 2}[budget]
         assert seen_types == {False, True}  # single and comparison claims
 
 

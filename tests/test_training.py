@@ -16,6 +16,8 @@ float64 as training leaves them, recorded where ``to_stored_precision``
 receives them, and as that cast returns them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,16 @@ def test_empty_premise_is_refused(corpus, train, max_steps):
     hp = Hyperparams(max_steps=max_steps)
     with time_limit(20), pytest.raises(CtrnliError, match="claim-empty resolved to an empty"):
         train([claim], corpus, hp)
+
+
+@TRAINERS
+def test_claim_without_gold_evidence_is_refused(corpus, claims, train):
+    """A labelled claim without gold evidence is refused by the one line of
+    ``gold_evidence_globals``, whichever trainer reads it."""
+    claim = replace(claims[0], gold_evidence=None)
+    with time_limit(20), pytest.raises(CtrnliError) as refused:
+        train([claim], corpus, Hyperparams(max_steps=1))
+    assert str(refused.value) == f"claim {claim.claim_id} has no gold evidence"
 
 
 @TRAINERS
