@@ -152,25 +152,31 @@ def _load_params(shapes: dict, tensors: Mapping[str, np.ndarray], ns: str, dtype
     return {name: arr.astype(dtype, copy=False) for name, arr in loaded.items()}
 
 
-def _encoder_config(encoder) -> dict:
-    cfg = {"backend": encoder.backend}
-    if encoder.backend == "toy":
-        cfg.update(
-            vocab_size=encoder.vocab_size, dim=encoder.dim, n_layers=encoder.n_layers
-        )
-    else:
-        cfg.update(model_name=encoder.model_name, dim=encoder.dim)
-    return cfg
+# The keys of an encoder's config entry, by backend: each an encoder attribute.
+_ENCODER_KEYS = {
+    "toy": ("backend", "vocab_size", "dim", "n_layers"),
+    "pretrained": ("backend", "model_name", "dim"),
+}
 
 
-def _rebuild_encoder(cfg: dict, tensors: Mapping[str, np.ndarray], ns: str, shared: dict):
-    """The encoder ``cfg`` describes, at its stored tensors, which a toy encoder's sizes are
-    checked against first; a toy encoder keeps the read-only views, so it builds its layer-0
-    table here. ``shared`` maps a vocabulary size to its encoders' tokenizer."""
+def _known_keys(cfg: dict, allowed, where: str) -> None:
+    """Refuse the first key of ``cfg``, in sorted order, that ``allowed`` does not hold."""
+    unknown = sorted(cfg.keys() - set(allowed))
+    if unknown:
+        raise BadCheckpoint(f"{where} has unknown key {reprlib.repr(unknown[0])}")
+
+
+def _rebuild_encoder(cfg: dict, field: str, tensors: Mapping[str, np.ndarray], ns: str,
+                     shared: dict):
+    """The encoder ``cfg`` (config entry ``field``) describes, at its stored tensors, which
+    a toy encoder's sizes are checked against first; a toy encoder keeps the read-only views,
+    so it builds its layer-0 table here. ``shared`` maps a vocabulary size to its encoders'
+    tokenizer."""
+    if cfg["backend"] not in ("toy", "pretrained"):
+        raise ValueError(f"unknown encoder backend {reprlib.repr(cfg['backend'])}")
+    _known_keys(cfg, _ENCODER_KEYS[cfg["backend"]], f"{CONFIG_FILE} entry {field}")
     if cfg["backend"] == "pretrained":
         return PretrainedEncoder(cfg["model_name"])
-    if cfg["backend"] != "toy":
-        raise ValueError(f"unknown encoder backend {reprlib.repr(cfg['backend'])}")
     vocab_size, dim, n_layers = cfg["vocab_size"], cfg["dim"], cfg["n_layers"]
     EncoderConfig(vocab_size=vocab_size, dim=dim, n_layers=n_layers)  # sizes are counts
     stored = sum(name.startswith(f"{ns}.") for name in tensors)
@@ -202,6 +208,7 @@ _LAYOUTS = {
     )),
 }
 _SETTINGS = ("max_len", "threshold", "pooling", "inject_arm_prefix")
+_LEGACY_KEYS = ("n_classes",)  # written by older versions, whose heads were two-class too
 
 
 def _settings(config: dict, system: str) -> dict:
@@ -226,7 +233,7 @@ def _save(model, path: str | Path, system: str) -> None:
     for field, ns, sized_by in _LAYOUTS[system][1]:
         part = getattr(model, field)
         if sized_by is None:
-            config[field] = _encoder_config(part)
+            config[field] = {key: getattr(part, key) for key in _ENCODER_KEYS[part.backend]}
         for name, arr in part.params.items():
             named[f"{ns}.{name}"] = arr
     _write_blob(Path(path), named, system, config)
@@ -250,11 +257,13 @@ def load_any_model(path: str | Path):
     system, config, tensors = read_checkpoint(path)
     model_cls, layout = _LAYOUTS[system]
     try:
+        encoders = [field for field, _, sized_by in layout if sized_by is None]
+        _known_keys(config, (*_SETTINGS, *encoders, *_LEGACY_KEYS), CONFIG_FILE)
         parts: dict = {}
         tokenizers: dict = {}  # vocab size -> toy tokenizer
         for field, ns, sized_by in layout:
             if sized_by is None:
-                part = _rebuild_encoder(config[field], tensors, ns, tokenizers)
+                part = _rebuild_encoder(config[field], field, tensors, ns, tokenizers)
             else:
                 shapes = ClassifierHead.param_shapes(parts[sized_by].dim)
                 part = ClassifierHead(params=_load_params(shapes, tensors, ns, np.float64))

@@ -234,9 +234,20 @@ def build_entailment_sequence(tokenizer, claim: str, evidence_texts: Sequence[st
 
 
 def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str) -> np.ndarray:
-    """Half-open ``span``'s rows reduced to one vector: one span of :func:`pool_spans`."""
-    if not (0 <= span[0] < span[1] <= matrix.shape[0]):
+    """Half-open ``span``'s rows reduced to one vector: one span of :func:`pool_spans`.
+
+    At two or more columns, mean and max reduce the rows directly: numpy folds
+    them one by one as it folds the :func:`pool_spans` block, to the same bits
+    (but which of two different NaNs survives). ``first`` and a lone column,
+    which numpy reduces pairwise, go through :func:`pool_spans`.
+    """
+    start, end = span
+    if not (0 <= start < end <= matrix.shape[0]):
         raise CtrnliError(f"span {span} invalid for matrix of {matrix.shape[0]} rows")
+    if mode == "max" and matrix.shape[1] > 1:
+        return matrix[start:end].max(axis=0)
+    if mode == "mean" and matrix.shape[1] > 1:
+        return matrix[start:end].sum(axis=0) / matrix.dtype.type(end - start)
     return pool_spans(matrix, (span,), mode)[0]
 
 
@@ -249,23 +260,25 @@ def _offset_major(matrix: np.ndarray, starts: np.ndarray, lengths: np.ndarray, f
     return block
 
 
-def pool_spans(matrix: np.ndarray, spans: Sequence[tuple[int, int]], mode: str) -> np.ndarray:
+def pool_spans(matrix: np.ndarray, spans, mode: str) -> np.ndarray:
     """Pool each half-open span of ``matrix`` rows; one row per span.
 
-    Spans must be non-empty and in increasing order (they may touch). Each
-    mode is one reduction over the batch; mean and max fold an offset-major
-    block row by row, as ``.mean(axis=0)`` and ``.max(axis=0)`` fold a span
-    of two or more columns (so max breaks a ``0.0``/``-0.0`` tie as they do).
+    ``spans`` are ``(start, end)`` pairs or an ``(n, 2)`` integer array; they
+    must be non-empty and in increasing order (they may touch). Each mode is
+    one reduction over the batch; mean and max fold an offset-major block row
+    by row, as ``.mean(axis=0)`` and ``.max(axis=0)`` fold a span of two or
+    more columns (so max breaks a ``0.0``/``-0.0`` tie as they do).
     """
-    if not spans:
+    if not len(spans):
         return np.zeros((0, matrix.shape[1]))
+    bounds = np.asarray(spans)
     if mode == "first":
-        return matrix[[start for start, _ in spans]]
+        return matrix[bounds[:, 0]]
     if mode not in ("mean", "max"):
         raise ValueError(f"unknown pooling mode '{mode}'")
     # an empty spare span, so the fold never meets a lone column, which numpy
     # reduces pairwise; the fill past each span's end changes no float
-    starts, ends = np.asarray([*spans, (0, 0)]).T
+    starts, ends = np.concatenate([bounds, [(0, 0)]]).T
     if mode == "max":
         return _offset_major(matrix, starts, ends - starts, -np.inf).max(axis=0)[:-1]
     sums = _offset_major(matrix, starts, ends - starts, -0.0).sum(axis=0)[:-1]
@@ -286,7 +299,7 @@ def pool_span_backward(
 def pool_spans_backward(
     d_pooled: np.ndarray,
     matrix: np.ndarray,
-    spans: Sequence[tuple[int, int]],
+    spans,
     mode: str,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -364,14 +377,22 @@ def _affine(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``x @ weight + bias`` with each row rounded the same at any row count,
-    written into ``out`` when given (unless ``x`` is one row).
+    written into ``out`` when given (unless ``x`` is one row or ``weight``
+    is padded).
 
     numpy computes a one-row product with gemv, which rounds differently from
     the gemm that computes the same row inside a taller matrix; a lone row
     is therefore doubled so that a sequence encodes to the same bits alone
-    and batched.
+    and batched. gemm also rounds a row by the product's row count when the
+    output is not a multiple of 16 columns wide, so ``weight`` gets zero
+    columns up to the next multiple of 16 and the product is sliced back.
     """
-    out = (np.concatenate([x, x]) @ weight)[:1] if len(x) == 1 else np.matmul(x, weight, out=out)
+    width = weight.shape[1]
+    if width % 16:
+        zeros = np.zeros((len(weight), -width % 16), weight.dtype)
+        weight, out = np.concatenate([weight, zeros], axis=1), None
+    product = (np.concatenate([x, x]) @ weight)[:1] if len(x) == 1 else np.matmul(x, weight, out=out)
+    out = product[:, :width]
     out += bias
     return out
 

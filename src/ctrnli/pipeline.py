@@ -11,7 +11,6 @@ encoding into Entailment vs Contradiction.
 
 from __future__ import annotations
 
-import itertools
 import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -145,10 +144,11 @@ def select_evidence(probs: Sequence[float], threshold: float) -> tuple[tuple[int
     return (int(np.argmax(np.asarray(probs))),), True
 
 
-def _spans(lengths) -> list[tuple[int, int]]:
-    """Half-open row ranges of sequences of ``lengths`` laid back to back."""
-    edges = list(itertools.accumulate(lengths, initial=0))
-    return list(zip(edges[:-1], edges[1:]))
+def _spans(lengths) -> np.ndarray:
+    """Half-open row ranges of sequences of ``lengths`` laid back to back, as
+    the ``(n, 2)`` bounds array :func:`pool_spans` takes."""
+    edges = np.cumsum([0, *lengths])
+    return np.column_stack((edges[:-1], edges[1:]))
 
 
 def evidence_probs(head: ClassifierHead, vectors: np.ndarray) -> list[float]:

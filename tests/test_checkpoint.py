@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import OVERFIT_POOLING, overfit_hyperparams
+
 from ctrnli import checkpoint, encode
 from ctrnli.checkpoint import load_any_model, read_checkpoint, save_joint_model, save_pipeline_model
 from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
-from ctrnli.joint import JointModel, predict_joint
+from ctrnli.joint import JointModel, predict_joint, train_joint
 from ctrnli.nn import ClassifierHead, to_stored_precision
 from ctrnli.pipeline import (
     PipelineModel,
@@ -81,6 +83,17 @@ class TestRoundTrip:
     def test_joint_predictions_survive(self, tmp_path, corpus, claims, joint_model, joint_ckpt):
         loaded = load_any_model(joint_ckpt)[1]
         _assert_predict_the_same_bytes(tmp_path, corpus, claims, predict_joint, joint_model, loaded)
+
+    def test_joint_predictions_survive_at_a_width_off_16(self, tmp_path, corpus, claims):
+        """At ``dim`` 33 gemm rounds a row by the product's row count unless
+        ``_affine`` pads its weight, and a reload gathers layer 0 from a
+        table computed over the whole vocabulary."""
+        result = train_joint(claims, corpus, overfit_hyperparams(20), pooling=OVERFIT_POOLING,
+                             encoder_factory=lambda seed: ToyEncoder(dim=33, seed=seed))
+        save_joint_model(result.model, tmp_path / "ckpt")
+        loaded = load_any_model(tmp_path / "ckpt")[1]
+        assert loaded.encoder.dim == 33
+        _assert_predict_the_same_bytes(tmp_path, corpus, claims, predict_joint, result.model, loaded)
 
     def test_parameters_are_quantized_exactly(self, pipeline_model, pipeline_ckpt, joint_model,
                                               joint_ckpt):

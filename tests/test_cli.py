@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import reprlib
 import shutil
 import warnings
 from pathlib import Path
@@ -758,6 +759,48 @@ class TestPredict:
         assert code == 1
         _one_line_error(capsys, "error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "system,entry",
+        [("pipeline", None), ("pipeline", "entailment_encoder"), ("joint", None),
+         ("joint", "encoder")],
+    )
+    @pytest.mark.parametrize("key", ["pooling ", "n_layer", "x" * 100_000])
+    def test_checkpoint_config_with_an_unknown_key_is_a_data_error(
+        self, tmp_path, ckpts, capsys, system, entry, key
+    ):
+        """A stray or misspelt key, at the top or in an encoder's entry, is
+        refused instead of leaving its setting at the default."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts[system], ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        (config if entry is None else config[entry])[key] = "max"
+        (ckpt / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "p.json"
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(out),
+        ])
+        assert code == 1
+        err = _one_line_error(capsys, "config.json", "unknown key", reprlib.repr(key))
+        assert len(err) < 200 and (entry is None or entry in err)
+        assert not out.exists()
+
+    def test_pretrained_entry_with_a_toy_key_is_refused_before_loading(
+        self, tmp_path, ckpts, capsys
+    ):
+        """Each backend has its own keys; the refusal comes before any model is loaded."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(ckpts["joint"], ckpt)
+        config = json.loads((ckpt / "config.json").read_text())
+        config["encoder"].update(backend="pretrained", model_name="no-such-model")
+        (ckpt / "config.json").write_text(json.dumps(config))
+        code = main([
+            "predict", "--corpus", CORPUS, "--claims", CLAIMS,
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 1
+        _one_line_error(capsys, "config.json entry encoder has unknown key 'n_layers'")
 
     def test_duplicate_claim_id_is_data_error(self, tmp_path, ckpts, capsys, duplicate_claims):
         out = tmp_path / "p.json"

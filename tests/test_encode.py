@@ -27,6 +27,7 @@ from ctrnli.encode import (
     pool_span,
     pool_span_backward,
     pool_spans,
+    pool_spans_backward,
     _smooth,
 )
 from ctrnli.errors import BackendUnavailable, CtrnliError, UsageError
@@ -475,6 +476,36 @@ class TestSpanPooling:
 
     def test_pool_spans_of_no_spans(self):
         assert pool_spans(self.matrix, [], "max").shape == (0, 5)
+
+    @pytest.mark.parametrize("mode", ["mean", "first", "max"])
+    @pytest.mark.parametrize("width", [1, 2, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_span_is_its_span_of_pool_spans_bitwise(self, mode, width, dtype):
+        """``pool_span`` reduces a lone span's rows itself at two or more
+        columns; its bytes are those of ``pool_spans`` over that one span.
+        Besides normal values: a column 0 of only ``0.0`` and ``-0.0``, so
+        max meets signed-zero ties (which a lone column's ``.max(axis=0)``
+        breaks otherwise over 17 or 33 rows), and a last column holding one
+        NaN."""
+        normal = np.random.default_rng(width).normal(size=(40, width)).astype(dtype)
+        zeros, nan = normal.copy(), normal.copy()
+        zeros[:, 0] = np.where(np.random.default_rng(2).random(40) < 0.5, 0.0, -0.0)
+        nan[9, -1] = np.nan
+        for matrix in (normal, zeros, nan):
+            for span in [(0, 40), (0, 1), (3, 4), (5, 22), (7, 40), (11, 17), (12, 14)]:
+                pooled = pool_span(matrix, span, mode)
+                assert pooled.dtype == matrix.dtype
+                assert pooled.tobytes() == pool_spans(matrix, [span], mode)[0].tobytes()
+
+    @pytest.mark.parametrize("mode", ["mean", "first", "max"])
+    def test_spans_as_a_bounds_array_pool_the_same_bytes(self, mode):
+        spans = [(0, 3), (3, 4), (6, 11), (11, 12)]
+        bounds = np.array(spans)
+        pooled = pool_spans(self.matrix, spans, mode)
+        assert pool_spans(self.matrix, bounds, mode).tobytes() == pooled.tobytes()
+        d_pooled = np.random.default_rng(5).normal(size=(4, 5))
+        grad = pool_spans_backward(d_pooled, self.matrix, spans, mode)
+        assert pool_spans_backward(d_pooled, self.matrix, bounds, mode).tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("mode", ["mean", "first", "max"])
     def test_backward_into_out_accumulates(self, mode):

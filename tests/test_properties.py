@@ -241,8 +241,9 @@ def _stored_encoder(dim: int) -> ToyEncoder:
     return encoder
 
 
-# float32 at several widths, since BLAS picks its kernels by size
-_STORED_ENCODERS = [_stored_encoder(dim) for dim in (8, 32, 48)]
+# float32 at several widths, since BLAS picks its kernels by size; 33 and 40
+# are not multiples of 16, where gemm rounds a row by the product's row count
+_STORED_ENCODERS = [_stored_encoder(dim) for dim in (8, 32, 33, 40, 48)]
 
 token_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
