@@ -17,6 +17,7 @@ import json
 import math
 import reprlib
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -134,7 +135,9 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
 
 
 def _load_params(shapes: dict, tensors: Mapping[str, np.ndarray], ns: str, dtype) -> dict:
-    """The tensors named ``{ns}.*`` (just these names and ``shapes``, all finite) as ``dtype``."""
+    """The tensors named ``{ns}.*`` (just these names and ``shapes``, all finite) as
+    ``dtype``, each read-only for good: a tensor converted to ``dtype`` is made
+    a view of immutable bytes too."""
     prefix = f"{ns}."
     loaded = {name[len(prefix) :]: arr for name, arr in tensors.items() if name.startswith(prefix)}
     if set(shapes) != set(loaded):
@@ -149,7 +152,11 @@ def _load_params(shapes: dict, tensors: Mapping[str, np.ndarray], ns: str, dtype
             )
         if not np.isfinite(arr).all():
             raise BadCheckpoint(f"{ns}.{name}: holds non-finite values")
-    return {name: arr.astype(dtype, copy=False) for name, arr in loaded.items()}
+    return {
+        name: arr if arr.dtype == dtype
+        else np.frombuffer(arr.astype(dtype).tobytes(), dtype).reshape(arr.shape)
+        for name, arr in loaded.items()
+    }
 
 
 # The keys of an encoder's config entry, by backend: each an encoder attribute.
@@ -253,6 +260,8 @@ def load_any_model(path: str | Path):
     Returns ("pipeline", PipelineModel) or ("joint", JointModel); the
     checkpoint is read once. A pipeline's two toy encoders share one new
     tokenizer when their vocabulary sizes match: ids depend on nothing else.
+    Every encoder and head holds its tensors read-only for good in a
+    read-only mapping, so the model memoizes its predictions.
     """
     system, config, tensors = read_checkpoint(path)
     model_cls, layout = _LAYOUTS[system]
@@ -266,7 +275,8 @@ def load_any_model(path: str | Path):
                 part = _rebuild_encoder(config[field], field, tensors, ns, tokenizers)
             else:
                 shapes = ClassifierHead.param_shapes(parts[sized_by].dim)
-                part = ClassifierHead(params=_load_params(shapes, tensors, ns, np.float64))
+                params = _load_params(shapes, tensors, ns, np.float64)
+                part = ClassifierHead(params=MappingProxyType(params))
             parts[field] = part
         return system, model_cls(**parts, **_settings(config, system))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

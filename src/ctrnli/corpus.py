@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import reprlib
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,7 +255,7 @@ def parse_claim(obj) -> ClaimInstance:
     except KeyError as exc:
         raise MalformedJson(f"claim missing key {exc}") from exc
     if section_id not in SECTION_NAMES:
-        raise MalformedJson(f"{claim_id}: unknown section_id '{section_id}'")
+        raise MalformedJson(f"{claim_id}: unknown section_id {reprlib.repr(section_id)}")
     text = normalize_text(raw_text)  # normalizing makes no surrogate
     if not text:
         raise MalformedJson(f"{claim_id}: empty claim text")
@@ -265,7 +266,7 @@ def parse_claim(obj) -> ClaimInstance:
 
     label = obj.get("label")
     if label is not None and label not in LABELS:
-        raise MalformedJson(f"{claim_id}: unknown label '{label}'")
+        raise MalformedJson(f"{claim_id}: unknown label {reprlib.repr(label)}")
 
     evidence = obj.get("evidence")
     gold_evidence = None

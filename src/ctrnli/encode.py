@@ -433,8 +433,9 @@ class ToyEncoder:
                 noise = rng.normal(0.0, 0.1 / np.sqrt(dim), size=(dim, dim))
                 params[f"W{layer}"] = np.eye(dim) + noise
                 params[f"b{layer}"] = np.zeros(dim)
-        frozen = n_layers and not any(arr.flags.writeable for arr in params.values())
-        self._layer0 = _affine(params["emb"], params["W0"], params["b0"]) if frozen else None
+        frozen = not any(arr.flags.writeable for arr in params.values())
+        table = frozen and n_layers
+        self._layer0 = _affine(params["emb"], params["W0"], params["b0"]) if table else None
         self.params: Mapping[str, np.ndarray] = MappingProxyType(params) if frozen else params
         self.encode_calls = 0
 

@@ -56,13 +56,15 @@ from .nn import (
     to_stored_precision,
 )
 from .pipeline import EVIDENCE_CLASS, SystemPrediction, select_evidence, verdict_from_probs
+from .pipeline import predict_memoized
 
 _JOINT_SEED_SALT = 37
 
 
 @dataclass
 class JointModel:
-    """Shared encoder plus the two task heads and inference settings."""
+    """Shared encoder plus the two task heads and inference settings. A
+    loaded one memoizes its predictions (:func:`ctrnli.pipeline.predict_memoized`)."""
 
     encoder: object
     evidence_head: ClassifierHead
@@ -71,6 +73,7 @@ class JointModel:
     threshold: float = DEFAULT_THRESHOLD
     pooling: str = DEFAULT_POOLING
     inject_arm_prefix: bool = False
+    _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
 def _verdict_probs(logits: np.ndarray) -> tuple[float, float]:
@@ -295,5 +298,8 @@ def predict_joint(
     corpus: Mapping[str, ClinicalTrialRecord],
     model: JointModel,
 ) -> SystemPrediction:
-    """Resolve the claim's premise and run :func:`forward_joint` over it."""
-    return forward_joint(claim, resolve_premise(claim, corpus, model.inject_arm_prefix), model)
+    """Resolve the claim's premise and run :func:`forward_joint` over it, which
+    a loaded model answers from its memo for a claim it has seen."""
+    premise = resolve_premise(claim, corpus, model.inject_arm_prefix)
+    parts = (model.encoder, model.evidence_head, model.verdict_head)
+    return predict_memoized(claim, premise, model, parts, forward_joint)

@@ -90,11 +90,12 @@ def padded(rows: np.ndarray, lengths) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierHead:
     """A 2-layer MLP head producing two class logits from one pooled vector.
     Index 0 is the positive "is evidence" class for an evidence head, and
-    Entailment for a verdict head, whose index 1 is Contradiction."""
+    Entailment for a verdict head, whose index 1 is Contradiction. Its
+    ``params`` mapping is never replaced; training updates the arrays in place."""
 
     params: dict
 

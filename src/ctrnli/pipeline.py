@@ -11,8 +11,10 @@ encoding into Entailment vs Contradiction.
 
 from __future__ import annotations
 
+import operator
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -366,7 +368,8 @@ def train_entailment_model(
 
 @dataclass
 class PipelineModel:
-    """Both trained stages plus the inference settings they were built with."""
+    """Both trained stages plus the inference settings they were built with.
+    A loaded one memoizes its predictions (:func:`predict_memoized`)."""
 
     evidence_encoder: object
     evidence_head: ClassifierHead
@@ -376,15 +379,39 @@ class PipelineModel:
     threshold: float = DEFAULT_THRESHOLD
     pooling: str = DEFAULT_POOLING
     inject_arm_prefix: bool = False
+    _memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
 
-def predict_pipeline(
-    claim: ClaimInstance,
-    corpus: Mapping[str, ClinicalTrialRecord],
-    models: PipelineModel,
-) -> SystemPrediction:
-    """score -> select -> classify, composed into one prediction."""
-    premise = resolve_premise(claim, corpus, models.inject_arm_prefix)
+def predict_memoized(claim, premise: PremiseDoc, model, parts: tuple, predict) -> SystemPrediction:
+    """``predict(claim, premise, model)``, or the model's earlier prediction for
+    the same claim text, premise texts, ``threshold``, ``pooling`` and
+    ``max_len``, re-issued under this claim's id.
+
+    Only a model whose ``parts`` (encoders and heads) hold read-only arrays in
+    read-only mappings, as loaded ones do, keeps this memo: one entry per
+    distinct claim. Another part object in the model starts a new one.
+    """
+    held, memo = model._memo
+    if held is None or not all(map(operator.is_, held, parts)):
+        frozen = all(
+            isinstance(part.params, MappingProxyType)
+            and not any(arr.flags.writeable for arr in part.params.values())
+            for part in parts
+        )
+        memo = {} if frozen else None
+        model._memo = (parts, memo)
+    if memo is None:
+        return predict(claim, premise, model)
+    key = (claim.text, premise.texts, model.threshold, model.pooling, model.max_len)
+    pred = memo.get(key)
+    if pred is None:
+        pred = memo[key] = predict(claim, premise, model)
+    elif pred.claim_id != claim.claim_id:
+        pred = replace(pred, claim_id=claim.claim_id)
+    return pred
+
+
+def _forward_pipeline(claim, premise: PremiseDoc, models: PipelineModel) -> SystemPrediction:
     probs = score_evidence(
         claim, premise, models.evidence_encoder, models.evidence_head,
         models.max_len, models.pooling,
@@ -403,3 +430,16 @@ def predict_pipeline(
         verdict=verdict,
         fallback_used=fallback_used,
     )
+
+
+def predict_pipeline(
+    claim: ClaimInstance,
+    corpus: Mapping[str, ClinicalTrialRecord],
+    models: PipelineModel,
+) -> SystemPrediction:
+    """score -> select -> classify, composed into one prediction, which a
+    loaded model answers from its memo for a claim it has seen."""
+    premise = resolve_premise(claim, corpus, models.inject_arm_prefix)
+    parts = (models.evidence_encoder, models.evidence_head,
+             models.entailment_encoder, models.entailment_head)
+    return predict_memoized(claim, premise, models, parts, _forward_pipeline)

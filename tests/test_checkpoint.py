@@ -176,10 +176,13 @@ def test_predicted_evidence_items_survive_the_reload(corpus, claims, pipeline_mo
     assert items[0] == items[1]
 
 
-def test_loaded_tensors_are_read_only(joint_ckpt):
+def test_loaded_tensors_are_read_only(pipeline_ckpt, joint_ckpt):
     """A checkpoint's tensors are views of immutable bytes: no write reaches
     them, none can be made writable again, and a loaded toy encoder swaps
-    none, so its layer-0 table never disagrees with its parameters."""
+    none, so its layer-0 table never disagrees with its parameters. Every
+    head of either loaded system holds float64 tensors that are read-only
+    for good in a mapping that swaps none too, so no loaded model's memoized
+    prediction can go stale under a write."""
     _, _, tensors = read_checkpoint(joint_ckpt)
     assert not any(arr.flags.writeable for arr in tensors.values())
     with pytest.raises(ValueError):
@@ -190,6 +193,20 @@ def test_loaded_tensors_are_read_only(joint_ckpt):
         encoder.params["W0"][0, 0] = 1.0
     with pytest.raises(TypeError):
         encoder.params["W0"] = np.zeros_like(encoder.params["W0"])
+    for ckpt in (pipeline_ckpt, joint_ckpt):
+        model = load_any_model(ckpt)[1]
+        heads = [value for value in vars(model).values() if isinstance(value, ClassifierHead)]
+        assert len(heads) == 2
+        for head in heads:
+            assert set(head.params) == {"W1", "b1", "W2", "b2"}
+            for name, arr in head.params.items():
+                assert arr.dtype == np.float64 and not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1.0
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+                with pytest.raises(TypeError):
+                    head.params[name] = np.zeros_like(arr)
 
 
 @pytest.mark.parametrize("system", ["pipeline", "joint"])

@@ -456,3 +456,43 @@ def test_predictions_damaged_node_by_node_end_in_one_line(two_predictions, value
             if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
                 stray.append((name, path, code, [line[:200] for line in lines]))
     assert stray == []
+
+
+# --- a claim file, damaged node by node ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_claims(workspace, tmp_path_factory):
+    """A workspace of the fixture corpus and, as the dev split, the fixture's
+    first comparison claim and a renamed copy of it: the copy's text and
+    premise equal the original's, so a loaded model answers it from its memo."""
+    ws = tmp_path_factory.mktemp("claims")
+    shutil.copy(FIXTURE / "corpus.json", ws / "corpus.json")
+    (ws / "claims").mkdir()
+    claim = next(c for c in json.loads((FIXTURE / "claims.json").read_text()) if "secondary_ctr" in c)
+    records = [claim, {**claim, "claim_id": f"{claim['claim_id']}-again"}]
+    shutil.copytree(workspace / "ckpt", ws / "ckpt")
+    return ws, records
+
+
+@pytest.mark.parametrize(
+    "value", _NODE_VALUES + [_DELETED],
+    ids=lambda value: "deleted" if value is _DELETED else reprlib.repr(value),
+)
+def test_claims_damaged_node_by_node_end_in_one_line(two_claims, value):
+    """Every node of a valid two-claim file replaced by ``value`` (or every
+    key deleted, for ``_DELETED``): ``predict`` on a joint checkpoint succeeds
+    (exit 0) or refuses the file (exit 1), with at most one stderr line of
+    under 200 characters and never a traceback."""
+    ws, records = two_claims
+    stray = []
+    for path in _nodes(records):
+        if value is _DELETED and not (path and isinstance(path[-1], str)):
+            continue
+        (ws / "claims" / "dev.json").write_text(json.dumps(_with_node(records, path, value)))
+        with time_limit(20):
+            code, lines = _run(_predict(ws))
+        ok = code in (0, 1) and len(lines) <= 1
+        if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
+            stray.append((path, code, [line[:200] for line in lines]))
+    assert stray == []

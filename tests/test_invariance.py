@@ -2,15 +2,25 @@
 trials in their files, the ids that name them, and the other claims of the
 file. For a pipeline and a joint checkpoint trained on the fixture, every
 variant's prediction file, with renamed ids mapped back and its records put
-back in the original order, equals the original file byte for byte."""
+back in the original order, equals the original file byte for byte.
 
+A loaded model answers a claim it has seen from its memo: a repeated claim
+gets its original's record, and no change to the model between two
+predictions leaves a stale answer."""
+
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from ctrnli.checkpoint import save_joint_model, save_pipeline_model
+from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import main
+from ctrnli.corpus import resolve_premise
+from ctrnli.ensemble import save_predictions
+from ctrnli.joint import JointModel, predict_joint
+from ctrnli.nn import ClassifierHead
+from ctrnli.pipeline import PipelineModel, predict_pipeline
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixture"
 CORPUS = json.loads((FIXTURE / "corpus.json").read_text())
@@ -93,3 +103,105 @@ def test_each_claim_alone(tmp_path, system):
     ckpt, original = system
     alone = [json.loads(_predict(tmp_path, ckpt, CORPUS, [c]))[0] for c in CLAIMS]
     assert _as_original(alone, {}) == original
+
+
+# --- repeated claims and the memo of a loaded model ------------------------------
+
+PREDICT = {"pipeline": predict_pipeline, "joint": predict_joint}
+
+
+def _encoders(model) -> list:
+    if isinstance(model, JointModel):
+        return [model.encoder]
+    return [model.evidence_encoder, model.entailment_encoder]
+
+
+def _encodes(model) -> int:
+    return sum(encoder.encode_calls for encoder in _encoders(model))
+
+
+def _again(claims):
+    """Each claim renamed ``<id>-again``, in reverse order."""
+    return [dataclasses.replace(c, claim_id=f"{c.claim_id}-again") for c in reversed(claims)]
+
+
+def _written(tmp_path, preds) -> bytes:
+    save_predictions(preds, tmp_path / "preds.json")
+    return (tmp_path / "preds.json").read_bytes()
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_loaded_model_answers_a_repeated_claim_from_its_memo(tmp_path, ckpts, corpus, claims,
+                                                             system):
+    """Every claim, then its renamed copy: each copy gets its original's
+    record apart from ``claim_id`` without an encoder call, and the file is
+    byte for byte what predicting each claim alone from a fresh load writes."""
+    predict = PREDICT[system]
+    _, model = load_any_model(ckpts / system)
+    first = [predict(claim, corpus, model) for claim in claims]
+    encodes = _encodes(model)
+    again = [predict(claim, corpus, model) for claim in _again(claims)]
+    assert _encodes(model) == encodes
+    records = {r["claim_id"]: r for r in json.loads(_written(tmp_path, first + again))}
+    for claim in claims:
+        copy = records[f"{claim.claim_id}-again"]
+        assert {**copy, "claim_id": claim.claim_id} == records[claim.claim_id]
+    alone = [predict(c, corpus, load_any_model(ckpts / system)[1]) for c in claims + _again(claims)]
+    assert _written(tmp_path, alone) == _written(tmp_path, first + again)
+
+
+def test_trained_model_encodes_every_repeat(corpus, claims, pipeline_model, joint_model):
+    """A model fresh from training keeps no memo: n + 1 pipeline encodes and
+    one joint encode for every claim, repeated or not."""
+    for claim in claims + _again(claims):
+        n = resolve_premise(claim, corpus).n
+        for predict, model, expected in ((predict_pipeline, pipeline_model, n + 1),
+                                         (predict_joint, joint_model, 1)):
+            encodes = _encodes(model)
+            predict(claim, corpus, model)
+            assert _encodes(model) - encodes == expected, claim.claim_id
+
+
+@pytest.fixture(scope="module")
+def other_ckpts(tmp_path_factory, pipeline_model, joint_model):
+    """Checkpoints of the fixture models with freshly drawn heads."""
+    root = tmp_path_factory.mktemp("other")
+    dim = pipeline_model.evidence_encoder.dim
+    save_pipeline_model(PipelineModel(
+        pipeline_model.evidence_encoder, ClassifierHead.create(dim, seed=5),
+        pipeline_model.entailment_encoder, ClassifierHead.create(dim, seed=6),
+    ), root / "pipeline")
+    dim = joint_model.encoder.dim
+    save_joint_model(JointModel(
+        joint_model.encoder, ClassifierHead.create(dim, seed=5), ClassifierHead.create(dim, seed=6),
+    ), root / "joint")
+    return root
+
+
+# each change to a loaded model, given the same system loaded from ``other_ckpts``
+_CHANGES = {
+    "threshold": lambda model, other: setattr(model, "threshold", 0.0),  # as cmd_predict sets it
+    "pooling": lambda model, other: setattr(model, "pooling", "mean"),
+    "max_len": lambda model, other: setattr(
+        model, "max_len", 16 if isinstance(model, PipelineModel) else 40
+    ),
+    "head": lambda model, other: setattr(model, "evidence_head", other.evidence_head),
+}
+
+
+@pytest.mark.parametrize("change", _CHANGES)
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_change_between_two_predictions_leaves_no_stale_answer(ckpts, other_ckpts, corpus, claims,
+                                                               system, change):
+    """A loaded model changed after predicting the claims predicts exactly
+    what a fresh load carrying the change does, not what it said before."""
+    predict, apply = PREDICT[system], _CHANGES[change]
+    other = load_any_model(other_ckpts / system)[1]
+    model = load_any_model(ckpts / system)[1]
+    before = [predict(claim, corpus, model) for claim in claims]
+    apply(model, other)
+    after = [predict(claim, corpus, model) for claim in claims]
+    fresh = load_any_model(ckpts / system)[1]
+    apply(fresh, other)
+    assert after == [predict(claim, corpus, fresh) for claim in claims]
+    assert after != before
