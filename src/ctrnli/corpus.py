@@ -121,7 +121,7 @@ class PremiseDoc:
         start, end = self.spans[ctr_id]
         if not 0 <= local_index < end - start:
             raise EvidenceIndexOutOfRange(
-                f"evidence index {local_index} is outside the section of trial '{ctr_id}'"
+                f"evidence index {local_index} is outside the section of trial '{shown_id(ctr_id)}'"
             )
         return start + local_index
 
@@ -133,6 +133,11 @@ def shown_path(path) -> str:
     """``path`` as a one-line error shows it: whole up to 120 characters, else its ends."""
     text = str(path)
     return text if len(text) <= 120 else f"{text[:58]}...{text[-58:]}"
+
+
+def shown_id(text: str) -> str:
+    """A claim or trial id as a refusal names it: whole up to 60 characters, else its ends."""
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"
 
 
 def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
@@ -149,7 +154,7 @@ def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
     except OSError as exc:
         raise IoError(f"cannot read {shown_path(path)}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise error(f"{shown_path(path)}: {exc}") from exc
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -195,28 +200,29 @@ def parse_record(obj) -> ClinicalTrialRecord:
         raw_sections = obj["sections"]
     except KeyError as exc:
         raise MalformedJson(f"trial record missing key {exc}") from exc
+    owner = shown_id(ctr_id)
     if not isinstance(raw_sections, dict):
-        raise MalformedJson(f"{ctr_id}: 'sections' must be an object")
+        raise MalformedJson(f"{owner}: 'sections' must be an object")
 
     for name in raw_sections:
         if name not in SECTION_NAMES:
-            raise MalformedJson(f"{ctr_id}: unknown section name '{name}'")
+            raise MalformedJson(f"{owner}: unknown section name {reprlib.repr(name)}")
     for name in SECTION_NAMES:
         if name not in raw_sections:
-            raise MalformedJson(f"{ctr_id}: missing section '{name}'")
+            raise MalformedJson(f"{owner}: missing section '{name}'")
 
     sections: dict[str, tuple[str, ...]] = {}
     for name in SECTION_NAMES:
         sents = raw_sections[name]
         if not isinstance(sents, list):
-            raise MalformedJson(f"{ctr_id}: section '{name}' must be a list of strings")
+            raise MalformedJson(f"{owner}: section '{name}' must be a list of strings")
         texts = []
         for i, sent in enumerate(sents):
             if not isinstance(sent, str):
-                raise MalformedJson(f"{ctr_id}: section '{name}' must be a list of strings")
+                raise MalformedJson(f"{owner}: section '{name}' must be a list of strings")
             text = normalize_text(sent)
             if not text or not text.isascii():
-                _check_text(text, ctr_id, f"sentence at {name}[{i}]")
+                _check_text(text, owner, f"sentence at {name}[{i}]")
             texts.append(text)
         sections[name] = tuple(texts)
     return ClinicalTrialRecord(ctr_id=ctr_id, sections=sections)
@@ -238,7 +244,9 @@ def load_corpus(path: str | Path) -> dict[str, ClinicalTrialRecord]:
         for obj in objs:
             record = parse_record(obj)
             if record.ctr_id in corpus:
-                raise MalformedJson(f"duplicate ctr_id '{record.ctr_id}' in {fp}")
+                raise MalformedJson(
+                    f"duplicate ctr_id '{shown_id(record.ctr_id)}' in {shown_path(fp)}"
+                )
             corpus[record.ctr_id] = record
     return corpus
 
@@ -249,39 +257,40 @@ def parse_claim(obj) -> ClaimInstance:
         raise MalformedJson("claim must be a JSON object")
     try:
         claim_id = _string(obj, "claim_id", "claim")
-        raw_text = _string(obj, "text", claim_id, what="claim text")
-        section_id = _string(obj, "section_id", claim_id)
-        primary_ctr = _string(obj, "primary_ctr", claim_id)
+        owner = shown_id(claim_id)
+        raw_text = _string(obj, "text", owner, what="claim text")
+        section_id = _string(obj, "section_id", owner)
+        primary_ctr = _string(obj, "primary_ctr", owner)
     except KeyError as exc:
         raise MalformedJson(f"claim missing key {exc}") from exc
     if section_id not in SECTION_NAMES:
-        raise MalformedJson(f"{claim_id}: unknown section_id {reprlib.repr(section_id)}")
+        raise MalformedJson(f"{owner}: unknown section_id {reprlib.repr(section_id)}")
     text = normalize_text(raw_text)  # normalizing makes no surrogate
     if not text:
-        raise MalformedJson(f"{claim_id}: empty claim text")
+        raise MalformedJson(f"{owner}: empty claim text")
 
-    secondary_ctr = _string(obj, "secondary_ctr", claim_id, optional=True)
+    secondary_ctr = _string(obj, "secondary_ctr", owner, optional=True)
     if secondary_ctr == primary_ctr:
-        raise MalformedJson(f"{claim_id}: a comparison needs two different trials")
+        raise MalformedJson(f"{owner}: a comparison needs two different trials")
 
     label = obj.get("label")
     if label is not None and label not in LABELS:
-        raise MalformedJson(f"{claim_id}: unknown label {reprlib.repr(label)}")
+        raise MalformedJson(f"{owner}: unknown label {reprlib.repr(label)}")
 
     evidence = obj.get("evidence")
     gold_evidence = None
     if evidence is not None:
         if not isinstance(evidence, dict):
-            raise MalformedJson(f"{claim_id}: 'evidence' must be an object")
+            raise MalformedJson(f"{owner}: 'evidence' must be an object")
         own_ctrs = {primary_ctr} | ({secondary_ctr} if secondary_ctr else set())
         gold_evidence = {}
         for ctr, idxs in evidence.items():
             if ctr not in own_ctrs:
                 raise MalformedJson(
-                    f"{claim_id}: evidence references '{ctr}', not one of the claim's trials"
+                    f"{owner}: evidence references '{shown_id(ctr)}', not one of the claim's trials"
                 )
             if not isinstance(idxs, list) or not all(is_count(i, 0) for i in idxs):
-                raise MalformedJson(f"{claim_id}: evidence indices must be non-negative ints")
+                raise MalformedJson(f"{owner}: evidence indices must be non-negative ints")
             gold_evidence[ctr] = frozenset(idxs)
 
     return ClaimInstance(
@@ -292,7 +301,7 @@ def parse_claim(obj) -> ClaimInstance:
         secondary_ctr=secondary_ctr,
         gold_label=label,
         gold_evidence=gold_evidence,
-        challenge=_string(obj, "challenge", claim_id, optional=True),
+        challenge=_string(obj, "challenge", owner, optional=True),
     )
 
 
@@ -301,7 +310,7 @@ def check_unique_claim_ids(claim_ids: Iterable[str], where: str) -> None:
     seen: set[str] = set()
     for claim_id in claim_ids:
         if claim_id in seen:
-            raise CtrnliError(f"duplicate claim_id '{claim_id}' in {where}")
+            raise CtrnliError(f"duplicate claim_id '{shown_id(claim_id)}' in {shown_path(where)}")
         seen.add(claim_id)
 
 
@@ -328,7 +337,7 @@ def load_claims(
 
     data = read_json(path)
     if not isinstance(data, list):
-        raise MalformedJson(f"{path}: claim file must be a JSON list")
+        raise MalformedJson(f"{shown_path(path)}: claim file must be a JSON list")
 
     parsed = [parse_claim(obj) for obj in data]
     check_unique_claim_ids((claim.claim_id for claim in parsed), str(path))
@@ -336,7 +345,7 @@ def load_claims(
     dangling: list[str] = []
     for claim in parsed:
         if corpus is not None and any(c not in corpus for c in claim.ctr_ids):
-            dangling.append(claim.claim_id)
+            dangling.append(shown_id(claim.claim_id))
         else:
             claims.append(claim)
     if dangling:
@@ -371,26 +380,28 @@ def resolve_premise(
         roles.append((claim.secondary_ctr, SECONDARY_PREFIX))
     for ctr_id, prefix in roles:
         if ctr_id not in corpus:
-            raise CtrnliError(f"claim {claim.claim_id}: missing trial '{ctr_id}'")
+            raise CtrnliError(
+                f"claim {shown_id(claim.claim_id)}: missing trial '{shown_id(ctr_id)}'"
+            )
         section = corpus[ctr_id].sections[claim.section_id]
         if inject_arm_prefix and claim.secondary_ctr is not None:
             section = tuple(f"{prefix} {text}" for text in section)
         spans[ctr_id] = (len(texts), len(texts) + len(section))
-        texts += section
+        texts += tuple(section)
     return PremiseDoc(texts=texts, spans=spans)
 
 
 def require_sentences(claim: ClaimInstance, premise: PremiseDoc) -> PremiseDoc:
     """``premise``, which training and prediction refuse when it has no sentence."""
     if premise.n == 0:
-        raise CtrnliError(f"claim {claim.claim_id} resolved to an empty premise")
+        raise CtrnliError(f"claim {shown_id(claim.claim_id)} resolved to an empty premise")
     return premise
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:
     """Map a claim's per-trial gold evidence (required) onto the premise's global indices."""
     if claim.gold_evidence is None:
-        raise CtrnliError(f"claim {claim.claim_id} has no gold evidence")
+        raise CtrnliError(f"claim {shown_id(claim.claim_id)} has no gold evidence")
     try:
         return frozenset(
             premise.to_global(ctr_id, loc)
@@ -398,7 +409,7 @@ def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozense
             for loc in locals_
         )
     except EvidenceIndexOutOfRange as exc:
-        raise EvidenceIndexOutOfRange(f"claim {claim.claim_id}: {exc}") from None
+        raise EvidenceIndexOutOfRange(f"claim {shown_id(claim.claim_id)}: {exc}") from None
 
 
 # --- whole-dataset validation -------------------------------------------------
@@ -424,7 +435,7 @@ class ValidationReport:
             return "dataset valid: 0 violations"
         lines = [f"dataset invalid: {len(self.violations)} violation(s)"]
         for v in self.violations:
-            lines.append(f"  {v.code} [{v.claim_id}] {v.detail}")
+            lines.append(f"  {v.code} [{shown_id(v.claim_id)}] {v.detail}")
         return "\n".join(lines)
 
 
@@ -449,7 +460,8 @@ def validate_dataset(
         missing = [c for c in claim.ctr_ids if c not in corpus]
         for ctr in missing:
             report.violations.append(
-                Violation("DanglingCtrReference", f"missing trial '{ctr}'", claim.claim_id)
+                Violation("DanglingCtrReference", f"missing trial '{shown_id(ctr)}'",
+                          claim.claim_id)
             )
         if not missing and not any(corpus[c].sections[claim.section_id] for c in claim.ctr_ids):
             report.violations.append(

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT_DIM, DEFAULT_N_LAYERS, DEFAULT_VOCAB_SIZE, POOLING_CHOICES
-from .corpus import PremiseDoc, normalize_text
+from .corpus import PremiseDoc, normalize_text, shown_id
 from .errors import BackendUnavailable, CtrnliError, UsageError
 from .nn import scaled_sum
 
@@ -157,7 +157,7 @@ def naming_claim(claim_id: str):
     try:
         yield
     except UsageError as exc:
-        raise UsageError(f"claim {claim_id}: {exc}") from None
+        raise UsageError(f"claim {shown_id(claim_id)}: {exc}") from None
 
 
 def build_pair_sequences(

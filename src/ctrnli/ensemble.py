@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import DEFAULT_THRESHOLD, TASK_CHOICES, EnsembleConfig  # noqa: F401  re-exported
-from .corpus import check_unique_claim_ids, read_json, write_text
+from .corpus import check_unique_claim_ids, read_json, shown_id, write_text
 from .errors import CtrnliError, MalformedJson
 from .pipeline import SystemPrediction, select_evidence, verdict_from_probs
 
@@ -38,7 +38,7 @@ def combine(
         )
     if len(pred_a.evidence_probs) != len(pred_b.evidence_probs):
         raise CtrnliError(
-            f"claim {pred_a.claim_id}: premise lengths "
+            f"claim {shown_id(pred_a.claim_id)}: premise lengths "
             f"{len(pred_a.evidence_probs)} != {len(pred_b.evidence_probs)}"
         )
     w_a, w_b = cfg.w_pipeline, cfg.w_joint

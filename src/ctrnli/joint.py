@@ -32,6 +32,7 @@ from .corpus import (
     gold_evidence_globals,
     require_sentences,
     resolve_premise,
+    shown_id,
 )
 from .encode import (
     JointInput,
@@ -134,7 +135,7 @@ def _pack(tokenizer, claim: ClaimInstance, premise: PremiseDoc, max_len: int) ->
     if not ji.span_map:
         first = tokenizer.tokenize(premise.texts[0]).length
         raise UsageError(
-            f"claim {claim.claim_id}: max_len {max_len} packs no premise sentence "
+            f"claim {shown_id(claim.claim_id)}: max_len {max_len} packs no premise sentence "
             f"(the first has {first} tokens)"
         )
     return ji
@@ -273,7 +274,7 @@ def train_joint(
     examples = []
     for claim in train_claims:
         if claim.gold_label is None:
-            raise CtrnliError(f"claim {claim.claim_id} has no gold label")
+            raise CtrnliError(f"claim {shown_id(claim.claim_id)} has no gold label")
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         ji = _pack(encoder.tokenizer, claim, premise, max_len)
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))
@@ -300,6 +301,5 @@ def predict_joint(
 ) -> SystemPrediction:
     """Resolve the claim's premise and run :func:`forward_joint` over it, which
     a loaded model answers from its memo for a claim it has seen."""
-    premise = resolve_premise(claim, corpus, model.inject_arm_prefix)
     parts = (model.encoder, model.evidence_head, model.verdict_head)
-    return predict_memoized(claim, premise, model, parts, forward_joint)
+    return predict_memoized(claim, corpus, model, parts, forward_joint)

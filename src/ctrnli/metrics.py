@@ -23,6 +23,7 @@ from .corpus import (
     check_unique_claim_ids,
     gold_evidence_globals,
     resolve_premise,
+    shown_id,
     write_text,
 )
 from .errors import CtrnliError, MalformedJson
@@ -99,10 +100,10 @@ def build_gold_view(
 def _claim_counts(pred: SystemPrediction, gold: GoldClaim) -> tuple[int, int, int, int]:
     """Sentence-level confusion counts for one claim."""
     if gold.evidence is None:
-        raise CtrnliError(f"claim {pred.claim_id} has no gold evidence")
+        raise CtrnliError(f"claim {shown_id(pred.claim_id)} has no gold evidence")
     if len(pred.evidence_probs) != gold.n_sentences:
         raise CtrnliError(
-            f"claim {pred.claim_id}: prediction covers {len(pred.evidence_probs)} "
+            f"claim {shown_id(pred.claim_id)}: prediction covers {len(pred.evidence_probs)} "
             f"sentences but the premise has {gold.n_sentences}"
         )
     selected = set(pred.selected)
@@ -115,7 +116,7 @@ def _claim_counts(pred: SystemPrediction, gold: GoldClaim) -> tuple[int, int, in
 
 def _gold_for(pred: SystemPrediction, golds: Mapping[str, GoldClaim]) -> GoldClaim:
     if pred.claim_id not in golds:
-        raise CtrnliError(f"no gold annotations for claim {pred.claim_id}")
+        raise CtrnliError(f"no gold annotations for claim {shown_id(pred.claim_id)}")
     return golds[pred.claim_id]
 
 
@@ -141,7 +142,7 @@ def _label_counts(
         label = _gold_for(pred, golds).label
         if label not in LABELS:
             what = "no gold label" if label is None else f"gold label {label!r} outside {LABELS}"
-            raise CtrnliError(f"claim {pred.claim_id} has {what}")
+            raise CtrnliError(f"claim {shown_id(pred.claim_id)} has {what}")
         counts[2 * (pred.verdict != LABELS[0]) + (label != LABELS[0])] += 1
     return tuple(counts)
 
@@ -193,7 +194,8 @@ def build_report(
     missing = [cid for cid, gold in golds.items() if gold.label is not None and cid not in covered]
     if missing:
         raise CtrnliError(
-            f"{len(missing)} labelled claim(s) have no prediction, the first is '{missing[0]}'"
+            f"{len(missing)} labelled claim(s) have no prediction, "
+            f"the first is '{shown_id(missing[0])}'"
         )
     verdicts = _label_counts(predictions, golds)  # refuses an empty list
     rows, per_claim = [], []

@@ -496,3 +496,44 @@ def test_claims_damaged_node_by_node_end_in_one_line(two_claims, value):
         if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
             stray.append((path, code, [line[:200] for line in lines]))
     assert stray == []
+
+
+# --- a long claim id paired with a second fault ------------------------------------------
+
+_LONG = "x" * 100_000
+_FIRST = json.loads((FIXTURE / "claims.json").read_text())[0]
+
+# a second fault of the first fixture claim once its id holds 100,000
+# characters: the keys it replaces (``_DELETED`` deletes one)
+_SECOND_FAULTS = {
+    "no text": {"text": _DELETED},
+    "text not a string": {"text": 1},
+    "empty text": {"text": " "},
+    "lone surrogate in text": {"text": "a \ud800"},
+    "section_id not a string": {"section_id": 1},
+    "unknown section_id": {"section_id": _LONG},
+    "primary_ctr not a string": {"primary_ctr": None},
+    "lone surrogate in primary_ctr": {"primary_ctr": "\ud800"},
+    "secondary_ctr not a string": {"secondary_ctr": 1},
+    "secondary_ctr equals primary_ctr": {"secondary_ctr": _FIRST["primary_ctr"]},
+    "unknown label": {"label": "bad"},
+    "long unknown label": {"label": _LONG},
+    "evidence not an object": {"evidence": []},
+    "evidence on another trial": {"evidence": {_LONG: [0]}},
+    "negative evidence index": {"evidence": {_FIRST["primary_ctr"]: [-1]}},
+    "challenge not a string": {"challenge": 1},
+}
+
+
+@pytest.mark.parametrize("fault", _SECOND_FAULTS)
+def test_long_claim_id_with_a_second_fault_ends_in_one_short_line(tmp_path, fault):
+    """``validate`` refuses a claim whose id holds 100,000 characters and
+    that has one more fault with exit 1 and one stderr line of at most 200
+    characters: the refusal names the id by its ends."""
+    claim = {**_FIRST, "claim_id": _LONG, **_SECOND_FAULTS[fault]}
+    claim = {key: value for key, value in claim.items() if value is not _DELETED}
+    shutil.copy(FIXTURE / "corpus.json", tmp_path / "corpus.json")
+    (tmp_path / "claims").mkdir()
+    (tmp_path / "claims" / "dev.json").write_text(json.dumps([claim]))
+    code, lines = _run(_validate(tmp_path))
+    assert code == 1 and len(lines) == 1 and len(lines[0]) <= 200, (code, [x[:200] for x in lines])

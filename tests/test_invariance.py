@@ -5,8 +5,8 @@ variant's prediction file, with renamed ids mapped back and its records put
 back in the original order, equals the original file byte for byte.
 
 A loaded model answers a claim it has seen from its memo: a repeated claim
-gets its original's record, and no change to the model between two
-predictions leaves a stale answer."""
+gets its original's record, and no change to the model or to the sections
+a claim reads between two predictions leaves a stale answer."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ import pytest
 
 from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.cli import main
-from ctrnli.corpus import resolve_premise
+from ctrnli.corpus import ClinicalTrialRecord, parse_record, resolve_premise
 from ctrnli.ensemble import save_predictions
 from ctrnli.joint import JointModel, predict_joint
 from ctrnli.nn import ClassifierHead
@@ -186,6 +186,8 @@ _CHANGES = {
         model, "max_len", 16 if isinstance(model, PipelineModel) else 40
     ),
     "head": lambda model, other: setattr(model, "evidence_head", other.evidence_head),
+    # the fixture's comparison claims gain role markers in their premises
+    "inject_arm_prefix": lambda model, other: setattr(model, "inject_arm_prefix", True),
 }
 
 
@@ -205,3 +207,40 @@ def test_change_between_two_predictions_leaves_no_stale_answer(ckpts, other_ckpt
     apply(fresh, other)
     assert after == [predict(claim, corpus, fresh) for claim in claims]
     assert after != before
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_memo_compares_sections_by_content(ckpts, corpus, claims, system):
+    """A corpus reloaded into new objects answers from the memo; one changed
+    sentence of a claim's section misses and predicts what a fresh load does."""
+    predict = PREDICT[system]
+    model = load_any_model(ckpts / system)[1]
+    first = [predict(claim, corpus, model) for claim in claims]
+    encodes = _encodes(model)
+    reloaded = {ctr: parse_record(json.loads(json.dumps(r.to_json_obj())))
+                for ctr, r in corpus.items()}
+    assert [predict(claim, reloaded, model) for claim in claims] == first
+    assert _encodes(model) == encodes
+    claim = claims[0]
+    section = corpus[claim.primary_ctr].sections[claim.section_id]
+    changed = dict(corpus)
+    changed[claim.primary_ctr] = ClinicalTrialRecord(claim.primary_ctr, {
+        **corpus[claim.primary_ctr].sections,
+        claim.section_id: (section[0] + " and more", *section[1:]),
+    })
+    pred = predict(claim, changed, model)
+    assert _encodes(model) > encodes
+    assert pred == predict(claim, changed, load_any_model(ckpts / system)[1])
+    assert pred != first[0]
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_record_with_list_sections_still_predicts(ckpts, corpus, claims, system):
+    """A hand-built record whose sections are lists, which no memo key can
+    hash, predicts what the parsed corpus predicts."""
+    predict = PREDICT[system]
+    lists = {ctr: ClinicalTrialRecord(ctr, {k: list(v) for k, v in r.sections.items()})
+             for ctr, r in corpus.items()}
+    model, fresh = (load_any_model(ckpts / system)[1] for _ in range(2))
+    twice = claims + _again(claims)
+    assert [predict(c, lists, model) for c in twice] == [predict(c, corpus, fresh) for c in twice]

@@ -1,8 +1,9 @@
 """Property-based checks over the pure rules: selection, combination,
-capping, packing, tokenization, and counting."""
+capping, packing, tokenization, counting, and the check of a prediction."""
 
 import dataclasses
 import json
+import math
 import unicodedata
 
 import numpy as np
@@ -38,7 +39,7 @@ from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
 from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, build_report
 from ctrnli.nn import to_stored_precision
-from ctrnli.pipeline import SystemPrediction, select_evidence, verdict_from_probs
+from ctrnli.pipeline import PROB_TOL, SystemPrediction, select_evidence, verdict_from_probs
 from test_encode import (
     _densify,
     _oracle_encode_with_cache,
@@ -614,3 +615,74 @@ def _prediction_with_selection(claim_id, n, selected):
         class_probs=(1.0, 0.0),
         verdict=LABELS[0],
     )
+
+
+def _oracle_check(evidence_probs, selected, class_probs, verdict):
+    """What ``SystemPrediction.__post_init__`` checks, one value at a time."""
+    for p in (*evidence_probs, *class_probs):
+        if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
+            raise ValueError(f"probability {p} outside [0, 1]")
+    if len(class_probs) != len(LABELS):
+        raise ValueError(f"expected {len(LABELS)} class probabilities")
+    if abs(sum(class_probs) - 1.0) > PROB_TOL:
+        raise ValueError(f"class probabilities sum to {sum(class_probs)}")
+    if verdict != verdict_from_probs(class_probs):
+        raise ValueError("verdict is not the argmax of class_probs")
+    if list(selected) != sorted(set(selected)):
+        raise ValueError("selected indices must be sorted and unique")
+    n = len(evidence_probs)
+    if any(not 0 <= i < n for i in selected):
+        raise ValueError("selected indices outside the premise")
+
+
+_EDGES = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0.5, 1.0,
+    -PROB_TOL, 1.0 + PROB_TOL,  # just inside
+    math.nextafter(-PROB_TOL, -1.0), math.nextafter(1.0 + PROB_TOL, 2.0),  # just outside
+    -1e308, 1e308,
+)
+_values = st.one_of(st.sampled_from(_EDGES), st.floats(-0.1, 1.1), st.floats())
+_class_probs = st.one_of(
+    st.floats(0.0, 1.0).map(lambda p: (p, 1.0 - p)),
+    st.lists(_values, max_size=3).map(tuple),
+)
+_selected = st.one_of(
+    st.sets(st.integers(-1, 8)).map(lambda s: tuple(sorted(s))),
+    st.lists(st.integers(-1, 8), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    evidence_probs=st.lists(_values, max_size=8).map(tuple),
+    selected=_selected,
+    class_probs=_class_probs,
+    verdict=st.sampled_from(LABELS),
+)
+@example(evidence_probs=(), selected=(), class_probs=(), verdict=LABELS[0])
+@example(evidence_probs=(float("nan"),), selected=(0,), class_probs=(1.0, 0.0), verdict=LABELS[0])
+@example(evidence_probs=(0.5, float("nan")), selected=(), class_probs=(1.0, 0.0), verdict=LABELS[0])
+@example(evidence_probs=(0.5,), selected=(), class_probs=(0.5, float("nan")), verdict=LABELS[0])
+@example(evidence_probs=(float("inf"), float("-inf")), selected=(), class_probs=(1.0, 0.0),
+         verdict=LABELS[0])
+@example(evidence_probs=(-0.0, 1.0 + PROB_TOL), selected=(0, 1), class_probs=(-0.0, 1.0),
+         verdict=LABELS[1])
+def test_prediction_check_refuses_what_the_value_loop_refuses(evidence_probs, selected,
+                                                              class_probs, verdict):
+    """``SystemPrediction`` refuses exactly the records a check of one value
+    at a time refuses, with the same message; a record it keeps, renamed,
+    equals ``dataclasses.replace`` with the new id."""
+    try:
+        _oracle_check(evidence_probs, selected, class_probs, verdict)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        pred = SystemPrediction("c", evidence_probs, selected, class_probs, verdict)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    renamed = pred._renamed("d")
+    assert renamed == dataclasses.replace(pred, claim_id="d")
+    assert (renamed.claim_id, pred.claim_id) == ("d", "c")
