@@ -16,6 +16,7 @@ from .corpus import (
     PremiseDoc,
     ValidationReport,
     gold_evidence_globals,
+    gold_label_index,
     load_claims,
     load_corpus,
     parse_claim,
@@ -86,6 +87,7 @@ __all__ = [
     "ensemble_predictions",
     "forward_joint",
     "gold_evidence_globals",
+    "gold_label_index",
     "load_any_model",
     "load_claims",
     "load_corpus",

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import EncoderConfig, RunConfig
+from .config import BACKEND_CHOICES, EncoderConfig, RunConfig
 from .corpus import read_json, shown_path, write_text
 from .encode import PretrainedEncoder, ToyEncoder
 from .errors import BadCheckpoint, CtrnliError, IoError
@@ -179,7 +179,7 @@ def _rebuild_encoder(cfg: dict, field: str, tensors: Mapping[str, np.ndarray], n
     a toy encoder's sizes are checked against first; a toy encoder keeps the read-only views,
     so it builds its layer-0 table here. ``shared`` maps a vocabulary size to its encoders'
     tokenizer."""
-    if cfg["backend"] not in ("toy", "pretrained"):
+    if cfg["backend"] not in BACKEND_CHOICES:
         raise ValueError(f"unknown encoder backend {reprlib.repr(cfg['backend'])}")
     _known_keys(cfg, _ENCODER_KEYS[cfg["backend"]], f"{CONFIG_FILE} entry {field}")
     if cfg["backend"] == "pretrained":

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from .config import (
+    BACKEND_CHOICES,
     EVIDENCE_SOURCE_CHOICES,
     POOLING_CHOICES,
     SECTIONS,
@@ -107,41 +108,31 @@ def cmd_train(args) -> int:
         raise UsageError("no labeled claims to train on")
     out_dir = Path(args.out)
     hp = cfg.hyperparams
-    max_len = cfg.encoder.resolved_max_len(cfg.system)
+    # the settings every trainer and the model it makes share
+    shared = dict(max_len=cfg.encoder.resolved_max_len(cfg.system), pooling=cfg.encoder.pooling,
+                  inject_arm_prefix=cfg.inject_arm_prefix)
     factory = _encoder_factory(cfg)
 
     if cfg.system == "pipeline":
-        evidence = train_evidence_model(
-            claims, corpus, hp,
-            encoder_factory=factory,
-            max_len=max_len, pooling=cfg.encoder.pooling,
-            inject_arm_prefix=cfg.inject_arm_prefix,
-        )
+        evidence = train_evidence_model(claims, corpus, hp, encoder_factory=factory, **shared)
         entailment = train_entailment_model(
             claims, corpus, hp,
             evidence_model=evidence if cfg.evidence_source == "predicted" else None,
-            encoder_factory=factory,
-            max_len=max_len, threshold=cfg.threshold, pooling=cfg.encoder.pooling,
-            inject_arm_prefix=cfg.inject_arm_prefix,
+            encoder_factory=factory, threshold=cfg.threshold, **shared,
         )
         model = PipelineModel(
             evidence_encoder=evidence.encoder,
             evidence_head=evidence.head,
             entailment_encoder=entailment.encoder,
             entailment_head=entailment.head,
-            max_len=max_len,
             threshold=cfg.threshold,
-            pooling=cfg.encoder.pooling,
-            inject_arm_prefix=cfg.inject_arm_prefix,
+            **shared,
         )
         save_pipeline_model(model, out_dir)
         curves = {"evidence": evidence.loss_curve, "entailment": entailment.loss_curve}
     else:
         result = train_joint(
-            claims, corpus, hp,
-            encoder_factory=factory,
-            max_len=max_len, threshold=cfg.threshold, pooling=cfg.encoder.pooling,
-            inject_arm_prefix=cfg.inject_arm_prefix,
+            claims, corpus, hp, encoder_factory=factory, threshold=cfg.threshold, **shared
         )
         save_joint_model(result.model, out_dir)
         curves = result.loss_curve
@@ -216,7 +207,7 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--system", choices=SYSTEM_CHOICES)
-    p.add_argument("--encoder-backend", dest="backend", choices=("toy", "pretrained"))
+    p.add_argument("--encoder-backend", dest="backend", choices=BACKEND_CHOICES)
     p.add_argument("--vocab-size", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--n-layers", type=int)

@@ -20,6 +20,7 @@ from .errors import MalformedJson
 from .nn import Hyperparams, in_unit_interval, is_count, is_finite_number, refusal
 
 SYSTEM_CHOICES = ("pipeline", "joint")
+BACKEND_CHOICES = ("toy", "pretrained")
 POOLING_CHOICES = ("mean", "first", "max")
 EVIDENCE_SOURCE_CHOICES = ("gold", "predicted")
 TASK_CHOICES = ("both", "evidence", "entailment")
@@ -54,7 +55,7 @@ class EncoderConfig:
     mixed_precision: bool = True
 
     def __post_init__(self):
-        if self.backend not in ("toy", "pretrained"):
+        if self.backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown encoder backend {reprlib.repr(self.backend)}")
         if self.pooling not in POOLING_CHOICES:
             raise refusal("pooling", f"one of {POOLING_CHOICES}", self.pooling)

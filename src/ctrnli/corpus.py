@@ -325,8 +325,8 @@ def load_claims(
     ``path`` is either the claim file itself or a directory holding
     ``{split}.json``. When ``corpus`` is given, claims whose trial references
     are missing raise :class:`CtrnliError` after the whole file is
-    scanned, carrying the full list of offenders; with ``lenient`` set they
-    are skipped instead, with one warning naming them all. A repeated
+    scanned, naming their count and the first three; with ``lenient`` set
+    they are skipped instead, with one warning saying the same. A repeated
     ``claim_id`` raises :class:`CtrnliError`.
     """
     path = Path(path)
@@ -345,11 +345,13 @@ def load_claims(
     dangling: list[str] = []
     for claim in parsed:
         if corpus is not None and any(c not in corpus for c in claim.ctr_ids):
-            dangling.append(shown_id(claim.claim_id))
+            dangling.append(claim.claim_id)
         else:
             claims.append(claim)
     if dangling:
-        message = f"{len(dangling)} claim(s) reference missing trials: {', '.join(dangling)}"
+        named = ", ".join(map(shown_id, dangling[:3]))
+        more = f" and {len(dangling) - 3} more" if len(dangling) > 3 else ""
+        message = f"{len(dangling)} claim(s) reference missing trials: {named}{more}"
         if not lenient:
             raise CtrnliError(message)
         logger.warning("%s; skipped", message)
@@ -396,6 +398,15 @@ def require_sentences(claim: ClaimInstance, premise: PremiseDoc) -> PremiseDoc:
     if premise.n == 0:
         raise CtrnliError(f"claim {shown_id(claim.claim_id)} resolved to an empty premise")
     return premise
+
+
+def gold_label_index(claim_id: str, label: str | None) -> int:
+    """The index in ``LABELS`` of a claim's gold label (required)."""
+    if label not in LABELS:
+        shown = reprlib.repr(label)
+        what = "no gold label" if label is None else f"gold label {shown} outside {LABELS}"
+        raise CtrnliError(f"claim {shown_id(claim_id)} has {what}")
+    return LABELS.index(label)
 
 
 def gold_evidence_globals(claim: ClaimInstance, premise: PremiseDoc) -> frozenset[int]:

@@ -42,35 +42,20 @@ def combine(
             f"{len(pred_a.evidence_probs)} != {len(pred_b.evidence_probs)}"
         )
     w_a, w_b = cfg.w_pipeline, cfg.w_joint
-
+    averaged: dict = {}  # the averaged task(s)' fields; the rest pass through from pred_a
     if cfg.tasks in ("both", "evidence"):
         ev_probs = tuple(
             w_a * a + w_b * b for a, b in zip(pred_a.evidence_probs, pred_b.evidence_probs)
         )
         selected, fallback = select_evidence(ev_probs, threshold) if ev_probs else ((), False)
-    else:
-        ev_probs = pred_a.evidence_probs
-        selected = pred_a.selected
-        fallback = pred_a.fallback_used
-
+        averaged.update(evidence_probs=ev_probs, selected=selected, fallback_used=fallback)
     if cfg.tasks in ("both", "entailment"):
         class_probs = (
             w_a * pred_a.class_probs[0] + w_b * pred_b.class_probs[0],
             w_a * pred_a.class_probs[1] + w_b * pred_b.class_probs[1],
         )
-        verdict = verdict_from_probs(class_probs)
-    else:
-        class_probs = pred_a.class_probs
-        verdict = pred_a.verdict
-
-    return SystemPrediction(
-        claim_id=pred_a.claim_id,
-        evidence_probs=ev_probs,
-        selected=selected,
-        class_probs=class_probs,
-        verdict=verdict,
-        fallback_used=fallback,
-    )
+        averaged.update(class_probs=class_probs, verdict=verdict_from_probs(class_probs))
+    return dataclasses.replace(pred_a, **averaged)
 
 
 def cap_prediction(pred: SystemPrediction, cfg: EnsembleConfig) -> SystemPrediction:

@@ -30,6 +30,7 @@ from .corpus import (
     ClinicalTrialRecord,
     PremiseDoc,
     gold_evidence_globals,
+    gold_label_index,
     require_sentences,
     resolve_premise,
     shown_id,
@@ -44,7 +45,7 @@ from .encode import (
     pool_spans_backward,
 )
 from .encode import pool_span, pool_span_backward  # noqa: F401  bench/tracing.py wraps them here
-from .errors import CtrnliError, UsageError
+from .errors import UsageError
 from .nn import (
     ClassifierHead,
     Hyperparams,
@@ -273,8 +274,7 @@ def train_joint(
 
     examples = []
     for claim in train_claims:
-        if claim.gold_label is None:
-            raise CtrnliError(f"claim {shown_id(claim.claim_id)} has no gold label")
+        gold_label_index(claim.claim_id, claim.gold_label)  # joint_grads reads the label string
         premise = resolve_premise(claim, corpus, inject_arm_prefix)
         ji = _pack(encoder.tokenizer, claim, premise, max_len)
         examples.append((ji, gold_evidence_globals(claim, premise), claim.gold_label))

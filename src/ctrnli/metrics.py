@@ -22,6 +22,7 @@ from .corpus import (
     ClinicalTrialRecord,
     check_unique_claim_ids,
     gold_evidence_globals,
+    gold_label_index,
     resolve_premise,
     shown_id,
     write_text,
@@ -139,11 +140,8 @@ def _label_counts(
         raise CtrnliError("no predictions to score")
     counts = [0, 0, 0, 0]
     for pred in predictions:
-        label = _gold_for(pred, golds).label
-        if label not in LABELS:
-            what = "no gold label" if label is None else f"gold label {label!r} outside {LABELS}"
-            raise CtrnliError(f"claim {shown_id(pred.claim_id)} has {what}")
-        counts[2 * (pred.verdict != LABELS[0]) + (label != LABELS[0])] += 1
+        gold = gold_label_index(pred.claim_id, _gold_for(pred, golds).label)
+        counts[2 * (pred.verdict != LABELS[0]) + gold] += 1
     return tuple(counts)
 
 

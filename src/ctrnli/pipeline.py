@@ -26,6 +26,7 @@ from .corpus import (
     ClinicalTrialRecord,
     PremiseDoc,
     gold_evidence_globals,
+    gold_label_index,
     require_sentences,
     resolve_premise,
     shown_id,
@@ -335,8 +336,7 @@ def entailment_training_items(
     """
     items = []
     for claim in claims:
-        if claim.gold_label is None:
-            raise CtrnliError(f"claim {shown_id(claim.claim_id)} has no gold label")
+        target = gold_label_index(claim.claim_id, claim.gold_label)
         premise = require_sentences(claim, resolve_premise(claim, corpus, inject_arm_prefix))
         if evidence_model is None:
             indices = sorted(gold_evidence_globals(claim, premise))
@@ -348,7 +348,7 @@ def entailment_training_items(
         texts = [premise.texts[i] for i in indices]
         with naming_claim(claim.claim_id):
             seq = build_entailment_sequence(tokenizer, claim.text, texts, max_len)
-        items.append((seq.token_ids, LABELS.index(claim.gold_label)))
+        items.append((seq.token_ids, target))
     return items
 
 

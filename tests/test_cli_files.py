@@ -6,8 +6,8 @@ workspace holds one copy of every file; a test damages one of them, runs the
 command through ``main()`` and puts the file back. Log records at WARNING
 and above count as stderr lines, since the command-line entry point sends
 them there. A ``train`` config file is also filled, one field at a time,
-with a value of each JSON type, and a small report and a small prediction
-file are damaged node by node.
+with a value of each JSON type, and a small report, prediction file, claim
+file and corpus are damaged node by node.
 """
 
 import contextlib
@@ -498,6 +498,49 @@ def test_claims_damaged_node_by_node_end_in_one_line(two_claims, value):
     assert stray == []
 
 
+# --- a corpus, damaged node by node ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_trials(workspace, tmp_path_factory):
+    """A workspace of the fixture trials ``trial-01`` and ``trial-02`` as the
+    corpus, the fixture's first two claims, one on each, as the dev split, and
+    the joint checkpoint."""
+    ws = tmp_path_factory.mktemp("trials")
+    trials = json.loads((FIXTURE / "corpus.json").read_text())[:2]
+    claims = json.loads((FIXTURE / "claims.json").read_text())[:2]
+    assert [c["primary_ctr"] for c in claims] == [r["ctr_id"] for r in trials]
+    (ws / "claims").mkdir()
+    (ws / "claims" / "dev.json").write_text(json.dumps(claims))
+    shutil.copytree(workspace / "ckpt", ws / "ckpt")
+    return ws, trials
+
+
+@pytest.mark.parametrize(
+    "value", _NODE_VALUES + [_DELETED],
+    ids=lambda value: "deleted" if value is _DELETED else reprlib.repr(value),
+)
+def test_corpus_damaged_node_by_node_ends_in_one_line(two_trials, value):
+    """Every node of a valid two-trial corpus replaced by ``value`` (or every
+    key deleted, for ``_DELETED``): ``validate`` and ``predict`` on a joint
+    checkpoint each succeed (exit 0) or refuse the data (exit 1), with at
+    most one stderr line of under 200 characters and never a traceback."""
+    ws, trials = two_trials
+    commands = {"validate": _validate(ws), "predict": _predict(ws)}
+    stray = []
+    for path in _nodes(trials):
+        if value is _DELETED and not (path and isinstance(path[-1], str)):
+            continue
+        (ws / "corpus.json").write_text(json.dumps(_with_node(trials, path, value)))
+        for name, argv in commands.items():
+            with time_limit(20):
+                code, lines = _run(argv)
+            ok = code in (0, 1) and len(lines) <= 1
+            if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
+                stray.append((name, path, code, [line[:200] for line in lines]))
+    assert stray == []
+
+
 # --- a long claim id paired with a second fault ------------------------------------------
 
 _LONG = "x" * 100_000
@@ -537,3 +580,19 @@ def test_long_claim_id_with_a_second_fault_ends_in_one_short_line(tmp_path, faul
     (tmp_path / "claims" / "dev.json").write_text(json.dumps([claim]))
     code, lines = _run(_validate(tmp_path))
     assert code == 1 and len(lines) == 1 and len(lines[0]) <= 200, (code, [x[:200] for x in lines])
+
+
+def test_train_on_many_claims_with_a_missing_trial_ends_in_one_short_line(tmp_path):
+    """``train`` on 2,000 claims whose trial is missing exits 1 with one line
+    of at most 200 characters: the refusal counts the claims and names the
+    first three."""
+    claims = [
+        {**_FIRST, "claim_id": f"claim-{i:04d}", "primary_ctr": "missing", "evidence": {}}
+        for i in range(2000)
+    ]
+    shutil.copy(FIXTURE / "corpus.json", tmp_path / "corpus.json")
+    (tmp_path / "claims").mkdir()
+    (tmp_path / "claims" / "dev.json").write_text(json.dumps(claims))
+    code, lines = _run(_train(tmp_path))
+    assert code == 1 and len(lines) == 1 and len(lines[0]) <= 200, (code, [x[:200] for x in lines])
+    assert "2000 claim(s)" in lines[0] and "claim-0000" in lines[0], lines

@@ -368,6 +368,26 @@ class TestLoadClaims:
         claims = load_claims(path, corpus=corpus, lenient=True)
         assert [c.claim_id for c in claims] == ["ok"]
 
+    def test_many_dangling_claims_are_counted_and_the_first_three_named(
+        self, tmp_path, corpus, caplog
+    ):
+        """2,000 claims on a missing trial: the refusal and the lenient
+        warning give the count and name only the first three claims."""
+        objs = [
+            _claim_obj(claim_id=f"bad-{i:04d}", primary_ctr="nope", evidence={"nope": [0]})
+            for i in range(2000)
+        ]
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(objs))
+        expected = (
+            "2000 claim(s) reference missing trials: bad-0000, bad-0001, bad-0002 and 1997 more"
+        )
+        with pytest.raises(CtrnliError) as err:
+            load_claims(path, corpus=corpus)
+        assert str(err.value) == expected
+        assert load_claims(path, corpus=corpus, lenient=True) == []
+        assert [r.getMessage() for r in caplog.records] == [f"{expected}; skipped"]
+
     def test_split_directory(self, tmp_path):
         (tmp_path / "train.json").write_text(json.dumps([_claim_obj()]))
         claims = load_claims(tmp_path, split="train")

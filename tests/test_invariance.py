@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
+from ctrnli.checkpoint import (
+    _LAYOUTS,
+    _SETTINGS,
+    load_any_model,
+    save_joint_model,
+    save_pipeline_model,
+)
 from ctrnli.cli import main
 from ctrnli.corpus import ClinicalTrialRecord, parse_record, resolve_premise
 from ctrnli.ensemble import save_predictions
@@ -207,6 +213,19 @@ def test_change_between_two_predictions_leaves_no_stale_answer(ckpts, other_ckpt
     apply(fresh, other)
     assert after == [predict(claim, corpus, fresh) for claim in claims]
     assert after != before
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_every_model_setting_is_stored_and_changed_above(system):
+    """Every field of a model that is neither one of its parts nor its memo is
+    a setting: the checkpoint stores it (``_SETTINGS``) and the test above
+    changes it between two predictions (``_CHANGES``). A new setting left out
+    of the memo key or the checkpoint then fails a test."""
+    model_cls, layout = _LAYOUTS[system]
+    parts = {field for field, _, _ in layout}
+    settings = {f.name for f in dataclasses.fields(model_cls)} - parts - {"_memo"}
+    assert settings <= set(_SETTINGS)
+    assert settings <= _CHANGES.keys()
 
 
 @pytest.mark.parametrize("system", ["pipeline", "joint"])

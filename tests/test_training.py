@@ -306,6 +306,26 @@ def test_claim_without_gold_evidence_is_refused(corpus, claims, train):
     assert str(refused.value) == f"claim {claim.claim_id} has no gold evidence"
 
 
+@pytest.mark.parametrize(
+    "train", [train_entailment_model, train_joint], ids=["entailment", "joint"]
+)
+@pytest.mark.parametrize(
+    "label, what",
+    [(None, "no gold label"),
+     ("Neutral", "gold label 'Neutral' outside ('Entailment', 'Contradiction')"),
+     (["Entailment"], "gold label ['Entailment'] outside ('Entailment', 'Contradiction')")],
+    ids=["none", "neutral", "list"],
+)
+def test_claim_without_a_known_gold_label_is_refused(corpus, claims, train, label, what):
+    """A hand-built claim whose label is missing or outside ``LABELS`` is
+    refused by the one line of ``gold_label_index``, before any step, by
+    each trainer that reads labels."""
+    claim = replace(claims[0], gold_label=label)
+    with time_limit(20), pytest.raises(CtrnliError) as refused:
+        train([claim], corpus, Hyperparams(max_steps=1))
+    assert str(refused.value) == f"claim {claim.claim_id} has {what}"
+
+
 @TRAINERS
 def test_steps_over_no_claims_are_refused(corpus, train):
     with time_limit(20), pytest.raises(CtrnliError, match="nothing to train on"):
