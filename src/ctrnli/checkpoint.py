@@ -117,7 +117,7 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
                 f"tensor {name}: shape {reprlib.repr(list(shape))} is not a list of sizes"
             )
         n_bytes = math.prod(shape) * _DTYPE.itemsize
-        if offset != end:
+        if not is_count(offset, 0) or offset != end:
             raise BadCheckpoint(
                 f"tensor {name}: byte_offset {reprlib.repr(offset)}, expected {end}"
             )
@@ -281,6 +281,6 @@ def load_any_model(path: str | Path):
         return system, model_cls(**parts, **_settings(config, system))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise BadCheckpoint(
-            f"{Path(path) / CONFIG_FILE} does not describe a {system} model: "
+            f"{shown_path(Path(path) / CONFIG_FILE)} does not describe a {system} model: "
             f"{type(exc).__name__}: {exc}"
         ) from None

@@ -135,9 +135,13 @@ def shown_path(path) -> str:
     return text if len(text) <= 120 else f"{text[:58]}...{text[-58:]}"
 
 
-def shown_id(text: str) -> str:
-    """A claim or trial id as a refusal names it: whole up to 60 characters, else its ends."""
-    return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"
+def shown_id(text: str, width: int = 60) -> str:
+    """A claim or trial id as a refusal names it: whole up to ``width``
+    characters, else its ends."""
+    if len(text) <= width:
+        return text
+    half = (width - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
 
 
 def read_json(path: str | Path, error: type[CtrnliError] = MalformedJson):
@@ -349,7 +353,9 @@ def load_claims(
         else:
             claims.append(claim)
     if dangling:
-        named = ", ".join(map(shown_id, dangling[:3]))
+        # three ids of at most 32 characters keep the line, and the lenient
+        # warning with its level and logger name, within 200 characters
+        named = ", ".join(shown_id(claim_id, 32) for claim_id in dangling[:3])
         more = f" and {len(dangling) - 3} more" if len(dangling) > 3 else ""
         message = f"{len(dangling)} claim(s) reference missing trials: {named}{more}"
         if not lenient:
@@ -375,22 +381,29 @@ def resolve_premise(
     "primary trial:" / "secondary trial:" role marker so an encoder can tell
     the two trials apart.
     """
-    texts: tuple[str, ...] = ()
-    spans: dict[str, tuple[int, int]] = {}
-    roles = [(claim.primary_ctr, PRIMARY_PREFIX)]
-    if claim.secondary_ctr is not None:
-        roles.append((claim.secondary_ctr, SECONDARY_PREFIX))
-    for ctr_id, prefix in roles:
+    sections = []
+    for ctr_id in claim.ctr_ids:
         if ctr_id not in corpus:
             raise CtrnliError(
                 f"claim {shown_id(claim.claim_id)}: missing trial '{shown_id(ctr_id)}'"
             )
-        section = corpus[ctr_id].sections[claim.section_id]
-        if inject_arm_prefix and claim.secondary_ctr is not None:
+        sections.append(corpus[ctr_id].sections[claim.section_id])
+    return _premise(claim, sections, inject_arm_prefix)
+
+
+def _premise(claim: ClaimInstance, sections, inject_arm_prefix: bool) -> PremiseDoc:
+    """:func:`resolve_premise` over ``sections``, the claim's section of each
+    of ``claim.ctr_ids``, already looked up."""
+    texts: tuple[str, ...] = ()
+    spans: dict[str, tuple[int, int]] = {}
+    marked = inject_arm_prefix and claim.secondary_ctr is not None
+    roles = (claim.primary_ctr, PRIMARY_PREFIX), (claim.secondary_ctr, SECONDARY_PREFIX)
+    for (ctr_id, prefix), section in zip(roles, sections):
+        if marked:
             section = tuple(f"{prefix} {text}" for text in section)
         spans[ctr_id] = (len(texts), len(texts) + len(section))
         texts += tuple(section)
-    return PremiseDoc(texts=texts, spans=spans)
+    return PremiseDoc(texts, spans)
 
 
 def require_sentences(claim: ClaimInstance, premise: PremiseDoc) -> PremiseDoc:

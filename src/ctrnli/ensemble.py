@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import reprlib
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -81,6 +82,9 @@ def ensemble_predictions(
 
     Predictions are paired by claim id and the output keeps the first list's
     order. Both lists must cover exactly the same claims, each claim once.
+    Each distinct pair of members' field objects (see :func:`_fields_key`) is
+    combined and capped once; a later claim gets that result re-issued under
+    its own id, so the returned list shares field objects as its members do.
     """
     check_unique_claim_ids((p.claim_id for p in preds_a), "the first prediction list")
     check_unique_claim_ids((p.claim_id for p in preds_b), "the second prediction list")
@@ -92,7 +96,20 @@ def ensemble_predictions(
             f"prediction lists cover different claims (missing from second: "
             f"{reprlib.repr(missing)}, only in second: {reprlib.repr(extra)})"
         )
-    return [cap_prediction(combine(p, by_id[p.claim_id], cfg, threshold), cfg) for p in preds_a]
+    # both members' field identities -> (the first member, which keeps its
+    # ids from being recycled, and its result)
+    done: dict = {}
+    out = []
+    for p in preds_a:
+        q = by_id[p.claim_id]
+        key = (*_fields_key(p), *_fields_key(q))
+        hit = done.get(key)
+        if hit is None:
+            hit = done[key] = (p, cap_prediction(combine(p, q, cfg, threshold), cfg))
+            out.append(hit[1])
+        else:
+            out.append(hit[1]._renamed(p.claim_id))
+    return out
 
 
 _ITEM_SEP = ",\n      "  # between the items of a list inside one record
@@ -124,11 +141,22 @@ def _json_list(values, fast=float.__repr__) -> str:
     return f"[\n      {items}\n    ]"
 
 
-def _json_record(p: SystemPrediction) -> str:
-    # the six fields in sorted-key order; every probability is finite, as
+# a prediction's five non-id fields, in the sorted-key order a record holds them
+_FIELDS = operator.attrgetter(
+    "class_probs", "evidence_probs", "fallback_used", "selected", "verdict"
+)
+
+
+def _fields_key(p: SystemPrediction) -> tuple:
+    """The identity of ``p``'s five non-id fields, which a prediction that
+    ``_renamed`` re-issues shares with its original."""
+    return tuple(map(id, _FIELDS(p)))
+
+
+def _json_fields(p: SystemPrediction) -> str:
+    # the record's text after claim_id; every probability is finite, as
     # SystemPrediction checks its range
     return (
-        f'  {{\n    "claim_id": {_json_scalar(p.claim_id)},'
         f'\n    "class_probs": {_json_list(p.class_probs)},'
         f'\n    "evidence_probs": {_json_list(p.evidence_probs)},'
         f'\n    "fallback_used": {_json_scalar(p.fallback_used)},'
@@ -144,19 +172,32 @@ def save_predictions(preds: Sequence[SystemPrediction], path: str | Path) -> Non
     sort_keys=True, indent=2)`` plus a newline, built record by record
     without the json module's pure-Python indenting encoder.
     ``tests/test_ensemble.py::test_save_predictions_matches_json_dumps``
-    holds the two equal.
+    holds the two equal. The text after ``claim_id`` is formatted once per
+    distinct set of field objects (:func:`_fields_key`); the memo holds each
+    keyed prediction, so no id is recycled while a generator runs.
     """
-    body = ",\n".join(map(_json_record, preds))
+    written: dict = {}  # field identities -> (a prediction, its text after claim_id)
+    records = []
+    for p in preds:
+        claim_id = _json_scalar(p.claim_id)
+        key = _fields_key(p)
+        hit = written.get(key)
+        if hit is None:
+            hit = written[key] = (p, _json_fields(p))
+        records.append(f'  {{\n    "claim_id": {claim_id},{hit[1]}')
+    body = ",\n".join(records)
     write_text(path, f"[\n{body}\n]\n" if body else "[]\n")
 
 
 def load_predictions(path: str | Path) -> list[SystemPrediction]:
     """Read a prediction list written by :func:`save_predictions` or an
     external system emitting the same shape; a claim predicted twice raises
-    :class:`CtrnliError`."""
+    :class:`CtrnliError`. Every record is checked; one whose fields equal an
+    earlier record's re-issues that prediction (see ``SystemPrediction._parse``)."""
     payload = read_json(path)
     if not isinstance(payload, list):
         raise MalformedJson(f"{path}: expected a JSON list of predictions")
-    preds = [SystemPrediction.from_json_obj(obj) for obj in payload]
+    parsed: dict = {}
+    preds = [SystemPrediction._parse(obj, parsed) for obj in payload]
     check_unique_claim_ids((p.claim_id for p in preds), str(path))
     return preds

@@ -25,6 +25,7 @@ from .corpus import (
     ClaimInstance,
     ClinicalTrialRecord,
     PremiseDoc,
+    _premise,
     gold_evidence_globals,
     gold_label_index,
     require_sentences,
@@ -112,6 +113,16 @@ class SystemPrediction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SystemPrediction":
         """Parse one prediction object; any schema violation raises MalformedJson."""
+        return cls._parse(obj, None)
+
+    @classmethod
+    def _parse(cls, obj: dict, parsed: dict | None) -> "SystemPrediction":
+        """:meth:`from_json_obj`; given ``parsed``, a map from converted fields
+        to the prediction first built from them, a record whose converted
+        fields are already there gets that prediction under its own id.
+        Converted, the fields are floats, ints, a string and a bool, with NaN
+        refused, so equal values print alike, except ``0.0`` and ``-0.0``: a
+        record holding a zero probability is never shared."""
         if not isinstance(obj, dict):
             raise MalformedJson(f"a prediction must be a JSON object, got {type(obj).__name__}")
         try:
@@ -131,14 +142,16 @@ class SystemPrediction:
                 # JSON numbers parse to int or float; __post_init__ refuses non-finite ones
                 if not {*map(type, values)} <= {int, float}:
                     raise TypeError(f"{key} must hold numbers, got {reprlib.repr(list(values))}")
-            return cls(
-                claim_id=claim_id,
-                evidence_probs=tuple(map(float, probs["evidence_probs"])),
-                selected=selected,
-                class_probs=tuple(map(float, probs["class_probs"])),  # type: ignore[arg-type]
-                verdict=str(obj["verdict"]),
-                fallback_used=fallback_used,
-            )
+            ev_probs = tuple(map(float, probs["evidence_probs"]))
+            class_probs = tuple(map(float, probs["class_probs"]))
+            fields = (ev_probs, selected, class_probs, str(obj["verdict"]), fallback_used)
+            if parsed is None or 0.0 in ev_probs or 0.0 in class_probs:
+                return cls(claim_id, *fields)
+            earlier = parsed.get(fields)
+            if earlier is not None:
+                return earlier._renamed(claim_id)
+            parsed[fields] = pred = cls(claim_id, *fields)
+            return pred
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"{reprlib.repr(obj.get('claim_id'))}: {type(exc).__name__}: {exc}"
             raise MalformedJson(f"malformed prediction {what}") from None
@@ -400,8 +413,9 @@ def predict_memoized(claim, corpus: Mapping[str, ClinicalTrialRecord], model, pa
     trials, ``inject_arm_prefix``, ``threshold``, ``pooling`` and ``max_len``,
     re-issued under this claim's id.
 
-    The key holds the corpus's own section tuples and compares their content.
-    A hit resolves no premise and checks no prediction again, so the median
+    The key holds the corpus's own section tuples and compares their content;
+    a miss builds its premise from them, looking no trial up again. A hit
+    resolves no premise and checks no prediction again, so the median
     claim of the ``shared-trials-predict`` benchmark, a hit, takes about 4 us.
     Only a model whose ``parts`` (encoders and heads) hold read-only arrays in
     read-only mappings, as loaded ones do, keeps this memo: one entry per
@@ -419,15 +433,16 @@ def predict_memoized(claim, corpus: Mapping[str, ClinicalTrialRecord], model, pa
     key = pred = None
     if memo is not None:
         try:  # a missing trial is refused below; list sections do not hash
-            key = (claim.text, *[corpus[c].sections[claim.section_id] for c in claim.ctr_ids],
+            sections = [corpus[c].sections[claim.section_id] for c in claim.ctr_ids]
+            key = (claim.text, *sections,
                    model.inject_arm_prefix, model.threshold, model.pooling, model.max_len)
             pred = memo.get(key)
         except (KeyError, TypeError):
             key = None
-    if pred is None:
+    if pred is None and key is None:
         pred = predict(claim, resolve_premise(claim, corpus, model.inject_arm_prefix), model)
-        if key is not None:
-            memo[key] = pred
+    elif pred is None:  # a miss: the premise of the sections the key holds
+        pred = memo[key] = predict(claim, _premise(claim, sections, model.inject_arm_prefix), model)
     elif pred.claim_id != claim.claim_id:
         pred = pred._renamed(claim.claim_id)
     return pred

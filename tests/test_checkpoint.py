@@ -310,6 +310,15 @@ class TestCorruption:
         with pytest.raises(BadCheckpoint):
             read_checkpoint(joint_ckpt)
 
+    @pytest.mark.parametrize("offset", [False, -0.0, 0.0], ids=repr)
+    def test_offset_must_be_an_integer(self, joint_ckpt, offset):
+        """A first offset that merely equals 0 (a bool or a float) is refused,
+        as a shape entry that is not an integer is."""
+        _edit_manifest(joint_ckpt, lambda m: m["tensors"][0].update(byte_offset=offset))
+        name = json.loads((joint_ckpt / "manifest.json").read_text())["tensors"][0]["name"]
+        with pytest.raises(BadCheckpoint, match=f"tensor {name}: byte_offset {offset!r}, expected 0"):
+            read_checkpoint(joint_ckpt)
+
     @pytest.mark.parametrize(
         "name, shift", [("encoder.W0", 4), ("encoder.W1", -4), ("encoder.W1", 4)]
     )

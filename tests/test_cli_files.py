@@ -30,7 +30,9 @@ from conftest import time_limit
 from ctrnli.checkpoint import save_joint_model
 from ctrnli.cli import main
 from ctrnli.config import SECTIONS, RunConfig
-from ctrnli.ensemble import save_predictions
+from ctrnli.corpus import check_unique_claim_ids, read_json
+from ctrnli.ensemble import load_predictions, save_predictions
+from ctrnli.errors import CtrnliError, MalformedJson
 from ctrnli.joint import predict_joint
 from ctrnli.metrics import GoldClaim, build_gold_view, build_report, write_report
 from ctrnli.pipeline import SystemPrediction
@@ -458,6 +460,51 @@ def test_predictions_damaged_node_by_node_end_in_one_line(two_predictions, value
     assert stray == []
 
 
+def _outcome(load, path):
+    """What loading a prediction file gives: each record's fields exactly
+    (type and repr, so the sign of a zero counts), or the refusal."""
+    try:
+        preds = load(path)
+    except CtrnliError as exc:
+        return type(exc).__name__, str(exc)
+    return [[(type(v), repr(v)) for v in dataclasses.astuple(p)] for p in preds]
+
+
+def _load_each_alone(path):
+    """``load_predictions`` as it was before records were shared: every
+    record parsed on its own."""
+    payload = read_json(path)
+    if not isinstance(payload, list):
+        raise MalformedJson(f"{path}: expected a JSON list of predictions")
+    preds = [SystemPrediction.from_json_obj(obj) for obj in payload]
+    check_unique_claim_ids((p.claim_id for p in preds), str(path))
+    return preds
+
+
+@pytest.mark.parametrize(
+    "value", _NODE_VALUES + [_DELETED],
+    ids=lambda value: "deleted" if value is _DELETED else reprlib.repr(value),
+)
+def test_damaged_repeated_records_load_as_each_record_alone(two_predictions, value):
+    """The prediction file of the node-by-node test, with a third record
+    that repeats the first apart from ``claim_id``, damaged the same way:
+    ``load_predictions``, which shares a repeated record, loads the same
+    fields or refuses the file with the same exception and message as
+    parsing every record on its own."""
+    ws, records = two_predictions
+    records = [*records, {**records[0], "claim_id": "again"}]
+    path = ws / "repeated.json"
+    differ = []
+    for node in _nodes(records):
+        if value is _DELETED and not (node and isinstance(node[-1], str)):
+            continue
+        path.write_text(json.dumps(_with_node(records, node, value)))
+        expected = _outcome(_load_each_alone, path)
+        if _outcome(load_predictions, path) != expected:
+            differ.append((node, expected))
+    assert differ == []
+
+
 # --- a claim file, damaged node by node ------------------------------------------------
 
 
@@ -538,6 +585,63 @@ def test_corpus_damaged_node_by_node_ends_in_one_line(two_trials, value):
             ok = code in (0, 1) and len(lines) <= 1
             if not ok or any(len(line) >= 200 or "Traceback" in line for line in lines):
                 stray.append((name, path, code, [line[:200] for line in lines]))
+    assert stray == []
+
+
+# --- a checkpoint, damaged node by node ---------------------------------------------------
+
+_CHECKPOINT_FILES = ("config.json", "manifest.json")
+
+
+@pytest.fixture(scope="module")
+def two_claims_checkpoint(workspace, tmp_path_factory):
+    """A workspace of the fixture corpus, its first two claims as the dev
+    split, the joint checkpoint, and the checkpoint's two JSON files as
+    loaded: its config and its manifest."""
+    ws = tmp_path_factory.mktemp("checkpoint")
+    shutil.copy(FIXTURE / "corpus.json", ws / "corpus.json")
+    (ws / "claims").mkdir()
+    dev = json.loads((FIXTURE / "claims.json").read_text())[:2]
+    (ws / "claims" / "dev.json").write_text(json.dumps(dev))
+    shutil.copytree(workspace / "ckpt", ws / "ckpt")
+    files = {name: json.loads((ws / "ckpt" / name).read_text()) for name in _CHECKPOINT_FILES}
+    return ws, files
+
+
+def _checkpoint_nodes(name, tree):
+    """Every node of the config; the manifest's ``system`` and its first two
+    tensor entries with every node below them."""
+    if name == "config.json":
+        return list(_nodes(tree))
+    tensors = [path for path in _nodes(tree) if path[:2] in (("tensors", 0), ("tensors", 1))]
+    return [("system",), *tensors]
+
+
+@pytest.mark.parametrize("name", _CHECKPOINT_FILES)
+def test_checkpoint_damaged_node_by_node_ends_in_one_line(two_claims_checkpoint, name):
+    """Every node of a joint checkpoint's config, and of its manifest's
+    ``system`` and first two tensor entries, replaced by each value of
+    ``_NODE_VALUES`` and, under a key, deleted: ``predict`` on two claims
+    succeeds (exit 0) or refuses the checkpoint (exit 1), with at most one
+    stderr line of at most 200 characters and never a traceback."""
+    ws, files = two_claims_checkpoint
+    tree = files[name]
+    path = ws / "ckpt" / name
+    stray = []
+    try:
+        for node in _checkpoint_nodes(name, tree):
+            deletion = [_DELETED] if node and isinstance(node[-1], str) else []
+            for value in _NODE_VALUES + deletion:
+                path.write_text(json.dumps(_with_node(tree, node, value)))
+                with time_limit(20):
+                    code, lines = _run(_predict(ws))
+                if code not in (0, 1) or len(lines) > 1 or any(
+                    len(line) > 200 or "Traceback" in line for line in lines
+                ):
+                    shown = "deleted" if value is _DELETED else reprlib.repr(value)
+                    stray.append((node, shown, code, [line[:200] for line in lines]))
+    finally:
+        path.write_text(json.dumps(tree))
     assert stray == []
 
 

@@ -388,6 +388,24 @@ class TestLoadClaims:
         assert load_claims(path, corpus=corpus, lenient=True) == []
         assert [r.getMessage() for r in caplog.records] == [f"{expected}; skipped"]
 
+    def test_dangling_claims_with_long_ids_end_in_one_short_line(self, tmp_path, corpus, caplog):
+        """Four claims with 100,000-character ids on a missing trial: the
+        refusal and the lenient warning, each as the command line prints it,
+        are one line of at most 200 characters naming the ids by their ends."""
+        objs = [
+            _claim_obj(claim_id=f"{i}{'x' * 100_000}{i}", primary_ctr="nope", evidence={})
+            for i in range(4)
+        ]
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(objs))
+        with pytest.raises(CtrnliError) as err:
+            load_claims(path, corpus=corpus)
+        lines = [f"error: {err.value}"]
+        assert load_claims(path, corpus=corpus, lenient=True) == []
+        lines += [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
+        assert len(lines) == 2 and all("\n" not in line and len(line) <= 200 for line in lines)
+        assert all(line.count("...") == 3 and "and 1 more" in line for line in lines), lines
+
     def test_split_directory(self, tmp_path):
         (tmp_path / "train.json").write_text(json.dumps([_claim_obj()]))
         claims = load_claims(tmp_path, split="train")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +257,22 @@ class TestEnsemblePredictions:
         with pytest.raises(CtrnliError, match=f"duplicate claim_id 'c1' in the {which}"):
             ensemble_predictions(a, b, DEFAULT)
 
+    def test_repeated_pairs_share_one_result(self):
+        """Claims whose members re-issue the same two predictions get one
+        combined and capped result, re-issued under each claim's id."""
+        ev = tuple([0.9] * 25)
+        a, b = _pred(claim_id="c0", ev=ev), _pred(claim_id="c0", ev=ev, cp=(0.3, 0.7))
+        preds_a = [a, a._renamed("c1"), a._renamed("c2")]
+        preds_b = [b._renamed("c2"), b, b._renamed("c1")]
+        out = ensemble_predictions(preds_a, preds_b, DEFAULT)
+        assert [p.claim_id for p in out] == ["c0", "c1", "c2"]
+        assert out[1].selected is out[0].selected and out[2].class_probs is out[0].class_probs
+        assert out == [
+            cap_prediction(combine(p, {q.claim_id: q for q in preds_b}[p.claim_id], DEFAULT, 0.5),
+                           DEFAULT)
+            for p in preds_a
+        ]
+
     def test_caps_after_combining(self):
         n = 25
         ev = tuple([0.9] * n)
@@ -301,6 +318,54 @@ class TestPredictionFiles:
         path.write_text('{"claim_id": "c1"}')
         with pytest.raises(MalformedJson):
             load_predictions(path)
+
+    def test_reissued_predictions_are_written_as_json_dumps_writes_them(self, tmp_path):
+        """Re-issued predictions, given as a list and as a generator of new
+        predictions that it drops, are written in the json module's bytes.
+        While the generator runs, every prediction whose text was stored is
+        still alive, so no field object of it can pass its id on to a later
+        record."""
+        stored = []
+
+        def stream():
+            for i in range(200):
+                cp = (0.5 + i / 1000, 0.5 - i / 1000)
+                pred = _pred(claim_id=f"c{i}", ev=(i / 200, 0.75), cp=cp)
+                stored.append(weakref.ref(pred))
+                yield pred
+                yield pred._renamed(f"c{i}-again")
+                del pred
+                assert all(ref() is not None for ref in stored)
+
+        preds = list(stream())
+        expected = json.dumps([dataclasses.asdict(p) for p in preds], sort_keys=True, indent=2)
+        for preds in (preds, stream()):
+            stored.clear()
+            save_predictions(preds, tmp_path / "preds.json")
+            assert (tmp_path / "preds.json").read_text() == f"{expected}\n"
+
+    def test_identical_records_share_fields_but_a_signed_zero_is_kept(self, tmp_path):
+        """A record equal to an earlier one apart from ``claim_id`` is that
+        prediction re-issued; records holding a zero are parsed on their own,
+        so ``-0.0`` and ``0.0`` stay as written, and the file saves back to
+        its own bytes."""
+        preds = [
+            _pred(claim_id="a", ev=(0.9, 0.25)),
+            _pred(claim_id="b", ev=(0.9, 0.25)),
+            _pred(claim_id="c", ev=(0.9, -0.0)),
+            _pred(claim_id="d", ev=(0.9, 0.0)),
+            _pred(claim_id="e", ev=(0.9, -0.0)),
+        ]
+        path = tmp_path / "preds.json"
+        save_predictions(preds, path)
+        a, b, c, d, e = load_predictions(path)
+        assert [p.claim_id for p in (a, b, c, d, e)] == list("abcde")
+        for field in ("evidence_probs", "selected", "class_probs", "verdict", "fallback_used"):
+            assert getattr(b, field) is getattr(a, field), field
+        assert [repr(p.evidence_probs[1]) for p in (c, d, e)] == ["-0.0", "0.0", "-0.0"]
+        assert c.evidence_probs is not e.evidence_probs
+        save_predictions([a, b, c, d, e], tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_reads_external_minimal_shape(self, tmp_path):
         """Files without the optional fallback flag still load."""

@@ -4,7 +4,9 @@ capping, packing, tokenization, counting, and the check of a prediction."""
 import dataclasses
 import json
 import math
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,15 @@ from ctrnli.encode import (
     pool_spans,
     pool_spans_backward,
 )
-from ctrnli.ensemble import EnsembleConfig, cap_prediction, combine
+from ctrnli.config import TASK_CHOICES
+from ctrnli.ensemble import (
+    EnsembleConfig,
+    cap_prediction,
+    combine,
+    ensemble_predictions,
+    load_predictions,
+    save_predictions,
+)
 from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, build_report
 from ctrnli.nn import to_stored_precision
@@ -209,11 +219,108 @@ class TestCapProperty:
                 assert best_dropped <= worst_kept
 
 
+# few values, so bodies repeat; both zeros, and integer probabilities
+_FEW_PROBS = st.sampled_from([0.0, -0.0, 0, 1, 0.25, 0.5, 0.75, 1.0, 5e-324])
+
+
+@st.composite
+def _repeating_predictions(draw, n_sentences: int):
+    """Predictions ``c0``, ``c1``, ... over ``n_sentences`` sentences, each a
+    new body, an earlier one re-issued through ``_renamed``, or an equal-valued
+    copy of an earlier one built from new tuples."""
+    preds = []
+    for i in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(["new", "renamed", "copy"])) if preds else "new"
+        if how == "new":
+            ev = tuple(draw(st.lists(_FEW_PROBS, min_size=n_sentences, max_size=n_sentences)))
+            selected = tuple(sorted(draw(st.sets(st.integers(0, n_sentences - 1)))))
+            p0 = draw(_FEW_PROBS)
+            cp = draw(st.sampled_from([(p0, 1 - p0), (1 - p0, p0)]))
+            pred = SystemPrediction(f"c{i}", ev, selected, cp, verdict_from_probs(cp),
+                                    draw(st.booleans()))
+        else:
+            earlier = draw(st.sampled_from(preds))
+            pred = earlier._renamed(f"c{i}") if how == "renamed" else SystemPrediction(
+                f"c{i}", tuple(list(earlier.evidence_probs)), tuple(list(earlier.selected)),
+                tuple(list(earlier.class_probs)), earlier.verdict, earlier.fallback_used,
+            )
+        preds.append(pred)
+    return preds
+
+
+def _exact(value):
+    """A field, or each item of a tuple, as its type and repr: equal exactly
+    when the values are equal, of one type and of one sign of zero."""
+    if isinstance(value, tuple):
+        return tuple(map(_exact, value))
+    return type(value), repr(value)
+
+
+def _exact_fields(pred: SystemPrediction) -> tuple:
+    return tuple(_exact(getattr(pred, f.name)) for f in dataclasses.fields(pred))
+
+
+def _json_bytes(preds) -> bytes:
+    text = json.dumps([dataclasses.asdict(p) for p in preds], sort_keys=True, indent=2)
+    return f"{text}\n".encode()
+
+
+def _saved(preds, directory: Path, name: str) -> bytes:
+    save_predictions(preds, directory / name)
+    return (directory / name).read_bytes()
+
+
 class TestPredictionRoundTrip:
     @given(predictions)
     def test_json_round_trip(self, pred):
         again = SystemPrediction.from_json_obj(json.loads(json.dumps(dataclasses.asdict(pred))))
         assert again == pred
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(_repeating_predictions))
+    def test_repeated_bodies_load_as_each_record_alone(self, preds):
+        """A file of repeated bodies is the json module's bytes of its
+        records; it loads, field by field, as each record parsed alone does
+        (value, type and sign of zero); and saving what was loaded is
+        byte-stable: those records' json bytes, which a further load and save
+        leaves as they are."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            first = _saved(preds, tmp, "first.json")
+            assert first == _json_bytes(preds)
+            oracle = [SystemPrediction.from_json_obj(obj) for obj in json.loads(first)]
+            loaded = load_predictions(tmp / "first.json")
+            assert list(map(_exact_fields, loaded)) == list(map(_exact_fields, oracle))
+            second = _saved(loaded, tmp, "second.json")
+            assert second == _json_bytes(oracle)
+            assert _saved(load_predictions(tmp / "second.json"), tmp, "third.json") == second
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            _repeating_predictions(n), _repeating_predictions(n), st.randoms(use_true_random=False)
+        )),
+        st.sampled_from(TASK_CHOICES),
+        st.sampled_from([1, 2, 20]),
+    )
+    def test_ensemble_of_loaded_files_equals_each_claim_alone(self, members, tasks, cap):
+        """``ensemble_predictions`` over two loaded files of repeated bodies,
+        the second shuffled, equals combining and capping each claim alone,
+        for each task restriction and for caps below the selection size."""
+        preds_a, preds_b, rng = members
+        n = min(len(preds_a), len(preds_b))
+        preds_a, preds_b = preds_a[:n], preds_b[:n]
+        rng.shuffle(preds_b)
+        cfg = EnsembleConfig(max_evidence=cap, tasks=tasks)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_predictions(preds_a, tmp / "a.json")
+            save_predictions(preds_b, tmp / "b.json")
+            loaded_a, loaded_b = load_predictions(tmp / "a.json"), load_predictions(tmp / "b.json")
+        out = ensemble_predictions(loaded_a, loaded_b, cfg, 0.5)
+        by_id = {p.claim_id: p for p in loaded_b}
+        oracle = [cap_prediction(combine(a, by_id[a.claim_id], cfg, 0.5), cfg) for a in loaded_a]
+        assert list(map(_exact_fields, out)) == list(map(_exact_fields, oracle))
 
 
 words = st.text(
