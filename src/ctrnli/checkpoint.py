@@ -77,11 +77,11 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     """Load (system, config, tensors) from a checkpoint directory.
 
     Every manifest inconsistency (missing files, bytes that are not UTF-8
-    JSON, a tensor named twice or off its place in the blob) raises
-    :class:`BadCheckpoint`; a file that exists but cannot be read raises
-    :class:`IoError`. Tensors are float32 views of the blob, read-only for
-    good: the blob is immutable ``bytes``, so a write raises ``ValueError``
-    and no view can be made writable again.
+    JSON, a config that is not an object, a tensor named twice or off its
+    place in the blob) raises :class:`BadCheckpoint`; a file that exists
+    but cannot be read raises :class:`IoError`. Tensors are float32 views
+    of the blob, read-only for good: the blob is immutable ``bytes``, so a
+    write raises ``ValueError`` and no view can be made writable again.
     """
     path = Path(path)
     try:
@@ -95,6 +95,10 @@ def read_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     system = manifest.get("system") if isinstance(manifest, dict) else None
     if system not in ("pipeline", "joint"):
         raise BadCheckpoint(f"manifest names unknown system {reprlib.repr(system)}")
+    if not isinstance(config, dict):
+        raise BadCheckpoint(
+            f"{shown_path(path / CONFIG_FILE)} holds {reprlib.repr(config)}, not an object"
+        )
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise BadCheckpoint("manifest has no tensor list")
@@ -179,6 +183,8 @@ def _rebuild_encoder(cfg: dict, field: str, tensors: Mapping[str, np.ndarray], n
     a toy encoder's sizes are checked against first; a toy encoder keeps the read-only views,
     so it builds its layer-0 table here. ``shared`` maps a vocabulary size to its encoders'
     tokenizer."""
+    if not isinstance(cfg, dict):
+        raise BadCheckpoint(f"{CONFIG_FILE} entry {field} is {reprlib.repr(cfg)}, not an object")
     if cfg["backend"] not in BACKEND_CHOICES:
         raise ValueError(f"unknown encoder backend {reprlib.repr(cfg['backend'])}")
     _known_keys(cfg, _ENCODER_KEYS[cfg["backend"]], f"{CONFIG_FILE} entry {field}")

@@ -381,24 +381,15 @@ def resolve_premise(
     "primary trial:" / "secondary trial:" role marker so an encoder can tell
     the two trials apart.
     """
-    sections = []
-    for ctr_id in claim.ctr_ids:
+    texts: tuple[str, ...] = ()
+    spans: dict[str, tuple[int, int]] = {}
+    marked = inject_arm_prefix and claim.secondary_ctr is not None
+    for ctr_id, prefix in zip(claim.ctr_ids, (PRIMARY_PREFIX, SECONDARY_PREFIX)):
         if ctr_id not in corpus:
             raise CtrnliError(
                 f"claim {shown_id(claim.claim_id)}: missing trial '{shown_id(ctr_id)}'"
             )
-        sections.append(corpus[ctr_id].sections[claim.section_id])
-    return _premise(claim, sections, inject_arm_prefix)
-
-
-def _premise(claim: ClaimInstance, sections, inject_arm_prefix: bool) -> PremiseDoc:
-    """:func:`resolve_premise` over ``sections``, the claim's section of each
-    of ``claim.ctr_ids``, already looked up."""
-    texts: tuple[str, ...] = ()
-    spans: dict[str, tuple[int, int]] = {}
-    marked = inject_arm_prefix and claim.secondary_ctr is not None
-    roles = (claim.primary_ctr, PRIMARY_PREFIX), (claim.secondary_ctr, SECONDARY_PREFIX)
-    for (ctr_id, prefix), section in zip(roles, sections):
+        section = corpus[ctr_id].sections[claim.section_id]
         if marked:
             section = tuple(f"{prefix} {text}" for text in section)
         spans[ctr_id] = (len(texts), len(texts) + len(section))

@@ -25,7 +25,6 @@ from .corpus import (
     ClaimInstance,
     ClinicalTrialRecord,
     PremiseDoc,
-    _premise,
     gold_evidence_globals,
     gold_label_index,
     require_sentences,
@@ -413,10 +412,9 @@ def predict_memoized(claim, corpus: Mapping[str, ClinicalTrialRecord], model, pa
     trials, ``inject_arm_prefix``, ``threshold``, ``pooling`` and ``max_len``,
     re-issued under this claim's id.
 
-    The key holds the corpus's own section tuples and compares their content;
-    a miss builds its premise from them, looking no trial up again. A hit
-    resolves no premise and checks no prediction again, so the median
-    claim of the ``shared-trials-predict`` benchmark, a hit, takes about 4 us.
+    The key holds the corpus's own section tuples and compares their content.
+    A hit resolves no premise and checks no prediction again; every other
+    call resolves its premise through :func:`resolve_premise`.
     Only a model whose ``parts`` (encoders and heads) hold read-only arrays in
     read-only mappings, as loaded ones do, keeps this memo: one entry per
     distinct claim. Another part object in the model starts a new one.
@@ -433,16 +431,15 @@ def predict_memoized(claim, corpus: Mapping[str, ClinicalTrialRecord], model, pa
     key = pred = None
     if memo is not None:
         try:  # a missing trial is refused below; list sections do not hash
-            sections = [corpus[c].sections[claim.section_id] for c in claim.ctr_ids]
-            key = (claim.text, *sections,
+            key = (claim.text, *[corpus[c].sections[claim.section_id] for c in claim.ctr_ids],
                    model.inject_arm_prefix, model.threshold, model.pooling, model.max_len)
             pred = memo.get(key)
         except (KeyError, TypeError):
             key = None
-    if pred is None and key is None:
+    if pred is None:
         pred = predict(claim, resolve_premise(claim, corpus, model.inject_arm_prefix), model)
-    elif pred is None:  # a miss: the premise of the sections the key holds
-        pred = memo[key] = predict(claim, _premise(claim, sections, model.inject_arm_prefix), model)
+        if key is not None:
+            memo[key] = pred
     elif pred.claim_id != claim.claim_id:
         pred = pred._renamed(claim.claim_id)
     return pred

@@ -9,11 +9,13 @@ still follow the calls a signature change, a cache or a call path could hide
 from them; nothing under ``bench/`` is modified.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from ctrnli import Hyperparams, JointModel, PipelineModel, joint, nn, pipeline
+from ctrnli.checkpoint import load_any_model, save_joint_model, save_pipeline_model
 from ctrnli.corpus import resolve_premise
 from ctrnli.encode import (
     HashingTokenizer,
@@ -170,3 +172,39 @@ def test_traced_pipeline_prediction_pools_once_per_claim(monkeypatch, corpus, cl
     finally:
         tracer.uninstall()
     assert list(tracer.span_name).count(tracer.names.index("encode.pool")) == len(claims)
+
+
+def test_traced_memo_miss_resolves_its_premise(monkeypatch, tmp_path, corpus, claims,
+                                               pipeline_model, joint_model):
+    """A loaded model's memo miss records one ``corpus.resolve_premise`` span
+    and counts its premise in ``premise_sentences``; a hit records neither.
+    Every claim is predicted, then its renamed copy, which the memo answers."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    save_pipeline_model(pipeline_model, tmp_path / "pipeline")
+    save_joint_model(joint_model, tmp_path / "joint")
+    keys = [(c.text, *(corpus[t].sections[c.section_id] for t in c.ctr_ids)) for c in claims]
+    missed = [c for i, c in enumerate(claims) if keys[i] not in keys[:i]]
+    again = [dataclasses.replace(c, claim_id=f"{c.claim_id}-again") for c in claims]
+    predict = {"pipeline": pipeline.predict_pipeline, "joint": joint.predict_joint}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for system in ("pipeline", "joint"):
+            model = load_any_model(tmp_path / system)[1]
+            for phase, batch in (("first", claims), ("again", again)):
+                tracer.set_phase(f"{system}.{phase}")
+                for claim in batch:
+                    predict[system](claim, corpus, model)
+    finally:
+        tracer.uninstall()
+    resolve = tracer.names.index("corpus.resolve_premise")
+    spans = [tracer.phases[phase] for name, phase in zip(tracer.span_name, tracer.span_phase)
+             if name == resolve]
+    sentences = sum(resolve_premise(claim, corpus).n for claim in missed)
+    for system in ("pipeline", "joint"):
+        assert spans.count(f"{system}.first") == len(missed)
+        assert spans.count(f"{system}.again") == 0
+        layer = tracer.layer_metrics((f"{system}.first", f"{system}.again"))
+        assert layer["corpus.premise_sentences"] == sentences

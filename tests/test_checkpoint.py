@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import reprlib
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import OVERFIT_POOLING, overfit_hyperparams
 
 from ctrnli import checkpoint, encode
 from ctrnli.checkpoint import load_any_model, read_checkpoint, save_joint_model, save_pipeline_model
+from ctrnli.corpus import shown_path
 from ctrnli.encode import ToyEncoder
 from ctrnli.ensemble import save_predictions
 from ctrnli.errors import BadCheckpoint, CtrnliError
@@ -396,6 +398,31 @@ class TestCorruption:
         _edit_manifest(joint_ckpt, strip_verdict)
         with pytest.raises(BadCheckpoint):
             load_any_model(joint_ckpt)
+
+    @pytest.mark.parametrize("value", [[], "x", None], ids=["list", "string", "null"])
+    def test_config_not_an_object(self, joint_ckpt, value):
+        """Refused beside the manifest checks, naming the file and the value."""
+        (joint_ckpt / "config.json").write_text(json.dumps(value))
+        shown = shown_path(joint_ckpt / "config.json")
+        expected = f"{shown} holds {reprlib.repr(value)}, not an object"
+        with pytest.raises(BadCheckpoint) as info:
+            read_checkpoint(joint_ckpt)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "system,field",
+        [("pipeline", "evidence_encoder"), ("pipeline", "entailment_encoder"), ("joint", "encoder")],
+    )
+    @pytest.mark.parametrize("value", [None, [], "x", 3], ids=["null", "list", "string", "number"])
+    def test_encoder_entry_not_an_object(self, request, system, field, value):
+        ckpt = request.getfixturevalue(f"{system}_ckpt")
+        config = json.loads((ckpt / "config.json").read_text())
+        config[field] = value
+        (ckpt / "config.json").write_text(json.dumps(config))
+        with pytest.raises(BadCheckpoint) as info:
+            load_any_model(ckpt)
+        expected = f"config.json entry {field} is {reprlib.repr(value)}, not an object"
+        assert str(info.value) == expected
 
 
 class TestNonFinite:

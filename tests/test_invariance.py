@@ -24,6 +24,7 @@ from ctrnli.checkpoint import (
 from ctrnli.cli import main
 from ctrnli.corpus import ClinicalTrialRecord, parse_record, resolve_premise
 from ctrnli.ensemble import save_predictions
+from ctrnli.errors import CtrnliError
 from ctrnli.joint import JointModel, predict_joint
 from ctrnli.nn import ClassifierHead
 from ctrnli.pipeline import PipelineModel, predict_pipeline
@@ -251,6 +252,23 @@ def test_memo_compares_sections_by_content(ckpts, corpus, claims, system):
     assert _encodes(model) > encodes
     assert pred == predict(claim, changed, load_any_model(ckpts / system)[1])
     assert pred != first[0]
+
+
+@pytest.mark.parametrize("system", ["pipeline", "joint"])
+def test_claim_with_a_missing_trial_is_refused(ckpts, corpus, claims, system):
+    """A claim whose trial is missing forms no memo key and is refused by
+    ``resolve_premise``, both before the memo holds anything and after."""
+    predict = PREDICT[system]
+    model = load_any_model(ckpts / system)[1]
+    claim = dataclasses.replace(claims[0], primary_ctr="absent")
+    message = "claim claim-01: missing trial 'absent'"
+    with pytest.raises(CtrnliError) as before:
+        predict(claim, corpus, model)
+    for other in claims:
+        predict(other, corpus, model)
+    with pytest.raises(CtrnliError) as after:
+        predict(claim, corpus, model)
+    assert str(before.value) == str(after.value) == message
 
 
 @pytest.mark.parametrize("system", ["pipeline", "joint"])
