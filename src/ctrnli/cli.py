@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a --vocab-size too large to tabulate
+        print(" ".join(["error: out of memory", *str(exc).split()]), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

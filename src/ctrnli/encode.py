@@ -170,11 +170,41 @@ def build_pair_sequences(
     before the sentence is gone, and a claim that cannot fit alongside the
     separator and at least one sentence token is an error.
     """
+    tail, sentence_ids = _pair_parts(tokenizer, sentences, claim, max_len)
+    return [TokenSeq(sent_ids + tail) for sent_ids in sentence_ids]
+
+
+def _pair_parts(tokenizer, sentences: Sequence[str], claim: str, max_len: int):
+    """SEP and the claim's ids, and each sentence's ids cut to the room they leave."""
     claim_ids = _claim_ids(tokenizer, claim, max_len, room=2)
-    sentence_ids = [tokenizer.tokenize(text) for text in sentences]
-    sentence_budget = max_len - 1 - len(claim_ids)
-    tail = (tokenizer.sep_id,) + claim_ids
-    return [TokenSeq(sent_ids[:sentence_budget] + tail) for sent_ids in sentence_ids]
+    budget = max_len - 1 - len(claim_ids)
+    sentence_ids = [tokenizer.tokenize(text)[:budget] for text in sentences]
+    return (tokenizer.sep_id,) + claim_ids, sentence_ids
+
+
+def build_pair_batch(tokenizer, sentences: Sequence[str], claim: str, max_len: int, reach: int):
+    """The pairs of :func:`build_pair_sequences` (``sentences`` not empty) as
+    one batch: the ids back to back (int64), each sequence's length, each
+    pair's own rows as ``(n, 2)`` bounds and the ``tail`` of rows that
+    :func:`pool_spans` appends to each.
+
+    A claim row at offset ``reach`` (:attr:`ToyEncoder.reach`) or later reads
+    only claim tokens and the pair's end, so it has the same bits in every
+    pair. Only the first pair is laid out whole; every other one is
+    [sentence, SEP, the first ``2 * reach`` claim tokens], enough for its
+    first ``reach`` claim rows, and the tail is the first pair's claim rows
+    from offset ``reach`` on. A ``reach`` of the claim's length or more
+    leaves every pair whole and the tail empty.
+    """
+    whole, sentence_ids = _pair_parts(tokenizer, sentences, claim, max_len)
+    own, short = whole[:1 + reach], whole[:1 + 2 * reach]
+    tails = [whole] + [short] * (len(sentence_ids) - 1)
+    lengths = [len(sent) + len(tail) for sent, tail in zip(sentence_ids, tails)]
+    pairs = itertools.chain.from_iterable(zip(sentence_ids, tails))
+    ids = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=sum(lengths))
+    starts = list(itertools.accumulate(lengths[:-1], initial=0))
+    ends = [start + len(sent) + len(own) for start, sent in zip(starts, sentence_ids)]
+    return ids, lengths, np.array([starts, ends]).T, (ends[0], lengths[0])
 
 
 def build_pair_sequence(tokenizer, sentence: str, claim: str, max_len: int) -> TokenSeq:
@@ -251,23 +281,33 @@ def pool_span(matrix: np.ndarray, span: tuple[int, int], mode: str) -> np.ndarra
     return pool_spans(matrix, (span,), mode)[0]
 
 
-def _offset_major(matrix: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: float):
-    """Row ``k`` of span ``i`` at ``[k, i]`` of one block; ``fill`` past each span's end."""
-    offsets = np.arange(lengths.max())[:, None]
+def _offset_major(matrix: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: float,
+                  tail: tuple[int, int] = (0, 0)):
+    """Row ``k`` of span ``i`` at ``[k, i]`` of one block, every span continued
+    by the rows ``tail[0]:tail[1]``; ``fill`` past each span's end."""
+    first, end = tail
+    offsets = np.arange(lengths.max() + end - first)[:, None]
+    rows = starts + offsets
+    if end > first:
+        rows = np.where(offsets < lengths, rows, offsets + (first - lengths))
+        lengths = lengths + (end - first)
     past = offsets >= lengths
-    block = matrix.take(np.where(past, 0, starts + offsets), axis=0)
+    block = matrix.take(rows, axis=0, mode="clip")  # the rows past each end are filled next
     block[past] = fill
     return block
 
 
-def pool_spans(matrix: np.ndarray, spans, mode: str) -> np.ndarray:
+def pool_spans(matrix: np.ndarray, spans, mode: str, tail: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Pool each half-open span of ``matrix`` rows; one row per span.
 
     ``spans`` are ``(start, end)`` pairs or an ``(n, 2)`` integer array; they
-    must be non-empty and in increasing order (they may touch). Each mode is
-    one reduction over the batch; mean and max fold an offset-major block row
-    by row, as ``.mean(axis=0)`` and ``.max(axis=0)`` fold a span of two or
-    more columns (so max breaks a ``0.0``/``-0.0`` tie as they do).
+    must be non-empty and in increasing order (they may touch). Mean and max
+    pool each span's rows followed by the rows ``tail[0]:tail[1]`` (none by
+    default), as though they stood right after the span; ``first`` never
+    reads them. Each mode is one reduction over the batch; mean and max fold
+    an offset-major block row by row, as ``.mean(axis=0)`` and
+    ``.max(axis=0)`` fold a span of two or more columns (so max breaks a
+    ``0.0``/``-0.0`` tie as they do).
     """
     if not len(spans):
         return np.zeros((0, matrix.shape[1]))
@@ -279,10 +319,11 @@ def pool_spans(matrix: np.ndarray, spans, mode: str) -> np.ndarray:
     # an empty spare span, so the fold never meets a lone column, which numpy
     # reduces pairwise; the fill past each span's end changes no float
     starts, ends = np.concatenate([bounds, [(0, 0)]]).T
+    lengths = ends - starts
     if mode == "max":
-        return _offset_major(matrix, starts, ends - starts, -np.inf).max(axis=0)[:-1]
-    sums = _offset_major(matrix, starts, ends - starts, -0.0).sum(axis=0)[:-1]
-    return sums / (ends - starts)[:-1, None].astype(matrix.dtype)
+        return _offset_major(matrix, starts, lengths, -np.inf, tail).max(axis=0)[:-1]
+    sums = _offset_major(matrix, starts, lengths, -0.0, tail).sum(axis=0)[:-1]
+    return sums / (lengths[:-1, None] + (tail[1] - tail[0])).astype(matrix.dtype)
 
 
 def pool_span_backward(
@@ -413,7 +454,9 @@ class ToyEncoder:
     can be swapped under the table either. ``encode_calls`` is a plain
     diagnostic counter of encoded sequences (not synchronized) used to
     verify the one-pass property of the joint system and the n + 1 encodes
-    of the pipeline.
+    of the pipeline. :attr:`reach`, how many rows to either side an output
+    row reads, is ``n_layers``: each layer's smoothing reads one neighbor
+    each way, and its affine only the row itself.
     """
 
     backend = "toy"
@@ -438,6 +481,10 @@ class ToyEncoder:
         self._layer0 = _affine(params["emb"], params["W0"], params["b0"]) if table else None
         self.params: Mapping[str, np.ndarray] = MappingProxyType(params) if frozen else params
         self.encode_calls = 0
+
+    @property
+    def reach(self) -> int:
+        return self.n_layers
 
     @staticmethod
     def param_shapes(vocab_size: int, dim: int, n_layers: int) -> dict[str, tuple[int, ...]]:
@@ -533,19 +580,24 @@ class ToyEncoder:
         return grads
 
 
-def encode_batch(encoder, seqs: Sequence[Sequence[int]], cache: bool = True):
+def encode_batch(encoder, seqs, cache: bool = True, lengths: Sequence[int] | None = None):
     """The ``[sum T, D]`` rows of ``seqs`` back to back, plus the cache for
     the encoder's ``backward``: None for a frozen encoder, and None when
     ``cache`` is off, as prediction turns it (only training keeps a cache).
+    ``seqs`` is a sequence of id sequences or, with their ``lengths``, the
+    int64 array of their ids back to back.
 
     A trainable encoder runs all of ``seqs`` in one forward. A frozen one
-    runs them one at a time, unpadded, so each keeps exactly the features
-    ``encode`` gives it.
+    runs them one at a time, unpadded, as lists of ints, so each keeps
+    exactly the features ``encode`` gives it.
     """
+    ids = seqs
+    if lengths is None:
+        lengths = [len(seq) for seq in seqs]
+        ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
     if not encoder.trainable:
-        return np.concatenate([encoder.encode(seq) for seq in seqs]), None
-    lengths = [len(seq) for seq in seqs]
-    ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64, count=sum(lengths))
+        split = np.split(ids, np.cumsum(lengths[:-1]))
+        return np.concatenate([encoder.encode(seq.tolist()) for seq in split]), None
     return encoder.encode_with_cache(ids, lengths, cache=cache)
 
 

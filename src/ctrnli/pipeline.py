@@ -2,7 +2,10 @@
 
 Stage one scores every premise sentence independently by encoding the
 [sentence, SEP, claim] pair and classifying the pooled vector; the pairs of
-one premise share a single batched encoder call and head call. Sentences
+one premise share a single batched encoder call and head call. Within that
+call the claim is encoded whole once: every later pair borrows the first
+pair's claim rows past the encoder's ``reach`` (see
+:func:`~ctrnli.encode.build_pair_batch`). Sentences
 whose evidence probability strictly exceeds the threshold are selected (with
 a top-1 fallback when nothing clears it). Stage two concatenates the selected
 sentences in premise order behind the claim and classifies the pooled
@@ -34,8 +37,8 @@ from .corpus import (
 from .encode import (
     ToyEncoder,
     build_entailment_sequence,
+    build_pair_batch,
     build_pair_sequence,
-    build_pair_sequences,
     encode_batch,
     naming_claim,
     pool_span,
@@ -170,13 +173,6 @@ def select_evidence(probs: Sequence[float], threshold: float) -> tuple[tuple[int
     return (int(np.argmax(np.asarray(probs))),), True
 
 
-def _spans(lengths) -> np.ndarray:
-    """Half-open row ranges of sequences of ``lengths`` laid back to back, as
-    the ``(n, 2)`` bounds array :func:`pool_spans` takes."""
-    edges = np.cumsum([0, *lengths])
-    return np.column_stack((edges[:-1], edges[1:]))
-
-
 def evidence_probs(head: ClassifierHead, vectors: np.ndarray) -> list[float]:
     """Evidence probability of each row of ``vectors`` in one head call.
 
@@ -199,14 +195,22 @@ def score_evidence(
     """One evidence probability per premise sentence.
 
     All [sentence, SEP, claim] pairs of the premise go through one
-    ``encode_batch`` call and one stacked head call; each probability equals
-    that of scoring its pair alone, bit for bit.
+    ``encode_batch`` call and one stacked head call. For an encoder with a
+    ``reach``, only the first pair holds the whole claim: every other pair
+    has its claim cut to ``2 * reach`` tokens and pools its own rows up to
+    claim offset ``reach``, then the first pair's claim rows from there on,
+    which hold the same bits in every pair. An encoder without ``reach``
+    gets whole pairs. Each probability equals that of scoring its whole pair
+    alone, bit for bit, on a kernel that rounds a row alike at any row count.
     """
     require_sentences(claim, premise)
+    reach = getattr(encoder, "reach", max_len)
     with naming_claim(claim.claim_id):
-        pairs = build_pair_sequences(encoder.tokenizer, premise.texts, claim.text, max_len)
-    matrix = encode_batch(encoder, [pair.token_ids for pair in pairs], cache=False)[0]
-    return evidence_probs(head, pool_spans(matrix, _spans(pair.length for pair in pairs), pooling))
+        ids, lengths, spans, tail = build_pair_batch(
+            encoder.tokenizer, premise.texts, claim.text, max_len, reach
+        )
+    matrix = encode_batch(encoder, ids, cache=False, lengths=lengths)[0]
+    return evidence_probs(head, pool_spans(matrix, spans, pooling, tail))
 
 
 def classify_entailment(
@@ -252,7 +256,8 @@ def sequence_classification_grads(
     """
     seqs = [token_ids for token_ids, _ in items]
     scale = 1.0 / len(items)
-    spans = _spans(len(seq) for seq in seqs)
+    edges = np.cumsum([0, *map(len, seqs)])
+    spans = np.column_stack((edges[:-1], edges[1:]))
     matrix, enc_cache = encode_batch(encoder, seqs)
     pooled = pool_spans(matrix, spans, pooling)
     logits, mlp_cache = mlp_forward(head.params, pooled[:, None, :])

@@ -112,7 +112,9 @@ def test_traced_prediction_spans_every_encoder_call(monkeypatch, corpus, claims)
     """One ``encode.forward`` span per encoder call, whether or not it keeps
     a cache: two per pipeline claim (the batch of pairs, then the evidence
     sequence) and one per joint claim. ``forward_tokens`` counts every token
-    those calls encode, so the cache-free path is no blind spot."""
+    those calls encode, so the cache-free path is no blind spot: in the
+    batch of pairs, the first pair is whole and every other one holds only
+    the first ``2 * reach`` claim tokens."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
@@ -144,8 +146,10 @@ def test_traced_prediction_spans_every_encoder_call(monkeypatch, corpus, claims)
         premise = resolve_premise(claim, corpus)
         joint_tokens += build_joint_sequence(tokenizer, claim.text, premise, 48).length
         pairs = build_pair_sequences(tokenizer, premise.texts, claim.text, 512)
+        claim_length = tokenizer.tokenize(claim.text).length
+        cut = claim_length - min(claim_length, 2 * pipeline_model.evidence_encoder.reach)
         evidence = [premise.texts[i] for i in pred.selected]
-        pipeline_tokens += sum(pair.length for pair in pairs)
+        pipeline_tokens += sum(pair.length for pair in pairs) - cut * (len(pairs) - 1)
         pipeline_tokens += build_entailment_sequence(tokenizer, claim.text, evidence, 512).length
     assert tracer.layer_metrics(("joint",))["encode.forward_tokens"] == joint_tokens
     assert tracer.layer_metrics(("pipeline",))["encode.forward_tokens"] == pipeline_tokens

@@ -3,8 +3,11 @@
 import argparse
 import dataclasses
 import json
+import os
 import reprlib
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1215,3 +1218,25 @@ def test_each_error_class_ends_in_its_exit_code(monkeypatch, capsys, cls):
     monkeypatch.setattr(cli, "cmd_report", fail)
     assert main(["report", "--report", "r.json"]) == code
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """``train --vocab-size 1000000000`` needs more memory than a 2 GB
+    address space holds (its word-id table alone is 8 GB): one ``error:``
+    line, exit 1, no checkpoint. It runs only in a child process whose
+    address space is capped, so it never asks the machine for that memory."""
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctrnli.cli", "train", "--corpus", CORPUS, "--claims", CLAIMS,
+         "--out", str(tmp_path / "ckpt"), "--seed", "0", "--vocab-size", "1000000000"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
+    assert not (tmp_path / "ckpt").exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctrnli.corpus import LABELS, resolve_premise
-from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence
+from ctrnli.encode import PretrainedEncoder, ToyEncoder, build_pair_sequence, build_pair_sequences
 from ctrnli.errors import CtrnliError
 from ctrnli.nn import ClassifierHead, Hyperparams, softmax
 from ctrnli.pipeline import (
@@ -181,16 +181,18 @@ class _HashingHfTokenizer:
 class _StubPretrained(PretrainedEncoder):
     """The frozen adapter with a toy encoder in place of the transformer: its
     own tokenize runs, and ``encode_batch`` reaches the stubbed ``encode``
-    once per sequence."""
+    once per sequence, which it keeps in ``received``."""
 
     def __init__(self, toy):
         self._hf_tokenizer = _HashingHfTokenizer()
         self._toy = toy
         self.dim = toy.dim
         self.encode_calls = 0
+        self.received = []
 
     def encode(self, token_ids):
         self.encode_calls += 1
+        self.received.append(token_ids)
         return self._toy.encode(token_ids)
 
 
@@ -239,6 +241,22 @@ class TestBatchedScoring:
             expected = _per_pair_scores(claim, premise, toy, head, 512, pooling)
             assert score_evidence(claim, premise, stub, head, 512, pooling) == expected
         assert stub.encode_calls == sum(resolve_premise(c, corpus).n for c in claims[:5])
+
+    def test_encoder_without_reach_gets_whole_pairs(self, corpus, claims):
+        """An encoder with no ``reach``, as the pretrained adapter, whose
+        attention reads the whole sequence, borrows no claim row: it encodes
+        exactly the whole pairs of ``build_pair_sequences``, as lists of
+        ints."""
+        stub = _StubPretrained(ToyEncoder(dim=16, seed=3))
+        head = ClassifierHead.create(16, seed=4)
+        assert not hasattr(stub, "reach")
+        for claim in claims:
+            premise = resolve_premise(claim, corpus)
+            stub.received.clear()
+            score_evidence(claim, premise, stub, head, 512, "mean")
+            pairs = build_pair_sequences(stub.tokenizer, premise.texts, claim.text, 512)
+            assert stub.received == [list(pair) for pair in pairs]
+            assert {type(i) for seq in stub.received for i in seq} == {int}
 
 
 class TestTrainingItems:

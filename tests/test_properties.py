@@ -32,6 +32,8 @@ from ctrnli.encode import (
     ToyEncoder,
     _segment_sums,
     build_joint_sequence,
+    build_pair_batch,
+    build_pair_sequences,
     encode_batch,
     pool_span,
     pool_spans,
@@ -48,8 +50,15 @@ from ctrnli.ensemble import (
 )
 from ctrnli.errors import CtrnliError, EvidenceIndexOutOfRange
 from ctrnli.metrics import GoldClaim, build_report
-from ctrnli.nn import to_stored_precision
-from ctrnli.pipeline import PROB_TOL, SystemPrediction, select_evidence, verdict_from_probs
+from ctrnli.nn import ClassifierHead, to_stored_precision
+from ctrnli.pipeline import (
+    PROB_TOL,
+    SystemPrediction,
+    evidence_probs,
+    score_evidence,
+    select_evidence,
+    verdict_from_probs,
+)
 from test_encode import (
     _densify,
     _oracle_encode_with_cache,
@@ -563,6 +572,106 @@ class TestPoolSpans:
             oracle = np.stack([_oracle_pool_span(wide, span, mode)[:width] for span in spans])
         assert pooled.dtype == oracle.dtype and pooled.flags.c_contiguous
         assert _row_bytes(pooled) == _row_bytes(one_by_one) == _row_bytes(oracle)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), min_size=1, max_size=6),
+        st.integers(0, 8),
+        st.sampled_from(["mean", "max", "first"]),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from([1, 2, 5]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_tail_pools_as_if_it_followed_each_span(
+        self, gaps_and_lengths, tail_length, mode, dtype, width, seed
+    ):
+        """With a ``tail``, each row of ``pool_spans`` equals the per-span
+        oracle over the span's rows with the tail's rows appended, as bytes;
+        ``first`` reads the span alone. The tail may overlap a span, as the
+        pipeline's borrowed claim rows lie in its first pair."""
+        spans, end = _spans_of(gaps_and_lengths)
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(POOL_LEVELS, size=(end + 2, width), p=POOL_LEVEL_P).astype(dtype)
+        wide = np.repeat(matrix, 2, axis=1) if width == 1 else matrix
+        tail_length = min(tail_length, end)
+        start = int(rng.integers(0, end + 3 - tail_length))
+        tail = (start, start + tail_length)
+        with np.errstate(invalid="ignore"):
+            pooled = pool_spans(matrix, spans, mode, tail)
+            oracle = []
+            for first, last in spans:
+                rows = np.concatenate([wide[first:last], wide[tail[0]:tail[1]]])
+                oracle.append(_oracle_pool_span(rows, (0, len(rows)), mode)[:width])
+        assert pooled.dtype == matrix.dtype
+        assert _row_bytes(pooled) == _row_bytes(np.stack(oracle))
+
+
+_WORDS = st.sampled_from([f"w{i}" for i in range(40)])
+
+
+def _exact_weight_encoders(n_layers: int, dim: int) -> tuple[ToyEncoder, ToyEncoder]:
+    """A seeded float64 encoder and a float32 one over read-only arrays, as a
+    checkpoint loads them, whose weights are signed permutations scaled by
+    powers of two, and whose biases are nonzero. Each entry of such a
+    product is one input times a power of two, which every BLAS kernel
+    computes exactly, so a row's bits do not depend on the rows around it."""
+    rng = np.random.default_rng([n_layers, dim])
+    seeded = ToyEncoder(64, dim, n_layers, seed=n_layers)
+    for layer in range(n_layers):
+        weight = np.zeros((dim, dim))
+        weight[rng.permutation(dim), np.arange(dim)] = rng.choice([-2.0, -1.0, 0.5, 1.0], dim)
+        seeded.params[f"W{layer}"] = weight
+        seeded.params[f"b{layer}"] = rng.normal(0.0, 0.1, size=dim)
+    loaded = {name: arr.astype(np.float32) for name, arr in seeded.params.items()}
+    for arr in loaded.values():
+        arr.flags.writeable = False
+    return seeded, ToyEncoder(64, dim, n_layers, params=loaded)
+
+
+_BORROWING = {
+    n_layers: [enc for dim in (8, 16, 32) for enc in _exact_weight_encoders(n_layers, dim)]
+    for n_layers in range(5)
+}
+
+
+class TestBorrowedClaimRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_WORDS, min_size=1, max_size=14),
+        st.lists(st.lists(_WORDS, min_size=1, max_size=12), min_size=1, max_size=7),
+        st.integers(0, 4),
+        st.sampled_from(["mean", "max", "first"]),
+        st.one_of(st.none(), st.integers(1, 4)),
+    )
+    # claims of at most 2 * reach tokens, where no row is borrowed
+    @example(["w1"], [["w2", "w3"], ["w4"]], 2, "mean", None)
+    @example(["w1", "w2", "w3", "w4"], [["w2", "w3"], ["w4"], ["w5"]], 2, "max", None)
+    @example(["w1", "w2", "w3", "w4", "w5"], [["w2", "w3"], ["w4"], ["w5"]], 2, "max", 1)
+    def test_score_evidence_equals_whole_pairs(self, claim_words, sentences, n_layers, pooling,
+                                               budget):
+        """``score_evidence``, which encodes the claim whole in the first pair
+        only, gives the probabilities of pooling every whole pair, and the
+        batch it pools gives the whole pairs' pooled rows, as bytes: at every
+        depth, for a seeded float64 and a loaded float32 encoder. A
+        ``budget`` of sentence tokens sets a ``max_len`` that cuts the
+        longer sentences."""
+        claim_text = " ".join(claim_words)
+        claim = ClaimInstance("c", claim_text, "results", "t")
+        premise = PremiseDoc(texts=tuple(map(" ".join, sentences)), spans={"t": (0, len(sentences))})
+        for encoder in _BORROWING[n_layers]:
+            tok = encoder.tokenizer
+            max_len = 512 if budget is None else len(tok.tokenize(claim_text)) + 1 + budget
+            head = ClassifierHead.create(encoder.dim, seed=n_layers)
+            pairs = build_pair_sequences(tok, premise.texts, claim_text, max_len)
+            bounds = np.cumsum([0, *map(len, pairs)])
+            whole = pool_spans(encode_batch(encoder, pairs, cache=False)[0],
+                               np.column_stack((bounds[:-1], bounds[1:])), pooling)
+            ids, lengths, spans, tail = build_pair_batch(tok, premise.texts, claim_text, max_len,
+                                                         encoder.reach)
+            pooled = pool_spans(encode_batch(encoder, ids, cache=False, lengths=lengths)[0],
+                                spans, pooling, tail)
+            assert pooled.tobytes() == whole.tobytes()
+            probs = score_evidence(claim, premise, encoder, head, max_len, pooling)
+            assert np.array(probs).tobytes() == np.array(evidence_probs(head, whole)).tobytes()
 
 
 class TestPoolSpansBackward:
